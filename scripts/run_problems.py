@@ -41,7 +41,7 @@ def load(name):
         for d in diags:
             print(d.render(), file=sys.stderr)
         sys.exit(2)
-    return sc.elaborate_program(program)
+    return program
 
 
 def run(program, name, term_src, trace):
@@ -49,8 +49,7 @@ def run(program, name, term_src, trace):
     term = sc.parse_term(term_src, ctx)
     call = S.Call(name, (), ())
     pi = sc.type_of_strategy(ctx, call)
-    state = sc.EvalState(ctx=ctx, defs=program.definitions,
-                         cfg=sc.EvalConfig(trace=trace))
+    state = sc.EvalState()
     out = sc.apply_strategy(ctx, program.definitions, call, term,
                             sc.EvalConfig(trace=trace), state)
     if trace:

@@ -94,10 +94,9 @@ def main(argv=None):
         print(e.render(), file=sys.stderr)
         return 2
 
-    elaborated = elaborate_program(program)
     state = EvalState()
     cfg = EvalConfig(fuel=args.fuel, trace=args.trace)
-    outcome = run_program(elaborated, term, cfg, state)
+    outcome = run_program(program, term, cfg, state)
     if args.trace:
         for line in state.trace_lines:
             print(line, file=sys.stderr)

@@ -1,5 +1,9 @@
 """Big-step evaluation of strategy applications.
 
+The evaluator interprets only the elaborated core: the entry points
+desugar and elaborate their input first, so `extend` and `&` dispatch on
+the types that elaboration annotated.
+
 Failure is a result (None internally, Failure at the API); engine-level
 problems (fuel, unbound combinators, subject-reduction breaches) surface
 as EngineError outcomes, never as Failure.
@@ -8,6 +12,13 @@ as EngineError outcomes, never as Failure.
 from dataclasses import dataclass, field
 
 from . import syntax as S
+from .elaborate import (
+    desugar,
+    desugar_body,
+    elaborate,
+    elaborate_body,
+    elaborate_definitions,
+)
 from .errors import (
     FuelExhausted,
     InternalTypeViolation,
@@ -31,12 +42,7 @@ from .terms import (
     substitute,
     tag_term,
 )
-from .typecheck import (
-    _substitute_type_vars,
-    domains,
-    substitute_stype,
-    type_of_strategy,
-)
+from .typecheck import _substitute_type_vars, domains, substitute_stype
 
 
 @dataclass
@@ -61,30 +67,14 @@ class EvalState:
     trace_lines: list = field(default_factory=list)
     amp_dispatches: int = 0
     amp_branch_evals: int = 0
-    _type_cache: dict = field(default_factory=dict)
-
-    def runtime_type(self, s):
-        key = id(s)
-        pi = self._type_cache.get(key)
-        if pi is None:
-            try:
-                pi = type_of_strategy(self.ctx, s)
-            except StaticError as e:
-                raise InternalTypeViolation(
-                    "runtime typing failed: %s" % e.message)
-            self._type_cache[key] = (pi, s)  # keep s alive for id() stability
-        else:
-            pi = pi[0]
-        return pi
 
 
 _HEADS = {
     S.Rule: "rule", S.Id: "id", S.Fail: "fail", S.Seq: ";", S.Choice: "+",
-    S.LChoice: "<+", S.RChoice: "+>", S.Neg: "!", S.CongUnit: "()",
-    S.CongPair: "(,)", S.All: "all", S.One: "one", S.Reduce: "reduce",
-    S.Select: "select", S.Void: "void", S.Spawn: "spawn", S.Extend: "extend",
-    S.Restrict: "restrict", S.Annot: ":", S.AmpS: "&", S.TypeGuard: "guard",
-    S.TLChoice: "<&", S.TRChoice: "&>",
+    S.LChoice: "<+", S.Neg: "!", S.CongUnit: "()", S.CongPair: "(,)",
+    S.All: "all", S.One: "one", S.Reduce: "reduce", S.Select: "select",
+    S.Void: "void", S.Spawn: "spawn", S.Extend: "extend",
+    S.Restrict: "restrict", S.Annot: ":", S.AmpS: "&",
 }
 
 
@@ -104,13 +94,11 @@ def term_head(t):
 
 _TAGS = {
     S.Rule: "rule", S.Id: "id", S.Fail: "fail", S.Seq: "seq",
-    S.Choice: "choice", S.LChoice: "choice", S.RChoice: "choice",
-    S.Neg: "neg", S.CongCon: "cong", S.CongFun: "cong", S.CongUnit: "cong",
-    S.CongPair: "cong", S.All: "all", S.One: "one", S.Reduce: "red",
-    S.Select: "sel", S.Void: "void", S.Spawn: "spawn", S.Extend: "extend",
-    S.Restrict: "restrict", S.Annot: "annot", S.AmpS: "amp",
-    S.TypeGuard: "guard", S.TLChoice: "choice", S.TRChoice: "choice",
-    S.Call: "comb", S.ParamRef: "arg",
+    S.Choice: "choice", S.LChoice: "choice", S.Neg: "neg", S.CongCon: "cong",
+    S.CongFun: "cong", S.CongUnit: "cong", S.CongPair: "cong", S.All: "all",
+    S.One: "one", S.Reduce: "red", S.Select: "sel", S.Void: "void",
+    S.Spawn: "spawn", S.Extend: "extend", S.Restrict: "restrict",
+    S.Annot: "annot", S.AmpS: "amp", S.Call: "comb", S.ParamRef: "arg",
 }
 
 
@@ -144,19 +132,13 @@ def _eval_node(st, s, t):
         if mid is None:
             return None
         return _eval(st, s.right, mid)
-    if isinstance(s, S.Choice):
+    if isinstance(s, (S.Choice, S.LChoice)):
+        # s1 <+ s2 means s1 + (!s1 ; s2); since + tries s1 first and s1
+        # is deterministic, the !s1 there always succeeds and is skipped.
         out = _eval(st, s.left, t)
         if out is None:
             return _eval(st, s.right, t)
         return out
-    if isinstance(s, S.LChoice):
-        # Sugar evaluated by its expansion s1 + (!s1 ; s2).
-        out = _eval(st, s.left, t)
-        if out is None:
-            return _eval(st, s.right, t)
-        return out
-    if isinstance(s, S.RChoice):
-        return _eval_node(st, S.LChoice(s.right, s.left, s.pos), t)
     if isinstance(s, S.Neg):
         out = _eval(st, s.arg, t)
         return t if out is None else None
@@ -239,14 +221,8 @@ def _eval_node(st, s, t):
             return None
         return Pair(left, right, _pair_tag(left, right))
     if isinstance(s, S.Extend):
-        child = s.arg
-        if isinstance(child, S.Annot):
-            inner_type = child.stype
-        else:
-            inner_type = st.runtime_type(child)
-        tau = get_tag(st.ctx, t)
-        if tau in domains(inner_type):
-            return _eval(st, child, t)
+        if get_tag(st.ctx, t) in domains(s.arg.stype):
+            return _eval(st, s.arg, t)
         return None
     if isinstance(s, (S.Restrict, S.Annot)):
         return _eval(st, s.arg, t)
@@ -254,22 +230,11 @@ def _eval_node(st, s, t):
         tau = get_tag(st.ctx, t)
         st.amp_dispatches += 1
         for branch in (s.left, s.right):
-            if tau in domains(st.runtime_type(branch)):
+            if tau in domains(branch.stype):
                 st.amp_branch_evals += 1
                 return _eval(st, branch, t)
         raise InternalTypeViolation(
             "no overloaded branch accepts a term of type %r" % (tau,))
-    if isinstance(s, S.TypeGuard):
-        tau = get_tag(st.ctx, t)
-        return t if tau == s.ttype else None
-    if isinstance(s, S.TLChoice):
-        pi1 = st.runtime_type(s.left)
-        tau = get_tag(st.ctx, t)
-        if tau in domains(pi1):
-            return _eval(st, s.left, t)
-        return _eval(st, s.right, t)
-    if isinstance(s, S.TRChoice):
-        return _eval_node(st, S.TLChoice(s.right, s.left, s.pos), t)
     if isinstance(s, S.ParamRef):
         raise InternalTypeViolation(
             "unsubstituted strategy parameter %s" % s.name)
@@ -347,8 +312,8 @@ def substitute_strategy(s, ssub, tsub):
         return S.Rule(s.lhs, _subst_body(s.body, ssub, tsub), s.pos)
     if isinstance(s, (S.Id, S.Fail, S.Void, S.CongCon, S.CongUnit)):
         return s
-    if isinstance(s, (S.Seq, S.Choice, S.LChoice, S.RChoice, S.CongPair,
-                      S.Spawn, S.AmpS, S.TLChoice, S.TRChoice)):
+    if isinstance(s, (S.Seq, S.Choice, S.LChoice, S.CongPair, S.Spawn,
+                      S.AmpS)):
         return type(s)(rec(s.left), rec(s.right), s.pos)
     if isinstance(s, (S.Neg, S.All, S.One, S.Select)):
         return type(s)(rec(s.arg), s.pos)
@@ -356,9 +321,6 @@ def substitute_strategy(s, ssub, tsub):
         return S.Reduce(rec(s.splus), rec(s.child), s.pos)
     if isinstance(s, (S.Extend, S.Restrict, S.Annot)):
         return type(s)(rec(s.arg), substitute_stype(tsub, s.stype), s.pos)
-    if isinstance(s, S.TypeGuard):
-        return S.TypeGuard(_subst_term_type(tsub, s.ttype),
-                           substitute_stype(tsub, s.stype), s.pos)
     if isinstance(s, S.CongFun):
         return S.CongFun(s.name, tuple(rec(a) for a in s.args), s.pos)
     if isinstance(s, S.Call):
@@ -382,17 +344,39 @@ def _subst_body(b, ssub, tsub):
 
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
-    """Apply s to the ground term t; returns Ok, Failure, or EngineFailure."""
+    """Apply s to the ground term t; returns Ok, Failure, or EngineFailure.
+    s and defs are desugared and elaborated first."""
+    assert is_ground(t), "strategy application needs a ground term"
+    return _run(ctx, defs, cfg, state,
+                lambda: elaborate(ctx, desugar(ctx, s)),
+                lambda st, core: _eval(st, core, t))
+
+
+def eval_body(ctx, defs, b, theta, cfg=None, state=None):
+    """Evaluate a rule body under a substitution (exposed for tests)."""
+    return _run(ctx, defs, cfg, state,
+                lambda: elaborate_body(ctx, desugar_body(ctx, b)),
+                lambda st, core: _eval_body(st, core, theta))
+
+
+def _run(ctx, defs, cfg, state, elaborate_input, evaluate):
+    """Set up `state`, elaborate defs and `elaborate_input()`, pass the
+    result to `evaluate`, and turn errors into EngineFailure outcomes."""
     cfg = cfg or EvalConfig()
     if state is None:
         state = EvalState()
     state.ctx = ctx
-    state.defs = defs
     state.cfg = cfg
     state.fuel = None if cfg.fuel == 0 else cfg.fuel
-    assert is_ground(t), "strategy application needs a ground term"
     try:
-        result = _eval(state, s, t)
+        state.defs = elaborate_definitions(ctx, defs)
+        core = elaborate_input()
+    except StaticError as e:
+        # Only library callers that skip check_program can get here.
+        return EngineFailure("InternalTypeViolation",
+                             "runtime typing failed: %s" % e.message)
+    try:
+        result = evaluate(state, core)
     except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
         return EngineFailure(e.kind, e.detail)
     if result is None:
@@ -404,25 +388,7 @@ def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
                              "reduct is ill-typed: %s" % e.message)
 
 
-def eval_body(ctx, defs, b, theta, cfg=None, state=None):
-    """Evaluate a rule body under a substitution (exposed for tests)."""
-    cfg = cfg or EvalConfig()
-    if state is None:
-        state = EvalState()
-    state.ctx = ctx
-    state.defs = defs
-    state.cfg = cfg
-    state.fuel = None if cfg.fuel == 0 else cfg.fuel
-    try:
-        result = _eval_body(state, b, theta)
-    except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
-        return EngineFailure(e.kind, e.detail)
-    if result is None:
-        return FAILURE
-    return Ok(tag_term(ctx, result))
-
-
 def run_program(program, t, cfg=None, state=None):
-    """Apply a checked, elaborated program's main strategy to t."""
+    """Apply a checked program's main strategy to t."""
     return apply_strategy(program.context, program.definitions, program.main,
                           t, cfg, state)

@@ -132,14 +132,23 @@ def test_custom_prelude_file(capcli, write):
 
 
 def test_elaborate_shows_annot_and_round_trips(capcli, tmp_path):
-    code, out, err = capcli("elaborate", program_path("problems.strat"))
-    assert code == 0
-    assert "extend((Inc : Nat -> Nat), TP)" in out
-    assert "extend((g(P) -> gp(P) : A -> A), TP)" in out
-    again = tmp_path / "elab.strat"
-    again.write_text(out)
-    code2, out2, err2 = capcli("check", str(again))
-    assert code2 == 0 and out2.strip() == "TP"
+    shown = {
+        "problems.strat": ["extend((Inc : Nat -> Nat), TP)",
+                           "extend((g(P) -> gp(P) : A -> A), TP)"],
+        "overload.strat": ["(NO -> succ(NO) : NatOne -> NatOne) & "],
+        "addition.strat": ["extend((AddStep : Nat -> Nat), TP)"],
+    }
+    for name, snippets in shown.items():
+        code, want, _ = capcli("check", program_path(name))
+        assert code == 0
+        code, out, err = capcli("elaborate", program_path(name))
+        assert code == 0
+        for snippet in snippets:
+            assert snippet in out
+        again = tmp_path / ("elab-" + name)
+        again.write_text(out)
+        code2, out2, err2 = capcli("check", str(again))
+        assert code2 == 0 and out2 == want
 
 
 def test_elaborate_ill_typed_exit_2(capcli, write):

@@ -15,8 +15,10 @@ INC = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
 
 
 def test_desugar_lchoice(nat_tree_ctx):
-    got = desugar(nat_tree_ctx, S.LChoice(S.Id(), S.Fail()))
-    assert got == S.Choice(S.Id(), S.Seq(S.Neg(S.Id()), S.Fail()))
+    # <+ is core: desugar keeps it and only maps its operands.
+    got = desugar(nat_tree_ctx, S.LChoice(S.Id(), S.TypeGuard(NAT, TP_TYPE)))
+    assert got == S.LChoice(S.Id(), desugar(nat_tree_ctx,
+                                            S.TypeGuard(NAT, TP_TYPE)))
 
 
 def test_desugar_rchoice_flips(nat_tree_ctx):
@@ -34,8 +36,8 @@ def test_desugar_removes_all_sugar_nodes(nat_tree_ctx):
                                   S.TypeGuard(NAT, TP_TYPE)))
 
     def sugar_free(x):
-        assert not isinstance(x, (S.LChoice, S.RChoice, S.TypeGuard,
-                                  S.TLChoice, S.TRChoice))
+        assert not isinstance(x, (S.RChoice, S.TypeGuard, S.TLChoice,
+                                  S.TRChoice))
         for f in ("left", "right", "arg", "splus", "child"):
             child = getattr(x, f, None)
             if child is not None and not isinstance(child, (tuple, str)):

@@ -167,6 +167,55 @@ def test_amp_dispatches_on_sort(nat_tree_ctx):
         Ok(FunApp("fork", (LEAF1, LEAF0)))
 
 
+def test_guard_succeeds_on_its_sort_only(nat_tree_ctx):
+    guard = S.TypeGuard(NAT, TP_TYPE)
+    assert ev(nat_tree_ctx, guard, num(2)) == Ok(num(2))
+    assert ev(nat_tree_ctx, guard, LEAF0) == FAILURE
+    # a sugared where-clause reaches the evaluator elaborated, too
+    body = S.Where("N1", guard, Constant("zero"), S.Result(Var("N1")))
+    assert sc.eval_body(nat_tree_ctx, {}, body, {}, sc.EvalConfig()) == \
+        Ok(Constant("zero"))
+
+
+def test_right_biased_overloading_commits_by_sort(nat_tree_ctx):
+    # s1 &> s2 applies s2 on its sort and s1 elsewhere
+    assert ev(nat_tree_ctx, S.TRChoice(S.Fail(), INC), num(1)) == Ok(num(2))
+    assert ev(nat_tree_ctx, S.TRChoice(S.Id(), INC), LEAF0) == Ok(LEAF0)
+    assert ev(nat_tree_ctx, S.TRChoice(S.Fail(), INC), LEAF0) == FAILURE
+    # a failing s2 on its own sort does not fall back to s1
+    dec = S.Rule(FunApp("succ", (Var("N"),)), S.Result(Var("N")))
+    assert ev(nat_tree_ctx, S.TRChoice(S.Id(), dec), Constant("zero")) == \
+        FAILURE
+
+
+def test_ill_typed_input_is_engine_failure(nat_tree_ctx):
+    bad = S.Extend(S.All(INC), TP_TYPE)
+    got = ev(nat_tree_ctx, bad, Constant("zero"))
+    assert isinstance(got, sc.EngineFailure)
+    assert got.kind == "InternalTypeViolation"
+    assert got.detail.startswith("runtime typing failed: ")
+    body = S.Where("N1", bad, Constant("zero"), S.Result(Var("N1")))
+    got = sc.eval_body(nat_tree_ctx, {}, body, {}, sc.EvalConfig())
+    assert isinstance(got, sc.EngineFailure)
+    assert got.kind == "InternalTypeViolation"
+
+
+def test_left_choice_runs_failing_operand_once(addition):
+    # OnceBU(v) = v +> one(OnceBU(v)) nests <+ once per level, so fuel
+    # must grow linearly with depth, not double per level.
+    ctx = addition.context
+    step = S.Extend(S.Call("AddStep", (), ()), TP_TYPE)
+    main = S.Call("Try", (), (S.Call("OnceBU", (), (step,)),))
+    elaborated = sc.elaborate_program(S.Program(ctx, addition.definitions,
+                                                main))
+    for depth in (16, 14):
+        t = sc.tag_term(ctx, num(depth))
+        state = EvalState()
+        got = sc.run_program(elaborated, t, sc.EvalConfig(), state)
+        assert got == Ok(t)
+        assert sc.EvalConfig().fuel - state.fuel <= 3 * depth
+
+
 def test_call_expansion_substitutes_params():
     src = ("sort Nat; con zero : Nat; fun succ : Nat -> Nat; var N : Nat;\n"
            "def Twice(v) : (Nat -> Nat) -> (Nat -> Nat) = v ; v;\n"

@@ -1,6 +1,8 @@
 """Property-based invariants over randomly generated well-typed
 strategies and terms."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 import stratcalc as sc
@@ -144,6 +146,33 @@ def test_raw_vs_elaborated_agree(seed, nat_tree_ctx):
     cooked = elaborate(nat_tree_ctx, desugar(nat_tree_ctx, s))
     elab = sc.apply_strategy(nat_tree_ctx, {}, cooked, t, sc.EvalConfig())
     assert raw == elab
+
+
+def expand(x):
+    """Rewrite every s1 <+ s2 into s1 + (!s1 ; s2), and every s1 +> s2
+    into its flipped form, at any depth."""
+    if isinstance(x, S.RChoice):
+        return expand(S.LChoice(x.right, x.left, x.pos))
+    if isinstance(x, S.LChoice):
+        left, right = expand(x.left), expand(x.right)
+        return S.Choice(left, S.Seq(S.Neg(left, x.pos), right, x.pos), x.pos)
+    if isinstance(x, (S.StrategyExpr, S.RuleBody)):
+        return dataclasses.replace(x, **{
+            f.name: expand(getattr(x, f.name))
+            for f in dataclasses.fields(x)})
+    if isinstance(x, tuple):
+        return tuple(expand(y) for y in x)
+    return x
+
+
+@given(seed=seeds)
+@settings(deadline=None)
+def test_left_choice_matches_its_expansion(seed, nat_tree_ctx):
+    # The reference semantics of <+: the core node must agree with it.
+    g, pi, s, tau, t = sample(seed, nat_tree_ctx)
+    got = sc.apply_strategy(nat_tree_ctx, {}, s, t, sc.EvalConfig())
+    want = sc.apply_strategy(nat_tree_ctx, {}, expand(s), t, sc.EvalConfig())
+    assert got == want
 
 
 @given(seed=seeds)
