@@ -1,7 +1,7 @@
 """Batch driver: check, elaborate, and run strategic programs.
 
 Exit codes: 0 success, 1 strategy failure (FAIL), 2 type error,
-3 fuel exhausted, 4 parse error, 5 engine error.
+3 fuel exhausted, 4 parse error, 5 engine error, 6 input nested too deep.
 """
 
 import argparse
@@ -10,11 +10,17 @@ import sys
 
 from .elaborate import elaborate_program
 from .errors import InapplicableType, ParseError, StaticError
-from .evaluate import EngineFailure, EvalConfig, EvalState, run_program
+from .evaluate import (
+    EngineFailure,
+    EvalConfig,
+    EvalState,
+    depth_exceeded,
+    run_program,
+)
 from .parser import parse_program, parse_term
 from .prelude import load_prelude
 from .printer import render_program, render_stype, render_term
-from .terms import Ok, type_of_term
+from .terms import Ok
 from .typecheck import apply_type, check_program
 
 
@@ -45,8 +51,25 @@ def _load(args):
     return program, prelude
 
 
+_ENGINE_EXIT = {"FuelExhausted": 3, "DepthExceeded": 6}
+
+
+def _report(outcome):
+    print("%s: %s" % (outcome.kind, outcome.detail), file=sys.stderr)
+    return _ENGINE_EXIT.get(outcome.kind, 5)
+
+
 def main(argv=None):
     args = _build_argparser().parse_args(argv)
+    try:
+        return _main(args)
+    except RecursionError:
+        # Parsing, checking and printing recurse on nesting depth as
+        # evaluation does; run_program reports its own depth failures.
+        return _report(depth_exceeded())
+
+
+def _main(args):
     try:
         program, prelude = _load(args)
     except ParseError as e:
@@ -89,7 +112,7 @@ def main(argv=None):
         print(e.render(), file=sys.stderr)
         return 2
     try:
-        apply_type(program.context, main_type, type_of_term(program.context, term))
+        apply_type(program.context, main_type, term.tag)
     except InapplicableType as e:
         print(e.render(), file=sys.stderr)
         return 2
@@ -104,8 +127,7 @@ def main(argv=None):
         print(render_term(outcome.term))
         return 0
     if isinstance(outcome, EngineFailure):
-        print("%s: %s" % (outcome.kind, outcome.detail), file=sys.stderr)
-        return 3 if outcome.kind == "FuelExhausted" else 5
+        return _report(outcome)
     print("FAIL")
     return 1
 

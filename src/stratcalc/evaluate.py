@@ -2,13 +2,16 @@
 
 The evaluator interprets only the elaborated core: the entry points
 desugar and elaborate their input first, so `extend` and `&` dispatch on
-the types that elaboration annotated.
+the types that elaboration annotated. A combinator call evaluates the
+definition body as it is, under an environment that binds the call's
+actuals; bodies are never rewritten.
 
 Failure is a result (None internally, Failure at the API); engine-level
-problems (fuel, unbound combinators, subject-reduction breaches) surface
-as EngineError outcomes, never as Failure.
+problems (fuel, recursion depth, unbound combinators, subject-reduction
+breaches) surface as EngineError outcomes, never as Failure.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 from . import syntax as S
@@ -69,6 +72,18 @@ class EvalState:
     amp_branch_evals: int = 0
 
 
+@dataclass(frozen=True)
+class Env:
+    """The bindings of one combinator instance: each strategy parameter
+    maps to (actual, the Env of the call that passed it), each type
+    parameter to a closed term type."""
+    strats: dict
+    types: dict
+
+
+TOP = Env({}, {})
+
+
 _HEADS = {
     S.Rule: "rule", S.Id: "id", S.Fail: "fail", S.Seq: ";", S.Choice: "+",
     S.LChoice: "<+", S.Neg: "!", S.CongUnit: "()", S.CongPair: "(,)",
@@ -79,7 +94,7 @@ _HEADS = {
 
 
 def strat_head(s):
-    if isinstance(s, (S.Call, S.CongCon, S.CongFun, S.ParamRef)):
+    if isinstance(s, (S.Call, S.CongCon, S.CongFun)):
         return s.name
     return _HEADS.get(type(s), type(s).__name__)
 
@@ -98,24 +113,37 @@ _TAGS = {
     S.CongFun: "cong", S.CongUnit: "cong", S.CongPair: "cong", S.All: "all",
     S.One: "one", S.Reduce: "red", S.Select: "sel", S.Void: "void",
     S.Spawn: "spawn", S.Extend: "extend", S.Restrict: "restrict",
-    S.Annot: "annot", S.AmpS: "amp", S.Call: "comb", S.ParamRef: "arg",
+    S.Annot: "annot", S.AmpS: "amp", S.Call: "comb",
 }
 
 
-def _eval(st, s, t):
+def _eval(st, s, t, env):
+    while isinstance(s, S.ParamRef):
+        bound = env.strats.get(s.name)
+        if bound is None:
+            raise InternalTypeViolation(
+                "unbound strategy parameter %s" % s.name)
+        s, env = bound
     if st.cfg.trace:
         st.depth += 1
-        result = _eval_node(st, s, t)
+        result = _eval_node(st, s, t, env)
         st.depth -= 1
         st.trace_lines.append(
             "%s%s %s @ %s => %s"
             % ("  " * st.depth, _TAGS.get(type(s), "?"), strat_head(s),
                term_head(t), "fail" if result is None else "ok"))
         return result
-    return _eval_node(st, s, t)
+    return _eval_node(st, s, t, env)
 
 
-def _eval_node(st, s, t):
+def _domains(annot, env):
+    """Domains of an elaborated annotation under the env's type bindings."""
+    if env.types:
+        return domains(substitute_stype(env.types, annot.stype))
+    return domains(annot.stype)
+
+
+def _eval_node(st, s, t, env):
     if isinstance(s, S.Id):
         return t
     if isinstance(s, S.Fail):
@@ -126,21 +154,21 @@ def _eval_node(st, s, t):
         theta = match(s.lhs, t)
         if theta is None:
             return None
-        return _eval_body(st, s.body, theta)
+        return _eval_body(st, s.body, theta, env)
     if isinstance(s, S.Seq):
-        mid = _eval(st, s.left, t)
+        mid = _eval(st, s.left, t, env)
         if mid is None:
             return None
-        return _eval(st, s.right, mid)
+        return _eval(st, s.right, mid, env)
     if isinstance(s, (S.Choice, S.LChoice)):
         # s1 <+ s2 means s1 + (!s1 ; s2); since + tries s1 first and s1
         # is deterministic, the !s1 there always succeeds and is skipped.
-        out = _eval(st, s.left, t)
+        out = _eval(st, s.left, t, env)
         if out is None:
-            return _eval(st, s.right, t)
+            return _eval(st, s.right, t, env)
         return out
     if isinstance(s, S.Neg):
-        out = _eval(st, s.arg, t)
+        out = _eval(st, s.arg, t, env)
         return t if out is None else None
     if isinstance(s, S.CongCon):
         if isinstance(t, Constant) and t.name == s.name:
@@ -153,7 +181,7 @@ def _eval_node(st, s, t):
             raise InternalTypeViolation("congruence arity mismatch on %s" % s.name)
         out = []
         for sub, c in zip(s.args, t.args):
-            r = _eval(st, sub, c)
+            r = _eval(st, sub, c, env)
             if r is None:
                 return None
             out.append(r)
@@ -163,10 +191,10 @@ def _eval_node(st, s, t):
     if isinstance(s, S.CongPair):
         if not isinstance(t, Pair):
             return None
-        left = _eval(st, s.left, t.left)
+        left = _eval(st, s.left, t.left, env)
         if left is None:
             return None
-        right = _eval(st, s.right, t.right)
+        right = _eval(st, s.right, t.right, env)
         if right is None:
             return None
         return Pair(left, right, _pair_tag(left, right))
@@ -176,7 +204,7 @@ def _eval_node(st, s, t):
             return t
         out = []
         for c in cs:
-            r = _eval(st, s.arg, c)
+            r = _eval(st, s.arg, c, env)
             if r is None:
                 return None
             out.append(r)
@@ -184,7 +212,7 @@ def _eval_node(st, s, t):
     if isinstance(s, S.One):
         cs = children(t)
         for i, c in enumerate(cs):
-            r = _eval(st, s.arg, c)
+            r = _eval(st, s.arg, c, env)
             if r is not None:
                 out = list(cs)
                 out[i] = r
@@ -196,48 +224,45 @@ def _eval_node(st, s, t):
             return None
         results = []
         for c in cs:
-            r = _eval(st, s.child, c)
+            r = _eval(st, s.child, c, env)
             if r is None:
                 return None
             results.append(r)
         acc = results[0]
         for r in results[1:]:
-            acc = _eval(st, s.splus, Pair(acc, r, _pair_tag(acc, r)))
+            acc = _eval(st, s.splus, Pair(acc, r, _pair_tag(acc, r)), env)
             if acc is None:
                 return None
         return acc
     if isinstance(s, S.Select):
         for c in children(t):
-            r = _eval(st, s.arg, c)
+            r = _eval(st, s.arg, c, env)
             if r is not None:
                 return r
         return None
     if isinstance(s, S.Spawn):
-        left = _eval(st, s.left, t)
+        left = _eval(st, s.left, t, env)
         if left is None:
             return None
-        right = _eval(st, s.right, t)
+        right = _eval(st, s.right, t, env)
         if right is None:
             return None
         return Pair(left, right, _pair_tag(left, right))
     if isinstance(s, S.Extend):
-        if get_tag(st.ctx, t) in domains(s.arg.stype):
-            return _eval(st, s.arg, t)
+        if get_tag(st.ctx, t) in _domains(s.arg, env):
+            return _eval(st, s.arg, t, env)
         return None
     if isinstance(s, (S.Restrict, S.Annot)):
-        return _eval(st, s.arg, t)
+        return _eval(st, s.arg, t, env)
     if isinstance(s, S.AmpS):
         tau = get_tag(st.ctx, t)
         st.amp_dispatches += 1
         for branch in (s.left, s.right):
-            if tau in domains(branch.stype):
+            if tau in _domains(branch, env):
                 st.amp_branch_evals += 1
-                return _eval(st, branch, t)
+                return _eval(st, branch, t, env)
         raise InternalTypeViolation(
             "no overloaded branch accepts a term of type %r" % (tau,))
-    if isinstance(s, S.ParamRef):
-        raise InternalTypeViolation(
-            "unsubstituted strategy parameter %s" % s.name)
     if isinstance(s, S.Call):
         d = st.defs.get(s.name)
         if d is None:
@@ -246,10 +271,14 @@ def _eval_node(st, s, t):
             if st.fuel <= 0:
                 raise FuelExhausted("fuel exhausted expanding %s" % s.name)
             st.fuel -= 1
-        tsub = dict(zip(d.type_params, s.type_args))
-        ssub = dict(zip(d.params, s.args))
-        body = substitute_strategy(d.body, ssub, tsub)
-        return _eval(st, body, t)
+        # An actual that is itself a bound parameter passes on its own
+        # binding, so parameter chains never grow with recursion depth.
+        strats = {p: env.strats.get(a.name, (a, env))
+                  if isinstance(a, S.ParamRef) else (a, env)
+                  for p, a in zip(d.params, s.args)}
+        types = {p: _substitute_type_vars(env.types, ta)
+                 for p, ta in zip(d.type_params, s.type_args)}
+        return _eval(st, d.body, t, Env(strats, types))
     raise TypeError("not a strategy: %r" % (s,))
 
 
@@ -267,76 +296,16 @@ def _rebuild(t, new_children):
     raise InternalTypeViolation("cannot rebuild %r" % (t,))
 
 
-def _eval_body(st, body, theta):
+def _eval_body(st, body, theta, env):
     if isinstance(body, S.Result):
         return substitute(theta, body.term)
     u = substitute(theta, body.arg)
-    r = _eval(st, body.strat, u)
+    r = _eval(st, body.strat, u, env)
     if r is None:
         return None
     theta = dict(theta)
     theta[body.var] = r
-    return _eval_body(st, body.rest, theta)
-
-
-# ---------------------------------------------------------------------------
-# Substitution of combinator actuals into definition bodies
-
-
-def _substitute_term_tags(t, tsub):
-    def fix(tag):
-        return None if tag is None else _subst_term_type(tsub, tag)
-
-    if isinstance(t, FunApp):
-        return FunApp(t.name, tuple(_substitute_term_tags(a, tsub) for a in t.args),
-                      fix(t.tag))
-    if isinstance(t, Pair):
-        return Pair(_substitute_term_tags(t.left, tsub),
-                    _substitute_term_tags(t.right, tsub), fix(t.tag))
-    return t.with_tag(fix(t.tag))
-
-
-def _subst_term_type(tsub, tt):
-    return _substitute_type_vars(tsub, tt)
-
-
-def substitute_strategy(s, ssub, tsub):
-    """Replace strategy parameters and type variables in a definition body."""
-    rec = lambda x: substitute_strategy(x, ssub, tsub)
-    if isinstance(s, S.ParamRef):
-        return ssub.get(s.name, s)
-    if isinstance(s, S.Rule):
-        if tsub:
-            return S.Rule(_substitute_term_tags(s.lhs, tsub),
-                          _subst_body(s.body, ssub, tsub), s.pos)
-        return S.Rule(s.lhs, _subst_body(s.body, ssub, tsub), s.pos)
-    if isinstance(s, (S.Id, S.Fail, S.Void, S.CongCon, S.CongUnit)):
-        return s
-    if isinstance(s, (S.Seq, S.Choice, S.LChoice, S.CongPair, S.Spawn,
-                      S.AmpS)):
-        return type(s)(rec(s.left), rec(s.right), s.pos)
-    if isinstance(s, (S.Neg, S.All, S.One, S.Select)):
-        return type(s)(rec(s.arg), s.pos)
-    if isinstance(s, S.Reduce):
-        return S.Reduce(rec(s.splus), rec(s.child), s.pos)
-    if isinstance(s, (S.Extend, S.Restrict, S.Annot)):
-        return type(s)(rec(s.arg), substitute_stype(tsub, s.stype), s.pos)
-    if isinstance(s, S.CongFun):
-        return S.CongFun(s.name, tuple(rec(a) for a in s.args), s.pos)
-    if isinstance(s, S.Call):
-        targs = tuple(_subst_term_type(tsub, ta) for ta in s.type_args)
-        return S.Call(s.name, targs, tuple(rec(a) for a in s.args), s.pos)
-    raise TypeError("not a strategy: %r" % (s,))
-
-
-def _subst_body(b, ssub, tsub):
-    if isinstance(b, S.Result):
-        if tsub:
-            return S.Result(_substitute_term_tags(b.term, tsub))
-        return b
-    arg = _substitute_term_tags(b.arg, tsub) if tsub else b.arg
-    return S.Where(b.var, substitute_strategy(b.strat, ssub, tsub), arg,
-                   _subst_body(b.rest, ssub, tsub))
+    return _eval_body(st, body.rest, theta, env)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +315,26 @@ def _subst_body(b, ssub, tsub):
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply s to the ground term t; returns Ok, Failure, or EngineFailure.
     s and defs are desugared and elaborated first."""
-    assert is_ground(t), "strategy application needs a ground term"
+    def evaluate(st, core):
+        assert is_ground(t), "strategy application needs a ground term"
+        return _eval(st, core, t, TOP)
+
     return _run(ctx, defs, cfg, state,
-                lambda: elaborate(ctx, desugar(ctx, s)),
-                lambda st, core: _eval(st, core, t))
+                lambda: elaborate(ctx, desugar(ctx, s)), evaluate)
 
 
 def eval_body(ctx, defs, b, theta, cfg=None, state=None):
     """Evaluate a rule body under a substitution (exposed for tests)."""
     return _run(ctx, defs, cfg, state,
                 lambda: elaborate_body(ctx, desugar_body(ctx, b)),
-                lambda st, core: _eval_body(st, core, theta))
+                lambda st, core: _eval_body(st, core, theta, TOP))
+
+
+def depth_exceeded():
+    """The outcome for input nested deeper than the Python stack allows."""
+    return EngineFailure("DepthExceeded",
+                         "nesting exceeds the recursion limit of %d frames"
+                         % sys.getrecursionlimit())
 
 
 def _run(ctx, defs, cfg, state, elaborate_input, evaluate):
@@ -369,23 +347,26 @@ def _run(ctx, defs, cfg, state, elaborate_input, evaluate):
     state.cfg = cfg
     state.fuel = None if cfg.fuel == 0 else cfg.fuel
     try:
-        state.defs = elaborate_definitions(ctx, defs)
-        core = elaborate_input()
-    except StaticError as e:
-        # Only library callers that skip check_program can get here.
-        return EngineFailure("InternalTypeViolation",
-                             "runtime typing failed: %s" % e.message)
-    try:
-        result = evaluate(state, core)
-    except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
-        return EngineFailure(e.kind, e.detail)
-    if result is None:
-        return FAILURE
-    try:
-        return Ok(tag_term(ctx, result))
-    except StaticError as e:
-        return EngineFailure("InternalTypeViolation",
-                             "reduct is ill-typed: %s" % e.message)
+        try:
+            state.defs = elaborate_definitions(ctx, defs)
+            core = elaborate_input()
+        except StaticError as e:
+            # Only library callers that skip check_program can get here.
+            return EngineFailure("InternalTypeViolation",
+                                 "runtime typing failed: %s" % e.message)
+        try:
+            result = evaluate(state, core)
+        except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
+            return EngineFailure(e.kind, e.detail)
+        if result is None:
+            return FAILURE
+        try:
+            return Ok(tag_term(ctx, result))
+        except StaticError as e:
+            return EngineFailure("InternalTypeViolation",
+                                 "reduct is ill-typed: %s" % e.message)
+    except RecursionError:
+        return depth_exceeded()
 
 
 def run_program(program, t, cfg=None, state=None):

@@ -33,7 +33,6 @@ from .terms import (
     UnitTuple,
     Var,
     tag_term,
-    type_of_term,
 )
 
 RESERVED = {
@@ -638,6 +637,4 @@ def parse_term(text, ctx):
     tok = parser.peek()
     if tok[0] != "eof":
         raise ParseError("trailing input after term: %r" % tok[1], tok[2], tok[3])
-    t = _resolve_term(t, ctx, None, None)
-    type_of_term(ctx, t)
-    return tag_term(ctx, t)
+    return tag_term(ctx, _resolve_term(t, ctx, None, None))

@@ -47,7 +47,7 @@ class Choice(StrategyExpr):
 
 
 @dataclass(frozen=True)
-class LChoice(StrategyExpr):  # sugar: s1 <+ s2
+class LChoice(StrategyExpr):  # left-biased choice s1 <+ s2 (core)
     left: StrategyExpr
     right: StrategyExpr
     pos: tuple = _posfield()

@@ -324,10 +324,16 @@ def _sorts_in_term_type(tt):
 
 def type_of_term(ctx, t):
     """The unique type of t under ctx; raises on undeclared/ill-sorted terms."""
+    return tag_term(ctx, t).tag
+
+
+def tag_term(ctx, t):
+    """Rebuild t with every node carrying its type, derived from its tagged
+    children, so each node is typed once; raises as type_of_term does."""
     if isinstance(t, Constant):
         if t.name not in ctx.constants:
             raise UndeclaredSymbol("undeclared constant %s" % t.name)
-        return ctx.constants[t.name]
+        return Constant(t.name, ctx.constants[t.name])
     if isinstance(t, FunApp):
         if t.name not in ctx.functions:
             raise UndeclaredSymbol("undeclared function %s" % t.name)
@@ -337,33 +343,27 @@ def type_of_term(ctx, t):
                 "%s expects %d arguments, got %d"
                 % (t.name, len(arg_sorts), len(t.args))
             )
+        args = []
         for i, (a, want) in enumerate(zip(t.args, arg_sorts)):
-            got = type_of_term(ctx, a)
-            if got != want:
+            a = tag_term(ctx, a)
+            if a.tag != want:
                 raise ArgSortMismatch(
                     "argument %d of %s has type %r, expected %r"
-                    % (i + 1, t.name, got, want)
+                    % (i + 1, t.name, a.tag, want)
                 )
-        return result
+            args.append(a)
+        return FunApp(t.name, tuple(args), result)
     if isinstance(t, Var):
         if t.name not in ctx.term_vars:
             raise UnboundVariable("undeclared variable %s" % t.name)
-        return ctx.term_vars[t.name]
+        return Var(t.name, ctx.term_vars[t.name])
     if isinstance(t, UnitTuple):
-        return UNIT
+        return UnitTuple(UNIT)
     if isinstance(t, Pair):
-        return PairType(type_of_term(ctx, t.left), type_of_term(ctx, t.right))
+        left = tag_term(ctx, t.left)
+        right = tag_term(ctx, t.right)
+        return Pair(left, right, PairType(left.tag, right.tag))
     raise TypeError("not a term: %r" % (t,))
-
-
-def tag_term(ctx, t):
-    """Rebuild t with every node carrying its sort tag."""
-    if isinstance(t, FunApp):
-        args = tuple(tag_term(ctx, a) for a in t.args)
-        t = FunApp(t.name, args)
-    elif isinstance(t, Pair):
-        t = Pair(tag_term(ctx, t.left), tag_term(ctx, t.right))
-    return t.with_tag(type_of_term(ctx, t))
 
 
 def get_tag(ctx, t):

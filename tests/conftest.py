@@ -6,10 +6,15 @@ import stratcalc as sc
 
 HERE = os.path.dirname(__file__)
 PROGRAMS = os.path.join(HERE, "..", "programs")
+GOLDEN = os.path.join(HERE, "golden")
 
 
 def program_path(name):
     return os.path.join(PROGRAMS, name)
+
+
+def golden_path(name):
+    return os.path.join(GOLDEN, name)
 
 
 def load_program(name):

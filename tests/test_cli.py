@@ -9,7 +9,7 @@ import pytest
 import stratcalc as sc
 from stratcalc.cli import main as cli_main
 
-from conftest import program_path
+from conftest import golden_path, program_path
 
 
 @pytest.fixture
@@ -156,3 +156,38 @@ def test_elaborate_ill_typed_exit_2(capcli, write):
     code, out, err = capcli("elaborate", f)
     assert code == 2
     assert out == ""
+
+
+QUICK_START_TREE = "fork(leaf(zero),leaf(succ(zero)))"
+
+
+def test_call_heavy_trace_and_fuel_are_golden(capcli, write):
+    # ProblemV instantiates Crush[Nat], CF[Nat] and Chi[Nat] with strategy
+    # and type arguments at every node; its trace and fuel pin how calls
+    # bind their parameters.
+    src = open(program_path("problems.strat")).read()
+    f = write("p5.strat", src.replace("main = ProblemI;", "main = ProblemV;"))
+    code, out, err = capcli("run", f, "--term", QUICK_START_TREE, "--trace")
+    assert code == 0
+    assert out == "zero\n"
+    with open(golden_path("problem5_tree.trace")) as g:
+        assert err == g.read()
+    code, out, err = capcli("run", f, "--term", QUICK_START_TREE,
+                            "--fuel", "44")
+    assert code == 0 and out == "zero\n"
+    code, out, err = capcli("run", f, "--term", QUICK_START_TREE,
+                            "--fuel", "43")
+    assert code == 3 and err.startswith("FuelExhausted: ")
+
+
+@pytest.mark.parametrize("depth", [300, 10000])
+def test_run_too_deep_exit_6(capcli, write, depth):
+    # At 300 evaluation runs out of stack, at 10000 parsing does; neither
+    # may surface as a traceback or as FAIL's exit code.
+    f = write("td.strat", "sort Nat; con zero : Nat; fun succ : Nat -> Nat;\n"
+              "main = TD(id);")
+    term = "succ(" * depth + "zero" + ")" * depth
+    code, out, err = capcli("run", f, "--term", term)
+    assert code == 6
+    assert out == ""
+    assert err.startswith("DepthExceeded: ")

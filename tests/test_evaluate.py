@@ -302,3 +302,81 @@ def test_trace_lines_format(nat_tree_ctx):
                for line in st.trace_lines)
     assert any(line.startswith("choice + @ zero => ok")
                for line in st.trace_lines)
+
+
+def test_bare_parameter_is_engine_error(nat_tree_ctx):
+    got = sc.apply_strategy(nat_tree_ctx, {}, S.ParamRef("v"),
+                            sc.tag_term(nat_tree_ctx, Constant("zero")),
+                            sc.EvalConfig())
+    assert isinstance(got, sc.EngineFailure)
+    assert got.kind == "InternalTypeViolation"
+
+
+SWAP_SIGNATURE = (
+    "sort Nat; sort Tree; con zero : Nat; fun succ : Nat -> Nat;\n"
+    "fun leaf : Nat -> Tree; fun fork : Tree * Tree -> Tree;\n"
+    "var N : Nat; var T1 : Tree; var T2 : Tree;\n"
+    "def Lift[a](v) : (a -> a) -> TP = extend(v, TP);\n"
+    "def Pick[a,b](v, w) : (a -> a) * (b -> b) -> a -> a & b -> b = v & w;\n"
+    "def Both[a,b](v, w) : (a -> a) * (b -> b) -> TP ="
+    " Try(Lift[a](v)) ; Try(Lift[b](w));\n")
+
+
+@pytest.mark.parametrize("main", [
+    "BU(Try(Lift[Nat](zero -> succ(zero)))"
+    " ; Try(Lift[Tree](fork(T1,T2) -> fork(T2,T1))))",
+    "BU(Try(extend(Pick[Nat,Tree](zero -> succ(zero),"
+    " fork(T1,T2) -> fork(T2,T1)), TP)))",
+    "BU(Both[Nat,Tree](zero -> succ(zero), fork(T1,T2) -> fork(T2,T1)))",
+    "BU(Try(extend(Pick[Tree,Nat](fork(T1,T2) -> fork(T2,T1),"
+    " zero -> succ(zero)), TP)))",
+])
+def test_type_parameters_reach_extend_and_amp_dispatch(main):
+    # Lift's extend and Pick's & dispatch on annotations that mention the
+    # type parameters, so each call must see its own type arguments, and
+    # Both must pass its own on to Lift.
+    p = sc.parse_program(SWAP_SIGNATURE + "main = %s;" % main,
+                         prelude=sc.load_prelude())
+    diags, _ = sc.check_program(p)
+    assert diags == [], [d.render() for d in diags]
+    t = sc.parse_term("fork(leaf(zero),leaf(succ(zero)))", p.context)
+    got = sc.run_program(p, t, sc.EvalConfig())
+    assert got == Ok(sc.parse_term(
+        "fork(leaf(succ(succ(zero))),leaf(succ(zero)))", p.context))
+
+
+def test_actuals_bind_in_the_callers_scope():
+    # Swap hands its v to Then's w and its w to Then's v: each actual must
+    # be evaluated where it was written, not under Then's parameters.
+    src = ("sort Nat; con zero : Nat; fun succ : Nat -> Nat; var N : Nat;\n"
+           "def Then(w, v) : (Nat -> Nat) * (Nat -> Nat) -> (Nat -> Nat)"
+           " = v ; w;\n"
+           "def Swap(v, w) : (Nat -> Nat) * (Nat -> Nat) -> (Nat -> Nat)"
+           " = Then(v ; v, w);\n"
+           "main = Swap(N -> succ(N), succ(N) -> N);")
+    p = sc.parse_program(src)
+    diags, _ = sc.check_program(p)
+    assert diags == []
+    ctx = p.context
+    # Swap(inc, dec) = Then(inc ; inc, dec) = dec ; inc ; inc
+    assert sc.run_program(p, sc.tag_term(ctx, num(0)),
+                          sc.EvalConfig()) == FAILURE
+    assert sc.run_program(p, sc.tag_term(ctx, num(2)),
+                          sc.EvalConfig()) == Ok(num(3))
+
+
+def _tagged_nat(depth):
+    # Built bottom-up, since tag_term itself recurses on depth.
+    t = Constant("zero", NAT)
+    for _ in range(depth):
+        t = FunApp("succ", (t,), NAT)
+    return t
+
+
+@pytest.mark.parametrize("depth", [300, 10000])
+def test_deep_term_is_depth_exceeded(nat_tree, depth):
+    got = sc.apply_strategy(nat_tree.context, nat_tree.definitions,
+                            S.Call("TD", (), (S.Id(),)), _tagged_nat(depth),
+                            sc.EvalConfig())
+    assert isinstance(got, sc.EngineFailure)
+    assert got.kind == "DepthExceeded"

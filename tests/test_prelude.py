@@ -125,6 +125,14 @@ def test_stoptdm_vs_stoptd_distinguishing_pair(nat_tree):
     assert call(nat_tree, "StopTD(extend(%s, TP))" % arg_m, tree) == Ok(tree)
 
 
+def test_stoptdm_rewrites_every_nat_of_a_tree(nat_tree):
+    tree = FunApp("fork", (FunApp("leaf", (num(0),)),
+                           FunApp("leaf", (num(1),))))
+    got = call(nat_tree, "StopTDM[Nat](N -> succ(N))", tree)
+    assert got == Ok(FunApp("fork", (FunApp("leaf", (num(1),)),
+                                     FunApp("leaf", (num(2),)))))
+
+
 def test_oncebu_rewrites_deepest_first(nat_tree):
     got = call(nat_tree, "OnceBU(extend(N -> succ(N), TP))",
                FunApp("leaf", (num(0),)))
