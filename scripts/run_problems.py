@@ -36,12 +36,12 @@ OVERLOAD_CASES = [
 def load(name):
     with open(os.path.join(PROGRAMS, name)) as f:
         program = sc.parse_program(f.read(), prelude=sc.load_prelude())
-    diags, _ = sc.check_program(program)
+    diags, _, core = sc.check_and_elaborate(program)
     if diags:
         for d in diags:
             print(d.render(), file=sys.stderr)
         sys.exit(2)
-    return program
+    return core
 
 
 def run(program, name, term_src, trace):

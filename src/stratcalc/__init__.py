@@ -8,7 +8,7 @@ below, generic TP / TU(t) types above) checks programs before a
 big-step evaluator runs them.
 """
 
-from .elaborate import desugar, elaborate, elaborate_program
+from .elaborate import elaborate, elaborate_program
 from .errors import (
     EngineError,
     ParseError,
@@ -53,6 +53,7 @@ from .terms import (
 )
 from .typecheck import (
     apply_type,
+    check_and_elaborate,
     check_program,
     composable,
     domains,

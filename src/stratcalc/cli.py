@@ -8,7 +8,6 @@ import argparse
 import os
 import sys
 
-from .elaborate import elaborate_program
 from .errors import InapplicableType, ParseError, StaticError
 from .evaluate import (
     EngineFailure,
@@ -21,7 +20,7 @@ from .parser import parse_program, parse_term
 from .prelude import load_prelude
 from .printer import render_program, render_stype, render_term
 from .terms import Ok
-from .typecheck import apply_type, check_program
+from .typecheck import apply_type, check_and_elaborate
 
 
 def _build_argparser():
@@ -79,7 +78,7 @@ def _main(args):
         print(e.render(), file=sys.stderr)
         return 2
 
-    diags, main_type = check_program(program)
+    diags, main_type, core = check_and_elaborate(program)
     if diags:
         for d in diags:
             print(d.render(), file=sys.stderr)
@@ -90,9 +89,8 @@ def _main(args):
         return 0
 
     if args.command == "elaborate":
-        elaborated = elaborate_program(program)
         skip = set(prelude.definitions) if prelude is not None else ()
-        sys.stdout.write(render_program(elaborated, skip_defs=skip))
+        sys.stdout.write(render_program(core, skip_defs=skip))
         return 0
 
     # run
@@ -119,7 +117,7 @@ def _main(args):
 
     state = EvalState()
     cfg = EvalConfig(fuel=args.fuel, trace=args.trace)
-    outcome = run_program(program, term, cfg, state)
+    outcome = run_program(core, term, cfg, state)
     if args.trace:
         for line in state.trace_lines:
             print(line, file=sys.stderr)

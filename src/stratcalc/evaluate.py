@@ -1,8 +1,9 @@
 """Big-step evaluation of strategy applications.
 
-The evaluator interprets only the elaborated core: the entry points
-desugar and elaborate their input first, so `extend` and `&` dispatch on
-the types that elaboration annotated. A combinator call evaluates the
+The evaluator interprets only the elaborated core, so `extend` and `&`
+dispatch on the types that elaboration annotated. `run_program` takes a
+program that is already core; `apply_strategy` and `eval_body` check and
+elaborate their raw input first. A combinator call evaluates the
 definition body as it is, under an environment that binds the call's
 actuals; bodies are never rewritten.
 
@@ -15,13 +16,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import syntax as S
-from .elaborate import (
-    desugar,
-    desugar_body,
-    elaborate,
-    elaborate_body,
-    elaborate_definitions,
-)
+from .elaborate import elaborate, elaborate_body, elaborate_definitions
 from .errors import (
     FuelExhausted,
     InternalTypeViolation,
@@ -314,20 +309,33 @@ def _eval_body(st, body, theta, env):
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply s to the ground term t; returns Ok, Failure, or EngineFailure.
-    s and defs are desugared and elaborated first."""
-    def evaluate(st, core):
-        assert is_ground(t), "strategy application needs a ground term"
-        return _eval(st, core, t, TOP)
+    s and defs are checked and elaborated first."""
+    return _apply(ctx, t, cfg, state,
+                  lambda: (elaborate_definitions(ctx, defs),
+                           elaborate(ctx, s)))
 
-    return _run(ctx, defs, cfg, state,
-                lambda: elaborate(ctx, desugar(ctx, s)), evaluate)
+
+def run_program(program, t, cfg=None, state=None):
+    """Apply an elaborated program's main strategy to t: the core that
+    `check_and_elaborate` or `elaborate_program` returns."""
+    return _apply(program.context, t, cfg, state,
+                  lambda: (program.definitions, program.main))
 
 
 def eval_body(ctx, defs, b, theta, cfg=None, state=None):
     """Evaluate a rule body under a substitution (exposed for tests)."""
-    return _run(ctx, defs, cfg, state,
-                lambda: elaborate_body(ctx, desugar_body(ctx, b)),
+    return _run(ctx, cfg, state,
+                lambda: (elaborate_definitions(ctx, defs),
+                         elaborate_body(ctx, b)),
                 lambda st, core: _eval_body(st, core, theta, TOP))
+
+
+def _apply(ctx, t, cfg, state, prepare):
+    def evaluate(st, core):
+        assert is_ground(t), "strategy application needs a ground term"
+        return _eval(st, core, t, TOP)
+
+    return _run(ctx, cfg, state, prepare, evaluate)
 
 
 def depth_exceeded():
@@ -337,21 +345,22 @@ def depth_exceeded():
                          % sys.getrecursionlimit())
 
 
-def _run(ctx, defs, cfg, state, elaborate_input, evaluate):
-    """Set up `state`, elaborate defs and `elaborate_input()`, pass the
-    result to `evaluate`, and turn errors into EngineFailure outcomes."""
+def _run(ctx, cfg, state, prepare, evaluate):
+    """Set up `state`, take the core definitions and input from
+    `prepare()`, pass the input to `evaluate`, and turn errors into
+    EngineFailure outcomes."""
     cfg = cfg or EvalConfig()
     if state is None:
         state = EvalState()
     state.ctx = ctx
     state.cfg = cfg
     state.fuel = None if cfg.fuel == 0 else cfg.fuel
+    state.depth = 0
     try:
         try:
-            state.defs = elaborate_definitions(ctx, defs)
-            core = elaborate_input()
+            state.defs, core = prepare()
         except StaticError as e:
-            # Only library callers that skip check_program can get here.
+            # Only library input that was never checked can get here.
             return EngineFailure("InternalTypeViolation",
                                  "runtime typing failed: %s" % e.message)
         try:
@@ -367,9 +376,3 @@ def _run(ctx, defs, cfg, state, elaborate_input, evaluate):
                                  "reduct is ill-typed: %s" % e.message)
     except RecursionError:
         return depth_exceeded()
-
-
-def run_program(program, t, cfg=None, state=None):
-    """Apply a checked program's main strategy to t."""
-    return apply_strategy(program.context, program.definitions, program.main,
-                          t, cfg, state)

@@ -1,7 +1,7 @@
 """Abstract syntax of strategic programs.
 
 Node equality is structural; source positions are excluded so that
-pipeline stages (desugar, elaborate) can be compared for idempotence.
+elaborated output can be compared with a second elaboration of it.
 """
 
 from dataclasses import dataclass, field

@@ -1,6 +1,9 @@
 """Typing judgements: well-formedness, genericity, negation/composition of
 types, greatest lower bounds, strategy and program typing.
 
+Strategy typing also elaborates: one walk returns each strategy's type
+together with its core, so checking and elaboration share a single pass.
+
 Every strategy expression has at most one type (implicit restriction is
 resolved at composition/choice/application sites, so checking stays
 deterministic).
@@ -38,6 +41,7 @@ from .terms import (
     amp_of,
     check_context,
     is_generic,
+    tag_term,
     type_of_term,
     types_equal,
 )
@@ -236,10 +240,17 @@ def type_of_application(ctx, s, t):
 
 
 # ---------------------------------------------------------------------------
-# Strategy typing
+# Strategy typing and elaboration
 
 
 def type_of_strategy(ctx, s):
+    return type_and_core(ctx, s)[0]
+
+
+def type_and_core(ctx, s):
+    """Check s and return (its type, its elaborated core). The core has no
+    sugar, tagged rule terms, and every extend argument and & branch wrapped
+    in an Annot of its type. Idempotent: a core walks to an equal core."""
     try:
         return _type_of(ctx, s)
     except StaticError as e:
@@ -271,129 +282,155 @@ def substitute_stype(subst, pi):
     raise TypeError("not a strategy type: %r" % (pi,))
 
 
+def _annotated(core, pi):
+    """core wrapped in its type pi, unless it already carries one."""
+    return core if isinstance(core, S.Annot) else S.Annot(core, pi, core.pos)
+
+
+def _type_guard(arrow, stype, pos):
+    """The core of guard(tau, stype), given arrow = tau -> tau."""
+    return S.Extend(_annotated(S.Restrict(S.Id(pos), arrow, pos), arrow),
+                    stype, pos)
+
+
 def expand_tlchoice(ctx, s1, s2, pi1, pi2, pos=None):
-    """The expansion of s1 <& s2 given the operand types."""
-    guard = S.Extend(S.Restrict(S.Id(pos), Arrow(pi1.dom, pi1.dom), pos),
-                     TP_TYPE, pos)
-    return S.Choice(S.Extend(s1, pi2, pos),
+    """The type and core of s1 <& s2 from its operands' cores and types:
+    extend(s1, pi2) + (!guard(dom s1, TP) ; s2)."""
+    wf_strategy_type(ctx, pi2, pos)
+    if not generically_less(ctx, pi1, pi2):
+        raise ExtendNotInstance(
+            "%r is not an instance of %r" % (pi1, pi2), pos=pos)
+    guard = _type_guard(Arrow(pi1.dom, pi1.dom), TP_TYPE, pos)
+    core = S.Choice(S.Extend(_annotated(s1, pi1), pi2, pos),
                     S.Seq(S.Neg(guard, pos), s2, pos), pos)
+    # The left branch has type pi2 and the right one TP ; pi2, which is
+    # pi2 wherever it is defined, so their glb is that type.
+    return composable(ctx, TP_TYPE, pi2, pos), core
 
 
 def _type_of(ctx, s):
     pos = s.pos
     if isinstance(s, (S.Id, S.Fail)):
-        return TP_TYPE
+        return TP_TYPE, s
     if isinstance(s, S.Rule):
-        tau_l = type_of_term(ctx, s.lhs)
-        tau_r = _type_of_body(ctx, s.body, pos)
-        return Arrow(tau_l, tau_r)
+        lhs = tag_term(ctx, s.lhs)
+        tau_r, body = type_and_core_of_body(ctx, s.body, pos)
+        return Arrow(lhs.tag, tau_r), S.Rule(lhs, body, pos)
     if isinstance(s, S.Seq):
-        return composable(ctx, type_of_strategy(ctx, s.left),
-                          type_of_strategy(ctx, s.right), pos)
+        p1, c1 = type_and_core(ctx, s.left)
+        p2, c2 = type_and_core(ctx, s.right)
+        return composable(ctx, p1, p2, pos), S.Seq(c1, c2, pos)
     if isinstance(s, S.Choice):
-        return glb(ctx, type_of_strategy(ctx, s.left),
-                   type_of_strategy(ctx, s.right), pos)
+        p1, c1 = type_and_core(ctx, s.left)
+        p2, c2 = type_and_core(ctx, s.right)
+        return glb(ctx, p1, p2, pos), S.Choice(c1, c2, pos)
     if isinstance(s, S.LChoice):
-        p1 = type_of_strategy(ctx, s.left)
-        p2 = type_of_strategy(ctx, s.right)
-        return glb(ctx, p1, composable(ctx, negatable(ctx, p1, pos), p2, pos), pos)
+        p1, c1 = type_and_core(ctx, s.left)
+        p2, c2 = type_and_core(ctx, s.right)
+        pi = glb(ctx, p1, composable(ctx, negatable(ctx, p1, pos), p2, pos),
+                 pos)
+        return pi, S.LChoice(c1, c2, pos)
     if isinstance(s, S.RChoice):
         return _type_of(ctx, S.LChoice(s.right, s.left, pos))
     if isinstance(s, S.Neg):
-        return negatable(ctx, type_of_strategy(ctx, s.arg), pos)
+        p, c = type_and_core(ctx, s.arg)
+        return negatable(ctx, p, pos), S.Neg(c, pos)
     if isinstance(s, S.CongCon):
         sort = ctx.constants[s.name]
-        return Arrow(sort, sort)
+        return Arrow(sort, sort), s
     if isinstance(s, S.CongFun):
         arg_sorts, result = ctx.functions[s.name]
+        cores = []
         for i, (a, sigma) in enumerate(zip(s.args, arg_sorts)):
-            pa = type_of_strategy(ctx, a)
+            pa, ca = type_and_core(ctx, a)
             if not generically_leq(ctx, Arrow(sigma, sigma), pa):
                 raise TypeError_(
                     "argument %d of congruence %s must admit %r -> %r, has %r"
                     % (i + 1, s.name, sigma, sigma, pa), pos=pos, rule="cong.2")
-        return Arrow(result, result)
+            cores.append(ca)
+        return Arrow(result, result), S.CongFun(s.name, tuple(cores), pos)
     if isinstance(s, S.CongUnit):
         u = Unit()
-        return Arrow(u, u)
+        return Arrow(u, u), s
     if isinstance(s, S.CongPair):
-        p1 = type_of_strategy(ctx, s.left)
-        p2 = type_of_strategy(ctx, s.right)
+        p1, c1 = type_and_core(ctx, s.left)
+        p2, c2 = type_and_core(ctx, s.right)
         if not isinstance(p1, Arrow) or not isinstance(p2, Arrow):
             raise TypeError_(
                 "pair congruence needs many-sorted components, has %r and %r"
                 % (p1, p2), pos=pos, rule="cong.4")
-        return Arrow(PairType(p1.dom, p2.dom), PairType(p1.cod, p2.cod))
+        return (Arrow(PairType(p1.dom, p2.dom), PairType(p1.cod, p2.cod)),
+                S.CongPair(c1, c2, pos))
     if isinstance(s, (S.All, S.One)):
-        pa = type_of_strategy(ctx, s.arg)
+        pa, ca = type_and_core(ctx, s.arg)
         if not isinstance(pa, TP):
             raise TypeError_(
                 "%s needs a type-preserving argument, has %r"
                 % ("all" if isinstance(s, S.All) else "one", pa),
                 pos=pos, rule="all" if isinstance(s, S.All) else "one")
-        return TP_TYPE
+        return TP_TYPE, type(s)(ca, pos)
     if isinstance(s, S.Reduce):
-        pc = type_of_strategy(ctx, s.child)
+        pc, cc = type_and_core(ctx, s.child)
         if not isinstance(pc, TU):
             raise TypeError_(
                 "reduce needs a type-unifying child strategy, has %r" % (pc,),
                 pos=pos, rule="red")
         tau = pc.result
         want = Arrow(PairType(tau, tau), tau)
-        pp = type_of_strategy(ctx, s.splus)
+        pp, cp = type_and_core(ctx, s.splus)
         if not generically_leq(ctx, want, pp):
             raise TypeError_(
                 "reduce composer must admit %r, has %r" % (want, pp),
                 pos=pos, rule="red")
-        return pc
+        return pc, S.Reduce(cp, cc, pos)
     if isinstance(s, S.Select):
-        pa = type_of_strategy(ctx, s.arg)
+        pa, ca = type_and_core(ctx, s.arg)
         if not isinstance(pa, TU):
             raise TypeError_(
                 "select needs a type-unifying argument, has %r" % (pa,),
                 pos=pos, rule="sel")
-        return pa
+        return pa, S.Select(ca, pos)
     if isinstance(s, S.Void):
-        return TU(Unit())
+        return TU(Unit()), s
     if isinstance(s, S.Spawn):
-        p1 = type_of_strategy(ctx, s.left)
-        p2 = type_of_strategy(ctx, s.right)
+        p1, c1 = type_and_core(ctx, s.left)
+        p2, c2 = type_and_core(ctx, s.right)
         if not isinstance(p1, TU) or not isinstance(p2, TU):
             raise TypeError_(
                 "spawn needs type-unifying operands, has %r and %r" % (p1, p2),
                 pos=pos, rule="spawn")
-        return TU(PairType(p1.result, p2.result))
+        return TU(PairType(p1.result, p2.result)), S.Spawn(c1, c2, pos)
     if isinstance(s, S.Extend):
         wf_strategy_type(ctx, s.stype, pos)
-        inner = type_of_strategy(ctx, s.arg)
+        inner, c = type_and_core(ctx, s.arg)
         if not generically_less(ctx, inner, s.stype):
             raise ExtendNotInstance(
                 "%r is not an instance of %r" % (inner, s.stype), pos=pos)
-        return s.stype
+        return s.stype, S.Extend(_annotated(c, inner), s.stype, pos)
     if isinstance(s, S.Restrict):
         wf_strategy_type(ctx, s.stype, pos)
-        inner = type_of_strategy(ctx, s.arg)
+        inner, c = type_and_core(ctx, s.arg)
         if not generically_less(ctx, s.stype, inner):
             raise RestrictNotInstance(
                 "%r is not an instance of %r" % (s.stype, inner), pos=pos)
-        return s.stype
+        return s.stype, S.Restrict(c, s.stype, pos)
     if isinstance(s, S.Annot):
         wf_strategy_type(ctx, s.stype, pos)
-        inner = type_of_strategy(ctx, s.arg)
+        inner, c = type_and_core(ctx, s.arg)
         if not types_equal(inner, s.stype):
             raise TypeError_(
                 "annotation %r does not match actual type %r" % (s.stype, inner),
                 pos=pos, rule="annot")
-        return s.stype
+        return s.stype, S.Annot(c, s.stype, pos)
     if isinstance(s, S.AmpS):
-        p1 = type_of_strategy(ctx, s.left)
-        p2 = type_of_strategy(ctx, s.right)
+        p1, c1 = type_and_core(ctx, s.left)
+        p2, c2 = type_and_core(ctx, s.right)
         combined = amp_of(amp_branches(p1) + amp_branches(p2))
         try:
             wf_strategy_type(ctx, combined, pos)
         except StaticError as e:
             raise AmpOverlap(e.message, pos=pos)
-        return combined
+        return combined, S.AmpS(_annotated(c1, p1), _annotated(c2, p2), pos)
     if isinstance(s, S.TypeGuard):
         wf_term_type(ctx, s.ttype, pos)
         wf_strategy_type(ctx, s.stype, pos)
@@ -401,23 +438,22 @@ def _type_of(ctx, s):
         if not generically_less(ctx, arrow, s.stype):
             raise ExtendNotInstance(
                 "%r is not an instance of %r" % (arrow, s.stype), pos=pos)
-        return s.stype
+        return s.stype, _type_guard(arrow, s.stype, pos)
     if isinstance(s, S.TLChoice):
-        p1 = type_of_strategy(ctx, s.left)
+        p1, c1 = type_and_core(ctx, s.left)
         if not isinstance(p1, Arrow):
             raise TypeError_(
                 "left operand of <& must be many-sorted, has %r" % (p1,),
                 pos=pos, rule="extend")
-        p2 = type_of_strategy(ctx, s.right)
-        return type_of_strategy(
-            ctx, expand_tlchoice(ctx, s.left, s.right, p1, p2, pos))
+        p2, c2 = type_and_core(ctx, s.right)
+        return expand_tlchoice(ctx, c1, c2, p1, p2, pos)
     if isinstance(s, S.TRChoice):
         return _type_of(ctx, S.TLChoice(s.right, s.left, pos))
     if isinstance(s, S.ParamRef):
         if s.name not in ctx.strategy_params:
             raise TypeError_("unknown strategy parameter %s" % s.name,
                              pos=pos, rule="arg")
-        return ctx.strategy_params[s.name]
+        return ctx.strategy_params[s.name], s
     if isinstance(s, S.Call):
         ct = ctx.combinators.get(s.name)
         if ct is None:
@@ -429,64 +465,83 @@ def _type_of(ctx, s):
         for ta in s.type_args:
             wf_term_type(ctx, ta, pos)
         subst = dict(zip(ct.type_params, s.type_args))
+        cores = []
         for i, (a, want) in enumerate(zip(s.args, ct.arg_types)):
             want = substitute_stype(subst, want)
             wf_strategy_type(ctx, want, pos)
-            pa = type_of_strategy(ctx, a)
+            pa, ca = type_and_core(ctx, a)
             if not types_equal(pa, want):
                 raise TypeError_(
                     "argument %d of %s must have type %r, has %r"
                     % (i + 1, s.name, want, pa), pos=pos, rule="comb")
+            cores.append(ca)
         result = substitute_stype(subst, ct.result_type)
         wf_strategy_type(ctx, result, pos)
-        return result
+        return result, S.Call(s.name, s.type_args, tuple(cores), pos)
     raise TypeError("not a strategy: %r" % (s,))
 
 
-def _type_of_body(ctx, body, pos):
+def type_and_core_of_body(ctx, body, pos=None):
+    """Check a rule body and return (its result type, its elaborated core)."""
     if isinstance(body, S.Result):
-        return type_of_term(ctx, body.term)
-    tau_u = type_of_term(ctx, body.arg)
-    pi_s = type_of_strategy(ctx, body.strat)
-    tau_x = apply_type(ctx, pi_s, tau_u, pos)
+        term = tag_term(ctx, body.term)
+        return term.tag, S.Result(term)
+    arg = tag_term(ctx, body.arg)
+    pi_s, strat = type_and_core(ctx, body.strat)
+    tau_x = apply_type(ctx, pi_s, arg.tag, pos)
     declared = ctx.term_vars[body.var]
     if declared != tau_x:
         raise TypeError_(
             "where-clause binds %s : %r but the variable is declared %r"
             % (body.var, tau_x, declared), pos=pos, rule="apply")
-    return _type_of_body(ctx, body.rest, pos)
+    tau, rest = type_and_core_of_body(ctx, body.rest, pos)
+    return tau, S.Where(body.var, strat, arg, rest)
 
 
 # ---------------------------------------------------------------------------
 # Program checking
 
 
-def check_program(program):
-    """Return (diagnostics, main_type); main_type is None when checking
-    failed anywhere."""
+def check_definition(ctx, d):
+    """Check d in its own scope; return d with its body elaborated."""
+    sub = ctx.with_params(d.type_params,
+                          dict(zip(d.params, d.ctype.arg_types)))
+    for at in d.ctype.arg_types:
+        wf_strategy_type(sub, at, d.pos)
+    wf_strategy_type(sub, d.ctype.result_type, d.pos)
+    body_type, body = type_and_core(sub, d.body)
+    if not types_equal(body_type, d.ctype.result_type):
+        raise TypeError_(
+            "body of %s has type %r, declared %r"
+            % (d.name, body_type, d.ctype.result_type),
+            pos=d.pos, rule="def.3")
+    return S.Definition(d.name, d.type_params, d.params, d.ctype, body, d.pos)
+
+
+def check_and_elaborate(program):
+    """Check and elaborate every definition and main in one pass. Return
+    (diagnostics, main_type, core program); main_type and the core are
+    None when checking failed anywhere."""
     ctx = program.context
     diags = list(check_context(ctx))
-    for d in program.definitions.values():
-        sub = ctx.with_params(d.type_params,
-                              dict(zip(d.params, d.ctype.arg_types)))
+    defs = {}
+    for name, d in program.definitions.items():
         try:
-            for at in d.ctype.arg_types:
-                wf_strategy_type(sub, at, d.pos)
-            wf_strategy_type(sub, d.ctype.result_type, d.pos)
-            body_type = type_of_strategy(sub, d.body)
-            if not types_equal(body_type, d.ctype.result_type):
-                raise TypeError_(
-                    "body of %s has type %r, declared %r"
-                    % (d.name, body_type, d.ctype.result_type),
-                    pos=d.pos, rule="def.3")
+            defs[name] = check_definition(ctx, d)
         except StaticError as e:
             diags.append(e)
-    main_type = None
+    main_type = main = None
     if program.main is not None:
         try:
-            main_type = type_of_strategy(ctx, program.main)
+            main_type, main = type_and_core(ctx, program.main)
         except StaticError as e:
             diags.append(e)
     if diags:
-        return diags, None
-    return [], main_type
+        return diags, None, None
+    return [], main_type, S.Program(ctx, defs, main)
+
+
+def check_program(program):
+    """Return (diagnostics, main_type); main_type is None when checking
+    failed anywhere."""
+    return check_and_elaborate(program)[:2]

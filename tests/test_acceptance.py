@@ -178,7 +178,10 @@ def test_criterion_6_elaboration_coherence(problems, overload, addition):
         elaborated = sc.elaborate_program(program)
         term = sc.parse_term(term_src, program.context)
         if name is None:
-            raw = sc.run_program(program, term, sc.EvalConfig())
+            # run_program takes a core program; raw input goes through
+            # apply_strategy, which checks and elaborates it itself.
+            raw = sc.apply_strategy(program.context, program.definitions,
+                                    program.main, term, sc.EvalConfig())
             cooked = sc.run_program(elaborated, term, sc.EvalConfig())
         else:
             raw = run_call(program, name, term)

@@ -191,3 +191,11 @@ def test_run_too_deep_exit_6(capcli, write, depth):
     assert code == 6
     assert out == ""
     assert err.startswith("DepthExceeded: ")
+
+
+@pytest.mark.parametrize("name", ["problems", "overload", "addition"])
+def test_elaborate_output_is_golden(capcli, name):
+    code, out, err = capcli("elaborate", program_path(name + ".strat"))
+    assert code == 0 and err == ""
+    with open(golden_path("elaborate_%s.out" % name)) as g:
+        assert out == g.read()

@@ -1,11 +1,12 @@
 """Static elaboration: sugar expansion, extend annotation, idempotence,
-type preservation."""
+type preservation. The checker's walk produces the core, so sugar is
+expanded by `elaborate` itself."""
 
 from hypothesis import given, strategies as st
 
 import stratcalc as sc
 from stratcalc import syntax as S
-from stratcalc.elaborate import desugar, elaborate
+from stratcalc.elaborate import elaborate
 from stratcalc.terms import Arrow, FunApp, TP_TYPE, Var, types_equal
 
 from randgen import Gen, NAT, NN
@@ -15,35 +16,35 @@ INC = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
 
 
 def test_desugar_lchoice(nat_tree_ctx):
-    # <+ is core: desugar keeps it and only maps its operands.
-    got = desugar(nat_tree_ctx, S.LChoice(S.Id(), S.TypeGuard(NAT, TP_TYPE)))
-    assert got == S.LChoice(S.Id(), desugar(nat_tree_ctx,
-                                            S.TypeGuard(NAT, TP_TYPE)))
+    # <+ is core: elaboration keeps it and only maps its operands.
+    got = elaborate(nat_tree_ctx, S.LChoice(S.Id(), S.TypeGuard(NAT, TP_TYPE)))
+    assert got == S.LChoice(S.Id(), elaborate(nat_tree_ctx,
+                                              S.TypeGuard(NAT, TP_TYPE)))
 
 
 def test_desugar_rchoice_flips(nat_tree_ctx):
-    assert desugar(nat_tree_ctx, S.RChoice(S.Id(), S.Fail())) == \
-        desugar(nat_tree_ctx, S.LChoice(S.Fail(), S.Id()))
+    assert elaborate(nat_tree_ctx, S.RChoice(S.Id(), S.Fail())) == \
+        elaborate(nat_tree_ctx, S.LChoice(S.Fail(), S.Id()))
 
 
 def test_desugar_type_guard(nat_tree_ctx):
-    got = desugar(nat_tree_ctx, S.TypeGuard(NAT, TP_TYPE))
-    assert got == S.Extend(S.Restrict(S.Id(), NN), TP_TYPE)
+    got = elaborate(nat_tree_ctx, S.TypeGuard(NAT, TP_TYPE))
+    assert got == S.Extend(S.Annot(S.Restrict(S.Id(), NN), NN), TP_TYPE)
+
+
+def sugar_free(x):
+    assert not isinstance(x, (S.RChoice, S.TypeGuard, S.TLChoice,
+                              S.TRChoice))
+    for f in ("left", "right", "arg", "splus", "child"):
+        child = getattr(x, f, None)
+        if child is not None and not isinstance(child, (tuple, str)):
+            sugar_free(child)
 
 
 def test_desugar_removes_all_sugar_nodes(nat_tree_ctx):
     s = S.TLChoice(INC, S.RChoice(S.LChoice(S.Id(), S.Fail()),
                                   S.TypeGuard(NAT, TP_TYPE)))
-
-    def sugar_free(x):
-        assert not isinstance(x, (S.RChoice, S.TypeGuard, S.TLChoice,
-                                  S.TRChoice))
-        for f in ("left", "right", "arg", "splus", "child"):
-            child = getattr(x, f, None)
-            if child is not None and not isinstance(child, (tuple, str)):
-                sugar_free(child)
-
-    sugar_free(desugar(nat_tree_ctx, s))
+    sugar_free(elaborate(nat_tree_ctx, s))
 
 
 def test_elaborate_annotates_extend(nat_tree_ctx):
@@ -78,7 +79,7 @@ def test_elaborated_program_still_checks(problems_elaborated):
 def test_elaborate_preserves_types(seed, nat_tree_ctx):
     g = Gen(seed)
     pi, s = g.strategy()
-    out = elaborate(nat_tree_ctx, desugar(nat_tree_ctx, s))
+    out = elaborate(nat_tree_ctx, s)
     assert types_equal(sc.type_of_strategy(nat_tree_ctx, out), pi)
 
 
@@ -86,13 +87,13 @@ def test_elaborate_preserves_types(seed, nat_tree_ctx):
 def test_elaborate_idempotent_random(seed, nat_tree_ctx):
     g = Gen(seed)
     _, s = g.strategy()
-    once = elaborate(nat_tree_ctx, desugar(nat_tree_ctx, s))
+    once = elaborate(nat_tree_ctx, s)
     assert elaborate(nat_tree_ctx, once) == once
 
 
 @given(seed=st.integers(0, 10**6))
 def test_desugar_idempotent_on_output(seed, nat_tree_ctx):
+    # Elaboration expands all the sugar the generator emits.
     g = Gen(seed)
     _, s = g.strategy()
-    once = desugar(nat_tree_ctx, s)
-    assert desugar(nat_tree_ctx, once) == once
+    sugar_free(elaborate(nat_tree_ctx, s))

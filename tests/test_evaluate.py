@@ -124,10 +124,13 @@ def test_reduce_folds_left_to_right(nat_tree_ctx):
     assert got == Ok(num(0))
     second = S.Rule(Pair(Var("N1"), Var("N2")), S.Result(Var("N2")))
     assert ev(nat_tree_ctx, S.Reduce(second, to_nat), TREE7) == Ok(num(1))
-    # single child: no composer application (Fail as composer still succeeds)
+    # single child: no composer application (an always-failing composer
+    # still succeeds)
     keep_nat = S.Extend(S.Annot(S.Rule(Var("N"), S.Result(Var("N"))), NN),
                         TU(NAT))
-    assert ev(nat_tree_ctx, S.Reduce(S.Fail(), keep_nat), num(1)) == Ok(num(0))
+    never = S.Seq(S.Restrict(S.Fail(), Arrow(sc.PairType(NAT, NAT),
+                                             sc.PairType(NAT, NAT))), first)
+    assert ev(nat_tree_ctx, S.Reduce(never, keep_nat), num(1)) == Ok(num(0))
     # constants fail
     assert ev(nat_tree_ctx, S.Reduce(first, to_nat), Constant("zero")) == \
         FAILURE
@@ -223,7 +226,8 @@ def test_call_expansion_substitutes_params():
     p = sc.parse_program(src)
     diags, _ = sc.check_program(p)
     assert diags == []
-    got = sc.run_program(p, sc.tag_term(p.context, num(0)), sc.EvalConfig())
+    got = sc.run_program(sc.elaborate_program(p),
+                         sc.tag_term(p.context, num(0)), sc.EvalConfig())
     assert got == Ok(num(2))
 
 
@@ -237,7 +241,8 @@ def test_type_arguments_instantiate_bodies(nat_tree):
     p = sc.parse_program(src, prelude=sc.load_prelude())
     diags, main_type = sc.check_program(p)
     assert diags == [] and main_type == TU(NAT)
-    got = sc.run_program(p, sc.tag_term(p.context, num(3)), sc.EvalConfig())
+    got = sc.run_program(sc.elaborate_program(p),
+                         sc.tag_term(p.context, num(3)), sc.EvalConfig())
     assert got == Ok(num(1))
 
 
@@ -266,9 +271,23 @@ def test_eval_body_where_fail(nat_tree_ctx):
 
 def test_fuel_exhaustion(nat_tree):
     p = sc.parse_program("def Loop : TP = Loop;\nmain = Loop;")
-    got = sc.run_program(p, UnitTuple(tag=UNIT), sc.EvalConfig(fuel=100))
+    got = sc.run_program(sc.elaborate_program(p), UnitTuple(tag=UNIT),
+                         sc.EvalConfig(fuel=100))
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "FuelExhausted"
+
+
+def test_trace_depth_resets_after_an_engine_failure():
+    # A traced run abandoned by FuelExhausted leaves no indentation behind
+    # for the next run on the same state.
+    p = sc.elaborate_program(sc.parse_program("def Loop : TP = Loop;\n"
+                                              "main = Loop;"))
+    state = EvalState()
+    cfg = sc.EvalConfig(fuel=5, trace=True)
+    got = sc.run_program(p, UnitTuple(tag=UNIT), cfg, state)
+    assert got.kind == "FuelExhausted"
+    sc.apply_strategy(p.context, {}, S.Id(), UnitTuple(tag=UNIT), cfg, state)
+    assert state.trace_lines[-1] == "id id @ () => ok"
 
 
 def test_unlimited_fuel_terminating(problems):
@@ -279,9 +298,12 @@ def test_unlimited_fuel_terminating(problems):
     assert got == Ok(num(5))
 
 
-def test_unbound_combinator_is_engine_error(nat_tree_ctx):
-    got = sc.apply_strategy(nat_tree_ctx, {}, S.Call("Ghost", (), ()),
-                            sc.tag_term(nat_tree_ctx, Constant("zero")),
+def test_unbound_combinator_is_engine_error():
+    # Ghost's type is declared, so the call checks, but no body is passed.
+    ctx = sc.parse_program("sort Nat; con zero : Nat;\n"
+                           "def Ghost : TP = id;\nmain = id;").context
+    got = sc.apply_strategy(ctx, {}, S.Call("Ghost", (), ()),
+                            sc.tag_term(ctx, Constant("zero")),
                             sc.EvalConfig())
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "UnboundCombinator"
@@ -340,7 +362,7 @@ def test_type_parameters_reach_extend_and_amp_dispatch(main):
     diags, _ = sc.check_program(p)
     assert diags == [], [d.render() for d in diags]
     t = sc.parse_term("fork(leaf(zero),leaf(succ(zero)))", p.context)
-    got = sc.run_program(p, t, sc.EvalConfig())
+    got = sc.run_program(sc.elaborate_program(p), t, sc.EvalConfig())
     assert got == Ok(sc.parse_term(
         "fork(leaf(succ(succ(zero))),leaf(succ(zero)))", p.context))
 
@@ -357,11 +379,11 @@ def test_actuals_bind_in_the_callers_scope():
     p = sc.parse_program(src)
     diags, _ = sc.check_program(p)
     assert diags == []
-    ctx = p.context
+    ctx, core = p.context, sc.elaborate_program(p)
     # Swap(inc, dec) = Then(inc ; inc, dec) = dec ; inc ; inc
-    assert sc.run_program(p, sc.tag_term(ctx, num(0)),
+    assert sc.run_program(core, sc.tag_term(ctx, num(0)),
                           sc.EvalConfig()) == FAILURE
-    assert sc.run_program(p, sc.tag_term(ctx, num(2)),
+    assert sc.run_program(core, sc.tag_term(ctx, num(2)),
                           sc.EvalConfig()) == Ok(num(3))
 
 

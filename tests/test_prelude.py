@@ -72,9 +72,9 @@ def call(nat_tree, expr, term):
         "sort Nat; sort Tree; con zero : Nat; fun succ : Nat -> Nat;"
         "fun leaf : Nat -> Tree; fun fork : Tree * Tree -> Tree;"
         "var N : Nat;\n" + src, prelude=sc.load_prelude())
-    diags, _ = sc.check_program(p)
+    diags, _, core = sc.check_and_elaborate(p)
     assert diags == [], [d.render() for d in diags]
-    return sc.run_program(p, sc.tag_term(p.context, term), sc.EvalConfig())
+    return sc.run_program(core, sc.tag_term(p.context, term), sc.EvalConfig())
 
 
 def test_con_detects_constants(nat_tree):
