@@ -6,6 +6,7 @@ Usage: python3 scripts/run_problems.py [--trace]
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -44,14 +45,16 @@ def load(name):
     return core
 
 
-def run(program, name, term_src, trace):
-    ctx = program.context
+def run(core, name, term_src, trace):
+    ctx = core.context
     term = sc.parse_term(term_src, ctx)
+    # A call without arguments is its own core, so it runs as the main
+    # strategy of the checked program; nothing is checked again.
     call = S.Call(name, (), ())
     pi = sc.type_of_strategy(ctx, call)
     state = sc.EvalState()
-    out = sc.apply_strategy(ctx, program.definitions, call, term,
-                            sc.EvalConfig(trace=trace), state)
+    out = sc.run_program(dataclasses.replace(core, main=call), term,
+                         sc.EvalConfig(trace=trace), state)
     if trace:
         for line in state.trace_lines:
             print("   |", line, file=sys.stderr)

@@ -20,7 +20,6 @@ from .evaluate import (
     EvalConfig,
     EvalState,
     apply_strategy,
-    eval_body,
     run_program,
 )
 from .parser import parse_program, parse_term

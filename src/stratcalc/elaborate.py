@@ -11,17 +11,12 @@ from .typecheck import (
     check_and_elaborate,
     check_definition,
     type_and_core,
-    type_and_core_of_body,
 )
 
 
 def elaborate(ctx, s):
     """The core of s; idempotent."""
     return type_and_core(ctx, s)[1]
-
-
-def elaborate_body(ctx, b):
-    return type_and_core_of_body(ctx, b)[1]
 
 
 def elaborate_definitions(ctx, defs):

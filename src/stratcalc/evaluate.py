@@ -1,11 +1,12 @@
 """Big-step evaluation of strategy applications.
 
 The evaluator interprets only the elaborated core, so `extend` and `&`
-dispatch on the types that elaboration annotated. `run_program` takes a
-program that is already core; `apply_strategy` and `eval_body` check and
-elaborate their raw input first. A combinator call evaluates the
-definition body as it is, under an environment that binds the call's
-actuals; bodies are never rewritten.
+dispatch on the types that elaboration annotated and on the tags that
+terms got where they entered: `parse_term` or `tag_term` for the CLI,
+`apply_strategy` for raw library input. `run_program` is the one entry to
+evaluation and trusts both. A combinator call evaluates the definition
+body as it is, under an environment that binds the call's actuals;
+bodies are never rewritten.
 
 Failure is a result (None internally, Failure at the API); engine-level
 problems (fuel, recursion depth, unbound combinators, subject-reduction
@@ -16,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import syntax as S
-from .elaborate import elaborate, elaborate_body, elaborate_definitions
+from .elaborate import elaborate, elaborate_definitions
 from .errors import (
     FuelExhausted,
     InternalTypeViolation,
@@ -32,12 +33,10 @@ from .terms import (
     PairType,
     UNIT,
     UnitTuple,
-    Var,
     children,
-    get_tag,
-    is_ground,
     match,
     substitute,
+    tag_ground_term,
     tag_term,
 )
 from .typecheck import _substitute_type_vars, domains, substitute_stype
@@ -57,7 +56,6 @@ class EngineFailure:
 
 @dataclass
 class EvalState:
-    ctx: object = None
     defs: dict = field(default_factory=dict)
     cfg: EvalConfig = field(default_factory=EvalConfig)
     fuel: object = None  # remaining expansions, None = unlimited
@@ -79,37 +77,28 @@ class Env:
 TOP = Env({}, {})
 
 
-_HEADS = {
-    S.Rule: "rule", S.Id: "id", S.Fail: "fail", S.Seq: ";", S.Choice: "+",
-    S.LChoice: "<+", S.Neg: "!", S.CongUnit: "()", S.CongPair: "(,)",
-    S.All: "all", S.One: "one", S.Reduce: "reduce", S.Select: "select",
-    S.Void: "void", S.Spawn: "spawn", S.Extend: "extend",
-    S.Restrict: "restrict", S.Annot: ":", S.AmpS: "&",
+# Per core class, the tag and the head of its trace lines; a head of None
+# stands for the node's name.
+_TRACE = {
+    S.Rule: ("rule", "rule"), S.Id: ("id", "id"), S.Fail: ("fail", "fail"),
+    S.Seq: ("seq", ";"), S.Choice: ("choice", "+"),
+    S.LChoice: ("choice", "<+"), S.Neg: ("neg", "!"),
+    S.CongCon: ("cong", None), S.CongFun: ("cong", None),
+    S.CongUnit: ("cong", "()"), S.CongPair: ("cong", "(,)"),
+    S.All: ("all", "all"), S.One: ("one", "one"),
+    S.Reduce: ("red", "reduce"), S.Select: ("sel", "select"),
+    S.Void: ("void", "void"), S.Spawn: ("spawn", "spawn"),
+    S.Extend: ("extend", "extend"), S.Restrict: ("restrict", "restrict"),
+    S.Annot: ("annot", ":"), S.AmpS: ("amp", "&"), S.Call: ("comb", None),
 }
 
 
-def strat_head(s):
-    if isinstance(s, (S.Call, S.CongCon, S.CongFun)):
-        return s.name
-    return _HEADS.get(type(s), type(s).__name__)
-
-
 def term_head(t):
-    if isinstance(t, (Constant, FunApp, Var)):
+    if isinstance(t, (Constant, FunApp)):
         return t.name
     if isinstance(t, UnitTuple):
         return "()"
     return "(,)"
-
-
-_TAGS = {
-    S.Rule: "rule", S.Id: "id", S.Fail: "fail", S.Seq: "seq",
-    S.Choice: "choice", S.LChoice: "choice", S.Neg: "neg", S.CongCon: "cong",
-    S.CongFun: "cong", S.CongUnit: "cong", S.CongPair: "cong", S.All: "all",
-    S.One: "one", S.Reduce: "red", S.Select: "sel", S.Void: "void",
-    S.Spawn: "spawn", S.Extend: "extend", S.Restrict: "restrict",
-    S.Annot: "annot", S.AmpS: "amp", S.Call: "comb",
-}
 
 
 def _eval(st, s, t, env):
@@ -123,10 +112,11 @@ def _eval(st, s, t, env):
         st.depth += 1
         result = _eval_node(st, s, t, env)
         st.depth -= 1
+        tag, head = _TRACE[type(s)]
         st.trace_lines.append(
             "%s%s %s @ %s => %s"
-            % ("  " * st.depth, _TAGS.get(type(s), "?"), strat_head(s),
-               term_head(t), "fail" if result is None else "ok"))
+            % ("  " * st.depth, tag, head or s.name, term_head(t),
+               "fail" if result is None else "ok"))
         return result
     return _eval_node(st, s, t, env)
 
@@ -149,7 +139,7 @@ def _eval_node(st, s, t, env):
         theta = match(s.lhs, t)
         if theta is None:
             return None
-        return _eval_body(st, s.body, theta, env)
+        return _eval_rule_body(st, s.body, theta, env)
     if isinstance(s, S.Seq):
         mid = _eval(st, s.left, t, env)
         if mid is None:
@@ -172,8 +162,6 @@ def _eval_node(st, s, t, env):
     if isinstance(s, S.CongFun):
         if not isinstance(t, FunApp) or t.name != s.name:
             return None
-        if len(t.args) != len(s.args):
-            raise InternalTypeViolation("congruence arity mismatch on %s" % s.name)
         out = []
         for sub, c in zip(s.args, t.args):
             r = _eval(st, sub, c, env)
@@ -192,7 +180,7 @@ def _eval_node(st, s, t, env):
         right = _eval(st, s.right, t.right, env)
         if right is None:
             return None
-        return Pair(left, right, _pair_tag(left, right))
+        return Pair(left, right, PairType(left.tag, right.tag))
     if isinstance(s, S.All):
         cs = children(t)
         if not cs:
@@ -225,7 +213,8 @@ def _eval_node(st, s, t, env):
             results.append(r)
         acc = results[0]
         for r in results[1:]:
-            acc = _eval(st, s.splus, Pair(acc, r, _pair_tag(acc, r)), env)
+            acc = _eval(st, s.splus, Pair(acc, r, PairType(acc.tag, r.tag)),
+                        env)
             if acc is None:
                 return None
         return acc
@@ -242,22 +231,21 @@ def _eval_node(st, s, t, env):
         right = _eval(st, s.right, t, env)
         if right is None:
             return None
-        return Pair(left, right, _pair_tag(left, right))
+        return Pair(left, right, PairType(left.tag, right.tag))
     if isinstance(s, S.Extend):
-        if get_tag(st.ctx, t) in _domains(s.arg, env):
+        if t.tag in _domains(s.arg, env):
             return _eval(st, s.arg, t, env)
         return None
     if isinstance(s, (S.Restrict, S.Annot)):
         return _eval(st, s.arg, t, env)
     if isinstance(s, S.AmpS):
-        tau = get_tag(st.ctx, t)
         st.amp_dispatches += 1
         for branch in (s.left, s.right):
-            if tau in _domains(branch, env):
+            if t.tag in _domains(branch, env):
                 st.amp_branch_evals += 1
                 return _eval(st, branch, t, env)
         raise InternalTypeViolation(
-            "no overloaded branch accepts a term of type %r" % (tau,))
+            "no overloaded branch accepts a term of type %r" % (t.tag,))
     if isinstance(s, S.Call):
         d = st.defs.get(s.name)
         if d is None:
@@ -277,21 +265,14 @@ def _eval_node(st, s, t, env):
     raise TypeError("not a strategy: %r" % (s,))
 
 
-def _pair_tag(left, right):
-    if left.tag is not None and right.tag is not None:
-        return PairType(left.tag, right.tag)
-    return None
-
-
 def _rebuild(t, new_children):
+    """t, a term with children, over new children."""
     if isinstance(t, FunApp):
         return FunApp(t.name, tuple(new_children), t.tag)
-    if isinstance(t, Pair):
-        return Pair(new_children[0], new_children[1], t.tag)
-    raise InternalTypeViolation("cannot rebuild %r" % (t,))
+    return Pair(new_children[0], new_children[1], t.tag)
 
 
-def _eval_body(st, body, theta, env):
+def _eval_rule_body(st, body, theta, env):
     if isinstance(body, S.Result):
         return substitute(theta, body.term)
     u = substitute(theta, body.arg)
@@ -300,7 +281,7 @@ def _eval_body(st, body, theta, env):
         return None
     theta = dict(theta)
     theta[body.var] = r
-    return _eval_body(st, body.rest, theta, env)
+    return _eval_rule_body(st, body.rest, theta, env)
 
 
 # ---------------------------------------------------------------------------
@@ -308,34 +289,20 @@ def _eval_body(st, body, theta, env):
 
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
-    """Apply s to the ground term t; returns Ok, Failure, or EngineFailure.
-    s and defs are checked and elaborated first."""
-    return _apply(ctx, t, cfg, state,
-                  lambda: (elaborate_definitions(ctx, defs),
-                           elaborate(ctx, s)))
-
-
-def run_program(program, t, cfg=None, state=None):
-    """Apply an elaborated program's main strategy to t: the core that
-    `check_and_elaborate` or `elaborate_program` returns."""
-    return _apply(program.context, t, cfg, state,
-                  lambda: (program.definitions, program.main))
-
-
-def eval_body(ctx, defs, b, theta, cfg=None, state=None):
-    """Evaluate a rule body under a substitution (exposed for tests)."""
-    return _run(ctx, cfg, state,
-                lambda: (elaborate_definitions(ctx, defs),
-                         elaborate_body(ctx, b)),
-                lambda st, core: _eval_body(st, core, theta, TOP))
-
-
-def _apply(ctx, t, cfg, state, prepare):
-    def evaluate(st, core):
-        assert is_ground(t), "strategy application needs a ground term"
-        return _eval(st, core, t, TOP)
-
-    return _run(ctx, cfg, state, prepare, evaluate)
+    """Apply the raw strategy s to the raw term t under the raw definitions
+    defs: t is tagged and must be ground, s and defs are checked and
+    elaborated, and the core runs through run_program. Returns Ok, Failure,
+    or EngineFailure; ill-typed input gives InternalTypeViolation."""
+    try:
+        t = tag_ground_term(ctx, t)
+        core = S.Program(ctx, elaborate_definitions(ctx, defs),
+                         elaborate(ctx, s))
+    except StaticError as e:
+        return EngineFailure("InternalTypeViolation",
+                             "runtime typing failed: %s" % e.message)
+    except RecursionError:
+        return depth_exceeded()
+    return run_program(core, t, cfg, state)
 
 
 def depth_exceeded():
@@ -345,32 +312,27 @@ def depth_exceeded():
                          % sys.getrecursionlimit())
 
 
-def _run(ctx, cfg, state, prepare, evaluate):
-    """Set up `state`, take the core definitions and input from
-    `prepare()`, pass the input to `evaluate`, and turn errors into
-    EngineFailure outcomes."""
+def run_program(program, t, cfg=None, state=None):
+    """Apply a core program's main strategy to t; returns Ok, Failure, or
+    EngineFailure. The program is the core that `check_and_elaborate` or
+    `elaborate_program` returns, and t is a ground term tagged as
+    `parse_term` or `tag_term` returns it."""
     cfg = cfg or EvalConfig()
     if state is None:
         state = EvalState()
-    state.ctx = ctx
+    state.defs = program.definitions
     state.cfg = cfg
     state.fuel = None if cfg.fuel == 0 else cfg.fuel
     state.depth = 0
     try:
         try:
-            state.defs, core = prepare()
-        except StaticError as e:
-            # Only library input that was never checked can get here.
-            return EngineFailure("InternalTypeViolation",
-                                 "runtime typing failed: %s" % e.message)
-        try:
-            result = evaluate(state, core)
+            result = _eval(state, program.main, t, TOP)
         except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
             return EngineFailure(e.kind, e.detail)
         if result is None:
             return FAILURE
         try:
-            return Ok(tag_term(ctx, result))
+            return Ok(tag_term(program.context, result))
         except StaticError as e:
             return EngineFailure("InternalTypeViolation",
                                  "reduct is ill-typed: %s" % e.message)

@@ -32,7 +32,8 @@ from .terms import (
     UNIT,
     UnitTuple,
     Var,
-    tag_term,
+    tag_ground_term,
+    term_vars,
 )
 
 RESERVED = {
@@ -497,8 +498,6 @@ def _resolve_term(t, ctx, bound, pos):
             if bound is not None and t.name not in bound:
                 raise UnknownName("variable %s is not bound by the rule" % t.name,
                                   pos=pos)
-            if bound is None:
-                pass
             return t
         raise UnknownName("unknown symbol %s in term" % t.name, pos=pos)
     if isinstance(t, FunApp):
@@ -508,18 +507,6 @@ def _resolve_term(t, ctx, bound, pos):
         return Pair(_resolve_term(t.left, ctx, bound, pos),
                     _resolve_term(t.right, ctx, bound, pos))
     return t
-
-
-def _term_vars(t, acc):
-    if isinstance(t, Var):
-        acc.add(t.name)
-    elif isinstance(t, FunApp):
-        for a in t.args:
-            _term_vars(a, acc)
-    elif isinstance(t, Pair):
-        _term_vars(t.left, acc)
-        _term_vars(t.right, acc)
-    return acc
 
 
 def _resolve_strat(s, ctx, params):
@@ -560,7 +547,7 @@ def _resolve_strat(s, ctx, params):
         raise UnknownName("unknown name %s" % s.name, pos=s.pos)
     if isinstance(s, S.Rule):
         lhs = _resolve_term(s.lhs, ctx, None, s.pos)
-        bound = _term_vars(lhs, set())
+        bound = term_vars(lhs, set())
         body = _resolve_body(s.body, ctx, params, set(bound), s.pos)
         return S.Rule(lhs, body, s.pos)
     if isinstance(s, (S.Id, S.Fail, S.Void, S.CongUnit, S.ParamRef,
@@ -631,10 +618,11 @@ def parse_program(text, prelude=None, require_main=True):
 
 
 def parse_term(text, ctx):
-    """Parse a standalone ground term, type-check it, and tag it."""
+    """Parse a standalone term, check that it is ground and well-typed, and
+    tag it."""
     parser = Parser(text)
     t = parser.parse_term()
     tok = parser.peek()
     if tok[0] != "eof":
         raise ParseError("trailing input after term: %r" % tok[1], tok[2], tok[3])
-    return tag_term(ctx, _resolve_term(t, ctx, None, None))
+    return tag_ground_term(ctx, _resolve_term(t, ctx, None, None))

@@ -142,17 +142,11 @@ class CombinatorType:
 class Term:
     tag = None
 
-    def with_tag(self, tag):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Constant(Term):
     name: str
     tag: TermType = field(default=None, compare=False)
-
-    def with_tag(self, tag):
-        return Constant(self.name, tag)
 
 
 @dataclass(frozen=True)
@@ -161,25 +155,16 @@ class FunApp(Term):
     args: tuple
     tag: TermType = field(default=None, compare=False)
 
-    def with_tag(self, tag):
-        return FunApp(self.name, self.args, tag)
-
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
     tag: TermType = field(default=None, compare=False)
 
-    def with_tag(self, tag):
-        return Var(self.name, tag)
-
 
 @dataclass(frozen=True)
 class UnitTuple(Term):
     tag: TermType = field(default=None, compare=False)
-
-    def with_tag(self, tag):
-        return UnitTuple(tag)
 
 
 @dataclass(frozen=True)
@@ -187,19 +172,6 @@ class Pair(Term):
     left: Term
     right: Term
     tag: TermType = field(default=None, compare=False)
-
-    def with_tag(self, tag):
-        return Pair(self.left, self.right, tag)
-
-
-def is_ground(t):
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, FunApp):
-        return all(is_ground(a) for a in t.args)
-    if isinstance(t, Pair):
-        return is_ground(t.left) and is_ground(t.right)
-    return True
 
 
 def children(t):
@@ -366,11 +338,27 @@ def tag_term(ctx, t):
     raise TypeError("not a term: %r" % (t,))
 
 
-def get_tag(ctx, t):
-    """The node's tag, computing it on demand for untagged terms."""
-    if t.tag is not None:
-        return t.tag
-    return type_of_term(ctx, t)
+def tag_ground_term(ctx, t):
+    """tag_term for a term to rewrite, which must have no variables; every
+    later layer trusts the tags this gives."""
+    free = term_vars(t, set())
+    if free:
+        raise UnboundVariable("input term is not ground: %s is a variable"
+                              % min(free))
+    return tag_term(ctx, t)
+
+
+def term_vars(t, acc):
+    """Add the names of t's variables to the set acc, and return it."""
+    if isinstance(t, Var):
+        acc.add(t.name)
+    elif isinstance(t, FunApp):
+        for a in t.args:
+            term_vars(a, acc)
+    elif isinstance(t, Pair):
+        term_vars(t.left, acc)
+        term_vars(t.right, acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -336,10 +336,20 @@ def _type_of(ctx, s):
         p, c = type_and_core(ctx, s.arg)
         return negatable(ctx, p, pos), S.Neg(c, pos)
     if isinstance(s, S.CongCon):
-        sort = ctx.constants[s.name]
+        sort = ctx.constants.get(s.name)
+        if sort is None:
+            raise UnknownName("unknown constant %s in congruence" % s.name,
+                              pos=pos)
         return Arrow(sort, sort), s
     if isinstance(s, S.CongFun):
+        if s.name not in ctx.functions:
+            raise UnknownName("unknown function %s in congruence" % s.name,
+                              pos=pos)
         arg_sorts, result = ctx.functions[s.name]
+        if len(s.args) != len(arg_sorts):
+            raise TypeError_(
+                "congruence %s expects %d argument strategies, got %d"
+                % (s.name, len(arg_sorts), len(s.args)), pos=pos, rule="cong")
         cores = []
         for i, (a, sigma) in enumerate(zip(s.args, arg_sorts)):
             pa, ca = type_and_core(ctx, a)

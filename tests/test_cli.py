@@ -98,6 +98,16 @@ def test_run_inapplicable_term_exit_2(capcli, write):
     assert "apply" in err
 
 
+def test_run_non_ground_term_exit_2(capcli):
+    code, out, err = capcli("run", program_path("problems.strat"),
+                            "--term", "leaf(N)")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("ERROR ") and "N is a variable" in lines[0]
+
+
 def test_run_term_from_file(capcli, write):
     t = write("t.term", "fork(leaf(zero),leaf(zero))\n")
     code, out, err = capcli("run", program_path("problems.strat"),

@@ -176,8 +176,8 @@ def test_guard_succeeds_on_its_sort_only(nat_tree_ctx):
     assert ev(nat_tree_ctx, guard, LEAF0) == FAILURE
     # a sugared where-clause reaches the evaluator elaborated, too
     body = S.Where("N1", guard, Constant("zero"), S.Result(Var("N1")))
-    assert sc.eval_body(nat_tree_ctx, {}, body, {}, sc.EvalConfig()) == \
-        Ok(Constant("zero"))
+    assert ev(nat_tree_ctx, S.Rule(Constant("zero"), body),
+              Constant("zero")) == Ok(Constant("zero"))
 
 
 def test_right_biased_overloading_commits_by_sort(nat_tree_ctx):
@@ -198,9 +198,25 @@ def test_ill_typed_input_is_engine_failure(nat_tree_ctx):
     assert got.kind == "InternalTypeViolation"
     assert got.detail.startswith("runtime typing failed: ")
     body = S.Where("N1", bad, Constant("zero"), S.Result(Var("N1")))
-    got = sc.eval_body(nat_tree_ctx, {}, body, {}, sc.EvalConfig())
+    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), body), Constant("zero"))
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "InternalTypeViolation"
+
+
+def test_ill_sorted_or_open_input_is_engine_failure(nat_tree_ctx):
+    # Raw input is typed where it enters, so the strategy that would meet
+    # it first (extend dispatch or the final re-tag) makes no difference.
+    ill_sorted = FunApp("succ", (LEAF0,))
+    for s in (S.Id(), EXT_INC, S.All(EXT_INC)):
+        got = sc.apply_strategy(nat_tree_ctx, {}, s, ill_sorted,
+                                sc.EvalConfig())
+        assert isinstance(got, sc.EngineFailure)
+        assert got.kind == "InternalTypeViolation"
+    got = sc.apply_strategy(nat_tree_ctx, {}, EXT_INC,
+                            FunApp("leaf", (Var("N"),)), sc.EvalConfig())
+    assert isinstance(got, sc.EngineFailure)
+    assert got.kind == "InternalTypeViolation"
+    assert "N is a variable" in got.detail
 
 
 def test_left_choice_runs_failing_operand_once(addition):
@@ -257,15 +273,14 @@ def test_where_clause_evaluation(problems):
 def test_eval_body_add_step(problems):
     ctx, defs = problems.context, problems.definitions
     step = problems.definitions["Add"].body.right  # the succ case
-    theta = {"N1": sc.tag_term(ctx, num(1)), "N2": sc.tag_term(ctx, num(0))}
-    got = sc.eval_body(ctx, defs, step.body, theta, sc.EvalConfig())
+    got = sc.apply_strategy(ctx, defs, step, Pair(num(1), num(1)),
+                            sc.EvalConfig())
     assert got == Ok(num(2))
 
 
 def test_eval_body_where_fail(nat_tree_ctx):
     body = S.Where("N1", S.Fail(), Constant("zero"), S.Result(Var("N1")))
-    got = sc.eval_body(nat_tree_ctx, {}, body,
-                       {}, sc.EvalConfig())
+    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), body), Constant("zero"))
     assert got == FAILURE
 
 
@@ -316,7 +331,7 @@ def test_ok_results_are_ground_and_tagged(nat_tree_ctx):
 
 
 def test_trace_lines_format(nat_tree_ctx):
-    st = EvalState(ctx=nat_tree_ctx, defs={}, cfg=sc.EvalConfig(trace=True))
+    st = EvalState(defs={}, cfg=sc.EvalConfig(trace=True))
     sc.apply_strategy(nat_tree_ctx, {}, S.Choice(S.Fail(), S.Id()),
                       sc.tag_term(nat_tree_ctx, Constant("zero")),
                       sc.EvalConfig(trace=True), st)

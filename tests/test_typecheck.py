@@ -225,6 +225,26 @@ def test_problem_types(problems):
         assert sc.type_of_strategy(ctx, problems.definitions[name].body) == pi
 
 
+@pytest.mark.parametrize("s", [S.CongFun("nosuch", ()), S.CongCon("nosuch")])
+def test_unknown_congruence_rejected(nat_tree_ctx, s):
+    with pytest.raises(E.UnknownName):
+        sc.type_of_strategy(nat_tree_ctx, s)
+
+
+@pytest.mark.parametrize("args", [(), (S.Id(), S.Id())])
+def test_congruence_arity_rejected(nat_tree_ctx, args):
+    s = S.CongFun("leaf", args)
+    with pytest.raises(E.StaticError) as e:
+        sc.type_of_strategy(nat_tree_ctx, s)
+    assert e.value.rule == "cong"
+    # Library input meets the same check before it runs.
+    got = sc.apply_strategy(nat_tree_ctx, {}, s,
+                            FunApp("leaf", (Constant("zero"),)),
+                            sc.EvalConfig())
+    assert got.kind == "InternalTypeViolation"
+    assert got.detail.startswith("runtime typing failed: ")
+
+
 # -- application typing -----------------------------------------------------
 
 def test_apply_id_to_constant(nat_tree_ctx):
