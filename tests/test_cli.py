@@ -209,3 +209,50 @@ def test_elaborate_output_is_golden(capcli, name):
     assert code == 0 and err == ""
     with open(golden_path("elaborate_%s.out" % name)) as g:
         assert out == g.read()
+
+
+DIAG_HEADER = ("sort Nat; sort Tree; con zero : Nat; fun succ : Nat -> Nat; "
+               "fun leaf : Nat -> Tree; fun fork : Tree * Tree -> Tree; "
+               "var N : Nat; var N1 : Nat; var T1 : Tree;\n")
+
+# (program text after DIAG_HEADER, --term for a run or None for a check,
+# the whole stderr). Each program has one name or binding error.
+NAME_DIAGNOSTICS = [
+    ("main = Mystery;", None, "ERROR name at 2:8: unknown name Mystery"),
+    ("def A(v) : TP -> TP = v(id);\nmain = A(id);", None,
+     "ERROR name at 2:23: strategy parameter v takes no arguments"),
+    ("main = zero(id);", None,
+     "ERROR name at 2:8: constant congruence zero takes no arguments"),
+    ("main = succ[Nat](id);", None,
+     "ERROR name at 2:8: function congruence succ takes no type arguments"),
+    ("main = fork(id);", None,
+     "ERROR name at 2:8: congruence fork expects 2 argument strategies, "
+     "got 1"),
+    ("main = Try;", None, "ERROR comb at 2:8: Try expects 1 arguments, got 0"),
+    ("main = Any(void);", None,
+     "ERROR comb-forall at 2:8: Any expects 1 type arguments, got 0"),
+    ("main = zero -> N;", None,
+     "ERROR name at 2:8: variable N is not bound by the rule"),
+    ("main = succ(N) -> N where N := id @ N;", None,
+     "ERROR name at 2:8: where-clause rebinds variable N"),
+    ("main = zero -> zero where Qx := id @ zero;", None,
+     "ERROR name at 2:8: where-bound variable Qx is not declared"),
+    ("main = zero -> N where N := Mystery @ zero;", None,
+     "ERROR name at 2:29: unknown name Mystery"),
+    ("main = zero -> bogus;", None,
+     "ERROR name at 2:8: unknown symbol bogus in term"),
+    ("def A : TP = v;\nmain = A;", None, "ERROR name at 2:14: unknown name v"),
+    ("main = id;", "bogus",
+     "ERROR name at 0:0: unknown symbol bogus in term"),
+    ("main = id;", "succ(bogus)",
+     "ERROR name at 0:0: unknown symbol bogus in term"),
+    ("main = id;", "N",
+     "ERROR var at 0:0: input term is not ground: N is a variable"),
+]
+
+
+@pytest.mark.parametrize("text,term,want", NAME_DIAGNOSTICS)
+def test_name_diagnostics(capcli, write, text, term, want):
+    f = write("names.strat", DIAG_HEADER + text + "\n")
+    argv = ("check", f) if term is None else ("run", f, "--term", term)
+    assert capcli(*argv) == (2, "", want + "\n")
