@@ -126,7 +126,8 @@ class InapplicableType(StaticError):
     rule = "apply"
 
 
-# Frontend name resolution.
+# Names: duplicate definitions (parser), unknown or misused names and
+# unbound rule variables (checker).
 class DuplicateDefinition(StaticError):
     rule = "def"
 

@@ -1,26 +1,19 @@
 """Concrete syntax: tokenizer and recursive-descent parser.
 
-Bodies are parsed with bare names left as Call nodes; a resolution pass
-rewrites them to congruences / parameter references / combinator calls
-once the whole program has been seen (definitions may be mutually
-recursive, so names can be used before their `def`).
+The parser is purely syntactic. Every bare strategy name becomes an
+S.Call and every bare term name a Var; the checker resolves them into
+parameters, congruences, combinator calls and constants once the whole
+program has been seen, so definitions may use names before their `def`.
 """
 
 import re
 
 from . import syntax as S
-from .errors import (
-    CallArityMismatch,
-    CallTypeArgMismatch,
-    DuplicateDefinition,
-    ParseError,
-    UnknownName,
-)
+from .errors import DuplicateDefinition, ParseError
 from .terms import (
     Arrow,
     Amp,
     CombinatorType,
-    Constant,
     Context,
     FunApp,
     Pair,
@@ -33,7 +26,6 @@ from .terms import (
     UnitTuple,
     Var,
     tag_ground_term,
-    term_vars,
 )
 
 RESERVED = {
@@ -141,7 +133,7 @@ class Parser:
                     args.append(self.parse_term())
                 self.expect(")")
                 return FunApp(name, tuple(args))
-            # Constant vs variable is settled during resolution.
+            # Constant vs variable is settled when the term is tagged.
             return Var(name)
         raise ParseError("expected a term, got %r" % (tok[1] or "end of input"),
                          tok[2], tok[3])
@@ -372,7 +364,7 @@ class Parser:
                     lst.append(self.parse_strat())
                 self.expect(")")
                 args = tuple(lst)
-            # Congruence vs call vs parameter is settled during resolution.
+            # Congruence vs call vs parameter is settled by the checker.
             return S.Call(word, type_args, args, pos)
         raise ParseError("expected a strategy, got %r" % (word or "end of input"),
                          tok[2], tok[3])
@@ -485,103 +477,6 @@ class Parser:
 
 
 # ---------------------------------------------------------------------------
-# Name resolution
-
-
-def _resolve_term(t, ctx, bound, pos):
-    """Fix Constant/Var leaves and check variable binding (bound=None skips
-    the binding check and instead collects lhs variables)."""
-    if isinstance(t, Var):
-        if t.name in ctx.constants:
-            return Constant(t.name)
-        if t.name in ctx.term_vars:
-            if bound is not None and t.name not in bound:
-                raise UnknownName("variable %s is not bound by the rule" % t.name,
-                                  pos=pos)
-            return t
-        raise UnknownName("unknown symbol %s in term" % t.name, pos=pos)
-    if isinstance(t, FunApp):
-        return FunApp(t.name,
-                      tuple(_resolve_term(a, ctx, bound, pos) for a in t.args))
-    if isinstance(t, Pair):
-        return Pair(_resolve_term(t.left, ctx, bound, pos),
-                    _resolve_term(t.right, ctx, bound, pos))
-    return t
-
-
-def _resolve_strat(s, ctx, params):
-    rec = lambda x: _resolve_strat(x, ctx, params)
-    if isinstance(s, S.Call):
-        if s.name in params:
-            if s.type_args or s.args:
-                raise UnknownName(
-                    "strategy parameter %s takes no arguments" % s.name, pos=s.pos)
-            return S.ParamRef(s.name, s.pos)
-        if s.name in ctx.constants:
-            if s.type_args or s.args:
-                raise UnknownName(
-                    "constant congruence %s takes no arguments" % s.name, pos=s.pos)
-            return S.CongCon(s.name, s.pos)
-        if s.name in ctx.functions:
-            if s.type_args:
-                raise UnknownName(
-                    "function congruence %s takes no type arguments" % s.name,
-                    pos=s.pos)
-            arity = len(ctx.functions[s.name][0])
-            if len(s.args) != arity:
-                raise UnknownName(
-                    "congruence %s expects %d argument strategies, got %d"
-                    % (s.name, arity, len(s.args)), pos=s.pos)
-            return S.CongFun(s.name, tuple(rec(a) for a in s.args), s.pos)
-        if s.name in ctx.combinators:
-            ct = ctx.combinators[s.name]
-            if len(s.args) != len(ct.arg_types):
-                raise CallArityMismatch(
-                    "%s expects %d arguments, got %d"
-                    % (s.name, len(ct.arg_types), len(s.args)), pos=s.pos)
-            if len(s.type_args) != len(ct.type_params):
-                raise CallTypeArgMismatch(
-                    "%s expects %d type arguments, got %d"
-                    % (s.name, len(ct.type_params), len(s.type_args)), pos=s.pos)
-            return S.Call(s.name, s.type_args, tuple(rec(a) for a in s.args), s.pos)
-        raise UnknownName("unknown name %s" % s.name, pos=s.pos)
-    if isinstance(s, S.Rule):
-        lhs = _resolve_term(s.lhs, ctx, None, s.pos)
-        bound = term_vars(lhs, set())
-        body = _resolve_body(s.body, ctx, params, set(bound), s.pos)
-        return S.Rule(lhs, body, s.pos)
-    if isinstance(s, (S.Id, S.Fail, S.Void, S.CongUnit, S.ParamRef,
-                      S.CongCon, S.TypeGuard)):
-        return s
-    if isinstance(s, (S.Seq, S.Choice, S.LChoice, S.RChoice, S.CongPair,
-                      S.Spawn, S.AmpS, S.TLChoice, S.TRChoice)):
-        return type(s)(rec(s.left), rec(s.right), s.pos)
-    if isinstance(s, (S.Neg, S.All, S.One, S.Select)):
-        return type(s)(rec(s.arg), s.pos)
-    if isinstance(s, S.Reduce):
-        return S.Reduce(rec(s.splus), rec(s.child), s.pos)
-    if isinstance(s, (S.Extend, S.Restrict, S.Annot)):
-        return type(s)(rec(s.arg), s.stype, s.pos)
-    if isinstance(s, S.CongFun):
-        return S.CongFun(s.name, tuple(rec(a) for a in s.args), s.pos)
-    raise TypeError("unexpected node %r" % (s,))
-
-
-def _resolve_body(b, ctx, params, bound, pos):
-    if isinstance(b, S.Result):
-        return S.Result(_resolve_term(b.term, ctx, bound, pos))
-    strat = _resolve_strat(b.strat, ctx, params)
-    arg = _resolve_term(b.arg, ctx, bound, pos)
-    if b.var in bound:
-        raise UnknownName("where-clause rebinds variable %s" % b.var, pos=pos)
-    if b.var not in ctx.term_vars:
-        raise UnknownName("where-bound variable %s is not declared" % b.var,
-                          pos=pos)
-    bound = bound | {b.var}
-    return S.Where(b.var, strat, arg, _resolve_body(b.rest, ctx, params, bound, pos))
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 
 
@@ -604,17 +499,7 @@ def parse_program(text, prelude=None, require_main=True):
     if require_main and main is None:
         tok = parser.peek()
         raise ParseError("missing main strategy", tok[2], tok[3])
-    resolved = {}
-    for name, d in definitions.items():
-        if prelude is not None and name in prelude.definitions:
-            resolved[name] = d  # already resolved when the prelude was loaded
-            continue
-        body = _resolve_strat(d.body, ctx, set(d.params))
-        resolved[name] = S.Definition(d.name, d.type_params, d.params, d.ctype,
-                                      body, d.pos)
-    if main is not None:
-        main = _resolve_strat(main, ctx, set())
-    return S.Program(ctx, resolved, main)
+    return S.Program(ctx, definitions, main)
 
 
 def parse_term(text, ctx):
@@ -625,4 +510,4 @@ def parse_term(text, ctx):
     tok = parser.peek()
     if tok[0] != "eof":
         raise ParseError("trailing input after term: %r" % tok[1], tok[2], tok[3])
-    return tag_ground_term(ctx, _resolve_term(t, ctx, None, None))
+    return tag_ground_term(ctx, t)

@@ -185,8 +185,10 @@ class ParamRef(StrategyExpr):
 
 @dataclass(frozen=True)
 class Call(StrategyExpr):
+    """In raw syntax, any bare name (the checker resolves it to a ParamRef,
+    CongCon, CongFun or combinator call); in the core, a combinator call."""
     name: str
-    type_args: tuple  # of TermType/StrategyType? type arguments are term types
+    type_args: tuple  # of TermType
     args: tuple  # of StrategyExpr
     pos: tuple = _posfield()
 

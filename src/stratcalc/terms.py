@@ -13,6 +13,7 @@ from .errors import (
     UnboundVariable,
     UndeclaredSortInDecl,
     UndeclaredSymbol,
+    UnknownName,
 )
 
 
@@ -299,9 +300,11 @@ def type_of_term(ctx, t):
     return tag_term(ctx, t).tag
 
 
-def tag_term(ctx, t):
+def tag_term(ctx, t, bound=None):
     """Rebuild t with every node carrying its type, derived from its tagged
-    children, so each node is typed once; raises as type_of_term does."""
+    children, so each node is typed once; raises as type_of_term does.
+    A Var that names a constant becomes that Constant. With `bound`, every
+    variable must be in it (a rule term may use only what the rule binds)."""
     if isinstance(t, Constant):
         if t.name not in ctx.constants:
             raise UndeclaredSymbol("undeclared constant %s" % t.name)
@@ -317,7 +320,7 @@ def tag_term(ctx, t):
             )
         args = []
         for i, (a, want) in enumerate(zip(t.args, arg_sorts)):
-            a = tag_term(ctx, a)
+            a = tag_term(ctx, a, bound)
             if a.tag != want:
                 raise ArgSortMismatch(
                     "argument %d of %s has type %r, expected %r"
@@ -326,14 +329,18 @@ def tag_term(ctx, t):
             args.append(a)
         return FunApp(t.name, tuple(args), result)
     if isinstance(t, Var):
+        if t.name in ctx.constants:
+            return Constant(t.name, ctx.constants[t.name])
         if t.name not in ctx.term_vars:
-            raise UnboundVariable("undeclared variable %s" % t.name)
+            raise UnknownName("unknown symbol %s in term" % t.name)
+        if bound is not None and t.name not in bound:
+            raise UnknownName("variable %s is not bound by the rule" % t.name)
         return Var(t.name, ctx.term_vars[t.name])
     if isinstance(t, UnitTuple):
         return UnitTuple(UNIT)
     if isinstance(t, Pair):
-        left = tag_term(ctx, t.left)
-        right = tag_term(ctx, t.right)
+        left = tag_term(ctx, t.left, bound)
+        right = tag_term(ctx, t.right, bound)
         return Pair(left, right, PairType(left.tag, right.tag))
     raise TypeError("not a term: %r" % (t,))
 
@@ -341,11 +348,12 @@ def tag_term(ctx, t):
 def tag_ground_term(ctx, t):
     """tag_term for a term to rewrite, which must have no variables; every
     later layer trusts the tags this gives."""
+    t = tag_term(ctx, t)
     free = term_vars(t, set())
     if free:
         raise UnboundVariable("input term is not ground: %s is a variable"
                               % min(free))
-    return tag_term(ctx, t)
+    return t
 
 
 def term_vars(t, acc):

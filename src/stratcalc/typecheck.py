@@ -3,6 +3,8 @@ types, greatest lower bounds, strategy and program typing.
 
 Strategy typing also elaborates: one walk returns each strategy's type
 together with its core, so checking and elaboration share a single pass.
+The same walk resolves the bare names the parser leaves, and checks call
+arities and the variables each rule binds.
 
 Every strategy expression has at most one type (implicit restriction is
 resolved at composition/choice/application sites, so checking stays
@@ -12,6 +14,7 @@ deterministic).
 from . import syntax as S
 from .errors import (
     AmpOverlap,
+    CallArityMismatch,
     CallTypeArgMismatch,
     ExtendNotInstance,
     GenericDomainUndefined,
@@ -42,6 +45,7 @@ from .terms import (
     check_context,
     is_generic,
     tag_term,
+    term_vars,
     type_of_term,
     types_equal,
 )
@@ -314,7 +318,8 @@ def _type_of(ctx, s):
         return TP_TYPE, s
     if isinstance(s, S.Rule):
         lhs = tag_term(ctx, s.lhs)
-        tau_r, body = type_and_core_of_body(ctx, s.body, pos)
+        bound = term_vars(lhs, set())
+        tau_r, body = type_and_core_of_body(ctx, s.body, bound, pos)
         return Arrow(lhs.tag, tau_r), S.Rule(lhs, body, pos)
     if isinstance(s, S.Seq):
         p1, c1 = type_and_core(ctx, s.left)
@@ -465,9 +470,33 @@ def _type_of(ctx, s):
                              pos=pos, rule="arg")
         return ctx.strategy_params[s.name], s
     if isinstance(s, S.Call):
+        # A bare name: a strategy parameter, a congruence or a combinator
+        # call, in that order.
+        if s.name in ctx.strategy_params:
+            if s.type_args or s.args:
+                raise UnknownName(
+                    "strategy parameter %s takes no arguments" % s.name,
+                    pos=pos)
+            return _type_of(ctx, S.ParamRef(s.name, pos))
+        if s.name in ctx.constants:
+            if s.type_args or s.args:
+                raise UnknownName(
+                    "constant congruence %s takes no arguments" % s.name,
+                    pos=pos)
+            return _type_of(ctx, S.CongCon(s.name, pos))
+        if s.name in ctx.functions:
+            if s.type_args:
+                raise UnknownName(
+                    "function congruence %s takes no type arguments" % s.name,
+                    pos=pos)
+            return _type_of(ctx, S.CongFun(s.name, s.args, pos))
         ct = ctx.combinators.get(s.name)
         if ct is None:
-            raise UnknownName("unknown combinator %s" % s.name, pos=pos)
+            raise UnknownName("unknown name %s" % s.name, pos=pos)
+        if len(s.args) != len(ct.arg_types):
+            raise CallArityMismatch(
+                "%s expects %d arguments, got %d"
+                % (s.name, len(ct.arg_types), len(s.args)), pos=pos)
         if len(s.type_args) != len(ct.type_params):
             raise CallTypeArgMismatch(
                 "%s expects %d type arguments, got %d"
@@ -491,20 +520,27 @@ def _type_of(ctx, s):
     raise TypeError("not a strategy: %r" % (s,))
 
 
-def type_and_core_of_body(ctx, body, pos=None):
-    """Check a rule body and return (its result type, its elaborated core)."""
+def type_and_core_of_body(ctx, body, bound, pos=None):
+    """Check a rule body whose terms may use the variables in bound, and
+    return (its result type, its elaborated core)."""
     if isinstance(body, S.Result):
-        term = tag_term(ctx, body.term)
+        term = tag_term(ctx, body.term, bound)
         return term.tag, S.Result(term)
-    arg = tag_term(ctx, body.arg)
     pi_s, strat = type_and_core(ctx, body.strat)
+    arg = tag_term(ctx, body.arg, bound)
+    if body.var in bound:
+        raise UnknownName("where-clause rebinds variable %s" % body.var,
+                          pos=pos)
+    declared = ctx.term_vars.get(body.var)
+    if declared is None:
+        raise UnknownName("where-bound variable %s is not declared"
+                          % body.var, pos=pos)
     tau_x = apply_type(ctx, pi_s, arg.tag, pos)
-    declared = ctx.term_vars[body.var]
     if declared != tau_x:
         raise TypeError_(
             "where-clause binds %s : %r but the variable is declared %r"
             % (body.var, tau_x, declared), pos=pos, rule="apply")
-    tau, rest = type_and_core_of_body(ctx, body.rest, pos)
+    tau, rest = type_and_core_of_body(ctx, body.rest, bound | {body.var}, pos)
     return tau, S.Where(body.var, strat, arg, rest)
 
 

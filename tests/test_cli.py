@@ -216,7 +216,8 @@ DIAG_HEADER = ("sort Nat; sort Tree; con zero : Nat; fun succ : Nat -> Nat; "
                "var N : Nat; var N1 : Nat; var T1 : Tree;\n")
 
 # (program text after DIAG_HEADER, --term for a run or None for a check,
-# the whole stderr). Each program has one name or binding error.
+# the whole stderr). Each program has one name or binding error, except
+# the one with a bad name in each of two definitions, which lists both.
 NAME_DIAGNOSTICS = [
     ("main = Mystery;", None, "ERROR name at 2:8: unknown name Mystery"),
     ("def A(v) : TP -> TP = v(id);\nmain = A(id);", None,
@@ -226,7 +227,7 @@ NAME_DIAGNOSTICS = [
     ("main = succ[Nat](id);", None,
      "ERROR name at 2:8: function congruence succ takes no type arguments"),
     ("main = fork(id);", None,
-     "ERROR name at 2:8: congruence fork expects 2 argument strategies, "
+     "ERROR cong at 2:8: congruence fork expects 2 argument strategies, "
      "got 1"),
     ("main = Try;", None, "ERROR comb at 2:8: Try expects 1 arguments, got 0"),
     ("main = Any(void);", None,
@@ -242,6 +243,9 @@ NAME_DIAGNOSTICS = [
     ("main = zero -> bogus;", None,
      "ERROR name at 2:8: unknown symbol bogus in term"),
     ("def A : TP = v;\nmain = A;", None, "ERROR name at 2:14: unknown name v"),
+    ("def A : TP = Nope;\ndef B : TP = Nix;\nmain = A;", None,
+     "ERROR name at 2:14: unknown name Nope\n"
+     "ERROR name at 3:14: unknown name Nix"),
     ("main = id;", "bogus",
      "ERROR name at 0:0: unknown symbol bogus in term"),
     ("main = id;", "succ(bogus)",
@@ -251,7 +255,9 @@ NAME_DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.parametrize("text,term,want", NAME_DIAGNOSTICS)
+@pytest.mark.parametrize("text,term,want", NAME_DIAGNOSTICS, ids=[
+    text if term is None else "run " + term
+    for text, term, _ in NAME_DIAGNOSTICS])
 def test_name_diagnostics(capcli, write, text, term, want):
     f = write("names.strat", DIAG_HEADER + text + "\n")
     argv = ("check", f) if term is None else ("run", f, "--term", term)

@@ -417,3 +417,23 @@ def test_deep_term_is_depth_exceeded(nat_tree, depth):
                             sc.EvalConfig())
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "DepthExceeded"
+
+
+ZERO = Constant("zero")
+
+
+@pytest.mark.parametrize("s,message", [
+    (S.Call("Try", (), ()), "Try expects 1 arguments, got 0"),
+    (S.Call("Try", (), (S.Id(), S.Id())), "Try expects 1 arguments, got 2"),
+    (S.Rule(Var("N"), S.Where("N", S.Id(), Var("N"), S.Result(Var("N")))),
+     "where-clause rebinds variable N"),
+    (S.Rule(ZERO, S.Where("Qx", S.Id(), ZERO, S.Result(ZERO))),
+     "where-bound variable Qx is not declared"),
+    (S.Rule(ZERO, S.Result(Var("N"))), "variable N is not bound by the rule"),
+])
+def test_ill_formed_library_input_is_engine_failure(problems, s, message):
+    # The checker rejects these before they run, as it does in source.
+    got = sc.apply_strategy(problems.context, problems.definitions, s, ZERO,
+                            sc.EvalConfig())
+    assert got == sc.EngineFailure("InternalTypeViolation",
+                                   "runtime typing failed: " + message)

@@ -1,5 +1,7 @@
 """Concrete syntax: parsing, rendering, round trips, error positions."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,7 @@ import stratcalc as sc
 from stratcalc import errors as E
 from stratcalc import syntax as S
 from stratcalc.printer import render_strat
-from stratcalc.terms import Constant, FunApp, Pair, UnitTuple, Var
+from stratcalc.terms import Constant, FunApp, Pair, Term, UnitTuple, Var
 
 from randgen import Gen, NAT, TREE
 from conftest import NAT_TREE_HEADER
@@ -65,8 +67,10 @@ def test_congruence_forms(nat_tree):
     ctx_src = NAT_TREE_HEADER.replace("main = id;",
                                       "main = fork(id, leaf(fail));")
     p = sc.parse_program(ctx_src)
-    assert p.main == S.CongFun("fork", (S.Id(),
-                                        S.CongFun("leaf", (S.Fail(),))))
+    diags, _, core = sc.check_and_elaborate(p)
+    assert diags == []
+    assert core.main == S.CongFun("fork", (S.Id(),
+                                           S.CongFun("leaf", (S.Fail(),))))
 
 
 def test_unit_and_pair_congruence():
@@ -107,8 +111,8 @@ def test_duplicate_definition_rejected():
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(E.UnknownName):
-        sc.parse_program("main = Mystery;")
+    diags, _ = sc.check_program(sc.parse_program("main = Mystery;"))
+    assert [type(d) for d in diags] == [E.UnknownName]
 
 
 def test_mutually_recursive_defs_resolve():
@@ -158,7 +162,26 @@ def test_strategy_render_parse_round_trip(seed, nat_tree):
     src = NAT_TREE_HEADER.replace("main = id;",
                                   "main = %s;" % render_strat(s))
     p = sc.parse_program(src, prelude=sc.load_prelude())
-    assert p.main == s
+    assert p.main == as_parsed(s)
+    assert sc.elaborate(p.context, p.main) == sc.elaborate(p.context, s)
+
+
+def as_parsed(x):
+    """x as the parser gives it: every parameter and congruence on a named
+    symbol is a bare name S.Call, and every constant in a term a Var."""
+    if isinstance(x, (S.ParamRef, S.CongCon)):
+        return S.Call(x.name, (), (), x.pos)
+    if isinstance(x, S.CongFun):
+        return S.Call(x.name, (), as_parsed(x.args), x.pos)
+    if isinstance(x, Constant):
+        return Var(x.name)
+    if isinstance(x, (S.StrategyExpr, S.RuleBody, Term)):
+        return dataclasses.replace(x, **{
+            f.name: as_parsed(getattr(x, f.name))
+            for f in dataclasses.fields(x)})
+    if isinstance(x, tuple):
+        return tuple(as_parsed(y) for y in x)
+    return x
 
 
 def test_program_render_parse_round_trip(problems):

@@ -210,3 +210,89 @@ def test_amp_dispatch_is_type_directed(seed, nat_tree_ctx):
                               S.AmpS(left, g.arrow(tt, 2)), t,
                               sc.EvalConfig())
     assert base == other
+
+
+# Prelude combinators, by number of strategy and of type parameters.
+COMBINATORS = [("Try", 1, 0), ("Repeat", 1, 0), ("TD", 1, 0), ("Con", 0, 0),
+               ("Any", 1, 1), ("Chi", 3, 1), ("Crush", 3, 1)]
+TERM_VARS = ["N", "N1", "N2", "T1", "T2"]
+# Type arguments: declared, undeclared, a free type variable, compound.
+TYPE_ARGS = [sc.Sort("Nat"), sc.Sort("Bogus"), sc.TypeVar("a"),
+             sc.PairType(sc.Sort("Nat"), sc.UNIT)]
+ILL_SORTED = sc.FunApp("succ", (sc.FunApp("leaf", (sc.Constant("zero"),)),))
+
+
+def mutate_at(x, k, fn):
+    """x with its k-th strategy node, in pre-order, replaced by fn(node)."""
+    seen = [-1]
+
+    def walk(y):
+        if isinstance(y, S.StrategyExpr):
+            seen[0] += 1
+            if seen[0] == k:
+                return fn(y)
+        if isinstance(y, (S.StrategyExpr, S.RuleBody)):
+            return dataclasses.replace(y, **{
+                f.name: walk(getattr(y, f.name))
+                for f in dataclasses.fields(y)})
+        if isinstance(y, tuple):
+            return tuple(walk(z) for z in y)
+        return y
+
+    return walk(x)
+
+
+def count_nodes(x):
+    """The number of strategy nodes in x."""
+    if isinstance(x, tuple):
+        return sum(count_nodes(y) for y in x)
+    if not isinstance(x, (S.StrategyExpr, S.RuleBody)):
+        return 0
+    return (isinstance(x, S.StrategyExpr)
+            + sum(count_nodes(getattr(x, f.name))
+                  for f in dataclasses.fields(x)))
+
+
+def mutation(g, node):
+    """An ill-formed replacement for node: a call with the wrong number of
+    strategy arguments or with bad type arguments, an unknown name, or a
+    rule that uses an unbound, undeclared or rebound variable or builds an
+    ill-sorted term."""
+    kinds = ["arity", "type_args", "unknown"]
+    if isinstance(node, S.Rule):
+        kinds += ["unknown_symbol", "unbound", "undeclared", "rebound",
+                  "ill_sorted"]
+    kind = g.pick(kinds)
+    name, arity, ntypes = g.pick(COMBINATORS)
+    if kind == "arity":
+        n = g.pick([k for k in range(4) if k != arity])
+        return S.Call(name, (sc.Sort("Nat"),) * ntypes, (node,) * n)
+    if kind == "type_args":
+        type_args = tuple(g.pick(TYPE_ARGS) for _ in range(g.pick([0, 1, 2])))
+        return S.Call(name, type_args, (node,) * arity)
+    if kind == "unknown":
+        return S.Call("Mystery", (), g.pick([(), (node,)]))
+    if kind == "unknown_symbol":
+        return S.Rule(node.lhs, S.Result(sc.Var("bogus")))
+    if kind == "ill_sorted":
+        return S.Rule(node.lhs, S.Result(ILL_SORTED))
+    if kind == "unbound":
+        return S.Rule(node.lhs, S.Result(sc.Var(g.pick(TERM_VARS))))
+    var = "Qx" if kind == "undeclared" else g.pick(TERM_VARS)
+    return S.Rule(node.lhs, S.Where(var, S.Id(), node.lhs, node.body))
+
+
+@given(seed=seeds)
+@settings(max_examples=300, deadline=None)
+def test_ill_formed_library_input_never_escapes(seed, nat_tree):
+    # 300 examples per run; each mutates one or two nodes of a random
+    # strategy and applies it under the prelude's definitions.
+    g = Gen(seed)
+    pi, s = g.strategy()
+    for _ in range(g.pick([1, 2])):
+        k = g.rng.randrange(count_nodes(s))
+        s = mutate_at(s, k, lambda node: mutation(g, node))
+    t = g.term(g.applicable_type(pi))
+    got = sc.apply_strategy(nat_tree.context, nat_tree.definitions, s, t,
+                            sc.EvalConfig(fuel=1000))
+    assert isinstance(got, (Ok, sc.Failure, sc.EngineFailure)), got

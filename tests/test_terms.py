@@ -52,7 +52,7 @@ def test_arity_mismatch_rejected(nat_tree_ctx):
 
 
 def test_unbound_variable_rejected(nat_tree_ctx):
-    with pytest.raises(E.UnboundVariable):
+    with pytest.raises(E.UnknownName):
         sc.type_of_term(nat_tree_ctx, Var("Q"))
 
 

@@ -281,8 +281,8 @@ def test_prelude_alone_checks_with_main_id():
 
 
 def test_body_with_undeclared_param_rejected():
-    with pytest.raises(E.StaticError):
-        sc.parse_program("def A : TP = v; main = A;")
+    diags, _ = sc.check_program(sc.parse_program("def A : TP = v; main = A;"))
+    assert [type(d) for d in diags] == [E.UnknownName]
 
 
 def test_problems_check_to_declared_types(problems):
