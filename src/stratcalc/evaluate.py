@@ -1,16 +1,12 @@
-"""Big-step evaluation of strategy applications.
+"""Evaluation of strategy applications, by compiling the core to closures.
 
-The evaluator interprets only the elaborated core, so `extend` and `&`
-dispatch on the types that elaboration annotated and on the tags that
-terms got where they entered: `parse_term` or `tag_term` for the CLI,
-`apply_strategy` for raw library input. `run_program` is the one entry to
-evaluation and trusts both. A combinator call evaluates the definition
-body as it is, under an environment that binds the call's actuals;
-bodies are never rewritten.
-
-Failure is a result (None internally, Failure at the API); engine-level
-problems (fuel, recursion depth, unbound combinators, subject-reduction
-breaches) surface as EngineError outcomes, never as Failure.
+`run_program` compiles checked core to closures `f(t, env)` that return the
+reduct, or None for failure. Each combinator instance (a definition under
+closed type arguments) compiles once per run, on its first call, with its
+`extend`/`&` domains and its calls' type arguments closed then. `env` binds
+the running definition's strategy parameters, by position, to (closure,
+env) pairs. With `EvalConfig.trace`, every node's closure also appends its
+trace line. Fuel, depth and internal errors end a run as EngineFailure.
 """
 
 import sys
@@ -18,27 +14,11 @@ from dataclasses import dataclass, field
 
 from . import syntax as S
 from .elaborate import elaborate, elaborate_definitions
-from .errors import (
-    FuelExhausted,
-    InternalTypeViolation,
-    StaticError,
-    UnboundCombinator,
-)
-from .terms import (
-    Constant,
-    FAILURE,
-    FunApp,
-    Ok,
-    Pair,
-    PairType,
-    UNIT,
-    UnitTuple,
-    children,
-    match,
-    substitute,
-    tag_ground_term,
-    tag_term,
-)
+from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
+                     UnboundCombinator)
+from .terms import (Constant, FAILURE, FunApp, Ok, Pair, PairType, UNIT,
+                    UnitTuple, children, match, rebuild, substitute,
+                    tag_ground_term, tag_term)
 from .typecheck import _substitute_type_vars, domains, substitute_stype
 
 
@@ -56,7 +36,6 @@ class EngineFailure:
 
 @dataclass
 class EvalState:
-    defs: dict = field(default_factory=dict)
     cfg: EvalConfig = field(default_factory=EvalConfig)
     fuel: object = None  # remaining expansions, None = unlimited
     depth: int = 0
@@ -65,227 +44,252 @@ class EvalState:
     amp_branch_evals: int = 0
 
 
-@dataclass(frozen=True)
-class Env:
-    """The bindings of one combinator instance: each strategy parameter
-    maps to (actual, the Env of the call that passed it), each type
-    parameter to a closed term type."""
-    strats: dict
-    types: dict
+class _Scope:
+    """Compiles the core of one instance, or of main: `types` binds its type
+    parameters, `params` maps its strategy parameters to env indices, and
+    `instances` holds the run's compiled bodies by (name, type arguments)."""
+
+    def __init__(self, defs, st, instances, types, params):
+        self.defs, self.st, self.instances = defs, st, instances
+        self.types, self.params = types, params
+
+    def instance(self, name, type_args):
+        body = self.instances.get((name, type_args))
+        if body is None:
+            d = self.defs.get(name)
+            if d is None:
+                raise UnboundCombinator(
+                    "no definition for combinator %s" % name)
+            body = self.instances[name, type_args] = _Scope(
+                self.defs, self.st, self.instances,
+                dict(zip(d.type_params, type_args)),
+                {p: i for i, p in enumerate(d.params)}).compile(d.body)
+        return body
+
+    def compile(self, s):
+        if isinstance(s, S.ParamRef):
+            i = self.params.get(s.name)
+
+            def param(t, env):
+                if i is None:
+                    raise InternalTypeViolation(
+                        "unbound strategy parameter %s" % s.name)
+                f, bound = env[i]
+                return f(t, bound)
+            return param
+        tag, head, build = _NODES[type(s)]
+        f = build(self, s)
+        if self.st.cfg.trace:
+            return _traced(self.st, f, "%s %s @ " % (tag, head or s.name))
+        return f
+
+    def domains(self, annot):
+        return domains(substitute_stype(self.types, annot.stype)
+                       if self.types else annot.stype)
 
 
-TOP = Env({}, {})
-
-
-# Per core class, the tag and the head of its trace lines; a head of None
-# stands for the node's name.
-_TRACE = {
-    S.Rule: ("rule", "rule"), S.Id: ("id", "id"), S.Fail: ("fail", "fail"),
-    S.Seq: ("seq", ";"), S.Choice: ("choice", "+"),
-    S.LChoice: ("choice", "<+"), S.Neg: ("neg", "!"),
-    S.CongCon: ("cong", None), S.CongFun: ("cong", None),
-    S.CongUnit: ("cong", "()"), S.CongPair: ("cong", "(,)"),
-    S.All: ("all", "all"), S.One: ("one", "one"),
-    S.Reduce: ("red", "reduce"), S.Select: ("sel", "select"),
-    S.Void: ("void", "void"), S.Spawn: ("spawn", "spawn"),
-    S.Extend: ("extend", "extend"), S.Restrict: ("restrict", "restrict"),
-    S.Annot: ("annot", ":"), S.AmpS: ("amp", "&"), S.Call: ("comb", None),
-}
-
-
-def term_head(t):
-    if isinstance(t, (Constant, FunApp)):
-        return t.name
-    if isinstance(t, UnitTuple):
-        return "()"
-    return "(,)"
-
-
-def _eval(st, s, t, env):
-    while isinstance(s, S.ParamRef):
-        bound = env.strats.get(s.name)
-        if bound is None:
-            raise InternalTypeViolation(
-                "unbound strategy parameter %s" % s.name)
-        s, env = bound
-    if st.cfg.trace:
+def _traced(st, f, prefix):
+    def traced(t, env):
         st.depth += 1
-        result = _eval_node(st, s, t, env)
+        r = f(t, env)
         st.depth -= 1
-        tag, head = _TRACE[type(s)]
-        st.trace_lines.append(
-            "%s%s %s @ %s => %s"
-            % ("  " * st.depth, tag, head or s.name, term_head(t),
-               "fail" if result is None else "ok"))
-        return result
-    return _eval_node(st, s, t, env)
+        st.trace_lines.append("%s%s%s => %s" % (
+            "  " * st.depth, prefix, _HEADS.get(type(t)) or t.name,
+            "fail" if r is None else "ok"))
+        return r
+    return traced
 
 
-def _domains(annot, env):
-    """Domains of an elaborated annotation under the env's type bindings."""
-    if env.types:
-        return domains(substitute_stype(env.types, annot.stype))
-    return domains(annot.stype)
+def _rule(sc, s):
+    lhs, body, steps = s.lhs, s.body, []
+    while isinstance(body, S.Where):
+        steps.append((body.var, body.arg, sc.compile(body.strat)))
+        body = body.rest
 
-
-def _eval_node(st, s, t, env):
-    if isinstance(s, S.Id):
-        return t
-    if isinstance(s, S.Fail):
-        return None
-    if isinstance(s, S.Void):
-        return UnitTuple(UNIT)
-    if isinstance(s, S.Rule):
-        theta = match(s.lhs, t)
+    def rule(t, env):
+        theta = match(lhs, t)
         if theta is None:
             return None
-        return _eval_rule_body(st, s.body, theta, env)
-    if isinstance(s, S.Seq):
-        mid = _eval(st, s.left, t, env)
-        if mid is None:
-            return None
-        return _eval(st, s.right, mid, env)
-    if isinstance(s, (S.Choice, S.LChoice)):
-        # s1 <+ s2 means s1 + (!s1 ; s2); since + tries s1 first and s1
-        # is deterministic, the !s1 there always succeeds and is skipped.
-        out = _eval(st, s.left, t, env)
-        if out is None:
-            return _eval(st, s.right, t, env)
-        return out
-    if isinstance(s, S.Neg):
-        out = _eval(st, s.arg, t, env)
-        return t if out is None else None
-    if isinstance(s, S.CongCon):
-        if isinstance(t, Constant) and t.name == s.name:
-            return t
-        return None
-    if isinstance(s, S.CongFun):
-        if not isinstance(t, FunApp) or t.name != s.name:
+        for var, arg, strat in steps:
+            r = strat(substitute(theta, arg), env)
+            if r is None:
+                return None
+            theta[var] = r  # theta is this application's own match
+        return substitute(theta, body.term)
+    return rule
+
+
+def _seq(sc, s):
+    first, then = sc.compile(s.left), sc.compile(s.right)
+    return lambda t, env: (None if (mid := first(t, env)) is None
+                           else then(mid, env))
+
+
+def _choice(sc, s):
+    # s1 <+ s2 is s1 + (!s1 ; s2), where !s1 holds whenever it is reached.
+    first, other = sc.compile(s.left), sc.compile(s.right)
+    return lambda t, env: (other(t, env) if (out := first(t, env)) is None
+                           else out)
+
+
+def _neg(sc, s):
+    arg = sc.compile(s.arg)
+    return lambda t, env: t if arg(t, env) is None else None
+
+
+def _cong_con(sc, s):
+    name = s.name
+    return lambda t, env: (t if isinstance(t, Constant) and t.name == name
+                           else None)
+
+
+def _cong_fun(sc, s):
+    name, args = s.name, [sc.compile(a) for a in s.args]
+
+    def cong_fun(t, env):
+        if not isinstance(t, FunApp) or t.name != name:
             return None
         out = []
-        for sub, c in zip(s.args, t.args):
-            r = _eval(st, sub, c, env)
+        for f, c in zip(args, t.args):
+            r = f(c, env)
             if r is None:
                 return None
             out.append(r)
-        return FunApp(t.name, tuple(out), t.tag)
-    if isinstance(s, S.CongUnit):
-        return t if isinstance(t, UnitTuple) else None
-    if isinstance(s, S.CongPair):
-        if not isinstance(t, Pair):
+        return FunApp(name, tuple(out), t.tag)
+    return cong_fun
+
+
+def _pair(sc, s):
+    # A pair congruence takes t apart; spawn gives t to both sides.
+    left, right = sc.compile(s.left), sc.compile(s.right)
+    cong = isinstance(s, S.CongPair)
+
+    def pair(t, env):
+        if cong and not isinstance(t, Pair):
             return None
-        left = _eval(st, s.left, t.left, env)
-        if left is None:
-            return None
-        right = _eval(st, s.right, t.right, env)
-        if right is None:
-            return None
-        return Pair(left, right, PairType(left.tag, right.tag))
-    if isinstance(s, S.All):
-        cs = children(t)
-        if not cs:
-            return t
+        a = left(t.left if cong else t, env)
+        b = None if a is None else right(t.right if cong else t, env)
+        return None if b is None else Pair(a, b, PairType(a.tag, b.tag))
+    return pair
+
+
+def _all(sc, s):
+    arg = sc.compile(s.arg)
+
+    def all_(t, env):
         out = []
-        for c in cs:
-            r = _eval(st, s.arg, c, env)
+        for c in children(t):
+            r = arg(c, env)
             if r is None:
                 return None
             out.append(r)
-        return _rebuild(t, out)
-    if isinstance(s, S.One):
+        return rebuild(t, out) if out else t
+    return all_
+
+
+def _first(sc, s):
+    # one and select stop at the first child s succeeds on; one rewrites
+    # that child in place, select returns its result.
+    arg, one = sc.compile(s.arg), isinstance(s, S.One)
+
+    def first(t, env):
         cs = children(t)
         for i, c in enumerate(cs):
-            r = _eval(st, s.arg, c, env)
+            r = arg(c, env)
             if r is not None:
-                out = list(cs)
-                out[i] = r
-                return _rebuild(t, out)
+                return rebuild(t, cs[:i] + (r,) + cs[i + 1:]) if one else r
         return None
-    if isinstance(s, S.Reduce):
-        cs = children(t)
-        if not cs:
-            return None
+    return first
+
+
+def _reduce(sc, s):
+    splus, child = sc.compile(s.splus), sc.compile(s.child)
+
+    def reduce_(t, env):
         results = []
-        for c in cs:
-            r = _eval(st, s.child, c, env)
+        for c in children(t):
+            r = child(c, env)
             if r is None:
                 return None
             results.append(r)
-        acc = results[0]
+        acc = results[0] if results else None
         for r in results[1:]:
-            acc = _eval(st, s.splus, Pair(acc, r, PairType(acc.tag, r.tag)),
-                        env)
+            acc = splus(Pair(acc, r, PairType(acc.tag, r.tag)), env)
             if acc is None:
                 return None
         return acc
-    if isinstance(s, S.Select):
-        for c in children(t):
-            r = _eval(st, s.arg, c, env)
-            if r is not None:
-                return r
-        return None
-    if isinstance(s, S.Spawn):
-        left = _eval(st, s.left, t, env)
-        if left is None:
-            return None
-        right = _eval(st, s.right, t, env)
-        if right is None:
-            return None
-        return Pair(left, right, PairType(left.tag, right.tag))
-    if isinstance(s, S.Extend):
-        if t.tag in _domains(s.arg, env):
-            return _eval(st, s.arg, t, env)
-        return None
-    if isinstance(s, (S.Restrict, S.Annot)):
-        return _eval(st, s.arg, t, env)
-    if isinstance(s, S.AmpS):
+    return reduce_
+
+
+def _extend(sc, s):
+    arg, accepts = sc.compile(s.arg), sc.domains(s.arg)
+    return lambda t, env: arg(t, env) if t.tag in accepts else None
+
+
+def _amp(sc, s):
+    st, branches = sc.st, [(sc.domains(b), sc.compile(b))
+                           for b in (s.left, s.right)]
+
+    def amp(t, env):
         st.amp_dispatches += 1
-        for branch in (s.left, s.right):
-            if t.tag in _domains(branch, env):
+        for accepts, branch in branches:
+            if t.tag in accepts:
                 st.amp_branch_evals += 1
-                return _eval(st, branch, t, env)
+                return branch(t, env)
         raise InternalTypeViolation(
             "no overloaded branch accepts a term of type %r" % (t.tag,))
-    if isinstance(s, S.Call):
-        d = st.defs.get(s.name)
-        if d is None:
-            raise UnboundCombinator("no definition for combinator %s" % s.name)
+    return amp
+
+
+def _call(sc, s):
+    st, name, params = sc.st, s.name, sc.params
+    key = tuple(_substitute_type_vars(sc.types, ta) for ta in s.type_args)
+    # An actual that is the caller's own parameter passes on its binding,
+    # so parameter chains never grow with recursion depth.
+    actuals = [params[a.name] if isinstance(a, S.ParamRef) and a.name in params
+               else sc.compile(a) for a in s.args]
+    body = None
+
+    def call(t, env):
+        nonlocal body
+        if body is None:
+            body = sc.instance(name, key)
         if st.fuel is not None:
             if st.fuel <= 0:
-                raise FuelExhausted("fuel exhausted expanding %s" % s.name)
+                raise FuelExhausted("fuel exhausted expanding %s" % name)
             st.fuel -= 1
-        # An actual that is itself a bound parameter passes on its own
-        # binding, so parameter chains never grow with recursion depth.
-        strats = {p: env.strats.get(a.name, (a, env))
-                  if isinstance(a, S.ParamRef) else (a, env)
-                  for p, a in zip(d.params, s.args)}
-        types = {p: _substitute_type_vars(env.types, ta)
-                 for p, ta in zip(d.type_params, s.type_args)}
-        return _eval(st, d.body, t, Env(strats, types))
-    raise TypeError("not a strategy: %r" % (s,))
+        return body(t, tuple([env[a] if isinstance(a, int) else (a, env)
+                              for a in actuals]))
+    return call
 
 
-def _rebuild(t, new_children):
-    """t, a term with children, over new children."""
-    if isinstance(t, FunApp):
-        return FunApp(t.name, tuple(new_children), t.tag)
-    return Pair(new_children[0], new_children[1], t.tag)
+def _leaf(f):
+    return lambda sc, s: f
 
 
-def _eval_rule_body(st, body, theta, env):
-    if isinstance(body, S.Result):
-        return substitute(theta, body.term)
-    u = substitute(theta, body.arg)
-    r = _eval(st, body.strat, u, env)
-    if r is None:
-        return None
-    theta = dict(theta)
-    theta[body.var] = r
-    return _eval_rule_body(st, body.rest, theta, env)
-
-
-# ---------------------------------------------------------------------------
-# Public entry points
+# Per core class: the tag and the head of its trace lines (a head of None
+# stands for the node's name), and the function that compiles it.
+_NODES = {
+    S.Rule: ("rule", "rule", _rule),
+    S.Id: ("id", "id", _leaf(lambda t, env: t)),
+    S.Fail: ("fail", "fail", _leaf(lambda t, env: None)),
+    S.Seq: ("seq", ";", _seq), S.Choice: ("choice", "+", _choice),
+    S.LChoice: ("choice", "<+", _choice), S.Neg: ("neg", "!", _neg),
+    S.CongCon: ("cong", None, _cong_con), S.CongFun: ("cong", None, _cong_fun),
+    S.CongUnit: ("cong", "()", _leaf(
+        lambda t, env: t if isinstance(t, UnitTuple) else None)),
+    S.CongPair: ("cong", "(,)", _pair),
+    S.All: ("all", "all", _all), S.One: ("one", "one", _first),
+    S.Reduce: ("red", "reduce", _reduce), S.Select: ("sel", "select", _first),
+    S.Void: ("void", "void", _leaf(lambda t, env: UnitTuple(UNIT))),
+    S.Spawn: ("spawn", "spawn", _pair),
+    S.Extend: ("extend", "extend", _extend),
+    S.Restrict: ("restrict", "restrict", lambda sc, s: sc.compile(s.arg)),
+    S.Annot: ("annot", ":", lambda sc, s: sc.compile(s.arg)),
+    S.AmpS: ("amp", "&", _amp), S.Call: ("comb", None, _call),
+}
+# The head of a trace line's term, for terms without a name.
+_HEADS = {UnitTuple: "()", Pair: "(,)"}
 
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
@@ -313,20 +317,15 @@ def depth_exceeded():
 
 
 def run_program(program, t, cfg=None, state=None):
-    """Apply a core program's main strategy to t; returns Ok, Failure, or
-    EngineFailure. The program is the core that `check_and_elaborate` or
-    `elaborate_program` returns, and t is a ground term tagged as
-    `parse_term` or `tag_term` returns it."""
-    cfg = cfg or EvalConfig()
-    if state is None:
-        state = EvalState()
-    state.defs = program.definitions
-    state.cfg = cfg
-    state.fuel = None if cfg.fuel == 0 else cfg.fuel
-    state.depth = 0
+    """Apply the main strategy of a core program, as `check_and_elaborate`
+    returns it, to t, a ground term tagged as `parse_term` or `tag_term`
+    returns it; returns Ok, Failure, or EngineFailure."""
+    cfg, state = cfg or EvalConfig(), state or EvalState()
+    state.cfg, state.fuel, state.depth = cfg, cfg.fuel or None, 0
     try:
         try:
-            result = _eval(state, program.main, t, TOP)
+            result = _Scope(program.definitions, state, {}, {}, {}).compile(
+                program.main)(t, ())
         except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
             return EngineFailure(e.kind, e.detail)
         if result is None:

@@ -176,12 +176,20 @@ class Pair(Term):
 
 
 def children(t):
-    """Immediate subterms of a compound term; constants and () have none."""
+    """Immediate subterms of a compound term, as a tuple; constants and ()
+    have none."""
     if isinstance(t, FunApp):
-        return list(t.args)
+        return t.args
     if isinstance(t, Pair):
-        return [t.left, t.right]
-    return []
+        return (t.left, t.right)
+    return ()
+
+
+def rebuild(t, new_children):
+    """t, a term with children, over new children, keeping t's tag."""
+    if isinstance(t, FunApp):
+        return FunApp(t.name, tuple(new_children), t.tag)
+    return Pair(new_children[0], new_children[1], t.tag)
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,7 @@ def _encode_int(k):
 def test_criterion_8_overloading_dispatch(overload):
     elaborated = sc.elaborate_program(overload)
     ctx = elaborated.context
-    state = sc.EvalState(defs=elaborated.definitions,
-                         cfg=sc.EvalConfig(trace=True))
+    state = sc.EvalState(cfg=sc.EvalConfig(trace=True))
     mismatches = 0
     cases = [("Inc", k, k + 1) for k in range(-5, 5)] + \
             [("Dec", k, k - 1) for k in range(-4, 6)]

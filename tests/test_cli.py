@@ -190,17 +190,51 @@ def test_call_heavy_trace_and_fuel_are_golden(capcli, write):
     assert code == 3 and err.startswith("FuelExhausted: ")
 
 
-@pytest.mark.parametrize("depth", [300, 10000])
-def test_run_too_deep_exit_6(capcli, write, depth):
-    # At 300 evaluation runs out of stack, at 10000 parsing does; neither
+TD_PROGRAM = ("sort Nat; con zero : Nat; fun succ : Nat -> Nat;\n"
+              "var N : Nat; def Inc : Nat -> Nat = N -> succ(N);\n")
+
+
+def nat_text(n):
+    return "succ(" * n + "zero" + ")" * n
+
+
+def tree_text(depth):
+    if depth == 0:
+        return "leaf(zero)"
+    sub = tree_text(depth - 1)
+    return "fork(%s,%s)" % (sub, sub)
+
+
+def problems_with_main(main):
+    with open(program_path("problems.strat")) as f:
+        return f.read().replace("main = ProblemI;", "main = %s;" % main)
+
+
+@pytest.mark.parametrize("src,term", [
+    pytest.param(problems_with_main("ProblemIV"), tree_text(10),
+                 id="ProblemIV-1024"),
+    pytest.param(TD_PROGRAM + "main = TD(id);", nat_text(10000), id="10000"),
+])
+def test_run_too_deep_exit_6(capcli, write, src, term):
+    # On a 1024-leaf tree ProblemIV's last Append where-chain is 512 calls
+    # deep, so evaluation runs out of stack; at 10000 parsing does. Neither
     # may surface as a traceback or as FAIL's exit code.
-    f = write("td.strat", "sort Nat; con zero : Nat; fun succ : Nat -> Nat;\n"
-              "main = TD(id);")
-    term = "succ(" * depth + "zero" + ")" * depth
+    f = write("deep.strat", src)
     code, out, err = capcli("run", f, "--term", term)
     assert code == 6
     assert out == ""
     assert err.startswith("DepthExceeded: ")
+
+
+@pytest.mark.parametrize("main,depth", [("TD(id)", 300),
+                                        ("StopTD(extend(Inc, TP))", 301)])
+def test_run_300_deep_term(capcli, write, main, depth):
+    # One Python frame per core node: a 300-deep term runs through a
+    # full traversal and through a stopping one.
+    f = write("td.strat", TD_PROGRAM + "main = %s;" % main)
+    code, out, err = capcli("run", f, "--term", nat_text(300))
+    assert (code, err) == (0, "")
+    assert out == nat_text(depth) + "\n"
 
 
 @pytest.mark.parametrize("name", ["problems", "overload", "addition"])

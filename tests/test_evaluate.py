@@ -21,7 +21,7 @@ from stratcalc.terms import (
 )
 
 from conftest import num
-from randgen import NAT, NN
+from randgen import NAT, NN, TREE
 
 INC = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
 EXT_INC = S.Extend(S.Annot(INC, NN), TP_TYPE)
@@ -331,7 +331,7 @@ def test_ok_results_are_ground_and_tagged(nat_tree_ctx):
 
 
 def test_trace_lines_format(nat_tree_ctx):
-    st = EvalState(defs={}, cfg=sc.EvalConfig(trace=True))
+    st = EvalState(cfg=sc.EvalConfig(trace=True))
     sc.apply_strategy(nat_tree_ctx, {}, S.Choice(S.Fail(), S.Id()),
                       sc.tag_term(nat_tree_ctx, Constant("zero")),
                       sc.EvalConfig(trace=True), st)
@@ -410,13 +410,38 @@ def _tagged_nat(depth):
     return t
 
 
-@pytest.mark.parametrize("depth", [300, 10000])
-def test_deep_term_is_depth_exceeded(nat_tree, depth):
-    got = sc.apply_strategy(nat_tree.context, nat_tree.definitions,
-                            S.Call("TD", (), (S.Id(),)), _tagged_nat(depth),
-                            sc.EvalConfig())
+def _tagged_tree(depth):
+    t = FunApp("leaf", (Constant("zero", NAT),), TREE)
+    for _ in range(depth):
+        t = FunApp("fork", (t, t), TREE)
+    return t
+
+
+@pytest.mark.parametrize("name,term", [
+    pytest.param("ProblemIV", _tagged_tree(10), id="ProblemIV-1024"),
+    pytest.param("TD", _tagged_nat(10000), id="10000"),
+])
+def test_deep_term_is_depth_exceeded(problems, name, term):
+    # ProblemIV appends the two 512-element lists of a 1024-leaf tree
+    # through a where-chain 512 calls deep, and TD(id) recurses once per
+    # constructor of a 10000-deep term.
+    args = (S.Id(),) if name == "TD" else ()
+    got = sc.apply_strategy(problems.context, problems.definitions,
+                            S.Call(name, (), args), term, sc.EvalConfig())
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "DepthExceeded"
+
+
+@pytest.mark.parametrize("s,depth", [(S.Call("TD", (), (S.Id(),)), 300),
+                                     (S.Call("StopTD", (), (EXT_INC,)), 301)])
+def test_300_deep_term_runs(nat_tree, s, depth):
+    got = sc.apply_strategy(nat_tree.context, nat_tree.definitions, s,
+                            _tagged_nat(300), sc.EvalConfig())
+    # Walked in a loop, since == on terms recurses on their depth.
+    t, n = got.term, 0
+    while isinstance(t, FunApp):
+        t, n = t.args[0], n + 1
+    assert (n, t) == (depth, Constant("zero"))
 
 
 ZERO = Constant("zero")
