@@ -24,3 +24,27 @@ def test_run_problems_prints_golden_reducts(trace):
               if line.startswith("   | ")]
     assert bool(traced) == trace
     assert len(traced) == len(proc.stderr.splitlines())
+
+
+DIGEST = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                      "request_digest.py")
+
+
+def test_request_digest_lines():
+    argv = [sys.executable, DIGEST, "--limit", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert {line[0] for line in lines} == {"traverse", "normalize", "oneshot",
+                                           "probes"}
+    for group, cls, mode, rc, out, err in lines:
+        assert mode in ("plain", "trace")
+        assert rc in ("0", "1", "2", "3", "4", "5", "6"), (group, cls, rc)
+        assert len(out) == len(err) == 16
+    # Every `run` request is also digested with --trace, right after.
+    runs = [(g, c) for g, c, mode, *_ in lines if mode == "trace"]
+    assert runs
+    for g, c in runs:
+        assert [g, c, "plain"] in [line[:3] for line in lines]
+    again = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert again.stdout == proc.stdout
