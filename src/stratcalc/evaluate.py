@@ -2,15 +2,15 @@
 
 `run_program` compiles checked core to closures `f(t, env)` that return the
 reduct, or None for failure. Each combinator instance (a definition under
-closed type arguments) compiles once per run, on its first call, with its
-`extend`/`&` domains and its calls' type arguments closed then. `env` binds
-the running definition's strategy parameters, by position, to (closure,
-env) pairs. With `EvalConfig.trace`, every node's closure also appends its
-trace line. Fuel, depth and internal errors end a run as EngineFailure.
+closed type arguments) compiles on its first call in a run, closing its
+`extend`/`&` domains and its calls' type arguments. `env` binds the running
+definition's strategy parameters, by position, to (closure, env) pairs.
+With `EvalConfig.trace`, every node's closure also appends its trace line.
 """
 
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import syntax as S
 from .elaborate import elaborate, elaborate_definitions
@@ -79,7 +79,7 @@ class _Scope:
             return param
         tag, head, build = _NODES[type(s)]
         f = build(self, s)
-        if self.st.cfg.trace:
+        if self.st.cfg.trace and type(s) is not S.Call:  # see _call
             return _traced(self.st, f, "%s %s @ " % (tag, head or s.name))
         return f
 
@@ -93,11 +93,15 @@ def _traced(st, f, prefix):
         st.depth += 1
         r = f(t, env)
         st.depth -= 1
-        st.trace_lines.append("%s%s%s => %s" % (
-            "  " * st.depth, prefix, _HEADS.get(type(t)) or t.name,
-            "fail" if r is None else "ok"))
+        _emit(st, prefix, t, r)
         return r
     return traced
+
+
+def _emit(st, prefix, t, r):
+    st.trace_lines.append("%s%s%s => %s" % (
+        "  " * st.depth, prefix, _HEADS.get(type(t)) or t.name,
+        "fail" if r is None else "ok"))
 
 
 def _rule(sc, s):
@@ -143,20 +147,23 @@ def _cong_con(sc, s):
                            else None)
 
 
-def _cong_fun(sc, s):
-    name, args = s.name, [sc.compile(a) for a in s.args]
+def _each(sc, s):
+    # all(s) runs s on every child of t, and a congruence f(s1,...,sn) runs
+    # each si on the i-th child of an f-term; both fail once a child fails.
+    name = s.name if isinstance(s, S.CongFun) else None
+    fs = [sc.compile(a) for a in s.args] if name else repeat(sc.compile(s.arg))
 
-    def cong_fun(t, env):
-        if not isinstance(t, FunApp) or t.name != name:
+    def each(t, env):
+        if name is not None and (not isinstance(t, FunApp) or t.name != name):
             return None
         out = []
-        for f, c in zip(args, t.args):
+        for f, c in zip(fs, children(t)):
             r = f(c, env)
             if r is None:
                 return None
             out.append(r)
-        return FunApp(name, tuple(out), t.tag)
-    return cong_fun
+        return rebuild(t, out) if out else t
+    return each
 
 
 def _pair(sc, s):
@@ -173,23 +180,8 @@ def _pair(sc, s):
     return pair
 
 
-def _all(sc, s):
-    arg = sc.compile(s.arg)
-
-    def all_(t, env):
-        out = []
-        for c in children(t):
-            r = arg(c, env)
-            if r is None:
-                return None
-            out.append(r)
-        return rebuild(t, out) if out else t
-    return all_
-
-
 def _first(sc, s):
-    # one and select stop at the first child s succeeds on; one rewrites
-    # that child in place, select returns its result.
+    # At the first child s succeeds on, one rewrites it, select returns it.
     arg, one = sc.compile(s.arg), isinstance(s, S.One)
 
     def first(t, env):
@@ -248,7 +240,7 @@ def _call(sc, s):
     # so parameter chains never grow with recursion depth.
     actuals = [params[a.name] if isinstance(a, S.ParamRef) and a.name in params
                else sc.compile(a) for a in s.args]
-    body = None
+    prefix, body = st.cfg.trace and "comb %s @ " % name, None
 
     def call(t, env):
         nonlocal body
@@ -258,8 +250,16 @@ def _call(sc, s):
             if st.fuel <= 0:
                 raise FuelExhausted("fuel exhausted expanding %s" % name)
             st.fuel -= 1
-        return body(t, tuple([env[a] if isinstance(a, int) else (a, env)
-                              for a in actuals]))
+        env = tuple([env[a] if isinstance(a, int) else (a, env)
+                     for a in actuals])
+        if not prefix:
+            return body(t, env)
+        # Traced in place, not wrapped: one frame per call in both modes.
+        st.depth += 1
+        r = body(t, env)
+        st.depth -= 1
+        _emit(st, prefix, t, r)
+        return r
     return call
 
 
@@ -275,11 +275,11 @@ _NODES = {
     S.Fail: ("fail", "fail", _leaf(lambda t, env: None)),
     S.Seq: ("seq", ";", _seq), S.Choice: ("choice", "+", _choice),
     S.LChoice: ("choice", "<+", _choice), S.Neg: ("neg", "!", _neg),
-    S.CongCon: ("cong", None, _cong_con), S.CongFun: ("cong", None, _cong_fun),
+    S.CongCon: ("cong", None, _cong_con), S.CongFun: ("cong", None, _each),
     S.CongUnit: ("cong", "()", _leaf(
         lambda t, env: t if isinstance(t, UnitTuple) else None)),
     S.CongPair: ("cong", "(,)", _pair),
-    S.All: ("all", "all", _all), S.One: ("one", "one", _first),
+    S.All: ("all", "all", _each), S.One: ("one", "one", _first),
     S.Reduce: ("red", "reduce", _reduce), S.Select: ("sel", "select", _first),
     S.Void: ("void", "void", _leaf(lambda t, env: UnitTuple(UNIT))),
     S.Spawn: ("spawn", "spawn", _pair),

@@ -176,8 +176,7 @@ class Pair(Term):
 
 
 def children(t):
-    """Immediate subterms of a compound term, as a tuple; constants and ()
-    have none."""
+    """Immediate subterms of a compound term; constants and () have none."""
     if isinstance(t, FunApp):
         return t.args
     if isinstance(t, Pair):
