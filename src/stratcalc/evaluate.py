@@ -47,7 +47,8 @@ class EvalState:
 class _Scope:
     """Compiles the core of one instance, or of main: `types` binds its type
     parameters, `params` maps its strategy parameters to env indices, and
-    `instances` holds the run's compiled bodies by (name, type arguments)."""
+    `instances` holds the run's compiled bodies by (name, type arguments).
+    A call looks its instance up when first run, so recursion just works."""
 
     def __init__(self, defs, st, instances, types, params):
         self.defs, self.st, self.instances = defs, st, instances
@@ -267,8 +268,8 @@ def _leaf(f):
     return lambda sc, s: f
 
 
-# Per core class: the tag and the head of its trace lines (a head of None
-# stands for the node's name), and the function that compiles it.
+# Per core class: the tag and head of its trace lines (a head of None is
+# the node's name) and its compile function; `_HEADS` heads nameless terms.
 _NODES = {
     S.Rule: ("rule", "rule", _rule),
     S.Id: ("id", "id", _leaf(lambda t, env: t)),
@@ -288,7 +289,6 @@ _NODES = {
     S.Annot: ("annot", ":", lambda sc, s: sc.compile(s.arg)),
     S.AmpS: ("amp", "&", _amp), S.Call: ("comb", None, _call),
 }
-# The head of a trace line's term, for terms without a name.
 _HEADS = {UnitTuple: "()", Pair: "(,)"}
 
 

@@ -7,7 +7,6 @@ kind, every `extend`/`&` domain and every call's type arguments on each
 visit, so it is slow but plainly follows the rules.
 """
 
-import sys
 from dataclasses import dataclass, field
 
 from stratcalc import syntax as S
@@ -17,7 +16,7 @@ from stratcalc.errors import (
     StaticError,
     UnboundCombinator,
 )
-from stratcalc.evaluate import EngineFailure, EvalConfig
+from stratcalc.evaluate import EngineFailure, EvalConfig, depth_exceeded
 from stratcalc.terms import (
     Constant,
     FAILURE,
@@ -271,12 +270,6 @@ def _eval_rule_body(st, body, theta, env):
     theta = dict(theta)
     theta[body.var] = r
     return _eval_rule_body(st, body.rest, theta, env)
-
-
-def depth_exceeded():
-    return EngineFailure("DepthExceeded",
-                         "nesting exceeds the recursion limit of %d frames"
-                         % sys.getrecursionlimit())
 
 
 def run_reference(program, t, cfg=None):
