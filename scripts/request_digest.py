@@ -23,6 +23,7 @@ import io
 import os
 import sys
 import tempfile
+import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(HERE, "..", "src"),
@@ -39,13 +40,15 @@ def digest(text):
 
 
 def invoke(argv):
-    """(exit code, stdout, stderr) of one in-process CLI call; an exception
-    that escapes the CLI is reported in place of the exit code."""
+    """(exit code, stdout, stderr) of one in-process CLI call. An exception
+    that escapes the CLI is a finding, not the end of the digest: its name
+    stands in for the exit code and its traceback joins stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(list(argv))
-        except Exception as e:  # a traceback is a finding, not a crash here
+        except Exception as e:
+            traceback.print_exc()
             rc = "raised-" + type(e).__name__
     return rc, out.getvalue(), err.getvalue()
 
