@@ -51,7 +51,7 @@ def run(core, name, term_src, trace):
     # A call without arguments is its own core, so it runs as the main
     # strategy of the checked program; nothing is checked again.
     call = S.Call(name, (), ())
-    pi = sc.type_of_strategy(ctx, call)
+    pi = sc.type_and_core(ctx, call)[0]
     state = sc.EvalState()
     out = sc.run_program(dataclasses.replace(core, main=call), term,
                          sc.EvalConfig(trace=trace), state)

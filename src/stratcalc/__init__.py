@@ -8,7 +8,7 @@ below, generic TP / TU(t) types above) checks programs before a
 big-step evaluator runs them.
 """
 
-from .elaborate import elaborate, elaborate_program
+from .elaborate import elaborate_program
 from .errors import (
     EngineError,
     ParseError,
@@ -24,7 +24,7 @@ from .evaluate import (
 )
 from .parser import parse_program, parse_term
 from .prelude import load_prelude
-from .printer import render_program, render_stype, render_term, render_ttype
+from .printer import render_program, render_stype, render_term
 from .terms import (
     Amp,
     Arrow,
@@ -60,8 +60,7 @@ from .typecheck import (
     generically_less,
     glb,
     negatable,
-    type_of_application,
-    type_of_strategy,
+    type_and_core,
     wf_strategy_type,
     wf_term_type,
 )

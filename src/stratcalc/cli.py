@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 strategy failure (FAIL), 2 type error,
 import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import InapplicableType, ParseError, StaticError
 from .evaluate import (
@@ -115,12 +116,11 @@ def _main(args):
         print(e.render(), file=sys.stderr)
         return 2
 
-    state = EvalState()
-    cfg = EvalConfig(fuel=args.fuel, trace=args.trace)
-    outcome = run_program(core, term, cfg, state)
-    if args.trace:
-        for line in state.trace_lines:
-            print(line, file=sys.stderr)
+    # Trace lines go to stderr as they are emitted, not kept in memory.
+    state = EvalState(trace_lines=SimpleNamespace(
+        append=lambda line: print(line, file=sys.stderr)))
+    outcome = run_program(core, term,
+                          EvalConfig(fuel=args.fuel, trace=args.trace), state)
     if isinstance(outcome, Ok):
         print(render_term(outcome.term))
         return 0

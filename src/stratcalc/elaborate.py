@@ -2,26 +2,13 @@
 rule terms tagged, and every `extend` argument and `&` branch annotated
 with its type, so that evaluation dispatches on annotations alone.
 
-The checker builds the core while it types (`typecheck.type_and_core`);
-these functions are views of that one pass and raise StaticError on
-ill-typed input.
+The checker builds the core while it types (`typecheck.check_and_elaborate`,
+`typecheck.type_and_core` for one strategy). `elaborate_program` is that
+pass's raising form, which `apply_strategy` uses; it stays public because
+`bench/layers.py` imports it.
 """
 
-from .typecheck import (
-    check_and_elaborate,
-    check_definition,
-    type_and_core,
-)
-
-
-def elaborate(ctx, s):
-    """The core of s; idempotent."""
-    return type_and_core(ctx, s)[1]
-
-
-def elaborate_definitions(ctx, defs):
-    """Check and elaborate each definition body in its own scope."""
-    return {name: check_definition(ctx, d) for name, d in defs.items()}
+from .typecheck import check_and_elaborate
 
 
 def elaborate_program(program):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import syntax as S
-from .elaborate import elaborate, elaborate_definitions
+from .elaborate import elaborate_program
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
 from .terms import (Constant, FAILURE, FunApp, Ok, Pair, PairType, UNIT,
@@ -36,7 +36,6 @@ class EngineFailure:
 
 @dataclass
 class EvalState:
-    cfg: EvalConfig = field(default_factory=EvalConfig)
     fuel: object = None  # remaining expansions, None = unlimited
     depth: int = 0
     trace_lines: list = field(default_factory=list)
@@ -50,9 +49,9 @@ class _Scope:
     `instances` holds the run's compiled bodies by (name, type arguments).
     A call looks its instance up when first run, so recursion just works."""
 
-    def __init__(self, defs, st, instances, types, params):
-        self.defs, self.st, self.instances = defs, st, instances
-        self.types, self.params = types, params
+    def __init__(self, defs, st, trace, instances, types, params):
+        self.defs, self.st, self.trace = defs, st, trace
+        self.instances, self.types, self.params = instances, types, params
 
     def instance(self, name, type_args):
         body = self.instances.get((name, type_args))
@@ -62,7 +61,7 @@ class _Scope:
                 raise UnboundCombinator(
                     "no definition for combinator %s" % name)
             body = self.instances[name, type_args] = _Scope(
-                self.defs, self.st, self.instances,
+                self.defs, self.st, self.trace, self.instances,
                 dict(zip(d.type_params, type_args)),
                 {p: i for i, p in enumerate(d.params)}).compile(d.body)
         return body
@@ -80,7 +79,7 @@ class _Scope:
             return param
         tag, head, build = _NODES[type(s)]
         f = build(self, s)
-        if self.st.cfg.trace and type(s) is not S.Call:  # see _call
+        if self.trace and type(s) is not S.Call:  # see _call
             return _traced(self.st, f, "%s %s @ " % (tag, head or s.name))
         return f
 
@@ -241,7 +240,7 @@ def _call(sc, s):
     # so parameter chains never grow with recursion depth.
     actuals = [params[a.name] if isinstance(a, S.ParamRef) and a.name in params
                else sc.compile(a) for a in s.args]
-    prefix, body = st.cfg.trace and "comb %s @ " % name, None
+    prefix, body = sc.trace and "comb %s @ " % name, None
 
     def call(t, env):
         nonlocal body
@@ -294,13 +293,13 @@ _HEADS = {UnitTuple: "()", Pair: "(,)"}
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply the raw strategy s to the raw term t under the raw definitions
-    defs: t is tagged and must be ground, s and defs are checked and
-    elaborated, and the core runs through run_program. Returns Ok, Failure,
-    or EngineFailure; ill-typed input gives InternalTypeViolation."""
+    defs: t is tagged and must be ground, ctx, defs and s are checked and
+    elaborated in the CLI's one pass, `check_and_elaborate`, and the core
+    runs through run_program. Returns Ok, Failure, or EngineFailure;
+    ill-typed input gives InternalTypeViolation with the first diagnostic."""
     try:
         t = tag_ground_term(ctx, t)
-        core = S.Program(ctx, elaborate_definitions(ctx, defs),
-                         elaborate(ctx, s))
+        core = elaborate_program(S.Program(ctx, defs, s))
     except StaticError as e:
         return EngineFailure("InternalTypeViolation",
                              "runtime typing failed: %s" % e.message)
@@ -321,11 +320,11 @@ def run_program(program, t, cfg=None, state=None):
     returns it, to t, a ground term tagged as `parse_term` or `tag_term`
     returns it; returns Ok, Failure, or EngineFailure."""
     cfg, state = cfg or EvalConfig(), state or EvalState()
-    state.cfg, state.fuel, state.depth = cfg, cfg.fuel or None, 0
+    state.fuel, state.depth = cfg.fuel or None, 0
     try:
         try:
-            result = _Scope(program.definitions, state, {}, {}, {}).compile(
-                program.main)(t, ())
+            result = _Scope(program.definitions, state, cfg.trace, {}, {},
+                            {}).compile(program.main)(t, ())
         except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
             return EngineFailure(e.kind, e.detail)
         if result is None:

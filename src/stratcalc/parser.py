@@ -97,16 +97,26 @@ class Parser:
                              tok[2], tok[3])
         return tok
 
-    def expect_name(self, reserved_ok=False):
+    def expect_name(self):
         tok = self.next()
-        if tok[0] != "name" or (not reserved_ok and tok[1] in RESERVED):
+        if tok[0] != "name" or tok[1] in RESERVED:
             raise ParseError("expected a name, got %r" % (tok[1] or "end of input"),
                              tok[2], tok[3])
-        return tok
+        return tok[1]
 
     def pos(self):
         tok = self.peek()
         return (tok[2], tok[3])
+
+    def sep_list(self, item, sep=",", close=None):
+        """`item (sep item)*` as a tuple, followed by `close` if given."""
+        items = [item()]
+        while self.at(sep):
+            self.next()
+            items.append(item())
+        if close is not None:
+            self.expect(close)
+        return tuple(items)
 
     # -- terms --------------------------------------------------------------
 
@@ -126,6 +136,7 @@ class Parser:
             self.next()
             name = tok[1]
             if self.at("("):
+                # Not sep_list: a level of term nesting costs one frame.
                 self.next()
                 args = [self.parse_term()]
                 while self.at(","):
@@ -196,19 +207,15 @@ class Parser:
 
     def parse_ctype(self, type_params):
         self.type_params = tuple(type_params)
-        first = self.parse_stype()
-        args = [first]
-        while self.at("*"):
-            self.next()
-            args.append(self.parse_stype())
+        args = self.sep_list(self.parse_stype, "*")
         if self.at("->"):
             self.next()
             result = self.parse_stype()
-            return CombinatorType(tuple(type_params), tuple(args), result)
+            return CombinatorType(tuple(type_params), args, result)
         if len(args) > 1:
             tok = self.peek()
             raise ParseError("expected '->' after argument types", tok[2], tok[3])
-        return CombinatorType(tuple(type_params), (), first)
+        return CombinatorType(tuple(type_params), (), args[0])
 
     # -- strategies ---------------------------------------------------------
 
@@ -349,21 +356,11 @@ class Parser:
             type_args = ()
             if self.at("["):
                 self.next()
-                targs = [self.parse_ttype()]
-                while self.at(","):
-                    self.next()
-                    targs.append(self.parse_ttype())
-                self.expect("]")
-                type_args = tuple(targs)
+                type_args = self.sep_list(self.parse_ttype, close="]")
             args = ()
             if self.at("("):
                 self.next()
-                lst = [self.parse_strat()]
-                while self.at(","):
-                    self.next()
-                    lst.append(self.parse_strat())
-                self.expect(")")
-                args = tuple(lst)
+                args = self.sep_list(self.parse_strat, close=")")
             # Congruence vs call vs parameter is settled by the checker.
             return S.Call(word, type_args, args, pos)
         raise ParseError("expected a strategy, got %r" % (word or "end of input"),
@@ -374,7 +371,7 @@ class Parser:
         clauses = []
         while self.at("where"):
             self.next()
-            var = self.expect_name()[1]
+            var = self.expect_name()
             self.expect(":=")
             strat = self.parse_strat()
             self.expect("@")
@@ -396,31 +393,28 @@ class Parser:
             pos = (tok[2], tok[3])
             if word == "sort":
                 self.next()
-                name = self.expect_name()[1]
+                name = self.expect_name()
                 self.expect(";")
                 ctx.declare_sort(name, pos)
             elif word == "con":
                 self.next()
-                name = self.expect_name()[1]
+                name = self.expect_name()
                 self.expect(":")
-                sort = self.expect_name()[1]
+                sort = self.expect_name()
                 self.expect(";")
                 ctx.declare_constant(name, Sort(sort), pos)
             elif word == "fun":
                 self.next()
-                name = self.expect_name()[1]
+                name = self.expect_name()
                 self.expect(":")
-                arg_sorts = [Sort(self.expect_name()[1])]
-                while self.at("*"):
-                    self.next()
-                    arg_sorts.append(Sort(self.expect_name()[1]))
-                self.expect("->")
-                result = Sort(self.expect_name()[1])
+                arg_sorts = self.sep_list(lambda: Sort(self.expect_name()), "*",
+                                          close="->")
+                result = Sort(self.expect_name())
                 self.expect(";")
                 ctx.declare_function(name, arg_sorts, result, pos)
             elif word == "var":
                 self.next()
-                name = self.expect_name()[1]
+                name = self.expect_name()
                 self.expect(":")
                 self.type_params = ()
                 tt = self.parse_ttype()
@@ -428,25 +422,15 @@ class Parser:
                 ctx.declare_var(name, tt, pos)
             elif word == "def":
                 self.next()
-                name = self.expect_name()[1]
+                name = self.expect_name()
                 tparams = ()
                 if self.at("["):
                     self.next()
-                    lst = [self.expect_name()[1]]
-                    while self.at(","):
-                        self.next()
-                        lst.append(self.expect_name()[1])
-                    self.expect("]")
-                    tparams = tuple(lst)
+                    tparams = self.sep_list(self.expect_name, close="]")
                 params = ()
                 if self.at("("):
                     self.next()
-                    lst = [self.expect_name()[1]]
-                    while self.at(","):
-                        self.next()
-                        lst.append(self.expect_name()[1])
-                    self.expect(")")
-                    params = tuple(lst)
+                    params = self.sep_list(self.expect_name, close=")")
                 self.expect(":")
                 ctype = self.parse_ctype(tparams)
                 self.expect("=")

@@ -10,12 +10,6 @@ from .terms import (
     Constant,
     FunApp,
     Pair,
-    PairType,
-    Sort,
-    TP,
-    TU,
-    TypeVar,
-    Unit,
     UnitTuple,
     Var,
 )
@@ -25,7 +19,12 @@ def render_term(t):
     if isinstance(t, (Constant, Var)):
         return t.name
     if isinstance(t, FunApp):
-        return "%s(%s)" % (t.name, ",".join(render_term(a) for a in t.args))
+        # A loop, not a generator, so that a level of nesting costs one
+        # frame, as in tag_term.
+        args = []
+        for a in t.args:
+            args.append(render_term(a))
+        return "%s(%s)" % (t.name, ",".join(args))
     if isinstance(t, UnitTuple):
         return "()"
     if isinstance(t, Pair):
@@ -33,26 +32,8 @@ def render_term(t):
     raise TypeError("not a term: %r" % (t,))
 
 
-def render_ttype(tt):
-    if isinstance(tt, (Sort, TypeVar)):
-        return tt.name
-    if isinstance(tt, Unit):
-        return "()"
-    if isinstance(tt, PairType):
-        return "(%s,%s)" % (render_ttype(tt.left), render_ttype(tt.right))
-    raise TypeError("not a term type: %r" % (tt,))
-
-
-def render_stype(pi):
-    if isinstance(pi, Arrow):
-        return "%s -> %s" % (render_ttype(pi.dom), render_ttype(pi.cod))
-    if isinstance(pi, TP):
-        return "TP"
-    if isinstance(pi, TU):
-        return "TU(%s)" % render_ttype(pi.result)
-    if isinstance(pi, Amp):
-        return "%s & %s" % (render_stype(pi.left), render_stype(pi.right))
-    raise TypeError("not a strategy type: %r" % (pi,))
+# The type classes print themselves in source syntax.
+render_stype = repr
 
 
 # Precedence levels: 1 = &-family, 2 = +-family, 3 = ;, 4 = prefix !,
@@ -126,22 +107,19 @@ def _render(s):
         return "spawn(%s,%s)" % (render_strat(s.left, 1),
                                  render_strat(s.right, 1)), 5
     if isinstance(s, S.Extend):
-        return "extend(%s, %s)" % (render_strat(s.arg, 1),
-                                   render_stype(s.stype)), 5
+        return "extend(%s, %r)" % (render_strat(s.arg, 1), s.stype), 5
     if isinstance(s, S.Restrict):
-        return "restrict(%s, %s)" % (render_strat(s.arg, 1),
-                                     render_stype(s.stype)), 5
+        return "restrict(%s, %r)" % (render_strat(s.arg, 1), s.stype), 5
     if isinstance(s, S.Annot):
-        return "(%s : %s)" % (render_strat(s.arg, 1), render_stype(s.stype)), 5
+        return "(%s : %r)" % (render_strat(s.arg, 1), s.stype), 5
     if isinstance(s, S.TypeGuard):
-        return "guard(%s, %s)" % (render_ttype(s.ttype),
-                                  render_stype(s.stype)), 5
+        return "guard(%r, %r)" % (s.ttype, s.stype), 5
     if isinstance(s, S.ParamRef):
         return s.name, 5
     if isinstance(s, S.Call):
         text = s.name
         if s.type_args:
-            text += "[%s]" % ",".join(render_ttype(t) for t in s.type_args)
+            text += "[%s]" % ",".join(map(repr, s.type_args))
         if s.args:
             text += "(%s)" % ",".join(render_strat(a, 1) for a in s.args)
         return text, 5
@@ -150,15 +128,14 @@ def _render(s):
 
 def render_ctype(ct):
     def arg(pi):
-        text = render_stype(pi)
         if isinstance(pi, (Arrow, Amp)):
-            return "(%s)" % text
-        return text
+            return "(%r)" % (pi,)
+        return repr(pi)
 
     if ct.arg_types:
-        return "%s -> %s" % (" * ".join(arg(a) for a in ct.arg_types),
-                             render_stype(ct.result_type))
-    return render_stype(ct.result_type)
+        return "%s -> %r" % (" * ".join(arg(a) for a in ct.arg_types),
+                             ct.result_type)
+    return repr(ct.result_type)
 
 
 def render_program(program, skip_defs=()):
@@ -180,7 +157,7 @@ def render_program(program, skip_defs=()):
                          % (name, " * ".join(s.name for s in arg_sorts),
                             result.name))
         elif name in ctx.term_vars:
-            lines.append("var %s : %s;" % (name, render_ttype(ctx.term_vars[name])))
+            lines.append("var %s : %r;" % (name, ctx.term_vars[name]))
     for name, d in program.definitions.items():
         if name in skip_decl:
             continue

@@ -192,7 +192,7 @@ def rebuild(t, new_children):
 
 
 # ---------------------------------------------------------------------------
-# Reducts
+# Outcomes
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,6 @@ class Failure:
 
 
 FAILURE = Failure()
-Reduct = object  # Ok | Failure
 
 
 # ---------------------------------------------------------------------------

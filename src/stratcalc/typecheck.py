@@ -46,7 +46,6 @@ from .terms import (
     is_generic,
     tag_term,
     term_vars,
-    type_of_term,
     types_equal,
 )
 
@@ -237,18 +236,8 @@ def apply_type(ctx, pi, tau, pos=None):
         % (pi, tau), pos=pos)
 
 
-def type_of_application(ctx, s, t):
-    pi = type_of_strategy(ctx, s)
-    tau = type_of_term(ctx, t)
-    return apply_type(ctx, pi, tau)
-
-
 # ---------------------------------------------------------------------------
 # Strategy typing and elaboration
-
-
-def type_of_strategy(ctx, s):
-    return type_and_core(ctx, s)[0]
 
 
 def type_and_core(ctx, s):
@@ -589,5 +578,5 @@ def check_and_elaborate(program):
 
 def check_program(program):
     """Return (diagnostics, main_type); main_type is None when checking
-    failed anywhere."""
+    failed anywhere. Kept because `bench/layers.py` imports it."""
     return check_and_elaborate(program)[:2]

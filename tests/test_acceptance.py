@@ -60,7 +60,7 @@ def test_criterion_1_traversal_problems(problems, problems_elaborated):
     start = time.monotonic()
     ok = True
     for name, term_src, gold in PROBLEM_CASES:
-        pi = sc.type_of_strategy(ctx, S.Call(name, (), ()))
+        pi = sc.type_and_core(ctx, S.Call(name, (), ()))[0]
         ok &= types_equal(pi, want_types[name])
         term = sc.parse_term(term_src, ctx)
         out = run_call(problems_elaborated, name, term)
@@ -107,9 +107,9 @@ def test_criterion_2_subject_reduction(nat_tree_ctx, corpus):
 def test_criterion_3_unicity_of_typing(nat_tree_ctx, corpus):
     violations = 0
     for pi, s, tau, t in corpus:
-        if not types_equal(sc.type_of_strategy(nat_tree_ctx, s), pi):
+        if not types_equal(sc.type_and_core(nat_tree_ctx, s)[0], pi):
             violations += 1
-        if not types_equal(sc.type_of_strategy(nat_tree_ctx, s), pi):
+        if not types_equal(sc.type_and_core(nat_tree_ctx, s)[0], pi):
             violations += 1
         first = apply_type(nat_tree_ctx, pi, tau)
         if apply_type(nat_tree_ctx, pi, tau) != first:
@@ -239,7 +239,7 @@ def _encode_int(k):
 def test_criterion_8_overloading_dispatch(overload):
     elaborated = sc.elaborate_program(overload)
     ctx = elaborated.context
-    state = sc.EvalState(cfg=sc.EvalConfig(trace=True))
+    state = sc.EvalState()
     mismatches = 0
     cases = [("Inc", k, k + 1) for k in range(-5, 5)] + \
             [("Dec", k, k - 1) for k in range(-4, 6)]

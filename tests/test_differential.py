@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import stratcalc as sc
 from stratcalc import syntax as S
-from stratcalc.elaborate import elaborate, elaborate_definitions
 from stratcalc.evaluate import EvalState
 from stratcalc.terms import Amp, Arrow, PairType, TP, TU, tag_term
 
@@ -90,8 +89,9 @@ def test_compiled_matches_reference(seed, fuel, trace, nat_tree):
     g = Gen(seed)
     pi, s = under_prelude(g, *g.strategy())
     t = tag_term(ctx, g.term(input_type(g, pi)))
-    core = S.Program(ctx, elaborate_definitions(ctx, nat_tree.definitions),
-                     elaborate(ctx, s))
+    diags, _, core = sc.check_and_elaborate(
+        S.Program(ctx, nat_tree.definitions, s))
+    assert diags == []
     got = assert_same_run(core, t, sc.EvalConfig(fuel=fuel, trace=trace))
     assert getattr(got, "kind", None) != "DepthExceeded"
 

@@ -1,12 +1,11 @@
 """Static elaboration: sugar expansion, extend annotation, idempotence,
 type preservation. The checker's walk produces the core, so sugar is
-expanded by `elaborate` itself."""
+expanded by `type_and_core` itself."""
 
 from hypothesis import given, strategies as st
 
 import stratcalc as sc
 from stratcalc import syntax as S
-from stratcalc.elaborate import elaborate
 from stratcalc.terms import Arrow, FunApp, TP_TYPE, Var, types_equal
 
 from randgen import Gen, NAT, NN
@@ -17,18 +16,19 @@ INC = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
 
 def test_desugar_lchoice(nat_tree_ctx):
     # <+ is core: elaboration keeps it and only maps its operands.
-    got = elaborate(nat_tree_ctx, S.LChoice(S.Id(), S.TypeGuard(NAT, TP_TYPE)))
-    assert got == S.LChoice(S.Id(), elaborate(nat_tree_ctx,
-                                              S.TypeGuard(NAT, TP_TYPE)))
+    got = sc.type_and_core(nat_tree_ctx,
+                           S.LChoice(S.Id(), S.TypeGuard(NAT, TP_TYPE)))[1]
+    assert got == S.LChoice(S.Id(), sc.type_and_core(
+        nat_tree_ctx, S.TypeGuard(NAT, TP_TYPE))[1])
 
 
 def test_desugar_rchoice_flips(nat_tree_ctx):
-    assert elaborate(nat_tree_ctx, S.RChoice(S.Id(), S.Fail())) == \
-        elaborate(nat_tree_ctx, S.LChoice(S.Fail(), S.Id()))
+    assert sc.type_and_core(nat_tree_ctx, S.RChoice(S.Id(), S.Fail()))[1] == \
+        sc.type_and_core(nat_tree_ctx, S.LChoice(S.Fail(), S.Id()))[1]
 
 
 def test_desugar_type_guard(nat_tree_ctx):
-    got = elaborate(nat_tree_ctx, S.TypeGuard(NAT, TP_TYPE))
+    got = sc.type_and_core(nat_tree_ctx, S.TypeGuard(NAT, TP_TYPE))[1]
     assert got == S.Extend(S.Annot(S.Restrict(S.Id(), NN), NN), TP_TYPE)
 
 
@@ -44,20 +44,20 @@ def sugar_free(x):
 def test_desugar_removes_all_sugar_nodes(nat_tree_ctx):
     s = S.TLChoice(INC, S.RChoice(S.LChoice(S.Id(), S.Fail()),
                                   S.TypeGuard(NAT, TP_TYPE)))
-    sugar_free(elaborate(nat_tree_ctx, s))
+    sugar_free(sc.type_and_core(nat_tree_ctx, s)[1])
 
 
 def test_elaborate_annotates_extend(nat_tree_ctx):
-    got = elaborate(nat_tree_ctx, S.Extend(INC, TP_TYPE))
+    got = sc.type_and_core(nat_tree_ctx, S.Extend(INC, TP_TYPE))[1]
     assert isinstance(got, S.Extend)
     assert isinstance(got.arg, S.Annot)
     assert got.arg.stype == NN
 
 
 def test_elaborate_homomorphic_elsewhere(nat_tree_ctx):
-    assert elaborate(nat_tree_ctx, S.Id()) == S.Id()
-    got = elaborate(nat_tree_ctx, S.Seq(S.Extend(INC, TP_TYPE),
-                                        S.All(S.Id())))
+    assert sc.type_and_core(nat_tree_ctx, S.Id())[1] == S.Id()
+    got = sc.type_and_core(nat_tree_ctx, S.Seq(S.Extend(INC, TP_TYPE),
+                                               S.All(S.Id())))[1]
     assert got == S.Seq(S.Extend(S.Annot(INC, NN), TP_TYPE), S.All(S.Id()))
 
 
@@ -79,16 +79,16 @@ def test_elaborated_program_still_checks(problems_elaborated):
 def test_elaborate_preserves_types(seed, nat_tree_ctx):
     g = Gen(seed)
     pi, s = g.strategy()
-    out = elaborate(nat_tree_ctx, s)
-    assert types_equal(sc.type_of_strategy(nat_tree_ctx, out), pi)
+    out = sc.type_and_core(nat_tree_ctx, s)[1]
+    assert types_equal(sc.type_and_core(nat_tree_ctx, out)[0], pi)
 
 
 @given(seed=st.integers(0, 10**6))
 def test_elaborate_idempotent_random(seed, nat_tree_ctx):
     g = Gen(seed)
     _, s = g.strategy()
-    once = elaborate(nat_tree_ctx, s)
-    assert elaborate(nat_tree_ctx, once) == once
+    once = sc.type_and_core(nat_tree_ctx, s)[1]
+    assert sc.type_and_core(nat_tree_ctx, once)[1] == once
 
 
 @given(seed=st.integers(0, 10**6))
@@ -96,4 +96,4 @@ def test_desugar_idempotent_on_output(seed, nat_tree_ctx):
     # Elaboration expands all the sugar the generator emits.
     g = Gen(seed)
     _, s = g.strategy()
-    sugar_free(elaborate(nat_tree_ctx, s))
+    sugar_free(sc.type_and_core(nat_tree_ctx, s)[1])

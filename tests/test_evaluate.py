@@ -331,7 +331,7 @@ def test_ok_results_are_ground_and_tagged(nat_tree_ctx):
 
 
 def test_trace_lines_format(nat_tree_ctx):
-    st = EvalState(cfg=sc.EvalConfig(trace=True))
+    st = EvalState()
     sc.apply_strategy(nat_tree_ctx, {}, S.Choice(S.Fail(), S.Id()),
                       sc.tag_term(nat_tree_ctx, Constant("zero")),
                       sc.EvalConfig(trace=True), st)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import stratcalc as sc
 from stratcalc import syntax as S
-from stratcalc.elaborate import elaborate
 from stratcalc.terms import (
     Amp,
     Arrow,
@@ -41,8 +40,8 @@ def sample(seed, nat_tree_ctx):
 def test_strategy_typing_deterministic(seed, nat_tree_ctx):
     g = Gen(seed)
     pi, s = g.strategy()
-    assert types_equal(sc.type_of_strategy(nat_tree_ctx, s), pi)
-    assert types_equal(sc.type_of_strategy(nat_tree_ctx, s), pi)
+    assert types_equal(sc.type_and_core(nat_tree_ctx, s)[0], pi)
+    assert types_equal(sc.type_and_core(nat_tree_ctx, s)[0], pi)
 
 
 @given(seed=seeds)
@@ -162,7 +161,7 @@ def test_extension_safety(seed, nat_tree_ctx):
 def test_raw_vs_elaborated_agree(seed, nat_tree_ctx):
     g, pi, s, tau, t = sample(seed, nat_tree_ctx)
     raw = sc.apply_strategy(nat_tree_ctx, {}, s, t, sc.EvalConfig())
-    cooked = elaborate(nat_tree_ctx, s)
+    cooked = sc.type_and_core(nat_tree_ctx, s)[1]
     elab = sc.apply_strategy(nat_tree_ctx, {}, cooked, t, sc.EvalConfig())
     assert raw == elab
 

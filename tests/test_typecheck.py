@@ -71,7 +71,8 @@ def test_wf_generic_amp_branch_rejected(nat_tree_ctx):
 
 def test_overload_type_of_three_branches(overload):
     # The Inc/Dec signature types as a three-branch overloaded sum.
-    pi = sc.type_of_strategy(overload.context, overload.definitions["Inc"].body)
+    pi, _ = sc.type_and_core(overload.context,
+                             overload.definitions["Inc"].body)
     n1, n0, i = Sort("NatOne"), Sort("NatZero"), Sort("Int")
     assert sc.terms.types_equal(
         pi, Amp(Arrow(n1, n1), Amp(Arrow(n0, n0), Arrow(i, i))))
@@ -200,20 +201,21 @@ def test_glb_amp_vs_generic_filters_branches(nat_tree_ctx):
 # -- strategy typing --------------------------------------------------------
 
 def test_add_types_to_pair_arrow(problems):
-    pi = sc.type_of_strategy(problems.context, problems.definitions["Add"].body)
+    pi, _ = sc.type_and_core(problems.context,
+                             problems.definitions["Add"].body)
     assert pi == Arrow(PairType(NAT, NAT), NAT)
 
 
 def test_extend_instance_accepted(nat_tree):
     inc = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
-    assert sc.type_of_strategy(nat_tree.context,
-                               S.Extend(inc, TP_TYPE)) == TP_TYPE
+    assert sc.type_and_core(nat_tree.context,
+                            S.Extend(inc, TP_TYPE))[0] == TP_TYPE
 
 
 def test_extend_non_instance_rejected(nat_tree):
     inc = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
     with pytest.raises(E.ExtendNotInstance):
-        sc.type_of_strategy(nat_tree.context, S.Extend(inc, TU(TREE)))
+        sc.type_and_core(nat_tree.context, S.Extend(inc, TU(TREE)))
 
 
 def test_problem_types(problems):
@@ -222,20 +224,20 @@ def test_problem_types(problems):
             "ProblemIII": TU(BOOL), "ProblemIV": TU(Sort("NatList")),
             "ProblemV": TU(NAT)}
     for name, pi in want.items():
-        assert sc.type_of_strategy(ctx, problems.definitions[name].body) == pi
+        assert sc.type_and_core(ctx, problems.definitions[name].body)[0] == pi
 
 
 @pytest.mark.parametrize("s", [S.CongFun("nosuch", ()), S.CongCon("nosuch")])
 def test_unknown_congruence_rejected(nat_tree_ctx, s):
     with pytest.raises(E.UnknownName):
-        sc.type_of_strategy(nat_tree_ctx, s)
+        sc.type_and_core(nat_tree_ctx, s)
 
 
 @pytest.mark.parametrize("args", [(), (S.Id(), S.Id())])
 def test_congruence_arity_rejected(nat_tree_ctx, args):
     s = S.CongFun("leaf", args)
     with pytest.raises(E.StaticError) as e:
-        sc.type_of_strategy(nat_tree_ctx, s)
+        sc.type_and_core(nat_tree_ctx, s)
     assert e.value.rule == "cong"
     # Library input meets the same check before it runs.
     got = sc.apply_strategy(nat_tree_ctx, {}, s,
@@ -248,27 +250,28 @@ def test_congruence_arity_rejected(nat_tree_ctx, args):
 # -- application typing -----------------------------------------------------
 
 def test_apply_id_to_constant(nat_tree_ctx):
-    assert sc.type_of_application(nat_tree_ctx, S.Id(),
-                                  Constant("zero")) == NAT
+    assert apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, S.Id())[0],
+                      sc.type_of_term(nat_tree_ctx, Constant("zero"))) == NAT
 
 
 def test_apply_arrow_to_wrong_sort_rejected(nat_tree_ctx):
     inc = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
     with pytest.raises(E.InapplicableType):
-        sc.type_of_application(nat_tree_ctx, inc,
-                               FunApp("leaf", (Constant("zero"),)))
+        apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, inc)[0],
+                   sc.type_of_term(nat_tree_ctx,
+                                   FunApp("leaf", (Constant("zero"),))))
 
 
 def test_apply_overloaded_branch(overload):
     ctx = overload.context
     t = FunApp("positive", (Constant("zero"),))
-    pi = sc.type_of_strategy(ctx, S.Call("Inc", (), ()))
+    pi = sc.type_and_core(ctx, S.Call("Inc", (), ()))[0]
     assert apply_type(ctx, pi, sc.type_of_term(ctx, t)) == Sort("Int")
 
 
 def test_apply_tu_returns_result_type(problems):
     ctx = problems.context
-    pi = sc.type_of_strategy(ctx, problems.definitions["ProblemV"].body)
+    pi = sc.type_and_core(ctx, problems.definitions["ProblemV"].body)[0]
     assert apply_type(ctx, pi, Sort("A")) == NAT
 
 
