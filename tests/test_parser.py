@@ -1,6 +1,8 @@
 """Concrete syntax: parsing, rendering, round trips, error positions."""
 
 import dataclasses
+import os
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 import stratcalc as sc
 from stratcalc import errors as E
 from stratcalc import syntax as S
+from stratcalc.parser import RESERVED
 from stratcalc.printer import render_strat
 from stratcalc.terms import Constant, FunApp, Pair, Term, UnitTuple, Var
 
@@ -192,3 +195,31 @@ def test_program_render_parse_round_trip(problems):
     assert again.main == problems.main
     for name, d in problems.definitions.items():
         assert again.definitions[name].body == d.body
+
+
+# One sample per operator and keyword form of the concrete syntax.
+SPELLING_SAMPLES = [
+    "id & fail", "id <& fail", "id &> fail",
+    "id + fail", "id <+ fail", "id +> fail",
+    "id ; fail",
+    "id", "fail", "void",
+    "all(id)", "one(id)", "select(id)",
+    "reduce(id,void)", "spawn(void,void)",
+    "extend(id, TP)", "restrict(id, Nat -> Nat)",
+    "guard((Nat,()), TU(Nat) & Nat -> Nat)",
+]
+
+
+@pytest.mark.parametrize("text", SPELLING_SAMPLES)
+def test_every_spelling_prints_as_parsed(text):
+    main = sc.parse_program("sort Nat; main = %s;" % text).main
+    assert render_strat(main) == text
+
+
+def test_reserved_words_match_the_readme():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as f:
+        text = f.read()
+    words = re.search(r"Reserved words cannot be used as symbol names: `([^`]*)`",
+                      text).group(1).split()
+    assert sorted(words) == sorted(RESERVED)
