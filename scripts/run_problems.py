@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from types import SimpleNamespace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -52,12 +53,11 @@ def run(core, name, term_src, trace):
     # strategy of the checked program; nothing is checked again.
     call = S.Call(name, (), ())
     pi = sc.type_and_core(ctx, call)[0]
-    state = sc.EvalState()
+    # Trace lines go to stderr as they are emitted, as in the CLI.
+    state = sc.EvalState(trace_lines=SimpleNamespace(
+        append=lambda line: print("   |", line, file=sys.stderr)))
     out = sc.run_program(dataclasses.replace(core, main=call), term,
                          sc.EvalConfig(trace=trace), state)
-    if trace:
-        for line in state.trace_lines:
-            print("   |", line, file=sys.stderr)
     shown = (sc.render_term(out.term) if isinstance(out, sc.Ok)
              else repr(out))
     print("%-11s : %-14s  %s  =>  %s"

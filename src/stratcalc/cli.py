@@ -1,7 +1,8 @@
 """Batch driver: check, elaborate, and run strategic programs.
 
 Exit codes: 0 success, 1 strategy failure (FAIL), 2 type error,
-3 fuel exhausted, 4 parse error, 5 engine error, 6 input nested too deep.
+3 fuel exhausted, 4 parse error or unreadable file, 5 engine error,
+6 input nested too deep.
 """
 
 import argparse
@@ -9,7 +10,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import InapplicableType, ParseError, StaticError
+from .errors import ParseError, StaticError
 from .evaluate import (
     EngineFailure,
     EvalConfig,
@@ -38,17 +39,24 @@ def _build_argparser():
     return ap
 
 
+def _read(path):
+    """The text of a file named on the command line; one that cannot be
+    read or decoded is reported as a parse error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError("cannot read %s: %s"
+                         % (path, getattr(e, "strerror", None) or e)) from None
+
+
 def _load(args):
     prelude = None
     if args.prelude:
-        with open(args.prelude) as f:
-            prelude = parse_program(f.read(), require_main=False)
+        prelude = parse_program(_read(args.prelude), require_main=False)
     elif not args.no_prelude:
         prelude = load_prelude()
-    with open(args.file) as f:
-        text = f.read()
-    program = parse_program(text, prelude=prelude)
-    return program, prelude
+    return parse_program(_read(args.file), prelude=prelude), prelude
 
 
 _ENGINE_EXIT = {"FuelExhausted": 3, "DepthExceeded": 6}
@@ -63,6 +71,12 @@ def main(argv=None):
     args = _build_argparser().parse_args(argv)
     try:
         return _main(args)
+    except ParseError as e:
+        print(e, file=sys.stderr)
+        return 4
+    except StaticError as e:
+        print(e, file=sys.stderr)
+        return 2
     except RecursionError:
         # Parsing, checking and printing recurse on nesting depth as
         # evaluation does; run_program reports its own depth failures.
@@ -70,15 +84,7 @@ def main(argv=None):
 
 
 def _main(args):
-    try:
-        program, prelude = _load(args)
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return 4
-    except StaticError as e:
-        print(e.render(), file=sys.stderr)
-        return 2
-
+    program, prelude = _load(args)
     diags, main_type, core = check_and_elaborate(program)
     if diags:
         for d in diags:
@@ -100,21 +106,9 @@ def _main(args):
         return 2
     text = args.term
     if os.path.exists(text):
-        with open(text) as f:
-            text = f.read().strip()
-    try:
-        term = parse_term(text, program.context)
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return 4
-    except StaticError as e:
-        print(e.render(), file=sys.stderr)
-        return 2
-    try:
-        apply_type(program.context, main_type, term.tag)
-    except InapplicableType as e:
-        print(e.render(), file=sys.stderr)
-        return 2
+        text = _read(text).strip()
+    term = parse_term(text, program.context)
+    apply_type(program.context, main_type, term.tag)
 
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(

@@ -36,8 +36,9 @@ class EngineFailure:
 
 @dataclass
 class EvalState:
-    fuel: object = None  # remaining expansions, None = unlimited
-    depth: int = 0
+    # Set by run_program at the start of each run.
+    fuel: object = field(default=None, init=False)  # None = unlimited
+    depth: int = field(default=0, init=False)
     trace_lines: list = field(default_factory=list)
     amp_dispatches: int = 0
     amp_branch_evals: int = 0

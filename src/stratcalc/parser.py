@@ -4,6 +4,8 @@ The parser is purely syntactic. Every bare strategy name becomes an
 S.Call and every bare term name a Var; the checker resolves them into
 parameters, congruences, combinator calls and constants once the whole
 program has been seen, so definitions may use names before their `def`.
+Strategy operators and keyword forms are read from `syntax.OPERATORS` and
+`syntax.KEYWORDS`, the tables the printer writes from.
 """
 
 import re
@@ -28,21 +30,16 @@ from .terms import (
     tag_ground_term,
 )
 
-RESERVED = {
-    "sort", "con", "fun", "var", "def", "main", "where",
-    "id", "fail", "void", "all", "one", "reduce", "select", "spawn",
-    "extend", "restrict", "guard", "TP", "TU",
-}
+RESERVED = set(S.KEYWORDS) | {
+    "sort", "con", "fun", "var", "def", "main", "where", "TP", "TU"}
 
+_OPS = set(S.OPERATORS) | {":=", "->", ":", "=", "!", "*", "@",
+                           "(", ")", "[", "]", ","}
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<op>:=|->|<\+|\+>|<&|&>|[;:=+&!*@()\[\],])
-    """,
-    re.VERBOSE,
-)
+    r"(?P<ws>\s+)|(?P<comment>\#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
+    # Longest operators first, so that ":=" is not read as ":", "=".
+    r"|(?P<op>%s)" % "|".join(
+        map(re.escape, sorted(_OPS, key=lambda op: (-len(op), op)))))
 
 
 def tokenize(text):
@@ -219,63 +216,35 @@ class Parser:
 
     # -- strategies ---------------------------------------------------------
 
-    def parse_strat(self):
-        return self._parse_amp_level()
-
-    def _parse_amp_level(self):
+    def parse_strat(self, level=1):
+        """Precedence climbing over S.OPERATORS: a strategy whose binary
+        operators all bind at `level` or tighter."""
         pos = self.pos()
-        left = self._parse_choice_level()
-        tok = self.peek()
-        if tok[1] in ("&", "<&", "&>"):
+        left = self._parse_primary()
+        while True:
+            tok = self.peek()
+            cls, op_level = S.OPERATORS.get(tok[1], (None, 0))
+            if op_level < level:
+                return left
+            # A ';' continues a sequence only if a strategy follows;
+            # otherwise it is the item terminator and is left for the caller.
+            if tok[1] == ";" and not self._can_start_strat(self.peek(1)):
+                return left
             self.next()
-            right = self._parse_amp_level()
-            cls = {"&": S.AmpS, "<&": S.TLChoice, "&>": S.TRChoice}[tok[1]]
-            return cls(left, right, pos)
-        return left
-
-    def _parse_choice_level(self):
-        pos = self.pos()
-        left = self._parse_seq_level()
-        tok = self.peek()
-        if tok[1] in ("+", "<+", "+>"):
-            self.next()
-            right = self._parse_choice_level()
-            cls = {"+": S.Choice, "<+": S.LChoice, "+>": S.RChoice}[tok[1]]
-            return cls(left, right, pos)
-        return left
-
-    _STRAT_KEYWORDS = {"id", "fail", "void", "all", "one", "reduce", "select",
-                       "spawn", "extend", "restrict", "guard"}
+            left = cls(left, self.parse_strat(op_level), pos)
 
     def _can_start_strat(self, tok):
         if tok[0] == "op":
             return tok[1] in ("(", "!")
-        if tok[0] == "name":
-            return tok[1] not in RESERVED or tok[1] in self._STRAT_KEYWORDS
-        return False
-
-    def _parse_seq_level(self):
-        pos = self.pos()
-        left = self._parse_prefix()
-        # A ';' continues a sequence only if a strategy follows; otherwise
-        # it is the item terminator and is left for the caller.
-        if self.at(";") and self._can_start_strat(self.peek(1)):
-            self.next()
-            right = self._parse_seq_level()
-            return S.Seq(left, right, pos)
-        return left
-
-    def _parse_prefix(self):
-        tok = self.peek()
-        if tok[1] == "!":
-            pos = self.pos()
-            self.next()
-            return S.Neg(self._parse_prefix(), pos)
-        return self._parse_primary()
+        return tok[0] == "name" and (tok[1] in S.KEYWORDS
+                                     or tok[1] not in RESERVED)
 
     def _parse_primary(self):
         tok = self.peek()
         pos = (tok[2], tok[3])
+        if tok[1] == "!":
+            self.next()
+            return S.Neg(self._parse_primary(), pos)
         # A rewrite rule: term "->" rulebody.
         saved = self.i
         try:
@@ -288,49 +257,16 @@ class Parser:
         except ParseError:
             self.i = saved
         word = tok[1]
-        if word == "id":
+        if word in S.KEYWORDS:
+            cls, kinds = S.KEYWORDS[word]
             self.next()
-            return S.Id(pos)
-        if word == "fail":
-            self.next()
-            return S.Fail(pos)
-        if word == "void":
-            self.next()
-            return S.Void(pos)
-        if word in ("all", "one", "select"):
-            self.next()
-            self.expect("(")
-            inner = self.parse_strat()
-            self.expect(")")
-            cls = {"all": S.All, "one": S.One, "select": S.Select}[word]
-            return cls(inner, pos)
-        if word in ("reduce", "spawn"):
-            self.next()
-            self.expect("(")
-            a = self.parse_strat()
-            self.expect(",")
-            b = self.parse_strat()
-            self.expect(")")
-            if word == "reduce":
-                return S.Reduce(a, b, pos)
-            return S.Spawn(a, b, pos)
-        if word in ("extend", "restrict"):
-            self.next()
-            self.expect("(")
-            inner = self.parse_strat()
-            self.expect(",")
-            st = self.parse_stype()
-            self.expect(")")
-            cls = S.Extend if word == "extend" else S.Restrict
-            return cls(inner, st, pos)
-        if word == "guard":
-            self.next()
-            self.expect("(")
-            tt = self.parse_ttype()
-            self.expect(",")
-            st = self.parse_stype()
-            self.expect(")")
-            return S.TypeGuard(tt, st, pos)
+            args = []
+            for k, kind in enumerate(kinds):
+                self.expect("," if k else "(")
+                args.append(_PARSE_ARG[kind](self))
+            if kinds:
+                self.expect(")")
+            return cls(*args, pos)
         if word == "(":
             self.next()
             if self.at(")"):
@@ -458,6 +394,11 @@ class Parser:
                 raise ParseError("expected a declaration, got %r"
                                  % (word or "end of input"), tok[2], tok[3])
         return main
+
+
+# How Parser reads each argument kind of a keyword form (S.KEYWORDS).
+_PARSE_ARG = {"strat": Parser.parse_strat, "ttype": Parser.parse_ttype,
+              "stype": Parser.parse_stype}
 
 
 # ---------------------------------------------------------------------------

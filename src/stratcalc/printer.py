@@ -1,7 +1,11 @@
 """Rendering of terms, types, strategies, and whole programs.
 
-The output re-parses to the same abstract syntax (round trip).
+The output re-parses to the same abstract syntax (round trip). Operators
+and keyword forms are spelled as `syntax.OPERATORS` and `syntax.KEYWORDS`
+say, the tables the parser reads.
 """
+
+from dataclasses import fields
 
 from . import syntax as S
 from .terms import (
@@ -40,15 +44,12 @@ render_stype = repr
 # 5 = primary. A node is parenthesized when its level is below the
 # context's required level.
 
-_BINOPS = {
-    S.AmpS: ("&", 1),
-    S.TLChoice: ("<&", 1),
-    S.TRChoice: ("&>", 1),
-    S.Choice: ("+", 2),
-    S.LChoice: ("<+", 2),
-    S.RChoice: ("+>", 2),
-    S.Seq: (";", 3),
-}
+_BINOPS = {cls: (op, lvl) for op, (cls, lvl) in S.OPERATORS.items()}
+
+# class -> (word, ((field name, argument kind), ...)), from S.KEYWORDS
+_FORMS = {cls: (word, tuple((f.name, kind)
+                            for f, kind in zip(fields(cls), kinds)))
+          for word, (cls, kinds) in S.KEYWORDS.items()}
 
 
 def render_strat(s, level=0):
@@ -65,6 +66,18 @@ def _render(s):
         left = render_strat(s.left, lvl + 1)
         right = render_strat(s.right, lvl)
         return "%s %s %s" % (left, op, right), lvl
+    if cls in _FORMS:
+        word, args = _FORMS[cls]
+        if not args:
+            return word, 5
+        text = ""
+        for name, kind in args:
+            # "," before a strategy, ", " before a type.
+            if kind == "strat":
+                text += "," + render_strat(getattr(s, name), 1)
+            else:
+                text += ", %r" % (getattr(s, name),)
+        return "%s(%s)" % (word, text.lstrip(", ")), 5
     if isinstance(s, S.Rule):
         body = s.body
         clauses = []
@@ -78,12 +91,6 @@ def _render(s):
         # A where-clause strategy would swallow a following operator, so
         # such rules always get parentheses in operator context.
         return text, 5 if not clauses else 0
-    if isinstance(s, S.Id):
-        return "id", 5
-    if isinstance(s, S.Fail):
-        return "fail", 5
-    if isinstance(s, S.Void):
-        return "void", 5
     if isinstance(s, S.Neg):
         return "!%s" % render_strat(s.arg, 5), 4
     if isinstance(s, S.CongCon):
@@ -94,26 +101,8 @@ def _render(s):
         return "()", 5
     if isinstance(s, S.CongPair):
         return "(%s,%s)" % (render_strat(s.left, 1), render_strat(s.right, 1)), 5
-    if isinstance(s, S.All):
-        return "all(%s)" % render_strat(s.arg, 1), 5
-    if isinstance(s, S.One):
-        return "one(%s)" % render_strat(s.arg, 1), 5
-    if isinstance(s, S.Select):
-        return "select(%s)" % render_strat(s.arg, 1), 5
-    if isinstance(s, S.Reduce):
-        return "reduce(%s,%s)" % (render_strat(s.splus, 1),
-                                  render_strat(s.child, 1)), 5
-    if isinstance(s, S.Spawn):
-        return "spawn(%s,%s)" % (render_strat(s.left, 1),
-                                 render_strat(s.right, 1)), 5
-    if isinstance(s, S.Extend):
-        return "extend(%s, %r)" % (render_strat(s.arg, 1), s.stype), 5
-    if isinstance(s, S.Restrict):
-        return "restrict(%s, %r)" % (render_strat(s.arg, 1), s.stype), 5
     if isinstance(s, S.Annot):
         return "(%s : %r)" % (render_strat(s.arg, 1), s.stype), 5
-    if isinstance(s, S.TypeGuard):
-        return "guard(%r, %r)" % (s.ttype, s.stype), 5
     if isinstance(s, S.ParamRef):
         return s.name, 5
     if isinstance(s, S.Call):

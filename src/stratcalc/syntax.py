@@ -2,6 +2,8 @@
 
 Node equality is structural; source positions are excluded so that
 elaborated output can be compared with a second elaboration of it.
+`OPERATORS` and `KEYWORDS` are the one source of the concrete spelling of
+the strategy combinators; the parser and the printer both read them.
 """
 
 from dataclasses import dataclass, field
@@ -191,6 +193,32 @@ class Call(StrategyExpr):
     type_args: tuple  # of TermType
     args: tuple  # of StrategyExpr
     pos: tuple = _posfield()
+
+
+# Concrete syntax -----------------------------------------------------------
+
+# Binary operators, all right-associative: symbol -> (class, level). A
+# higher level binds tighter.
+OPERATORS = {
+    "&": (AmpS, 1), "<&": (TLChoice, 1), "&>": (TRChoice, 1),
+    "+": (Choice, 2), "<+": (LChoice, 2), "+>": (RChoice, 2),
+    ";": (Seq, 3),
+}
+
+# Keyword forms: word -> (class, argument kinds), the arguments in the
+# order of the class's fields. A kind is "strat" (a strategy), "ttype" (a
+# term type) or "stype" (a strategy type); a form without arguments is
+# the bare word.
+KEYWORDS = {
+    "id": (Id, ()), "fail": (Fail, ()), "void": (Void, ()),
+    "all": (All, ("strat",)), "one": (One, ("strat",)),
+    "select": (Select, ("strat",)),
+    "reduce": (Reduce, ("strat", "strat")),
+    "spawn": (Spawn, ("strat", "strat")),
+    "extend": (Extend, ("strat", "stype")),
+    "restrict": (Restrict, ("strat", "stype")),
+    "guard": (TypeGuard, ("ttype", "stype")),
+}
 
 
 # Rule bodies ---------------------------------------------------------------

@@ -4,7 +4,7 @@ Terms and types are immutable. Term equality is structural; the optional
 sort tag is metadata and excluded from equality and hashing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     ArgSortMismatch,
@@ -247,17 +247,8 @@ class Context:
 
     def with_params(self, type_params, strategy_params):
         """A scope for checking one definition body."""
-        sub = Context(
-            sorts=self.sorts,
-            constants=self.constants,
-            functions=self.functions,
-            term_vars=self.term_vars,
-            combinators=self.combinators,
-            strategy_params=dict(strategy_params),
-            type_vars=set(type_params),
-            decls=self.decls,
-        )
-        return sub
+        return replace(self, strategy_params=dict(strategy_params),
+                       type_vars=set(type_params))
 
 
 def check_context(ctx):

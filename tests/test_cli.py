@@ -61,6 +61,30 @@ def test_check_parse_error_exit_4(capcli, write):
     assert "parse error" in err
 
 
+# Files named on the command line that cannot be read or decoded; `d` is
+# a scratch directory.
+UNREADABLE = {
+    "missing program": lambda d: ("check", str(d / "missing.strat")),
+    "term is a directory": lambda d: (
+        "run", program_path("problems.strat"), "--term", str(d)),
+    "missing prelude": lambda d: (
+        "check", program_path("problems.strat"), "--prelude", str(d / "nope")),
+    "program not utf-8": lambda d: ("check", str(d / "latin1.strat")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_exit_4(capcli, tmp_path, case):
+    (tmp_path / "latin1.strat").write_bytes("main = id; # caf\xe9\n"
+                                            .encode("latin-1"))
+    code, out, err = capcli(*UNREADABLE[case](tmp_path))
+    assert code == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("parse error: cannot read ")
+
+
 def test_run_contains_check_prints_true(capcli, write):
     src = open(program_path("problems.strat")).read()
     f = write("p3.strat", src.replace("main = ProblemI;",

@@ -223,3 +223,10 @@ def test_reserved_words_match_the_readme():
     words = re.search(r"Reserved words cannot be used as symbol names: `([^`]*)`",
                       text).group(1).split()
     assert sorted(words) == sorted(RESERVED)
+
+
+def test_spelling_samples_cover_every_table_entry():
+    tops = {type(sc.parse_program("sort Nat; main = %s;" % text).main)
+            for text in SPELLING_SAMPLES}
+    assert tops == {cls for cls, _ in [*S.OPERATORS.values(),
+                                       *S.KEYWORDS.values()]}
