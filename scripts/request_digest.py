@@ -9,9 +9,16 @@ invocation prints one line:
 
     <group> <class> plain|trace <exit code> <stdout digest> <stderr digest>
 
-where a digest is the first 16 hex digits of the text's sha256. Run the
-script in two checkouts and diff the outputs to see which replies a
-change moved.
+where a digest is the first 16 hex digits of the text's sha256. Before
+them, each request prints one line for its parse alone:
+
+    <group> <class> parse <exit code> <program digest> <error digest>
+
+with the exit code the CLI gives a parse that fails (0 when it succeeds)
+and a digest of the parsed program's definitions, main strategy and
+declarations, every source position included, so that parser drift shows
+even where the replies do not move. Run the script in two checkouts and
+diff the outputs to see which replies a change moved.
 
 Usage: python3 scripts/request_digest.py [--seed N] [--limit N]
 """
@@ -31,6 +38,7 @@ sys.path[:0] = [os.path.join(HERE, "..", "src"),
 
 import inputs  # noqa: E402  (the benchmark's request builder)
 from stratcalc import cli  # noqa: E402
+from stratcalc.errors import ParseError, StaticError  # noqa: E402
 
 WORKLOADS = ("traverse", "normalize", "oneshot")
 
@@ -51,6 +59,27 @@ def invoke(argv):
             traceback.print_exc()
             rc = "raised-" + type(e).__name__
     return rc, out.getvalue(), err.getvalue()
+
+
+def parse(argv):
+    """(exit code, program text, error text) of the CLI's parse of a request:
+    the program rendered with `repr`, which keeps every position, in the
+    order it was read. The context's sets are left out, their order being
+    arbitrary; its declaration list names every sort and symbol."""
+    args = cli._build_argparser().parse_args(argv)
+    try:
+        program, _ = cli._load(args)
+    except ParseError as e:
+        return 4, "", str(e)
+    except StaticError as e:
+        return 2, "", str(e)
+    except RecursionError:
+        return 6, "", "RecursionError"
+    ctx = program.context
+    parts = [repr(d) for d in program.definitions.values()]
+    parts += [repr(program.main), repr(ctx.decls), repr(ctx.constants),
+              repr(ctx.functions), repr(ctx.term_vars), repr(ctx.combinators)]
+    return 0, "\n".join(parts), ""
 
 
 def groups(seed, root):
@@ -76,6 +105,8 @@ def main():
     with tempfile.TemporaryDirectory() as root:
         for group, requests in groups(args.seed, root):
             for req in requests[:args.limit]:
+                rc, text, err = parse(req.argv)
+                print(group, req.cls, "parse", rc, digest(text), digest(err))
                 modes = [("plain", [])]
                 if req.argv[0] == "run":
                     modes.append(("trace", ["--trace"]))

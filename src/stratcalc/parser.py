@@ -1,11 +1,12 @@
 """Concrete syntax: tokenizer and recursive-descent parser.
 
-The parser is purely syntactic. Every bare strategy name becomes an
-S.Call and every bare term name a Var; the checker resolves them into
-parameters, congruences, combinator calls and constants once the whole
-program has been seen, so definitions may use names before their `def`.
-Strategy operators and keyword forms are read from `syntax.OPERATORS` and
-`syntax.KEYWORDS`, the tables the printer writes from.
+The parser is purely syntactic and reads each token once. Every bare
+strategy name becomes an S.Call and every bare term name a Var; the
+checker resolves them once the whole program has been seen, so
+definitions may use names before their `def`. A rule's left-hand side is
+read as the congruence it spells, then turned into that term. Operators
+and keyword forms come from `syntax.OPERATORS` and `syntax.KEYWORDS`,
+the tables the printer writes from.
 """
 
 import re
@@ -36,34 +37,27 @@ RESERVED = set(S.KEYWORDS) | {
 _OPS = set(S.OPERATORS) | {":=", "->", ":", "=", "!", "*", "@",
                            "(", ")", "[", "]", ","}
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>\#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
+    r"(?P<nl>\n)|(?P<ws>[^\S\n]+)|(?P<comment>\#[^\n]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     # Longest operators first, so that ":=" is not read as ":", "=".
-    r"|(?P<op>%s)" % "|".join(
+    r"|(?P<op>%s)|(?P<bad>.)" % "|".join(
         map(re.escape, sorted(_OPS, key=lambda op: (-len(op), op)))))
 
 
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[i], line, col)
+    line, last_nl = 1, -1
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "name":
-            tokens.append(("name", value, line, col))
-        elif kind == "op":
-            tokens.append(("op", value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        i = m.end()
-    tokens.append(("eof", "", line, col))
+        if kind == "name" or kind == "op":
+            tokens.append((kind, m.group(), line, m.start() - last_nl))
+        elif kind == "nl":
+            line += 1
+            last_nl = m.start()
+        elif kind == "bad":
+            raise ParseError("unexpected character %r" % m.group(), line,
+                             m.start() - last_nl)
+    tokens.append(("eof", "", line, len(text) - last_nl))
     return tokens
 
 
@@ -124,11 +118,12 @@ class Parser:
             if self.at(")"):
                 self.next()
                 return UnitTuple()
-            left = self.parse_term()
-            self.expect(",")
-            right = self.parse_term()
-            self.expect(")")
-            return Pair(left, right)
+            t = self.parse_term()
+            if self.at(","):
+                self.next()
+                t = Pair(t, self.parse_term())
+            self.expect(")")  # without a ",", grouping parentheses
+            return t
         if tok[0] == "name" and tok[1] not in RESERVED:
             self.next()
             name = tok[1]
@@ -242,21 +237,10 @@ class Parser:
     def _parse_primary(self):
         tok = self.peek()
         pos = (tok[2], tok[3])
-        if tok[1] == "!":
+        word = tok[1]
+        if word == "!":
             self.next()
             return S.Neg(self._parse_primary(), pos)
-        # A rewrite rule: term "->" rulebody.
-        saved = self.i
-        try:
-            lhs = self.parse_term()
-            if self.at("->"):
-                self.next()
-                body = self._parse_rulebody()
-                return S.Rule(lhs, body, pos)
-            self.i = saved
-        except ParseError:
-            self.i = saved
-        word = tok[1]
         if word in S.KEYWORDS:
             cls, kinds = S.KEYWORDS[word]
             self.next()
@@ -266,28 +250,24 @@ class Parser:
                 args.append(_PARSE_ARG[kind](self))
             if kinds:
                 self.expect(")")
-            return cls(*args, pos)
-        if word == "(":
+            node = cls(*args, pos)
+        elif word == "(":
             self.next()
             if self.at(")"):
                 self.next()
-                return S.CongUnit(pos)
-            inner = self.parse_strat()
-            if self.at(","):
-                self.next()
-                right = self.parse_strat()
+                node = S.CongUnit(pos)
+            else:
+                node = self.parse_strat()
+                if self.at(","):
+                    self.next()
+                    node = S.CongPair(node, self.parse_strat(), pos)
+                elif self.at(":"):
+                    # "(" strat ":" stype ")" — annotation, as printed by
+                    # the elaborator.
+                    self.next()
+                    node = S.Annot(node, self.parse_stype(), pos)
                 self.expect(")")
-                return S.CongPair(inner, right, pos)
-            if self.at(":"):
-                # "(" strat ":" stype ")" — annotation, as printed by the
-                # elaborator.
-                self.next()
-                st = self.parse_stype()
-                self.expect(")")
-                return S.Annot(inner, st, pos)
-            self.expect(")")
-            return inner
-        if tok[0] == "name" and word not in RESERVED:
+        elif tok[0] == "name" and word not in RESERVED:
             self.next()
             type_args = ()
             if self.at("["):
@@ -298,9 +278,15 @@ class Parser:
                 self.next()
                 args = self.sep_list(self.parse_strat, close=")")
             # Congruence vs call vs parameter is settled by the checker.
-            return S.Call(word, type_args, args, pos)
-        raise ParseError("expected a strategy, got %r" % (word or "end of input"),
-                         tok[2], tok[3])
+            node = S.Call(word, type_args, args, pos)
+        else:
+            raise ParseError("expected a strategy, got %r"
+                             % (word or "end of input"), tok[2], tok[3])
+        if self.at("->"):
+            # A rewrite rule, whose left-hand side was read as a congruence.
+            self.next()
+            return S.Rule(_as_term(node), self._parse_rulebody(), pos)
+        return node
 
     def _parse_rulebody(self):
         result = self.parse_term()
@@ -394,6 +380,19 @@ class Parser:
                 raise ParseError("expected a declaration, got %r"
                                  % (word or "end of input"), tok[2], tok[3])
         return main
+
+
+def _as_term(s):
+    """The term that the congruence `s` spells, as a rule's left-hand side."""
+    if isinstance(s, S.Call) and not s.type_args:
+        if s.args:
+            return FunApp(s.name, tuple(map(_as_term, s.args)))
+        return Var(s.name)
+    if isinstance(s, S.CongUnit):
+        return UnitTuple()
+    if isinstance(s, S.CongPair):
+        return Pair(_as_term(s.left), _as_term(s.right))
+    raise ParseError("a rule's left-hand side must be a term", *s.pos)
 
 
 # How Parser reads each argument kind of a keyword form (S.KEYWORDS).

@@ -95,8 +95,6 @@ def _render(s):
         return "!%s" % render_strat(s.arg, 5), 4
     if isinstance(s, S.CongCon):
         return s.name, 5
-    if isinstance(s, S.CongFun):
-        return "%s(%s)" % (s.name, ",".join(render_strat(a, 1) for a in s.args)), 5
     if isinstance(s, S.CongUnit):
         return "()", 5
     if isinstance(s, S.CongPair):
@@ -105,12 +103,17 @@ def _render(s):
         return "(%s : %r)" % (render_strat(s.arg, 1), s.stype), 5
     if isinstance(s, S.ParamRef):
         return s.name, 5
-    if isinstance(s, S.Call):
+    if isinstance(s, (S.CongFun, S.Call)):
         text = s.name
-        if s.type_args:
+        if isinstance(s, S.Call) and s.type_args:
             text += "[%s]" % ",".join(map(repr, s.type_args))
         if s.args:
-            text += "(%s)" % ",".join(render_strat(a, 1) for a in s.args)
+            # A loop, not a generator, so that a level of nesting costs
+            # one frame, as in render_term.
+            args = []
+            for a in s.args:
+                args.append(render_strat(a, 1))
+            text += "(%s)" % ",".join(args)
         return text, 5
     raise TypeError("not a strategy: %r" % (s,))
 

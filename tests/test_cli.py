@@ -289,6 +289,16 @@ def test_run_300_deep_term(capcli, write, main, depth):
     assert out == nat_text(depth) + "\n"
 
 
+def test_elaborate_prints_a_300_deep_congruence(capcli, write):
+    # The printer renders a congruence's arguments in a loop, one frame a
+    # level, so elaborate prints as deep as check reaches.
+    main = "succ(" * 300 + "id" + ")" * 300
+    f = write("cong.strat", TD_PROGRAM + "main = %s;" % main)
+    code, out, err = capcli("elaborate", f)
+    assert (code, err) == (0, "")
+    assert out.endswith("main = %s;\n" % main)
+
+
 def test_library_rejects_what_the_cli_rejects(capcli, write):
     # apply_strategy takes the CLI's checking pass, context checks included.
     text = ("sort Nat; con zero : Nat; con zero : Nat;\n"

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 import stratcalc as sc
 from stratcalc import errors as E
 from stratcalc import syntax as S
-from stratcalc.parser import RESERVED
+from stratcalc.cli import main as cli_main
+from stratcalc.parser import RESERVED, Parser, tokenize
 from stratcalc.printer import render_strat
 from stratcalc.terms import Constant, FunApp, Pair, Term, UnitTuple, Var
 
@@ -146,6 +147,81 @@ def test_render_term_examples():
 def test_comments_ignored():
     p = sc.parse_program("# a comment\nmain = id; # trailing\n")
     assert p.main == S.Id()
+
+
+def test_tokens_and_positions_across_odd_whitespace():
+    # Tabs, "\r", "\x0b" and U+3000 are one column each; only "\n" ends a
+    # line. A comment may end the file without a newline.
+    text = "sort\tNat;\r\ncon zero\x0b: Nat;\n\u3000\tmain =\x0bid;  # end"
+    assert tokenize(text) == [
+        ("name", "sort", 1, 1), ("name", "Nat", 1, 6), ("op", ";", 1, 9),
+        ("name", "con", 2, 1), ("name", "zero", 2, 5), ("op", ":", 2, 10),
+        ("name", "Nat", 2, 12), ("op", ";", 2, 15),
+        ("name", "main", 3, 3), ("op", "=", 3, 8), ("name", "id", 3, 10),
+        ("op", ";", 3, 12), ("eof", "", 3, 20)]
+    for bad, line, col, char in [("main =\r\n\t id $ ;", 2, 6, "'$'"),
+                                 ("con z\u3000\u00e9 : N;", 1, 7, "'\u00e9'")]:
+        with pytest.raises(E.ParseError) as exc:
+            tokenize(bad)
+        e = exc.value
+        assert (e.line, e.col, e.message) == (
+            line, col, "unexpected character " + char)
+
+
+NESTED = {
+    "call": lambda n: "Try(" * n + "id" + ")" * n,
+    "congruence": lambda n: "succ(" * n + "id" + ")" * n,
+    "pair-rule": lambda n: "(" * n + "N" + ",N)" * n + " -> N",
+    "function-rule": lambda n: "succ(" * n + "N" + ")" * n + " -> N",
+}
+
+
+@pytest.mark.parametrize("depth", [50, 100])
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_each_token_is_read_once(monkeypatch, shape, depth):
+    text = "main = %s;" % NESTED[shape](depth)
+    reads, errors = [], []
+    next_token, init = Parser.next, E.ParseError.__init__
+
+    def counting_next(self):
+        reads.append(self.i)
+        return next_token(self)
+
+    def counting_init(self, *args):
+        errors.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Parser, "next", counting_next)
+    monkeypatch.setattr(E.ParseError, "__init__", counting_init)
+    sc.parse_program(text)
+    assert errors == []
+    assert reads == list(range(len(tokenize(text)) - 1))
+
+
+LHS_HEADER = "sort Nat; con x : Nat; fun f : Nat -> Nat; var N : Nat;\n"
+
+
+def test_grouping_parentheses_in_terms(nat_tree_ctx):
+    assert (sc.parse_term("succ((zero))", nat_tree_ctx)
+            == sc.parse_term("succ(zero)", nat_tree_ctx))
+    grouped = sc.parse_program(LHS_HEADER + "main = f((N)) -> N;").main
+    plain = sc.parse_program(LHS_HEADER + "main = f(N) -> N;").main
+    assert grouped == plain and repr(grouped) == repr(plain)
+    assert plain.lhs == FunApp("f", (Var("N"),))
+
+
+@pytest.mark.parametrize("main,col", [("id -> x", 8), ("f[Nat](N) -> N", 8),
+                                      ("f(id) -> N", 10),
+                                      ("(id : TP) -> x", 8)])
+def test_left_hand_side_that_is_not_a_term(main, col, tmp_path, capsys):
+    text = LHS_HEADER + "main = %s;" % main
+    with pytest.raises(E.ParseError) as exc:
+        sc.parse_program(text)
+    assert (exc.value.line, exc.value.col) == (2, col)
+    path = tmp_path / "lhs.strat"
+    path.write_text(text)
+    assert cli_main(["check", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("parse error at 2:%d: " % col)
 
 
 # -- round trips ------------------------------------------------------------

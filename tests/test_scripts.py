@@ -38,9 +38,16 @@ def test_request_digest_lines():
     assert {line[0] for line in lines} == {"traverse", "normalize", "oneshot",
                                            "probes"}
     for group, cls, mode, rc, out, err in lines:
-        assert mode in ("plain", "trace")
+        assert mode in ("parse", "plain", "trace")
         assert rc in ("0", "1", "2", "3", "4", "5", "6"), (group, cls, rc)
         assert len(out) == len(err) == 16
+    # Every request has one parse line, right before its plain line.
+    assert lines[0][2] == "parse"
+    for before, line in zip(lines, lines[1:]):
+        assert (line[2] == "plain") == (before[2] == "parse")
+        if line[2] == "plain":
+            assert before[:2] == line[:2]
+            assert before[3] in ("0", "2", "4", "6")
     # Every `run` request is also digested with --trace, right after.
     runs = [(g, c) for g, c, mode, *_ in lines if mode == "trace"]
     assert runs
