@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Report the lines of stratcalc's functions that a pytest run never runs.
+
+A `sys.settrace` line tracer watches the modules in src/stratcalc/ while
+pytest runs in this process. The tracer is armed before the session and
+again before every test call, since a test or a plugin may replace it.
+After the run the script prints, for each module, its executable lines
+inside function bodies (methods, lambdas and comprehensions included)
+that never ran:
+
+    <module>: <not run> of <executable> lines not run
+      <line>,<line>,...
+
+Module and class bodies run at import and are not counted. Python drops
+a tracer that raises, as it does at the recursion limit, so the script
+then names the tests during which tracing stopped; lines those tests ran
+after that point count as not run. The exit code is pytest's.
+
+Usage: python3 scripts/line_coverage.py [pytest arguments, default: tests]
+"""
+
+import inspect
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "stratcalc")
+
+
+def function_lines(path):
+    """The lines of every function body in the module at path."""
+    with open(path, encoding="utf-8") as f:
+        code = compile(f.read(), path, "exec")
+    lines, todo = set(), [code]
+    while todo:
+        co = todo.pop()
+        if co is not code and co.co_flags & inspect.CO_OPTIMIZED:
+            lines.update(line for _, _, line in co.co_lines()
+                         if line is not None)
+        todo.extend(c for c in co.co_consts if inspect.iscode(c))
+    return lines
+
+
+class LineTracer:
+    def __init__(self, paths):
+        self.hits = {path: set() for path in paths}
+        self.lost = []  # tests during which the tracer was dropped
+        self._files = {}  # co_filename -> its hit set, or None
+
+    def _hits_for(self, filename):
+        try:
+            return self._files[filename]
+        except KeyError:
+            hit = self.hits.get(os.path.realpath(filename))
+            self._files[filename] = hit
+            return hit
+
+    def __call__(self, frame, event, arg):
+        hit = self._hits_for(frame.f_code.co_filename)
+        if hit is None:
+            return None
+        hit.add(frame.f_code.co_firstlineno)  # the call runs its def line
+
+        def local(frame, event, arg):
+            if event == "line":
+                hit.add(frame.f_lineno)
+            return local
+        return local
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_call(self, item):
+        sys.settrace(self)
+        yield
+        if sys.gettrace() is not self:
+            self.lost.append(item.nodeid)
+
+
+def main(argv):
+    paths = sorted(os.path.realpath(os.path.join(PACKAGE, name))
+                   for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    tracer = LineTracer(paths)
+    sys.settrace(tracer)
+    try:
+        code = pytest.main(argv or [os.path.join(ROOT, "tests")],
+                           plugins=[tracer])
+    finally:
+        sys.settrace(None)
+    for path in paths:
+        lines = function_lines(path)
+        missed = sorted(lines - tracer.hits[path])
+        print("%s: %d of %d lines not run"
+              % (os.path.basename(path), len(missed), len(lines)))
+        if missed:
+            print("  " + ",".join(map(str, missed)))
+    if tracer.lost:
+        # Python drops a tracer that raises, as one does at the recursion
+        # limit; lines these tests ran after that are reported as not run.
+        print("tracing stopped early in %d tests:" % len(tracer.lost))
+        for nodeid in tracer.lost:
+            print("  " + nodeid)
+    return int(code)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

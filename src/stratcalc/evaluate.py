@@ -63,7 +63,7 @@ class _Scope:
                     "no definition for combinator %s" % name)
             body = self.instances[name, type_args] = _Scope(
                 self.defs, self.st, self.trace, self.instances,
-                dict(zip(d.type_params, type_args)),
+                dict(zip(d.ctype.type_params, type_args)),
                 {p: i for i, p in enumerate(d.params)}).compile(d.body)
         return body
 
@@ -106,10 +106,8 @@ def _emit(st, prefix, t, r):
 
 
 def _rule(sc, s):
-    lhs, body, steps = s.lhs, s.body, []
-    while isinstance(body, S.Where):
-        steps.append((body.var, body.arg, sc.compile(body.strat)))
-        body = body.rest
+    lhs, rhs = s.lhs, s.rhs
+    steps = [(w.var, w.arg, sc.compile(w.strat)) for w in s.where]
 
     def rule(t, env):
         theta = match(lhs, t)
@@ -120,7 +118,7 @@ def _rule(sc, s):
             if r is None:
                 return None
             theta[var] = r  # theta is this application's own match
-        return substitute(theta, body.term)
+        return substitute(theta, rhs)
     return rule
 
 

@@ -285,24 +285,21 @@ class Parser:
         if self.at("->"):
             # A rewrite rule, whose left-hand side was read as a congruence.
             self.next()
-            return S.Rule(_as_term(node), self._parse_rulebody(), pos)
+            return S.Rule(_as_term(node), *self._parse_rulebody(), pos)
         return node
 
     def _parse_rulebody(self):
-        result = self.parse_term()
-        clauses = []
+        """A rule's right-hand side and its where-clauses."""
+        rhs = self.parse_term()
+        where = []
         while self.at("where"):
             self.next()
             var = self.expect_name()
             self.expect(":=")
             strat = self.parse_strat()
             self.expect("@")
-            arg = self.parse_term()
-            clauses.append((var, strat, arg))
-        body = S.Result(result)
-        for var, strat, arg in reversed(clauses):
-            body = S.Where(var, strat, arg, body)
-        return body
+            where.append(S.Where(var, strat, self.parse_term()))
+        return rhs, tuple(where)
 
     # -- items --------------------------------------------------------------
 
@@ -367,8 +364,8 @@ class Parser:
                         "definition %s declares %d parameters but its type has %d "
                         "argument types" % (name, len(params), len(ctype.arg_types)),
                         pos[0], pos[1])
-                definitions[name] = S.Definition(name, tparams, params, ctype,
-                                                 body, pos)
+                definitions[name] = S.Definition(name, params, ctype, body,
+                                                 pos)
                 ctx.declare_combinator(name, ctype, pos)
             elif word == "main":
                 self.next()

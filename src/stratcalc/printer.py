@@ -79,18 +79,13 @@ def _render(s):
                 text += ", %r" % (getattr(s, name),)
         return "%s(%s)" % (word, text.lstrip(", ")), 5
     if isinstance(s, S.Rule):
-        body = s.body
-        clauses = []
-        while isinstance(body, S.Where):
-            clauses.append(" where %s := %s @ %s"
-                           % (body.var, render_strat(body.strat, 1),
-                              render_term(body.arg)))
-            body = body.rest
-        text = "%s -> %s%s" % (render_term(s.lhs), render_term(body.term),
-                               "".join(clauses))
+        text = "%s -> %s" % (render_term(s.lhs), render_term(s.rhs))
+        for w in s.where:
+            text += " where %s := %s @ %s" % (
+                w.var, render_strat(w.strat, 1), render_term(w.arg))
         # A where-clause strategy would swallow a following operator, so
         # such rules always get parentheses in operator context.
-        return text, 5 if not clauses else 0
+        return text, 0 if s.where else 5
     if isinstance(s, S.Neg):
         return "!%s" % render_strat(s.arg, 5), 4
     if isinstance(s, S.CongCon):
@@ -154,8 +149,8 @@ def render_program(program, skip_defs=()):
         if name in skip_decl:
             continue
         head = "def %s" % name
-        if d.type_params:
-            head += "[%s]" % ",".join(d.type_params)
+        if d.ctype.type_params:
+            head += "[%s]" % ",".join(d.ctype.type_params)
         if d.params:
             head += "(%s)" % ",".join(d.params)
         lines.append("%s : %s = %s;" % (head, render_ctype(d.ctype),

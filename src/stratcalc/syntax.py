@@ -19,8 +19,10 @@ def _posfield():
 
 @dataclass(frozen=True)
 class Rule(StrategyExpr):
+    """lhs -> rhs where var1 := strat1 @ arg1 ... (clauses in source order)."""
     lhs: object  # Term
-    body: object  # RuleBody
+    rhs: object  # Term
+    where: tuple = ()  # of Where
     pos: tuple = _posfield()
 
 
@@ -221,16 +223,11 @@ KEYWORDS = {
 }
 
 
-# Rule bodies ---------------------------------------------------------------
+# Where-clauses -------------------------------------------------------------
 
 
-class RuleBody:
+class RuleBody:  # kept as a base: bench/layers.core_nodes walks by it
     pass
-
-
-@dataclass(frozen=True)
-class Result(RuleBody):
-    term: object  # Term
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,6 @@ class Where(RuleBody):
     var: str
     strat: StrategyExpr
     arg: object  # Term
-    rest: RuleBody
 
 
 # Programs ------------------------------------------------------------------
@@ -247,9 +243,8 @@ class Where(RuleBody):
 @dataclass(frozen=True)
 class Definition:
     name: str
-    type_params: tuple  # of str
     params: tuple  # of str
-    ctype: object  # CombinatorType
+    ctype: object  # CombinatorType, which holds the type parameters
     body: StrategyExpr
     pos: tuple = _posfield()
 

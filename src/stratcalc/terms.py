@@ -255,28 +255,32 @@ def check_context(ctx):
     """Return a list of diagnostics; empty means the context is well-formed."""
     diags = []
     seen = {"sort": set(), "symbol": set()}
+    where = {}  # symbol -> position of its last declaration
     for kind, name, pos in ctx.decls:
         if name in seen[kind]:
             diags.append(DuplicateName("duplicate declaration of %s" % name, pos=pos))
         seen[kind].add(name)
+        if kind == "symbol":
+            where[name] = pos
 
-    def sort_known(s, what, pos):
+    def sort_known(s, what, name):
         if s.name not in ctx.sorts:
             diags.append(
                 UndeclaredSortInDecl(
-                    "%s mentions undeclared sort %s" % (what, s.name), pos=pos
+                    "%s %s mentions undeclared sort %s" % (what, name, s.name),
+                    pos=where.get(name),
                 )
             )
 
     for name, sort in ctx.constants.items():
-        sort_known(sort, "con %s" % name, None)
+        sort_known(sort, "con", name)
     for name, (arg_sorts, result) in ctx.functions.items():
         for s in arg_sorts:
-            sort_known(s, "fun %s" % name, None)
-        sort_known(result, "fun %s" % name, None)
+            sort_known(s, "fun", name)
+        sort_known(result, "fun", name)
     for name, tt in ctx.term_vars.items():
         for s in _sorts_in_term_type(tt):
-            sort_known(s, "var %s" % name, None)
+            sort_known(s, "var", name)
     return diags
 
 

@@ -308,8 +308,26 @@ def _type_of(ctx, s):
     if isinstance(s, S.Rule):
         lhs = tag_term(ctx, s.lhs)
         bound = term_vars(lhs, set())
-        tau_r, body = type_and_core_of_body(ctx, s.body, bound, pos)
-        return Arrow(lhs.tag, tau_r), S.Rule(lhs, body, pos)
+        where = []
+        for w in s.where:
+            pi_s, strat = type_and_core(ctx, w.strat)
+            arg = tag_term(ctx, w.arg, bound)
+            if w.var in bound:
+                raise UnknownName("where-clause rebinds variable %s" % w.var,
+                                  pos=pos)
+            declared = ctx.term_vars.get(w.var)
+            if declared is None:
+                raise UnknownName("where-bound variable %s is not declared"
+                                  % w.var, pos=pos)
+            tau_x = apply_type(ctx, pi_s, arg.tag, pos)
+            if declared != tau_x:
+                raise TypeError_(
+                    "where-clause binds %s : %r but the variable is declared %r"
+                    % (w.var, tau_x, declared), pos=pos, rule="apply")
+            bound.add(w.var)
+            where.append(S.Where(w.var, strat, arg))
+        rhs = tag_term(ctx, s.rhs, bound)
+        return Arrow(lhs.tag, rhs.tag), S.Rule(lhs, rhs, tuple(where), pos)
     if isinstance(s, S.Seq):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
@@ -509,37 +527,13 @@ def _type_of(ctx, s):
     raise TypeError("not a strategy: %r" % (s,))
 
 
-def type_and_core_of_body(ctx, body, bound, pos=None):
-    """Check a rule body whose terms may use the variables in bound, and
-    return (its result type, its elaborated core)."""
-    if isinstance(body, S.Result):
-        term = tag_term(ctx, body.term, bound)
-        return term.tag, S.Result(term)
-    pi_s, strat = type_and_core(ctx, body.strat)
-    arg = tag_term(ctx, body.arg, bound)
-    if body.var in bound:
-        raise UnknownName("where-clause rebinds variable %s" % body.var,
-                          pos=pos)
-    declared = ctx.term_vars.get(body.var)
-    if declared is None:
-        raise UnknownName("where-bound variable %s is not declared"
-                          % body.var, pos=pos)
-    tau_x = apply_type(ctx, pi_s, arg.tag, pos)
-    if declared != tau_x:
-        raise TypeError_(
-            "where-clause binds %s : %r but the variable is declared %r"
-            % (body.var, tau_x, declared), pos=pos, rule="apply")
-    tau, rest = type_and_core_of_body(ctx, body.rest, bound | {body.var}, pos)
-    return tau, S.Where(body.var, strat, arg, rest)
-
-
 # ---------------------------------------------------------------------------
 # Program checking
 
 
 def check_definition(ctx, d):
     """Check d in its own scope; return d with its body elaborated."""
-    sub = ctx.with_params(d.type_params,
+    sub = ctx.with_params(d.ctype.type_params,
                           dict(zip(d.params, d.ctype.arg_types)))
     for at in d.ctype.arg_types:
         wf_strategy_type(sub, at, d.pos)
@@ -550,7 +544,7 @@ def check_definition(ctx, d):
             "body of %s has type %r, declared %r"
             % (d.name, body_type, d.ctype.result_type),
             pos=d.pos, rule="def.3")
-    return S.Definition(d.name, d.type_params, d.params, d.ctype, body, d.pos)
+    return S.Definition(d.name, d.params, d.ctype, body, d.pos)
 
 
 def check_and_elaborate(program):

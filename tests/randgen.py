@@ -38,7 +38,7 @@ PRESERVE = Amp(NN, TT)
 
 
 def _rule(lhs, rhs):
-    return S.Rule(lhs, S.Result(rhs))
+    return S.Rule(lhs, rhs)
 
 
 def _v(name):

@@ -127,7 +127,12 @@ def _eval_node(st, s, t, env):
         theta = match(s.lhs, t)
         if theta is None:
             return None
-        return _eval_rule_body(st, s.body, theta, env)
+        for w in s.where:
+            r = _eval(st, w.strat, substitute(theta, w.arg), env)
+            if r is None:
+                return None
+            theta[w.var] = r
+        return substitute(theta, s.rhs)
     if isinstance(s, S.Seq):
         mid = _eval(st, s.left, t, env)
         if mid is None:
@@ -248,7 +253,7 @@ def _eval_node(st, s, t, env):
                   if isinstance(a, S.ParamRef) else (a, env)
                   for p, a in zip(d.params, s.args)}
         types = {p: _substitute_type_vars(env.types, ta)
-                 for p, ta in zip(d.type_params, s.type_args)}
+                 for p, ta in zip(d.ctype.type_params, s.type_args)}
         return _eval(st, d.body, t, Env(strats, types))
     raise TypeError("not a strategy: %r" % (s,))
 
@@ -258,18 +263,6 @@ def _rebuild(t, new_children):
     if isinstance(t, FunApp):
         return FunApp(t.name, tuple(new_children), t.tag)
     return Pair(new_children[0], new_children[1], t.tag)
-
-
-def _eval_rule_body(st, body, theta, env):
-    if isinstance(body, S.Result):
-        return substitute(theta, body.term)
-    u = substitute(theta, body.arg)
-    r = _eval(st, body.strat, u, env)
-    if r is None:
-        return None
-    theta = dict(theta)
-    theta[body.var] = r
-    return _eval_rule_body(st, body.rest, theta, env)
 
 
 def run_reference(program, t, cfg=None):

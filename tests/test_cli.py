@@ -299,6 +299,26 @@ def test_elaborate_prints_a_300_deep_congruence(capcli, write):
     assert out.endswith("main = %s;\n" % main)
 
 
+@pytest.mark.parametrize("command", ["check", "run", "elaborate"])
+def test_rule_with_1200_where_clauses(capcli, write, command):
+    # A rule holds its where-clauses in a flat tuple, so no layer recurses
+    # on their number.
+    n = 1200
+    decls = "".join("var X%d : Nat;\n" % i for i in range(n))
+    args = ["N"] + ["X%d" % i for i in range(n - 1)]
+    clauses = "".join(" where X%d := id @ %s" % (i, a)
+                      for i, a in enumerate(args))
+    main = "N -> X%d%s" % (n - 1, clauses)
+    f = write("where.strat",
+              "sort Nat; con zero : Nat; var N : Nat;\n%smain = %s;\n"
+              % (decls, main))
+    code, out, err = capcli(command, f, *(["--term", "zero"]
+                                         if command == "run" else []))
+    assert (code, err) == (0, "")
+    assert out.endswith({"check": "Nat -> Nat\n", "run": "zero\n",
+                         "elaborate": "main = %s;\n" % main}[command])
+
+
 def test_library_rejects_what_the_cli_rejects(capcli, write):
     # apply_strategy takes the CLI's checking pass, context checks included.
     text = ("sort Nat; con zero : Nat; con zero : Nat;\n"
@@ -371,6 +391,67 @@ def test_name_diagnostics(capcli, write, text, term, want):
     f = write("names.strat", DIAG_HEADER + text + "\n")
     argv = ("check", f) if term is None else ("run", f, "--term", term)
     assert capcli(*argv) == (2, "", want + "\n")
+
+
+def test_context_diagnostics_name_their_declaration(capcli, write):
+    f = write("ctx.strat", "sort Nat;\ncon a : Bogus;\n"
+              "fun f : Nat * Bogus -> Nat;\nvar X : (Nat, Bogus);\n"
+              "main = id;\n")
+    assert capcli("check", f) == (2, "", (
+        "ERROR ctx at 2:1: con a mentions undeclared sort Bogus\n"
+        "ERROR ctx at 3:1: fun f mentions undeclared sort Bogus\n"
+        "ERROR ctx at 4:1: var X mentions undeclared sort Bogus\n"))
+
+
+RULE_HEADER = DIAG_HEADER.replace("var N1 : Nat;",
+                                  "var N1 : Nat; var N2 : Nat;")
+
+# (main's strategy after RULE_HEADER, exit code, the whole output): each
+# typing rule that no other test rejects, and one pair congruence it
+# accepts. A function congruence's argument types come from the function's
+# declaration, so `succ(id)` checks; a pair congruence's come from its
+# components alone, so each must be many-sorted.
+TYPING_RULES = [
+    ("((N -> succ(N)) & (T1 -> T1)) ; ((T1 -> T1) & ((N1,N2) -> (N1,N2)))",
+     2, "ERROR comp.6 at 2:8: no overloaded branch of Tree -> Tree & "
+        "(Nat,Nat) -> (Nat,Nat) accepts Nat"),
+    ("succ(void)", 2, "ERROR cong.2 at 2:8: argument 1 of congruence succ "
+                      "must admit Nat -> Nat, has TU(())"),
+    ("(id, id)", 2, "ERROR cong.4 at 2:8: pair congruence needs many-sorted "
+                    "components, has TP and TP"),
+    ("(restrict(id, Nat -> Nat), restrict(id, Nat -> Nat))", 0,
+     "(Nat,Nat) -> (Nat,Nat)"),
+    ("reduce(id, id)", 2, "ERROR red at 2:8: reduce needs a type-unifying "
+                          "child strategy, has TP"),
+    ("select(id)", 2, "ERROR sel at 2:8: select needs a type-unifying "
+                      "argument, has TP"),
+    ("id <& id", 2, "ERROR extend at 2:8: left operand of <& must be "
+                    "many-sorted, has TP"),
+    ("(N -> succ(N)) <& (T1 -> T1)", 2,
+     "ERROR extend at 2:8: Nat -> Nat is not an instance of Tree -> Tree"),
+    ("guard(Nat, Nat -> Nat)", 2,
+     "ERROR extend at 2:8: Nat -> Nat is not an instance of Nat -> Nat"),
+]
+
+
+@pytest.mark.parametrize("main,code,want", TYPING_RULES,
+                         ids=[main for main, _, _ in TYPING_RULES])
+def test_typing_rule_outcomes(capcli, write, main, code, want):
+    f = write("rule.strat", RULE_HEADER + "main = %s;\n" % main)
+    out, err = (want + "\n", "") if code == 0 else ("", want + "\n")
+    assert capcli("check", f) == (code, out, err)
+
+
+def test_definition_parameters_must_match_its_type(capcli, write):
+    f = write("params.strat", RULE_HEADER + "def F(v) : TP = id;\n")
+    assert capcli("check", f) == (4, "", (
+        "parse error at 2:1: definition F declares 1 parameters but its "
+        "type has 0 argument types\n"))
+
+
+def test_run_needs_a_term(capcli, write):
+    f = write("id.strat", RULE_HEADER + "main = id;\n")
+    assert capcli("run", f) == (2, "", "run needs --term\n")
 
 
 # -- no input ends in a traceback ------------------------------------------

@@ -11,7 +11,7 @@ from stratcalc.terms import Arrow, FunApp, TP_TYPE, Var, types_equal
 from randgen import Gen, NAT, NN
 
 
-INC = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
+INC = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
 
 
 def test_desugar_lchoice(nat_tree_ctx):

@@ -21,9 +21,9 @@ from stratcalc.terms import (
 )
 
 from conftest import num
-from randgen import NAT, NN, TREE
+from randgen import NAT, NN, TREE, TT
 
-INC = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
+INC = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
 EXT_INC = S.Extend(S.Annot(INC, NN), TP_TYPE)
 
 LEAF0 = FunApp("leaf", (Constant("zero"),))
@@ -41,7 +41,7 @@ def test_rule_match_and_substitute(nat_tree_ctx):
 
 
 def test_rule_no_match_fails(nat_tree_ctx):
-    dec = S.Rule(FunApp("succ", (Var("N"),)), S.Result(Var("N")))
+    dec = S.Rule(FunApp("succ", (Var("N"),)), Var("N"))
     assert ev(nat_tree_ctx, dec, Constant("zero")) == FAILURE
 
 
@@ -63,8 +63,7 @@ def test_seq_threads_and_propagates_failure(nat_tree_ctx):
 
 
 def test_choice_left_first(nat_tree_ctx):
-    double = S.Rule(Var("N"), S.Result(FunApp("succ",
-                                              (FunApp("succ", (Var("N"),)),))))
+    double = S.Rule(Var("N"), FunApp("succ", (FunApp("succ", (Var("N"),)),)))
     assert ev(nat_tree_ctx, S.Choice(INC, double), Constant("zero")) == Ok(num(1))
     assert ev(nat_tree_ctx, S.Choice(S.Fail(), INC), Constant("zero")) == Ok(num(1))
 
@@ -108,7 +107,7 @@ def test_one_leftmost_and_fails_on_constants(nat_tree_ctx):
 
 
 def test_select_first_succeeding_child(nat_tree_ctx):
-    pick_nat = S.Extend(S.Annot(S.Rule(Var("N"), S.Result(Var("N"))), NN),
+    pick_nat = S.Extend(S.Annot(S.Rule(Var("N"), Var("N")), NN),
                         TU(NAT))
     got = ev(nat_tree_ctx, S.Select(pick_nat), LEAF1)
     assert got == Ok(num(1))
@@ -117,16 +116,16 @@ def test_select_first_succeeding_child(nat_tree_ctx):
 
 def test_reduce_folds_left_to_right(nat_tree_ctx):
     to_nat = S.Extend(S.Annot(S.Rule(FunApp("leaf", (Var("N"),)),
-                                     S.Result(Var("N"))),
+                                     Var("N")),
                               Arrow(sc.Sort("Tree"), NAT)), TU(NAT))
-    first = S.Rule(Pair(Var("N1"), Var("N2")), S.Result(Var("N1")))
+    first = S.Rule(Pair(Var("N1"), Var("N2")), Var("N1"))
     got = ev(nat_tree_ctx, S.Reduce(first, to_nat), TREE7)
     assert got == Ok(num(0))
-    second = S.Rule(Pair(Var("N1"), Var("N2")), S.Result(Var("N2")))
+    second = S.Rule(Pair(Var("N1"), Var("N2")), Var("N2"))
     assert ev(nat_tree_ctx, S.Reduce(second, to_nat), TREE7) == Ok(num(1))
     # single child: no composer application (an always-failing composer
     # still succeeds)
-    keep_nat = S.Extend(S.Annot(S.Rule(Var("N"), S.Result(Var("N"))), NN),
+    keep_nat = S.Extend(S.Annot(S.Rule(Var("N"), Var("N")), NN),
                         TU(NAT))
     never = S.Seq(S.Restrict(S.Fail(), Arrow(sc.PairType(NAT, NAT),
                                              sc.PairType(NAT, NAT))), first)
@@ -134,6 +133,14 @@ def test_reduce_folds_left_to_right(nat_tree_ctx):
     # constants fail
     assert ev(nat_tree_ctx, S.Reduce(first, to_nat), Constant("zero")) == \
         FAILURE
+
+
+def test_reduce_fails_when_its_composer_does(nat_tree_ctx):
+    to_nat = S.Extend(S.Annot(S.Rule(FunApp("leaf", (Var("N"),)), Var("N")),
+                              Arrow(sc.Sort("Tree"), NAT)), TU(NAT))
+    # (succ(N1), N2) -> N1 fails on the leaves' values, (zero, succ(zero))
+    never = S.Rule(Pair(FunApp("succ", (Var("N1"),)), Var("N2")), Var("N1"))
+    assert ev(nat_tree_ctx, S.Reduce(never, to_nat), TREE7) == FAILURE
 
 
 def test_spawn_pairs_results_short_circuit(nat_tree_ctx):
@@ -150,7 +157,7 @@ def test_extend_dispatch_by_tag(nat_tree_ctx):
 
 
 def test_extend_passes_inner_failure_through(nat_tree_ctx):
-    dec = S.Rule(FunApp("succ", (Var("N"),)), S.Result(Var("N")))
+    dec = S.Rule(FunApp("succ", (Var("N"),)), Var("N"))
     s = S.Extend(S.Annot(dec, NN), TP_TYPE)
     assert ev(nat_tree_ctx, s, Constant("zero")) == FAILURE
 
@@ -163,7 +170,7 @@ def test_restrict_and_annot_transparent(nat_tree_ctx):
 
 def test_amp_dispatches_on_sort(nat_tree_ctx):
     flip = S.Rule(FunApp("fork", (Var("T1"), Var("T2"))),
-                  S.Result(FunApp("fork", (Var("T2"), Var("T1")))))
+                  FunApp("fork", (Var("T2"), Var("T1"))))
     s = S.AmpS(INC, flip)
     assert ev(nat_tree_ctx, s, Constant("zero")) == Ok(num(1))
     assert ev(nat_tree_ctx, s, FunApp("fork", (LEAF0, LEAF1))) == \
@@ -175,8 +182,8 @@ def test_guard_succeeds_on_its_sort_only(nat_tree_ctx):
     assert ev(nat_tree_ctx, guard, num(2)) == Ok(num(2))
     assert ev(nat_tree_ctx, guard, LEAF0) == FAILURE
     # a sugared where-clause reaches the evaluator elaborated, too
-    body = S.Where("N1", guard, Constant("zero"), S.Result(Var("N1")))
-    assert ev(nat_tree_ctx, S.Rule(Constant("zero"), body),
+    where = (S.Where("N1", guard, Constant("zero")),)
+    assert ev(nat_tree_ctx, S.Rule(Constant("zero"), Var("N1"), where),
               Constant("zero")) == Ok(Constant("zero"))
 
 
@@ -186,7 +193,7 @@ def test_right_biased_overloading_commits_by_sort(nat_tree_ctx):
     assert ev(nat_tree_ctx, S.TRChoice(S.Id(), INC), LEAF0) == Ok(LEAF0)
     assert ev(nat_tree_ctx, S.TRChoice(S.Fail(), INC), LEAF0) == FAILURE
     # a failing s2 on its own sort does not fall back to s1
-    dec = S.Rule(FunApp("succ", (Var("N"),)), S.Result(Var("N")))
+    dec = S.Rule(FunApp("succ", (Var("N"),)), Var("N"))
     assert ev(nat_tree_ctx, S.TRChoice(S.Id(), dec), Constant("zero")) == \
         FAILURE
 
@@ -197,8 +204,9 @@ def test_ill_typed_input_is_engine_failure(nat_tree_ctx):
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "InternalTypeViolation"
     assert got.detail.startswith("runtime typing failed: ")
-    body = S.Where("N1", bad, Constant("zero"), S.Result(Var("N1")))
-    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), body), Constant("zero"))
+    where = (S.Where("N1", bad, Constant("zero")),)
+    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), Var("N1"), where),
+             Constant("zero"))
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "InternalTypeViolation"
 
@@ -279,8 +287,9 @@ def test_eval_body_add_step(problems):
 
 
 def test_eval_body_where_fail(nat_tree_ctx):
-    body = S.Where("N1", S.Fail(), Constant("zero"), S.Result(Var("N1")))
-    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), body), Constant("zero"))
+    where = (S.Where("N1", S.Fail(), Constant("zero")),)
+    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), Var("N1"), where),
+             Constant("zero"))
     assert got == FAILURE
 
 
@@ -290,6 +299,20 @@ def test_fuel_exhaustion(nat_tree):
                          sc.EvalConfig(fuel=100))
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "FuelExhausted"
+
+
+@pytest.mark.parametrize("main,term,detail", [
+    (S.ParamRef("v"), Constant("zero"), "unbound strategy parameter v"),
+    (S.AmpS(S.Annot(S.Id(), NN), S.Annot(S.Id(), TT)),
+     Pair(Constant("zero"), Constant("zero")),
+     "no overloaded branch accepts a term of type (Nat,Nat)"),
+])
+def test_core_the_checker_rejects_is_engine_failure(nat_tree_ctx, main,
+                                                     term, detail):
+    # run_program trusts its core; these two raises guard hand-built core.
+    got = sc.run_program(S.Program(nat_tree_ctx, {}, main),
+                         sc.tag_term(nat_tree_ctx, term))
+    assert got == sc.EngineFailure("InternalTypeViolation", detail)
 
 
 def test_trace_depth_resets_after_an_engine_failure():
@@ -450,11 +473,11 @@ ZERO = Constant("zero")
 @pytest.mark.parametrize("s,message", [
     (S.Call("Try", (), ()), "Try expects 1 arguments, got 0"),
     (S.Call("Try", (), (S.Id(), S.Id())), "Try expects 1 arguments, got 2"),
-    (S.Rule(Var("N"), S.Where("N", S.Id(), Var("N"), S.Result(Var("N")))),
+    (S.Rule(Var("N"), Var("N"), (S.Where("N", S.Id(), Var("N")),)),
      "where-clause rebinds variable N"),
-    (S.Rule(ZERO, S.Where("Qx", S.Id(), ZERO, S.Result(ZERO))),
+    (S.Rule(ZERO, ZERO, (S.Where("Qx", S.Id(), ZERO),)),
      "where-bound variable Qx is not declared"),
-    (S.Rule(ZERO, S.Result(Var("N"))), "variable N is not bound by the rule"),
+    (S.Rule(ZERO, Var("N")), "variable N is not bound by the rule"),
 ])
 def test_ill_formed_library_input_is_engine_failure(problems, s, message):
     # The checker rejects these before they run, as it does in source.

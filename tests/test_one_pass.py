@@ -14,7 +14,7 @@ from stratcalc.terms import FunApp, TP_TYPE, Var
 from conftest import program_path
 from randgen import NN
 
-INC = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
+INC = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
 BUDGET = 100000
 
 

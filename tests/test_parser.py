@@ -37,7 +37,8 @@ def test_fliptop_parses_to_rule_definition():
     body = p.definitions["FlipTop"].body
     assert isinstance(body, S.Rule)
     assert body.lhs == FunApp("fork", (Var("T1"), Var("T2")))
-    assert body.body == S.Result(FunApp("fork", (Var("T2"), Var("T1"))))
+    assert body.rhs == FunApp("fork", (Var("T2"), Var("T1")))
+    assert body.where == ()
     assert isinstance(p.main, S.Call) and p.main.name == "FlipTop"
 
 
@@ -97,10 +98,10 @@ def test_where_clause_parses_nested():
         "main = id;",
         "main = succ(N) -> succ(N1) where N1 := id @ N;")
     p = sc.parse_program(src)
-    body = p.main.body
+    (body,) = p.main.where
     assert isinstance(body, S.Where)
     assert body.var == "N1" and body.arg == Var("N")
-    assert body.rest == S.Result(FunApp("succ", (Var("N1"),)))
+    assert p.main.rhs == FunApp("succ", (Var("N1"),))
 
 
 def test_parse_error_carries_position():

@@ -23,6 +23,7 @@ from stratcalc.terms import (
 )
 from stratcalc.typecheck import apply_type, domains
 
+from conftest import NAT_TREE_HEADER
 from randgen import Gen
 
 seeds = st.integers(0, 10**9)
@@ -142,18 +143,35 @@ def test_all_id_and_one_fail(seed, nat_tree_ctx):
                              sc.EvalConfig()) == FAILURE
 
 
+# Boom : Nat -> Nat loops forever, so it runs out of fuel if invoked.
+BOOM = sc.parse_program(NAT_TREE_HEADER + "def Boom : Nat -> Nat = Boom;\n")
+
+
 @given(seed=seeds)
 def test_extension_safety(seed, nat_tree_ctx):
     # an extend whose inner strategy would loop forever if invoked:
     # out-of-domain terms must fail without touching it
     g = Gen(seed)
-    landmine = S.Call("Boom", (), ())  # unbound: invoking it errors out
     s = S.Extend(S.Annot(S.Seq(S.Rule(
-        sc.Var("N"), S.Result(sc.FunApp("succ", (sc.Var("N"),)))), S.Id()),
+        sc.Var("N"), sc.FunApp("succ", (sc.Var("N"),))), S.Id()),
         Arrow(sc.Sort("Nat"), sc.Sort("Nat"))), sc.TP_TYPE)
     t = tag_term(nat_tree_ctx, g.term(sc.Sort("Tree")))
     out = sc.apply_strategy(nat_tree_ctx, {}, s, t, sc.EvalConfig())
     assert out == FAILURE
+
+    def boom(s, t):
+        return sc.apply_strategy(BOOM.context, BOOM.definitions, s, t,
+                                 sc.EvalConfig(fuel=50))
+    landmine = S.Extend(S.Call("Boom", (), ()), sc.TP_TYPE)
+    assert boom(landmine, t) == FAILURE
+    # all reaches t's children, which are Nat under a leaf: the positive
+    # control that the landmine goes off in its domain
+    fuel_out = sc.EngineFailure("FuelExhausted",
+                                "fuel exhausted expanding Boom")
+    assert boom(S.All(landmine), t) == (
+        fuel_out if t.name == "leaf" else FAILURE)
+    assert boom(landmine, sc.parse_term("succ(zero)", BOOM.context)) == \
+        fuel_out
 
 
 @given(seed=seeds)
@@ -272,13 +290,14 @@ def mutation(g, node):
     if kind == "unknown":
         return S.Call("Mystery", (), g.pick([(), (node,)]))
     if kind == "unknown_symbol":
-        return S.Rule(node.lhs, S.Result(sc.Var("bogus")))
+        return S.Rule(node.lhs, sc.Var("bogus"))
     if kind == "ill_sorted":
-        return S.Rule(node.lhs, S.Result(ILL_SORTED))
+        return S.Rule(node.lhs, ILL_SORTED)
     if kind == "unbound":
-        return S.Rule(node.lhs, S.Result(sc.Var(g.pick(TERM_VARS))))
+        return S.Rule(node.lhs, sc.Var(g.pick(TERM_VARS)))
     var = "Qx" if kind == "undeclared" else g.pick(TERM_VARS)
-    return S.Rule(node.lhs, S.Where(var, S.Id(), node.lhs, node.body))
+    return S.Rule(node.lhs, node.rhs,
+                  (S.Where(var, S.Id(), node.lhs),) + node.where)
 
 
 @given(seed=seeds)

@@ -55,3 +55,27 @@ def test_request_digest_lines():
         assert [g, c, "plain"] in [line[:3] for line in lines]
     again = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert again.stdout == proc.stdout
+
+
+COVERAGE = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "line_coverage.py")
+TESTS_TERMS = os.path.join(os.path.dirname(__file__), "test_terms.py")
+MODULES = os.path.join(os.path.dirname(__file__), "..", "src", "stratcalc")
+
+
+def test_line_coverage_reports_each_module():
+    argv = [sys.executable, COVERAGE, "-q", "-p", "no:cacheprovider",
+            TESTS_TERMS]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    headers = {line.split(":")[0]: i for i, line in enumerate(lines)
+               if line.endswith(" lines not run")}
+    assert sorted(headers) == sorted(name for name in os.listdir(MODULES)
+                                     if name.endswith(".py"))
+    # test_terms.py runs no strategy, so most of the evaluator is reported,
+    # its line numbers on the line after the header.
+    i = headers["evaluate.py"]
+    not_run = int(lines[i].split()[1])
+    reported = [int(n) for n in lines[i + 1].split(",")]
+    assert not_run == len(reported) > 0

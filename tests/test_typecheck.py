@@ -207,13 +207,13 @@ def test_add_types_to_pair_arrow(problems):
 
 
 def test_extend_instance_accepted(nat_tree):
-    inc = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
+    inc = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
     assert sc.type_and_core(nat_tree.context,
                             S.Extend(inc, TP_TYPE))[0] == TP_TYPE
 
 
 def test_extend_non_instance_rejected(nat_tree):
-    inc = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
+    inc = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
     with pytest.raises(E.ExtendNotInstance):
         sc.type_and_core(nat_tree.context, S.Extend(inc, TU(TREE)))
 
@@ -255,7 +255,7 @@ def test_apply_id_to_constant(nat_tree_ctx):
 
 
 def test_apply_arrow_to_wrong_sort_rejected(nat_tree_ctx):
-    inc = S.Rule(Var("N"), S.Result(FunApp("succ", (Var("N"),))))
+    inc = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
     with pytest.raises(E.InapplicableType):
         apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, inc)[0],
                    sc.type_of_term(nat_tree_ctx,
