@@ -304,78 +304,62 @@ class Parser:
     # -- items --------------------------------------------------------------
 
     def parse_items(self, ctx, definitions):
-        """Parse declarations/definitions into ctx; return (defs, main)."""
+        """Parse declarations, definitions and the one main strategy, in
+        any order, into ctx and definitions; return main."""
         main = None
         while self.peek()[0] != "eof":
-            tok = self.peek()
-            word = tok[1]
-            pos = (tok[2], tok[3])
-            if word == "sort":
-                self.next()
-                name = self.expect_name()
+            tok = self.next()
+            word, pos = tok[1], (tok[2], tok[3])
+            if word == "main":
+                self.expect("=")
+                strat = self.parse_strat()
                 self.expect(";")
-                ctx.declare_sort(name, pos)
-            elif word == "con":
-                self.next()
-                name = self.expect_name()
-                self.expect(":")
-                sort = self.expect_name()
-                self.expect(";")
-                ctx.declare_constant(name, Sort(sort), pos)
-            elif word == "fun":
-                self.next()
-                name = self.expect_name()
-                self.expect(":")
-                arg_sorts = self.sep_list(lambda: Sort(self.expect_name()), "*",
-                                          close="->")
-                result = Sort(self.expect_name())
-                self.expect(";")
-                ctx.declare_function(name, arg_sorts, result, pos)
-            elif word == "var":
-                self.next()
-                name = self.expect_name()
-                self.expect(":")
-                self.type_params = ()
-                tt = self.parse_ttype()
-                self.expect(";")
-                ctx.declare_var(name, tt, pos)
-            elif word == "def":
-                self.next()
-                name = self.expect_name()
-                tparams = ()
+                if main is not None:
+                    raise DuplicateDefinition("duplicate main strategy",
+                                              pos=pos)
+                main = strat
+                continue
+            if word not in ("sort", "con", "fun", "var", "def"):
+                raise ParseError("expected a declaration, got %r"
+                                 % (word or "end of input"), tok[2], tok[3])
+            name = self.expect_name()
+            value = None
+            if word == "def":
+                tparams = params = ()
                 if self.at("["):
                     self.next()
                     tparams = self.sep_list(self.expect_name, close="]")
-                params = ()
                 if self.at("("):
                     self.next()
                     params = self.sep_list(self.expect_name, close=")")
                 self.expect(":")
-                ctype = self.parse_ctype(tparams)
+                value = self.parse_ctype(tparams)
                 self.expect("=")
                 body = self.parse_strat()
-                self.expect(";")
                 self.type_params = ()
+            elif word != "sort":
+                self.expect(":")
+                if word == "var":
+                    value = self.parse_ttype()
+                elif word == "con":
+                    value = Sort(self.expect_name())
+                else:
+                    value = (self.sep_list(lambda: Sort(self.expect_name()),
+                                           "*", close="->"),
+                             Sort(self.expect_name()))
+            self.expect(";")
+            if word == "def":
                 if name in definitions:
                     raise DuplicateDefinition("duplicate definition of %s" % name,
                                               pos=pos)
-                if len(ctype.arg_types) != len(params):
+                if len(value.arg_types) != len(params):
                     raise ParseError(
                         "definition %s declares %d parameters but its type has %d "
-                        "argument types" % (name, len(params), len(ctype.arg_types)),
+                        "argument types" % (name, len(params), len(value.arg_types)),
                         pos[0], pos[1])
-                definitions[name] = S.Definition(name, params, ctype, body,
+                definitions[name] = S.Definition(name, params, value, body,
                                                  pos)
-                ctx.declare_combinator(name, ctype, pos)
-            elif word == "main":
-                self.next()
-                self.expect("=")
-                self.type_params = ()
-                main = self.parse_strat()
-                self.expect(";")
-            else:
-                raise ParseError("expected a declaration, got %r"
-                                 % (word or "end of input"), tok[2], tok[3])
+            ctx.declare(word, name, value, pos)
         return main
 
 
@@ -407,13 +391,8 @@ def parse_program(text, prelude=None, require_main=True):
     ctx = Context()
     definitions = {}
     if prelude is not None:
-        p = prelude.context
-        ctx.sorts = set(p.sorts)
-        ctx.constants = dict(p.constants)
-        ctx.functions = dict(p.functions)
-        ctx.term_vars = dict(p.term_vars)
-        ctx.combinators = dict(p.combinators)
-        ctx.decls = list(p.decls)
+        for d in prelude.context.decls:
+            ctx.declare(*d)
         definitions.update(prelude.definitions)
     parser = Parser(text)
     main = parser.parse_items(ctx, definitions)

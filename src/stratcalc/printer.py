@@ -131,20 +131,17 @@ def render_program(program, skip_defs=()):
     ctx = program.context
     lines = []
     skip_decl = set(skip_defs)
-    for kind, name, _pos in ctx.decls:
-        if kind == "sort":
+    for keyword, name, value, _pos in ctx.decls:
+        # Definitions are printed from program.definitions, below.
+        if keyword == "sort":
             lines.append("sort %s;" % name)
-        elif name in skip_decl:
+        elif keyword == "def" or name in skip_decl:
             continue
-        elif name in ctx.constants:
-            lines.append("con %s : %s;" % (name, ctx.constants[name].name))
-        elif name in ctx.functions:
-            arg_sorts, result = ctx.functions[name]
-            lines.append("fun %s : %s -> %s;"
-                         % (name, " * ".join(s.name for s in arg_sorts),
-                            result.name))
-        elif name in ctx.term_vars:
-            lines.append("var %s : %r;" % (name, ctx.term_vars[name]))
+        elif keyword == "fun":
+            lines.append("fun %s : %s -> %r;"
+                         % (name, " * ".join(map(repr, value[0])), value[1]))
+        else:
+            lines.append("%s %s : %r;" % (keyword, name, value))
     for name, d in program.definitions.items():
         if name in skip_decl:
             continue

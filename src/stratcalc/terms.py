@@ -212,6 +212,12 @@ FAILURE = Failure()
 # Context
 
 
+# The Context table that indexes each keyword's declarations; sorts go to
+# the set `sorts`.
+_TABLES = {"con": "constants", "fun": "functions", "var": "term_vars",
+           "def": "combinators"}
+
+
 @dataclass
 class Context:
     sorts: set = field(default_factory=set)
@@ -221,29 +227,19 @@ class Context:
     combinators: dict = field(default_factory=dict)  # name -> CombinatorType
     strategy_params: dict = field(default_factory=dict)  # name -> StrategyType
     type_vars: set = field(default_factory=set)
-    # Declarations in source order, kept so duplicates survive for checking:
-    # list of (kind, name, pos).
+    # Declarations in source order, duplicates included, as records
+    # (keyword, name, value, pos); the tables above index them by name.
     decls: list = field(default_factory=list)
 
-    def declare_sort(self, name, pos=None):
-        self.decls.append(("sort", name, pos))
-        self.sorts.add(name)
-
-    def declare_constant(self, name, sort, pos=None):
-        self.decls.append(("symbol", name, pos))
-        self.constants[name] = sort
-
-    def declare_function(self, name, arg_sorts, result_sort, pos=None):
-        self.decls.append(("symbol", name, pos))
-        self.functions[name] = (tuple(arg_sorts), result_sort)
-
-    def declare_var(self, name, ttype, pos=None):
-        self.decls.append(("symbol", name, pos))
-        self.term_vars[name] = ttype
-
-    def declare_combinator(self, name, ctype, pos=None):
-        self.decls.append(("symbol", name, pos))
-        self.combinators[name] = ctype
+    def declare(self, keyword, name, value=None, pos=None):
+        """Record `keyword name : value` and index it. The keyword is sort
+        (value None), con (a Sort), fun ((arg sorts, result sort)), var (a
+        TermType) or def (a CombinatorType)."""
+        self.decls.append((keyword, name, value, pos))
+        if keyword == "sort":
+            self.sorts.add(name)
+        else:
+            getattr(self, _TABLES[keyword])[name] = value
 
     def with_params(self, type_params, strategy_params):
         """A scope for checking one definition body."""
@@ -252,35 +248,30 @@ class Context:
 
 
 def check_context(ctx):
-    """Return a list of diagnostics; empty means the context is well-formed."""
+    """Return a list of diagnostics; empty means the context is well-formed.
+    Duplicates come first, then each declaration's undeclared sorts, both in
+    source order and each at its own declaration."""
     diags = []
-    seen = {"sort": set(), "symbol": set()}
-    where = {}  # symbol -> position of its last declaration
-    for kind, name, pos in ctx.decls:
-        if name in seen[kind]:
+    seen = set()
+    last = {}  # (keyword, name) -> (value, pos) of its last declaration
+    for keyword, name, value, pos in ctx.decls:
+        key = (keyword == "sort", name)  # sorts, and all other symbols
+        if key in seen:
             diags.append(DuplicateName("duplicate declaration of %s" % name, pos=pos))
-        seen[kind].add(name)
-        if kind == "symbol":
-            where[name] = pos
-
-    def sort_known(s, what, name):
-        if s.name not in ctx.sorts:
-            diags.append(
-                UndeclaredSortInDecl(
-                    "%s %s mentions undeclared sort %s" % (what, name, s.name),
-                    pos=where.get(name),
-                )
-            )
-
-    for name, sort in ctx.constants.items():
-        sort_known(sort, "con", name)
-    for name, (arg_sorts, result) in ctx.functions.items():
-        for s in arg_sorts:
-            sort_known(s, "fun", name)
-        sort_known(result, "fun", name)
-    for name, tt in ctx.term_vars.items():
-        for s in _sorts_in_term_type(tt):
-            sort_known(s, "var", name)
+        seen.add(key)
+        last[keyword, name] = value, pos
+    for (keyword, name), (value, pos) in last.items():
+        if keyword == "fun":
+            mentioned = list(value[0]) + [value[1]]
+        elif keyword in ("con", "var"):
+            mentioned = _sorts_in_term_type(value)
+        else:
+            mentioned = ()
+        for s in mentioned:
+            if s.name not in ctx.sorts:
+                diags.append(UndeclaredSortInDecl(
+                    "%s %s mentions undeclared sort %s" % (keyword, name, s.name),
+                    pos=pos))
     return diags
 
 

@@ -16,6 +16,7 @@ from .errors import (
     AmpOverlap,
     CallArityMismatch,
     CallTypeArgMismatch,
+    DuplicateDefinition,
     ExtendNotInstance,
     GenericDomainUndefined,
     InapplicableType,
@@ -54,62 +55,59 @@ from .terms import (
 # Well-formedness
 
 
-def wf_term_type(ctx, tt, pos=None):
+def wf_term_type(ctx, tt):
     if isinstance(tt, Sort):
         if tt.name not in ctx.sorts:
-            raise UndeclaredSort("undeclared sort %s" % tt.name, pos=pos)
+            raise UndeclaredSort("undeclared sort %s" % tt.name)
         return
     if isinstance(tt, Unit):
         return
     if isinstance(tt, PairType):
-        wf_term_type(ctx, tt.left, pos)
-        wf_term_type(ctx, tt.right, pos)
+        wf_term_type(ctx, tt.left)
+        wf_term_type(ctx, tt.right)
         return
     if isinstance(tt, TypeVar):
         if tt.name not in ctx.type_vars:
-            raise UnboundTypeVar("type variable %s is not in scope" % tt.name,
-                                 pos=pos)
+            raise UnboundTypeVar("type variable %s is not in scope" % tt.name)
         return
     raise TypeError("not a term type: %r" % (tt,))
 
 
-def wf_strategy_type(ctx, pi, pos=None):
+def wf_strategy_type(ctx, pi):
     if isinstance(pi, Arrow):
-        wf_term_type(ctx, pi.dom, pos)
-        wf_term_type(ctx, pi.cod, pos)
+        wf_term_type(ctx, pi.dom)
+        wf_term_type(ctx, pi.cod)
         return
     if isinstance(pi, TP):
         return
     if isinstance(pi, TU):
-        wf_term_type(ctx, pi.result, pos)
+        wf_term_type(ctx, pi.result)
         return
     if isinstance(pi, Amp):
         branches = amp_branches(pi)
         seen = set()
         for b in branches:
             if is_generic(b):
-                raise TypeError_(
-                    "overloaded sum contains a generic type %r" % (b,),
-                    pos=pos, rule="pi.4")
-            wf_strategy_type(ctx, b, pos)
+                raise TypeError_("overloaded sum contains a generic type %r"
+                                 % (b,), rule="pi.4")
+            wf_strategy_type(ctx, b)
             for d in domains(b):
                 if d in seen:
                     raise OverlappingAmpDomains(
-                        "overloaded branches share the domain %r" % (d,),
-                        pos=pos)
+                        "overloaded branches share the domain %r" % (d,))
                 seen.add(d)
         return
     raise TypeError("not a strategy type: %r" % (pi,))
 
 
-def domains(pi, pos=None):
+def domains(pi):
     """Domain set of a non-generic strategy type."""
     if isinstance(pi, Arrow):
         return frozenset([pi.dom])
     if isinstance(pi, Amp):
-        return frozenset().union(*(domains(b, pos) for b in amp_branches(pi)))
-    raise GenericDomainUndefined("domain of generic type %r is undefined" % (pi,),
-                                 pos=pos)
+        return frozenset().union(*(domains(b) for b in amp_branches(pi)))
+    raise GenericDomainUndefined("domain of generic type %r is undefined"
+                                 % (pi,))
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +143,21 @@ def generically_leq(ctx, p, q):
 # Negation and composition of types
 
 
-def negatable(ctx, pi, pos=None):
+def negatable(ctx, pi):
     if isinstance(pi, Arrow):
         return Arrow(pi.dom, pi.dom)
     if is_generic(pi):
         return TP_TYPE
-    raise NotNegatable("cannot negate overloaded type %r" % (pi,), pos=pos)
+    raise NotNegatable("cannot negate overloaded type %r" % (pi,))
 
 
-def composable(ctx, p1, p2, pos=None):
+def composable(ctx, p1, p2):
     if isinstance(p1, Arrow):
         if isinstance(p2, Arrow):
             if p1.cod == p2.dom:
                 return Arrow(p1.dom, p2.cod)
             raise NotComposable(
-                "cannot compose %r with %r" % (p1, p2), pos=pos, rule="comp.1")
+                "cannot compose %r with %r" % (p1, p2), rule="comp.1")
         if isinstance(p2, TP):
             return p1
         if isinstance(p2, TU):
@@ -179,19 +177,18 @@ def composable(ctx, p1, p2, pos=None):
         for b in amp_branches(p1):
             partner = right.get(b.cod)
             if partner is None:
-                raise NotComposable(
-                    "no overloaded branch of %r accepts %r" % (p2, b.cod),
-                    pos=pos, rule="comp.6")
+                raise NotComposable("no overloaded branch of %r accepts %r"
+                                    % (p2, b.cod), rule="comp.6")
             out.append(Arrow(b.dom, partner.cod))
         return amp_of(out)
-    raise NotComposable("cannot compose %r with %r" % (p1, p2), pos=pos)
+    raise NotComposable("cannot compose %r with %r" % (p1, p2))
 
 
 # ---------------------------------------------------------------------------
 # Greatest lower bounds
 
 
-def glb(ctx, p1, p2, pos=None):
+def glb(ctx, p1, p2):
     if types_equal(p1, p2):
         return p1
     if generically_less(ctx, p1, p2):
@@ -210,14 +207,14 @@ def glb(ctx, p1, p2, pos=None):
         sub = [b for b in amp_branches(m) if generically_less(ctx, b, g)]
         if sub:
             return amp_of(sub)
-    raise NoLowerBound("types %r and %r have no lower bound" % (p1, p2), pos=pos)
+    raise NoLowerBound("types %r and %r have no lower bound" % (p1, p2))
 
 
 # ---------------------------------------------------------------------------
 # Application typing
 
 
-def apply_type(ctx, pi, tau, pos=None):
+def apply_type(ctx, pi, tau):
     """The unique codomain for applying a strategy of type pi to a term of
     type tau."""
     if isinstance(pi, Arrow):
@@ -231,9 +228,8 @@ def apply_type(ctx, pi, tau, pos=None):
         for b in amp_branches(pi):
             if b.dom == tau:
                 return b.cod
-    raise InapplicableType(
-        "strategy of type %r is not applicable to a term of type %r"
-        % (pi, tau), pos=pos)
+    raise InapplicableType("strategy of type %r is not applicable to a term "
+                           "of type %r" % (pi, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,10 @@ def apply_type(ctx, pi, tau, pos=None):
 def type_and_core(ctx, s):
     """Check s and return (its type, its elaborated core). The core has no
     sugar, tagged rule terms, and every extend argument and & branch wrapped
-    in an Annot of its type. Idempotent: a core walks to an equal core."""
+    in an Annot of its type. Idempotent: a core walks to an equal core.
+    This is where a diagnostic gets its position: the type algebra above
+    and _type_of raise without one, and the innermost node with a position
+    that the error passes through supplies it."""
     try:
         return _type_of(ctx, s)
     except StaticError as e:
@@ -289,16 +288,15 @@ def _type_guard(arrow, stype, pos):
 def expand_tlchoice(ctx, s1, s2, pi1, pi2, pos=None):
     """The type and core of s1 <& s2 from its operands' cores and types:
     extend(s1, pi2) + (!guard(dom s1, TP) ; s2)."""
-    wf_strategy_type(ctx, pi2, pos)
+    wf_strategy_type(ctx, pi2)
     if not generically_less(ctx, pi1, pi2):
-        raise ExtendNotInstance(
-            "%r is not an instance of %r" % (pi1, pi2), pos=pos)
+        raise ExtendNotInstance("%r is not an instance of %r" % (pi1, pi2))
     guard = _type_guard(Arrow(pi1.dom, pi1.dom), TP_TYPE, pos)
     core = S.Choice(S.Extend(_annotated(s1, pi1), pi2, pos),
                     S.Seq(S.Neg(guard, pos), s2, pos), pos)
     # The left branch has type pi2 and the right one TP ; pi2, which is
     # pi2 wherever it is defined, so their glb is that type.
-    return composable(ctx, TP_TYPE, pi2, pos), core
+    return composable(ctx, TP_TYPE, pi2), core
 
 
 def _type_of(ctx, s):
@@ -313,17 +311,16 @@ def _type_of(ctx, s):
             pi_s, strat = type_and_core(ctx, w.strat)
             arg = tag_term(ctx, w.arg, bound)
             if w.var in bound:
-                raise UnknownName("where-clause rebinds variable %s" % w.var,
-                                  pos=pos)
+                raise UnknownName("where-clause rebinds variable %s" % w.var)
             declared = ctx.term_vars.get(w.var)
             if declared is None:
-                raise UnknownName("where-bound variable %s is not declared"
-                                  % w.var, pos=pos)
-            tau_x = apply_type(ctx, pi_s, arg.tag, pos)
+                raise UnknownName(
+                    "where-bound variable %s is not declared" % w.var)
+            tau_x = apply_type(ctx, pi_s, arg.tag)
             if declared != tau_x:
                 raise TypeError_(
                     "where-clause binds %s : %r but the variable is declared %r"
-                    % (w.var, tau_x, declared), pos=pos, rule="apply")
+                    % (w.var, tau_x, declared), rule="apply")
             bound.add(w.var)
             where.append(S.Where(w.var, strat, arg))
         rhs = tag_term(ctx, s.rhs, bound)
@@ -331,44 +328,41 @@ def _type_of(ctx, s):
     if isinstance(s, S.Seq):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
-        return composable(ctx, p1, p2, pos), S.Seq(c1, c2, pos)
+        return composable(ctx, p1, p2), S.Seq(c1, c2, pos)
     if isinstance(s, S.Choice):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
-        return glb(ctx, p1, p2, pos), S.Choice(c1, c2, pos)
+        return glb(ctx, p1, p2), S.Choice(c1, c2, pos)
     if isinstance(s, S.LChoice):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
-        pi = glb(ctx, p1, composable(ctx, negatable(ctx, p1, pos), p2, pos),
-                 pos)
+        pi = glb(ctx, p1, composable(ctx, negatable(ctx, p1), p2))
         return pi, S.LChoice(c1, c2, pos)
     if isinstance(s, S.RChoice):
         return _type_of(ctx, S.LChoice(s.right, s.left, pos))
     if isinstance(s, S.Neg):
         p, c = type_and_core(ctx, s.arg)
-        return negatable(ctx, p, pos), S.Neg(c, pos)
+        return negatable(ctx, p), S.Neg(c, pos)
     if isinstance(s, S.CongCon):
         sort = ctx.constants.get(s.name)
         if sort is None:
-            raise UnknownName("unknown constant %s in congruence" % s.name,
-                              pos=pos)
+            raise UnknownName("unknown constant %s in congruence" % s.name)
         return Arrow(sort, sort), s
     if isinstance(s, S.CongFun):
         if s.name not in ctx.functions:
-            raise UnknownName("unknown function %s in congruence" % s.name,
-                              pos=pos)
+            raise UnknownName("unknown function %s in congruence" % s.name)
         arg_sorts, result = ctx.functions[s.name]
         if len(s.args) != len(arg_sorts):
             raise TypeError_(
                 "congruence %s expects %d argument strategies, got %d"
-                % (s.name, len(arg_sorts), len(s.args)), pos=pos, rule="cong")
+                % (s.name, len(arg_sorts), len(s.args)), rule="cong")
         cores = []
         for i, (a, sigma) in enumerate(zip(s.args, arg_sorts)):
             pa, ca = type_and_core(ctx, a)
             if not generically_leq(ctx, Arrow(sigma, sigma), pa):
                 raise TypeError_(
                     "argument %d of congruence %s must admit %r -> %r, has %r"
-                    % (i + 1, s.name, sigma, sigma, pa), pos=pos, rule="cong.2")
+                    % (i + 1, s.name, sigma, sigma, pa), rule="cong.2")
             cores.append(ca)
         return Arrow(result, result), S.CongFun(s.name, tuple(cores), pos)
     if isinstance(s, S.CongUnit):
@@ -380,37 +374,33 @@ def _type_of(ctx, s):
         if not isinstance(p1, Arrow) or not isinstance(p2, Arrow):
             raise TypeError_(
                 "pair congruence needs many-sorted components, has %r and %r"
-                % (p1, p2), pos=pos, rule="cong.4")
+                % (p1, p2), rule="cong.4")
         return (Arrow(PairType(p1.dom, p2.dom), PairType(p1.cod, p2.cod)),
                 S.CongPair(c1, c2, pos))
     if isinstance(s, (S.All, S.One)):
         pa, ca = type_and_core(ctx, s.arg)
         if not isinstance(pa, TP):
-            raise TypeError_(
-                "%s needs a type-preserving argument, has %r"
-                % ("all" if isinstance(s, S.All) else "one", pa),
-                pos=pos, rule="all" if isinstance(s, S.All) else "one")
+            word = "all" if isinstance(s, S.All) else "one"
+            raise TypeError_("%s needs a type-preserving argument, has %r"
+                             % (word, pa), rule=word)
         return TP_TYPE, type(s)(ca, pos)
     if isinstance(s, S.Reduce):
         pc, cc = type_and_core(ctx, s.child)
         if not isinstance(pc, TU):
-            raise TypeError_(
-                "reduce needs a type-unifying child strategy, has %r" % (pc,),
-                pos=pos, rule="red")
+            raise TypeError_("reduce needs a type-unifying child strategy, "
+                             "has %r" % (pc,), rule="red")
         tau = pc.result
         want = Arrow(PairType(tau, tau), tau)
         pp, cp = type_and_core(ctx, s.splus)
         if not generically_leq(ctx, want, pp):
-            raise TypeError_(
-                "reduce composer must admit %r, has %r" % (want, pp),
-                pos=pos, rule="red")
+            raise TypeError_("reduce composer must admit %r, has %r"
+                             % (want, pp), rule="red")
         return pc, S.Reduce(cp, cc, pos)
     if isinstance(s, S.Select):
         pa, ca = type_and_core(ctx, s.arg)
         if not isinstance(pa, TU):
-            raise TypeError_(
-                "select needs a type-unifying argument, has %r" % (pa,),
-                pos=pos, rule="sel")
+            raise TypeError_("select needs a type-unifying argument, has %r"
+                             % (pa,), rule="sel")
         return pa, S.Select(ca, pos)
     if isinstance(s, S.Void):
         return TU(Unit()), s
@@ -418,55 +408,52 @@ def _type_of(ctx, s):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
         if not isinstance(p1, TU) or not isinstance(p2, TU):
-            raise TypeError_(
-                "spawn needs type-unifying operands, has %r and %r" % (p1, p2),
-                pos=pos, rule="spawn")
+            raise TypeError_("spawn needs type-unifying operands, has %r and %r"
+                             % (p1, p2), rule="spawn")
         return TU(PairType(p1.result, p2.result)), S.Spawn(c1, c2, pos)
     if isinstance(s, S.Extend):
-        wf_strategy_type(ctx, s.stype, pos)
+        wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
         if not generically_less(ctx, inner, s.stype):
-            raise ExtendNotInstance(
-                "%r is not an instance of %r" % (inner, s.stype), pos=pos)
+            raise ExtendNotInstance("%r is not an instance of %r"
+                                    % (inner, s.stype))
         return s.stype, S.Extend(_annotated(c, inner), s.stype, pos)
     if isinstance(s, S.Restrict):
-        wf_strategy_type(ctx, s.stype, pos)
+        wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
         if not generically_less(ctx, s.stype, inner):
-            raise RestrictNotInstance(
-                "%r is not an instance of %r" % (s.stype, inner), pos=pos)
+            raise RestrictNotInstance("%r is not an instance of %r"
+                                      % (s.stype, inner))
         return s.stype, S.Restrict(c, s.stype, pos)
     if isinstance(s, S.Annot):
-        wf_strategy_type(ctx, s.stype, pos)
+        wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
         if not types_equal(inner, s.stype):
-            raise TypeError_(
-                "annotation %r does not match actual type %r" % (s.stype, inner),
-                pos=pos, rule="annot")
+            raise TypeError_("annotation %r does not match actual type %r"
+                             % (s.stype, inner), rule="annot")
         return s.stype, S.Annot(c, s.stype, pos)
     if isinstance(s, S.AmpS):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
         combined = amp_of(amp_branches(p1) + amp_branches(p2))
         try:
-            wf_strategy_type(ctx, combined, pos)
+            wf_strategy_type(ctx, combined)
         except StaticError as e:
-            raise AmpOverlap(e.message, pos=pos)
+            raise AmpOverlap(e.message)
         return combined, S.AmpS(_annotated(c1, p1), _annotated(c2, p2), pos)
     if isinstance(s, S.TypeGuard):
-        wf_term_type(ctx, s.ttype, pos)
-        wf_strategy_type(ctx, s.stype, pos)
+        wf_term_type(ctx, s.ttype)
+        wf_strategy_type(ctx, s.stype)
         arrow = Arrow(s.ttype, s.ttype)
         if not generically_less(ctx, arrow, s.stype):
-            raise ExtendNotInstance(
-                "%r is not an instance of %r" % (arrow, s.stype), pos=pos)
+            raise ExtendNotInstance("%r is not an instance of %r"
+                                    % (arrow, s.stype))
         return s.stype, _type_guard(arrow, s.stype, pos)
     if isinstance(s, S.TLChoice):
         p1, c1 = type_and_core(ctx, s.left)
         if not isinstance(p1, Arrow):
-            raise TypeError_(
-                "left operand of <& must be many-sorted, has %r" % (p1,),
-                pos=pos, rule="extend")
+            raise TypeError_("left operand of <& must be many-sorted, has %r"
+                             % (p1,), rule="extend")
         p2, c2 = type_and_core(ctx, s.right)
         return expand_tlchoice(ctx, c1, c2, p1, p2, pos)
     if isinstance(s, S.TRChoice):
@@ -474,55 +461,52 @@ def _type_of(ctx, s):
     if isinstance(s, S.ParamRef):
         if s.name not in ctx.strategy_params:
             raise TypeError_("unknown strategy parameter %s" % s.name,
-                             pos=pos, rule="arg")
+                             rule="arg")
         return ctx.strategy_params[s.name], s
     if isinstance(s, S.Call):
         # A bare name: a strategy parameter, a congruence or a combinator
         # call, in that order.
         if s.name in ctx.strategy_params:
             if s.type_args or s.args:
-                raise UnknownName(
-                    "strategy parameter %s takes no arguments" % s.name,
-                    pos=pos)
+                raise UnknownName("strategy parameter %s takes no arguments"
+                                  % s.name)
             return _type_of(ctx, S.ParamRef(s.name, pos))
         if s.name in ctx.constants:
             if s.type_args or s.args:
-                raise UnknownName(
-                    "constant congruence %s takes no arguments" % s.name,
-                    pos=pos)
+                raise UnknownName("constant congruence %s takes no arguments"
+                                  % s.name)
             return _type_of(ctx, S.CongCon(s.name, pos))
         if s.name in ctx.functions:
             if s.type_args:
                 raise UnknownName(
-                    "function congruence %s takes no type arguments" % s.name,
-                    pos=pos)
+                    "function congruence %s takes no type arguments" % s.name)
             return _type_of(ctx, S.CongFun(s.name, s.args, pos))
         ct = ctx.combinators.get(s.name)
         if ct is None:
-            raise UnknownName("unknown name %s" % s.name, pos=pos)
+            raise UnknownName("unknown name %s" % s.name)
         if len(s.args) != len(ct.arg_types):
             raise CallArityMismatch(
                 "%s expects %d arguments, got %d"
-                % (s.name, len(ct.arg_types), len(s.args)), pos=pos)
+                % (s.name, len(ct.arg_types), len(s.args)))
         if len(s.type_args) != len(ct.type_params):
             raise CallTypeArgMismatch(
                 "%s expects %d type arguments, got %d"
-                % (s.name, len(ct.type_params), len(s.type_args)), pos=pos)
+                % (s.name, len(ct.type_params), len(s.type_args)))
         for ta in s.type_args:
-            wf_term_type(ctx, ta, pos)
+            wf_term_type(ctx, ta)
         subst = dict(zip(ct.type_params, s.type_args))
         cores = []
         for i, (a, want) in enumerate(zip(s.args, ct.arg_types)):
             want = substitute_stype(subst, want)
-            wf_strategy_type(ctx, want, pos)
+            wf_strategy_type(ctx, want)
             pa, ca = type_and_core(ctx, a)
             if not types_equal(pa, want):
                 raise TypeError_(
                     "argument %d of %s must have type %r, has %r"
-                    % (i + 1, s.name, want, pa), pos=pos, rule="comb")
+                    % (i + 1, s.name, want, pa), rule="comb")
             cores.append(ca)
         result = substitute_stype(subst, ct.result_type)
-        wf_strategy_type(ctx, result, pos)
+        wf_strategy_type(ctx, result)
         return result, S.Call(s.name, s.type_args, tuple(cores), pos)
     raise TypeError("not a strategy: %r" % (s,))
 
@@ -535,9 +519,18 @@ def check_definition(ctx, d):
     """Check d in its own scope; return d with its body elaborated."""
     sub = ctx.with_params(d.ctype.type_params,
                           dict(zip(d.params, d.ctype.arg_types)))
-    for at in d.ctype.arg_types:
-        wf_strategy_type(sub, at, d.pos)
-    wf_strategy_type(sub, d.ctype.result_type, d.pos)
+    for what, names in (("type parameter", d.ctype.type_params),
+                        ("parameter", d.params)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DuplicateDefinition("duplicate %s %s in definition of %s"
+                                          % (what, name, d.name), pos=d.pos)
+    try:
+        for pi in (*d.ctype.arg_types, d.ctype.result_type):
+            wf_strategy_type(sub, pi)
+    except StaticError as e:
+        e.pos = d.pos
+        raise
     body_type, body = type_and_core(sub, d.body)
     if not types_equal(body_type, d.ctype.result_type):
         raise TypeError_(

@@ -403,34 +403,91 @@ def test_context_diagnostics_name_their_declaration(capcli, write):
         "ERROR ctx at 4:1: var X mentions undeclared sort Bogus\n"))
 
 
+def test_context_diagnostics_come_in_source_order(capcli, write):
+    # g and a are each declared under two keywords; every diagnostic is
+    # placed at the declaration it names, duplicates first.
+    f = write("ctx.strat", "sort Nat;\nfun g : Bogus -> Nat;\ncon g : Nat;\n"
+              "con a : Bogus;\nvar a : Nat;\nvar X : (Nat, Bogus);\n"
+              "con b : Bogus;\nmain = id;\n")
+    assert capcli("check", f) == (2, "", (
+        "ERROR ctx at 3:1: duplicate declaration of g\n"
+        "ERROR ctx at 5:1: duplicate declaration of a\n"
+        "ERROR ctx at 2:1: fun g mentions undeclared sort Bogus\n"
+        "ERROR ctx at 4:1: con a mentions undeclared sort Bogus\n"
+        "ERROR ctx at 6:1: var X mentions undeclared sort Bogus\n"
+        "ERROR ctx at 7:1: con b mentions undeclared sort Bogus\n"))
+
+
+def test_second_main_is_a_duplicate(capcli, write):
+    f = write("mains.strat", "sort Nat;\ncon zero : Nat;\nmain = id;\n"
+              "main = fail;\n")
+    assert capcli("run", f, "--term", "zero") == (
+        2, "", "ERROR def at 4:1: duplicate main strategy\n")
+
+
+PARAM_HEADER = ("sort Nat; con zero : Nat; fun succ : Nat -> Nat; "
+                "var N : Nat;\n")
+DUPLICATE_PARAMS = "def F(v, v) : TP * (Nat -> Nat) -> (Nat -> Nat) = v;\n"
+
+
+@pytest.mark.parametrize("text,want", [
+    (DUPLICATE_PARAMS + "main = F(id, N -> succ(N));",
+     "duplicate parameter v in definition of F"),
+    ("def G[a, a] : TP = id;\nmain = G[Nat, Nat];",
+     "duplicate type parameter a in definition of G"),
+], ids=["F", "G"])
+def test_definition_parameters_are_distinct(capcli, write, text, want):
+    f = write("params.strat", PARAM_HEADER + text + "\n")
+    assert capcli("run", f, "--term", "zero") == (
+        2, "", "ERROR def at 2:1: %s\n" % want)
+
+
+def test_library_rejects_duplicate_parameters():
+    # check_definition rejects them, so library definitions meet the check.
+    program = sc.parse_program(PARAM_HEADER + DUPLICATE_PARAMS
+                               + "main = F(id, N -> succ(N));\n")
+    got = sc.apply_strategy(program.context, program.definitions,
+                            program.main, sc.Constant("zero"))
+    assert got == sc.EngineFailure(
+        "InternalTypeViolation",
+        "runtime typing failed: duplicate parameter v in definition of F")
+
+
 RULE_HEADER = DIAG_HEADER.replace("var N1 : Nat;",
                                   "var N1 : Nat; var N2 : Nat;")
 
 # (main's strategy after RULE_HEADER, exit code, the whole output): each
-# typing rule that no other test rejects, and one pair congruence it
-# accepts. A function congruence's argument types come from the function's
+# typing rule that no other test rejects, each with a strategy it accepts.
+# A function congruence's argument types come from the function's
 # declaration, so `succ(id)` checks; a pair congruence's come from its
 # components alone, so each must be many-sorted.
 TYPING_RULES = [
     ("((N -> succ(N)) & (T1 -> T1)) ; ((T1 -> T1) & ((N1,N2) -> (N1,N2)))",
      2, "ERROR comp.6 at 2:8: no overloaded branch of Tree -> Tree & "
         "(Nat,Nat) -> (Nat,Nat) accepts Nat"),
+    ("((N -> succ(N)) & (T1 -> T1)) ; ((N -> N) & (T1 -> T1))", 0,
+     "Nat -> Nat & Tree -> Tree"),
     ("succ(void)", 2, "ERROR cong.2 at 2:8: argument 1 of congruence succ "
                       "must admit Nat -> Nat, has TU(())"),
+    ("succ(id)", 0, "Nat -> Nat"),
     ("(id, id)", 2, "ERROR cong.4 at 2:8: pair congruence needs many-sorted "
                     "components, has TP and TP"),
     ("(restrict(id, Nat -> Nat), restrict(id, Nat -> Nat))", 0,
      "(Nat,Nat) -> (Nat,Nat)"),
     ("reduce(id, id)", 2, "ERROR red at 2:8: reduce needs a type-unifying "
                           "child strategy, has TP"),
+    ("reduce((N1,N2) -> N1, extend(N -> N, TU(Nat)))", 0, "TU(Nat)"),
     ("select(id)", 2, "ERROR sel at 2:8: select needs a type-unifying "
                       "argument, has TP"),
+    ("select(extend(N -> N, TU(Nat)))", 0, "TU(Nat)"),
     ("id <& id", 2, "ERROR extend at 2:8: left operand of <& must be "
                     "many-sorted, has TP"),
     ("(N -> succ(N)) <& (T1 -> T1)", 2,
      "ERROR extend at 2:8: Nat -> Nat is not an instance of Tree -> Tree"),
+    ("(N -> succ(N)) <& id", 0, "TP"),
     ("guard(Nat, Nat -> Nat)", 2,
      "ERROR extend at 2:8: Nat -> Nat is not an instance of Nat -> Nat"),
+    ("guard(Nat, TP)", 0, "TP"),
 ]
 
 
@@ -447,6 +504,13 @@ def test_definition_parameters_must_match_its_type(capcli, write):
     assert capcli("check", f) == (4, "", (
         "parse error at 2:1: definition F declares 1 parameters but its "
         "type has 0 argument types\n"))
+
+
+def test_definition_type_errors_are_placed_at_the_definition(capcli, write):
+    f = write("deftype.strat", RULE_HEADER + "main = id;\n"
+              "def A(s) : (Nat -> Bogus) -> TP = id;\n")
+    assert capcli("check", f) == (
+        2, "", "ERROR tau.1 at 3:1: undeclared sort Bogus\n")
 
 
 def test_run_needs_a_term(capcli, write):

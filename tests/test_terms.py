@@ -107,8 +107,8 @@ def test_substitute_unbound_variable_rejected():
 
 def test_check_context_duplicate_sort():
     ctx = Context()
-    ctx.declare_sort("Nat", (1, 1))
-    ctx.declare_sort("Nat", (2, 1))
+    ctx.declare("sort", "Nat", pos=(1, 1))
+    ctx.declare("sort", "Nat", pos=(2, 1))
     diags = sc.check_context(ctx)
     assert any(isinstance(d, E.DuplicateName) for d in diags)
 
@@ -119,7 +119,7 @@ def test_check_context_empty_ok():
 
 def test_check_context_undeclared_sort_in_decl():
     ctx = Context()
-    ctx.declare_function("succ", (Sort("Nat"),), Sort("Nat"), (1, 1))
+    ctx.declare("fun", "succ", ((Sort("Nat"),), Sort("Nat")), (1, 1))
     diags = sc.check_context(ctx)
     assert any(isinstance(d, E.UndeclaredSortInDecl) for d in diags)
 
