@@ -77,8 +77,8 @@ def parse(argv):
         return 6, "", "RecursionError"
     ctx = program.context
     parts = [repr(d) for d in program.definitions.values()]
-    parts += [repr(program.main), repr(ctx.decls), repr(ctx.constants),
-              repr(ctx.functions), repr(ctx.term_vars), repr(ctx.combinators)]
+    parts += [repr(program.main), repr(ctx.decls), repr(ctx.functions),
+              repr(ctx.term_vars), repr(ctx.combinators)]
     return 0, "\n".join(parts), ""
 
 

@@ -29,7 +29,6 @@ from .terms import (
     Amp,
     Arrow,
     CombinatorType,
-    Constant,
     Context,
     FAILURE,
     Failure,

@@ -1,13 +1,14 @@
 """Batch driver: check, elaborate, and run strategic programs.
 
-Exit codes: 0 success, 1 strategy failure (FAIL), 2 type error,
-3 fuel exhausted, 4 parse error or unreadable file, 5 engine error,
-6 input nested too deep.
+Exit codes: 0 success, 1 strategy failure (FAIL), 2 type error or a
+malformed command line, 3 fuel exhausted, 4 parse error or unreadable
+file, 5 engine error, 6 input nested too deep.
 """
 
 import argparse
 import os
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 from .errors import ParseError, StaticError
@@ -68,7 +69,10 @@ def _report(outcome):
 
 
 def main(argv=None):
-    args = _build_argparser().parse_args(argv)
+    ap = _build_argparser()
+    args = ap.parse_args(argv)
+    if args.fuel < 0:
+        ap.error("argument --fuel: expected N >= 0, got %d" % args.fuel)
     try:
         return _main(args)
     except ParseError as e:
@@ -96,7 +100,13 @@ def _main(args):
         return 0
 
     if args.command == "elaborate":
-        skip = set(prelude.definitions) if prelude is not None else ()
+        skip = ()
+        if prelude is not None:
+            # The reader loads the prelude again, so the records that
+            # parse_program replayed first, and its definitions, are left out.
+            ctx, skip = core.context, set(prelude.definitions)
+            core = replace(core, context=replace(
+                ctx, decls=ctx.decls[len(prelude.context.decls):]))
         sys.stdout.write(render_program(core, skip_defs=skip))
         return 0
 

@@ -16,9 +16,9 @@ from . import syntax as S
 from .elaborate import elaborate_program
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
-from .terms import (Constant, FAILURE, FunApp, Ok, Pair, PairType, UNIT,
-                    UnitTuple, children, match, rebuild, substitute,
-                    tag_ground_term, tag_term)
+from .terms import (FAILURE, FunApp, Ok, Pair, PairType, UNIT, UnitTuple,
+                    children, match, rebuild, substitute, tag_ground_term,
+                    tag_term)
 from .typecheck import _substitute_type_vars, domains, substitute_stype
 
 
@@ -138,12 +138,6 @@ def _choice(sc, s):
 def _neg(sc, s):
     arg = sc.compile(s.arg)
     return lambda t, env: t if arg(t, env) is None else None
-
-
-def _cong_con(sc, s):
-    name = s.name
-    return lambda t, env: (t if isinstance(t, Constant) and t.name == name
-                           else None)
 
 
 def _each(sc, s):
@@ -274,8 +268,7 @@ _NODES = {
     S.Fail: ("fail", "fail", _leaf(lambda t, env: None)),
     S.Seq: ("seq", ";", _seq), S.Choice: ("choice", "+", _choice),
     S.LChoice: ("choice", "<+", _choice), S.Neg: ("neg", "!", _neg),
-    S.CongCon: ("cong", None, _cong_con), S.CongFun: ("cong", None, _each),
-    S.CongUnit: ("cong", "()", _leaf(
+    S.CongFun: ("cong", None, _each), S.CongUnit: ("cong", "()", _leaf(
         lambda t, env: t if isinstance(t, UnitTuple) else None)),
     S.CongPair: ("cong", "(,)", _pair),
     S.All: ("all", "all", _each), S.One: ("one", "one", _first),

@@ -341,12 +341,10 @@ class Parser:
                 self.expect(":")
                 if word == "var":
                     value = self.parse_ttype()
-                elif word == "con":
-                    value = Sort(self.expect_name())
-                else:
-                    value = (self.sep_list(lambda: Sort(self.expect_name()),
-                                           "*", close="->"),
-                             Sort(self.expect_name()))
+                else:  # con or fun: (argument sorts, result sort)
+                    args = () if word == "con" else self.sep_list(
+                        lambda: Sort(self.expect_name()), "*", close="->")
+                    value = (args, Sort(self.expect_name()))
             self.expect(";")
             if word == "def":
                 if name in definitions:

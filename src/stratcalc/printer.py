@@ -11,7 +11,6 @@ from . import syntax as S
 from .terms import (
     Amp,
     Arrow,
-    Constant,
     FunApp,
     Pair,
     UnitTuple,
@@ -20,7 +19,7 @@ from .terms import (
 
 
 def render_term(t):
-    if isinstance(t, (Constant, Var)):
+    if isinstance(t, Var):
         return t.name
     if isinstance(t, FunApp):
         # A loop, not a generator, so that a level of nesting costs one
@@ -28,7 +27,7 @@ def render_term(t):
         args = []
         for a in t.args:
             args.append(render_term(a))
-        return "%s(%s)" % (t.name, ",".join(args))
+        return "%s(%s)" % (t.name, ",".join(args)) if args else t.name
     if isinstance(t, UnitTuple):
         return "()"
     if isinstance(t, Pair):
@@ -88,8 +87,6 @@ def _render(s):
         return text, 0 if s.where else 5
     if isinstance(s, S.Neg):
         return "!%s" % render_strat(s.arg, 5), 4
-    if isinstance(s, S.CongCon):
-        return s.name, 5
     if isinstance(s, S.CongUnit):
         return "()", 5
     if isinstance(s, S.CongPair):
@@ -135,11 +132,11 @@ def render_program(program, skip_defs=()):
         # Definitions are printed from program.definitions, below.
         if keyword == "sort":
             lines.append("sort %s;" % name)
-        elif keyword == "def" or name in skip_decl:
+        elif keyword == "def":
             continue
-        elif keyword == "fun":
-            lines.append("fun %s : %s -> %r;"
-                         % (name, " * ".join(map(repr, value[0])), value[1]))
+        elif keyword in ("con", "fun"):
+            args = " * ".join(map(repr, value[0])) + " -> " if value[0] else ""
+            lines.append("%s %s : %s%r;" % (keyword, name, args, value[1]))
         else:
             lines.append("%s %s : %r;" % (keyword, name, value))
     for name, d in program.definitions.items():

@@ -71,13 +71,7 @@ class Neg(StrategyExpr):
 
 
 @dataclass(frozen=True)
-class CongCon(StrategyExpr):
-    name: str
-    pos: tuple = _posfield()
-
-
-@dataclass(frozen=True)
-class CongFun(StrategyExpr):
+class CongFun(StrategyExpr):  # f(s1,...,sn); a constant's has no arguments
     name: str
     args: tuple  # of StrategyExpr
     pos: tuple = _posfield()
@@ -190,7 +184,7 @@ class ParamRef(StrategyExpr):
 @dataclass(frozen=True)
 class Call(StrategyExpr):
     """In raw syntax, any bare name (the checker resolves it to a ParamRef,
-    CongCon, CongFun or combinator call); in the core, a combinator call."""
+    CongFun or combinator call); in the core, a combinator call."""
     name: str
     type_args: tuple  # of TermType
     args: tuple  # of StrategyExpr

@@ -145,13 +145,8 @@ class Term:
 
 
 @dataclass(frozen=True)
-class Constant(Term):
-    name: str
-    tag: TermType = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
 class FunApp(Term):
+    """f(t1,...,tn); a constant is a function with no arguments."""
     name: str
     args: tuple
     tag: TermType = field(default=None, compare=False)
@@ -214,14 +209,13 @@ FAILURE = Failure()
 
 # The Context table that indexes each keyword's declarations; sorts go to
 # the set `sorts`.
-_TABLES = {"con": "constants", "fun": "functions", "var": "term_vars",
+_TABLES = {"con": "functions", "fun": "functions", "var": "term_vars",
            "def": "combinators"}
 
 
 @dataclass
 class Context:
     sorts: set = field(default_factory=set)
-    constants: dict = field(default_factory=dict)  # name -> Sort
     functions: dict = field(default_factory=dict)  # name -> (arg sorts, result sort)
     term_vars: dict = field(default_factory=dict)  # name -> TermType
     combinators: dict = field(default_factory=dict)  # name -> CombinatorType
@@ -233,8 +227,8 @@ class Context:
 
     def declare(self, keyword, name, value=None, pos=None):
         """Record `keyword name : value` and index it. The keyword is sort
-        (value None), con (a Sort), fun ((arg sorts, result sort)), var (a
-        TermType) or def (a CombinatorType)."""
+        (value None), con or fun ((arg sorts, result sort), with no argument
+        sorts for a con), var (a TermType) or def (a CombinatorType)."""
         self.decls.append((keyword, name, value, pos))
         if keyword == "sort":
             self.sorts.add(name)
@@ -261,9 +255,9 @@ def check_context(ctx):
         seen.add(key)
         last[keyword, name] = value, pos
     for (keyword, name), (value, pos) in last.items():
-        if keyword == "fun":
+        if keyword in ("con", "fun"):
             mentioned = list(value[0]) + [value[1]]
-        elif keyword in ("con", "var"):
+        elif keyword == "var":
             mentioned = _sorts_in_term_type(value)
         else:
             mentioned = ()
@@ -295,12 +289,9 @@ def type_of_term(ctx, t):
 def tag_term(ctx, t, bound=None):
     """Rebuild t with every node carrying its type, derived from its tagged
     children, so each node is typed once; raises as type_of_term does.
-    A Var that names a constant becomes that Constant. With `bound`, every
-    variable must be in it (a rule term may use only what the rule binds)."""
-    if isinstance(t, Constant):
-        if t.name not in ctx.constants:
-            raise UndeclaredSymbol("undeclared constant %s" % t.name)
-        return Constant(t.name, ctx.constants[t.name])
+    A Var that names a constant becomes that constant, a FunApp with no
+    arguments. With `bound`, every variable must be in it (a rule term may
+    use only what the rule binds)."""
     if isinstance(t, FunApp):
         if t.name not in ctx.functions:
             raise UndeclaredSymbol("undeclared function %s" % t.name)
@@ -321,8 +312,9 @@ def tag_term(ctx, t, bound=None):
             args.append(a)
         return FunApp(t.name, tuple(args), result)
     if isinstance(t, Var):
-        if t.name in ctx.constants:
-            return Constant(t.name, ctx.constants[t.name])
+        sig = ctx.functions.get(t.name)
+        if sig is not None and not sig[0]:
+            return FunApp(t.name, (), sig[1])
         if t.name not in ctx.term_vars:
             raise UnknownName("unknown symbol %s in term" % t.name)
         if bound is not None and t.name not in bound:
@@ -384,8 +376,6 @@ def _match_into(pattern, subject, theta):
             theta[pattern.name] = subject
             return True
         return bound == subject
-    if isinstance(pattern, Constant):
-        return isinstance(subject, Constant) and pattern.name == subject.name
     if isinstance(pattern, FunApp):
         return (
             isinstance(subject, FunApp)

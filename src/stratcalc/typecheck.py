@@ -343,11 +343,6 @@ def _type_of(ctx, s):
     if isinstance(s, S.Neg):
         p, c = type_and_core(ctx, s.arg)
         return negatable(ctx, p), S.Neg(c, pos)
-    if isinstance(s, S.CongCon):
-        sort = ctx.constants.get(s.name)
-        if sort is None:
-            raise UnknownName("unknown constant %s in congruence" % s.name)
-        return Arrow(sort, sort), s
     if isinstance(s, S.CongFun):
         if s.name not in ctx.functions:
             raise UnknownName("unknown function %s in congruence" % s.name)
@@ -471,11 +466,6 @@ def _type_of(ctx, s):
                 raise UnknownName("strategy parameter %s takes no arguments"
                                   % s.name)
             return _type_of(ctx, S.ParamRef(s.name, pos))
-        if s.name in ctx.constants:
-            if s.type_args or s.args:
-                raise UnknownName("constant congruence %s takes no arguments"
-                                  % s.name)
-            return _type_of(ctx, S.CongCon(s.name, pos))
         if s.name in ctx.functions:
             if s.type_args:
                 raise UnknownName(

@@ -79,7 +79,7 @@ def addition():
 
 
 def num(n):
-    t = sc.Constant("zero")
+    t = sc.FunApp("zero", ())
     for _ in range(n):
         t = sc.FunApp("succ", (t,))
     return t

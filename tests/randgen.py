@@ -14,7 +14,6 @@ from stratcalc import syntax as S
 from stratcalc.terms import (
     Arrow,
     Amp,
-    Constant,
     FunApp,
     Pair,
     PairType,
@@ -49,15 +48,15 @@ RULES = {
     NN: [
         _rule(_v("N"), FunApp("succ", (_v("N"),))),
         _rule(FunApp("succ", (_v("N"),)), _v("N")),
-        _rule(Constant("zero"), FunApp("succ", (Constant("zero"),))),
-        _rule(_v("N"), Constant("zero")),
+        _rule(FunApp("zero", ()), FunApp("succ", (FunApp("zero", ()),))),
+        _rule(_v("N"), FunApp("zero", ())),
     ],
     TT: [
         _rule(FunApp("fork", (_v("T1"), _v("T2"))),
               FunApp("fork", (_v("T2"), _v("T1")))),
         _rule(FunApp("leaf", (_v("N"),)),
               FunApp("leaf", (FunApp("succ", (_v("N"),)),))),
-        _rule(_v("T1"), FunApp("leaf", (Constant("zero"),))),
+        _rule(_v("T1"), FunApp("leaf", (FunApp("zero", ()),))),
         _rule(FunApp("fork", (_v("T1"), _v("T1"))), _v("T1")),
     ],
     NT: [
@@ -66,13 +65,13 @@ RULES = {
     ],
     TN: [
         _rule(FunApp("leaf", (_v("N"),)), _v("N")),
-        _rule(_v("T1"), Constant("zero")),
+        _rule(_v("T1"), FunApp("zero", ())),
     ],
     UN: [
-        _rule(UnitTuple(), Constant("zero")),
+        _rule(UnitTuple(), FunApp("zero", ())),
     ],
     Arrow(UNIT, TREE): [
-        _rule(UnitTuple(), FunApp("leaf", (Constant("zero"),))),
+        _rule(UnitTuple(), FunApp("leaf", (FunApp("zero", ()),))),
     ],
     Arrow(PairType(NAT, NAT), NAT): [
         _rule(Pair(_v("N1"), _v("N2")), _v("N1")),
@@ -178,7 +177,7 @@ class Gen:
     def congruence(self, sort, depth):
         if sort == NAT:
             if depth <= 0 or self.rng.random() < 0.4:
-                return S.CongCon("zero")
+                return S.CongFun("zero", ())
             return S.CongFun("succ", (self.arrow(NN, depth - 1),))
         if sort == TREE:
             if depth <= 0 or self.rng.random() < 0.5:
@@ -237,7 +236,7 @@ class Gen:
     def term(self, tau, depth=4):
         if tau == NAT:
             if depth <= 0 or self.rng.random() < 0.4:
-                return Constant("zero")
+                return FunApp("zero", ())
             return FunApp("succ", (self.term(NAT, depth - 1),))
         if tau == TREE:
             if depth <= 1 or self.rng.random() < 0.5:

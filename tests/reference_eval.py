@@ -18,7 +18,6 @@ from stratcalc.errors import (
 )
 from stratcalc.evaluate import EngineFailure, EvalConfig, depth_exceeded
 from stratcalc.terms import (
-    Constant,
     FAILURE,
     FunApp,
     Ok,
@@ -62,8 +61,8 @@ _TRACE = {
     S.Rule: ("rule", "rule"), S.Id: ("id", "id"), S.Fail: ("fail", "fail"),
     S.Seq: ("seq", ";"), S.Choice: ("choice", "+"),
     S.LChoice: ("choice", "<+"), S.Neg: ("neg", "!"),
-    S.CongCon: ("cong", None), S.CongFun: ("cong", None),
-    S.CongUnit: ("cong", "()"), S.CongPair: ("cong", "(,)"),
+    S.CongFun: ("cong", None), S.CongUnit: ("cong", "()"),
+    S.CongPair: ("cong", "(,)"),
     S.All: ("all", "all"), S.One: ("one", "one"),
     S.Reduce: ("red", "reduce"), S.Select: ("sel", "select"),
     S.Void: ("void", "void"), S.Spawn: ("spawn", "spawn"),
@@ -73,7 +72,7 @@ _TRACE = {
 
 
 def term_head(t):
-    if isinstance(t, (Constant, FunApp)):
+    if isinstance(t, FunApp):
         return t.name
     if isinstance(t, UnitTuple):
         return "()"
@@ -148,10 +147,6 @@ def _eval_node(st, s, t, env):
     if isinstance(s, S.Neg):
         out = _eval(st, s.arg, t, env)
         return t if out is None else None
-    if isinstance(s, S.CongCon):
-        if isinstance(t, Constant) and t.name == s.name:
-            return t
-        return None
     if isinstance(s, S.CongFun):
         if not isinstance(t, FunApp) or t.name != s.name:
             return None

@@ -10,7 +10,6 @@ import stratcalc as sc
 from stratcalc import syntax as S
 from stratcalc.terms import (
     Arrow,
-    Constant,
     FAILURE,
     FunApp,
     Ok,
@@ -126,7 +125,7 @@ def _brute_force_normalize(t):
             u = FunApp(u.name, new_args)
             if u.name == "add":
                 left, right = u.args
-                if right == Constant("zero"):
+                if right == FunApp("zero", ()):
                     return left
                 if isinstance(right, FunApp) and right.name == "succ":
                     return FunApp("succ", (FunApp("add",
@@ -224,7 +223,7 @@ def test_criterion_7_algebraic_identities(nat_tree_ctx):
 
 def _encode_int(k):
     def nat1(n):
-        t = Constant("i")
+        t = FunApp("i", ())
         for _ in range(n - 1):
             t = FunApp("succ", (t,))
         return t
@@ -232,7 +231,7 @@ def _encode_int(k):
     if k > 0:
         return FunApp("positive", (FunApp("notzero", (nat1(k),)),))
     if k == 0:
-        return FunApp("positive", (Constant("zero"),))
+        return FunApp("positive", (FunApp("zero", ()),))
     return FunApp("negative", (nat1(-k),))
 
 

@@ -119,6 +119,17 @@ def test_run_fuel_exhaustion_exit_3(capcli, write):
     assert "FuelExhausted" in err
 
 
+@pytest.mark.parametrize("fuel", ["-1", "abc"])
+def test_run_fuel_must_be_a_count(capsys, write, fuel):
+    # Like a malformed number, a negative one is a command-line error.
+    f = write("td.strat", "sort Nat; con zero : Nat; fun succ : Nat -> Nat;\n"
+              "main = TD(id);")
+    with pytest.raises(SystemExit) as e:
+        cli_main(["run", f, "--term", "succ(zero)", "--fuel", fuel])
+    assert e.value.code == 2
+    assert "argument --fuel: " in capsys.readouterr().err
+
+
 def test_run_inapplicable_term_exit_2(capcli, write):
     f = write("inc.strat", "sort Nat; sort Tree; con zero : Nat;\n"
               "fun succ : Nat -> Nat; fun leaf : Nat -> Tree;\n"
@@ -189,6 +200,21 @@ def test_elaborate_shows_annot_and_round_trips(capcli, tmp_path):
         again.write_text(out)
         code2, out2, err2 = capcli("check", str(again))
         assert code2 == 0 and out2 == want
+
+
+def test_elaborate_with_a_prelude_file_rechecks_against_it(capcli, write):
+    # The output leaves out the prelude's declarations as well as its
+    # definitions, so it checks against the prelude it was made with.
+    pre = write("pre.strat", "sort Nat;\ncon zero : Nat;\n"
+                "fun succ : Nat -> Nat;\ndef Try(v) : TP -> TP = v <+ id;")
+    p = write("p.strat", "var N : Nat;\nmain = Try(extend(N -> succ(N), TP));")
+    code, out, err = capcli("elaborate", p, "--prelude", pre)
+    assert (code, err) == (0, "")
+    assert out == ("var N : Nat;\n"
+                   "main = Try(extend((N -> succ(N) : Nat -> Nat), TP));\n")
+    e = write("e.strat", out)
+    assert capcli("check", e, "--prelude", pre) == (0, "TP\n", "")
+    assert capcli("check", p, "--prelude", pre) == (0, "TP\n", "")
 
 
 def test_elaborate_ill_typed_exit_2(capcli, write):
@@ -326,7 +352,7 @@ def test_library_rejects_what_the_cli_rejects(capcli, write):
     code, out, err = capcli("check", write("ctx.strat", text))
     assert (code, out) == (2, "")
     ctx = sc.parse_program(text, prelude=None).context
-    got = sc.apply_strategy(ctx, {}, S.Id(), sc.Constant("zero"))
+    got = sc.apply_strategy(ctx, {}, S.Id(), sc.FunApp("zero", ()))
     assert got == sc.EngineFailure(
         "InternalTypeViolation",
         "runtime typing failed: duplicate declaration of zero")
@@ -352,7 +378,8 @@ NAME_DIAGNOSTICS = [
     ("def A(v) : TP -> TP = v(id);\nmain = A(id);", None,
      "ERROR name at 2:23: strategy parameter v takes no arguments"),
     ("main = zero(id);", None,
-     "ERROR name at 2:8: constant congruence zero takes no arguments"),
+     "ERROR cong at 2:8: congruence zero expects 0 argument strategies, "
+     "got 1"),
     ("main = succ[Nat](id);", None,
      "ERROR name at 2:8: function congruence succ takes no type arguments"),
     ("main = fork(id);", None,
@@ -391,6 +418,20 @@ def test_name_diagnostics(capcli, write, text, term, want):
     f = write("names.strat", DIAG_HEADER + text + "\n")
     argv = ("check", f) if term is None else ("run", f, "--term", term)
     assert capcli(*argv) == (2, "", want + "\n")
+
+
+def test_a_constant_takes_no_arguments(capcli, write):
+    # A constant is a function with no arguments, in a term and in a
+    # term given to the library alike.
+    f = write("id.strat", DIAG_HEADER + "main = id;\n")
+    assert capcli("run", f, "--term", "zero(zero)") == (
+        2, "", "ERROR fun at 0:0: zero expects 0 arguments, got 1\n")
+    ctx = sc.parse_program(DIAG_HEADER + "main = id;\n").context
+    zero = sc.FunApp("zero", ())
+    got = sc.apply_strategy(ctx, {}, S.Id(), sc.FunApp("zero", (zero,)))
+    assert got == sc.EngineFailure(
+        "InternalTypeViolation",
+        "runtime typing failed: zero expects 0 arguments, got 1")
 
 
 def test_context_diagnostics_name_their_declaration(capcli, write):
@@ -447,7 +488,7 @@ def test_library_rejects_duplicate_parameters():
     program = sc.parse_program(PARAM_HEADER + DUPLICATE_PARAMS
                                + "main = F(id, N -> succ(N));\n")
     got = sc.apply_strategy(program.context, program.definitions,
-                            program.main, sc.Constant("zero"))
+                            program.main, sc.FunApp("zero", ()))
     assert got == sc.EngineFailure(
         "InternalTypeViolation",
         "runtime typing failed: duplicate parameter v in definition of F")

@@ -8,7 +8,6 @@ from stratcalc import syntax as S
 from stratcalc.evaluate import EvalState
 from stratcalc.terms import (
     Arrow,
-    Constant,
     FAILURE,
     FunApp,
     Ok,
@@ -26,7 +25,8 @@ from randgen import NAT, NN, TREE, TT
 INC = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
 EXT_INC = S.Extend(S.Annot(INC, NN), TP_TYPE)
 
-LEAF0 = FunApp("leaf", (Constant("zero"),))
+ZERO = FunApp("zero", ())
+LEAF0 = FunApp("leaf", (ZERO,))
 LEAF1 = FunApp("leaf", (num(1),))
 TREE7 = FunApp("fork", (LEAF0, LEAF1))
 
@@ -37,12 +37,12 @@ def ev(ctx, s, t, **kw):
 
 
 def test_rule_match_and_substitute(nat_tree_ctx):
-    assert ev(nat_tree_ctx, INC, Constant("zero")) == Ok(num(1))
+    assert ev(nat_tree_ctx, INC, ZERO) == Ok(num(1))
 
 
 def test_rule_no_match_fails(nat_tree_ctx):
     dec = S.Rule(FunApp("succ", (Var("N"),)), Var("N"))
-    assert ev(nat_tree_ctx, dec, Constant("zero")) == FAILURE
+    assert ev(nat_tree_ctx, dec, ZERO) == FAILURE
 
 
 def test_id_fail_void(nat_tree_ctx):
@@ -57,15 +57,15 @@ def test_neg_swaps_outcomes(nat_tree_ctx):
 
 
 def test_seq_threads_and_propagates_failure(nat_tree_ctx):
-    assert ev(nat_tree_ctx, S.Seq(INC, INC), Constant("zero")) == Ok(num(2))
+    assert ev(nat_tree_ctx, S.Seq(INC, INC), ZERO) == Ok(num(2))
     assert ev(nat_tree_ctx, S.Seq(S.Fail(), S.Id()), LEAF0) == FAILURE
     assert ev(nat_tree_ctx, S.Seq(S.Id(), S.Fail()), LEAF0) == FAILURE
 
 
 def test_choice_left_first(nat_tree_ctx):
     double = S.Rule(Var("N"), FunApp("succ", (FunApp("succ", (Var("N"),)),)))
-    assert ev(nat_tree_ctx, S.Choice(INC, double), Constant("zero")) == Ok(num(1))
-    assert ev(nat_tree_ctx, S.Choice(S.Fail(), INC), Constant("zero")) == Ok(num(1))
+    assert ev(nat_tree_ctx, S.Choice(INC, double), ZERO) == Ok(num(1))
+    assert ev(nat_tree_ctx, S.Choice(S.Fail(), INC), ZERO) == Ok(num(1))
 
 
 def test_congruence_dispatch(nat_tree_ctx):
@@ -74,9 +74,9 @@ def test_congruence_dispatch(nat_tree_ctx):
     # outermost symbol must agree
     cong_fork = S.CongFun("fork", (S.Id(), S.Id()))
     assert ev(nat_tree_ctx, cong_fork, LEAF0) == FAILURE
-    assert ev(nat_tree_ctx, S.CongCon("zero"), Constant("zero")) == \
-        Ok(Constant("zero"))
-    assert ev(nat_tree_ctx, S.CongCon("zero"), num(1)) == FAILURE
+    assert ev(nat_tree_ctx, S.CongFun("zero", ()), ZERO) == \
+        Ok(ZERO)
+    assert ev(nat_tree_ctx, S.CongFun("zero", ()), num(1)) == FAILURE
 
 
 def test_pair_and_unit_congruence(nat_tree_ctx):
@@ -93,8 +93,8 @@ def test_all_children_rewritten(nat_tree_ctx):
 
 
 def test_all_succeeds_on_constants(nat_tree_ctx):
-    assert ev(nat_tree_ctx, S.All(S.Fail()), Constant("zero")) == \
-        Ok(Constant("zero"))
+    assert ev(nat_tree_ctx, S.All(S.Fail()), ZERO) == \
+        Ok(ZERO)
 
 
 def test_one_leftmost_and_fails_on_constants(nat_tree_ctx):
@@ -103,7 +103,7 @@ def test_one_leftmost_and_fails_on_constants(nat_tree_ctx):
                         TP_TYPE)
     got = ev(nat_tree_ctx, S.One(inc_leaf), TREE7)
     assert got == Ok(FunApp("fork", (FunApp("leaf", (num(1),)), LEAF1)))
-    assert ev(nat_tree_ctx, S.One(S.Id()), Constant("zero")) == FAILURE
+    assert ev(nat_tree_ctx, S.One(S.Id()), ZERO) == FAILURE
 
 
 def test_select_first_succeeding_child(nat_tree_ctx):
@@ -111,7 +111,7 @@ def test_select_first_succeeding_child(nat_tree_ctx):
                         TU(NAT))
     got = ev(nat_tree_ctx, S.Select(pick_nat), LEAF1)
     assert got == Ok(num(1))
-    assert ev(nat_tree_ctx, S.Select(pick_nat), Constant("zero")) == FAILURE
+    assert ev(nat_tree_ctx, S.Select(pick_nat), ZERO) == FAILURE
 
 
 def test_reduce_folds_left_to_right(nat_tree_ctx):
@@ -131,7 +131,7 @@ def test_reduce_folds_left_to_right(nat_tree_ctx):
                                              sc.PairType(NAT, NAT))), first)
     assert ev(nat_tree_ctx, S.Reduce(never, keep_nat), num(1)) == Ok(num(0))
     # constants fail
-    assert ev(nat_tree_ctx, S.Reduce(first, to_nat), Constant("zero")) == \
+    assert ev(nat_tree_ctx, S.Reduce(first, to_nat), ZERO) == \
         FAILURE
 
 
@@ -151,7 +151,7 @@ def test_spawn_pairs_results_short_circuit(nat_tree_ctx):
 
 
 def test_extend_dispatch_by_tag(nat_tree_ctx):
-    assert ev(nat_tree_ctx, EXT_INC, Constant("zero")) == Ok(num(1))
+    assert ev(nat_tree_ctx, EXT_INC, ZERO) == Ok(num(1))
     # sort outside the annotated domain: fail without invoking the inner
     assert ev(nat_tree_ctx, EXT_INC, LEAF0) == FAILURE
 
@@ -159,20 +159,20 @@ def test_extend_dispatch_by_tag(nat_tree_ctx):
 def test_extend_passes_inner_failure_through(nat_tree_ctx):
     dec = S.Rule(FunApp("succ", (Var("N"),)), Var("N"))
     s = S.Extend(S.Annot(dec, NN), TP_TYPE)
-    assert ev(nat_tree_ctx, s, Constant("zero")) == FAILURE
+    assert ev(nat_tree_ctx, s, ZERO) == FAILURE
 
 
 def test_restrict_and_annot_transparent(nat_tree_ctx):
-    assert ev(nat_tree_ctx, S.Restrict(S.Id(), NN), Constant("zero")) == \
-        Ok(Constant("zero"))
-    assert ev(nat_tree_ctx, S.Annot(INC, NN), Constant("zero")) == Ok(num(1))
+    assert ev(nat_tree_ctx, S.Restrict(S.Id(), NN), ZERO) == \
+        Ok(ZERO)
+    assert ev(nat_tree_ctx, S.Annot(INC, NN), ZERO) == Ok(num(1))
 
 
 def test_amp_dispatches_on_sort(nat_tree_ctx):
     flip = S.Rule(FunApp("fork", (Var("T1"), Var("T2"))),
                   FunApp("fork", (Var("T2"), Var("T1"))))
     s = S.AmpS(INC, flip)
-    assert ev(nat_tree_ctx, s, Constant("zero")) == Ok(num(1))
+    assert ev(nat_tree_ctx, s, ZERO) == Ok(num(1))
     assert ev(nat_tree_ctx, s, FunApp("fork", (LEAF0, LEAF1))) == \
         Ok(FunApp("fork", (LEAF1, LEAF0)))
 
@@ -182,9 +182,9 @@ def test_guard_succeeds_on_its_sort_only(nat_tree_ctx):
     assert ev(nat_tree_ctx, guard, num(2)) == Ok(num(2))
     assert ev(nat_tree_ctx, guard, LEAF0) == FAILURE
     # a sugared where-clause reaches the evaluator elaborated, too
-    where = (S.Where("N1", guard, Constant("zero")),)
-    assert ev(nat_tree_ctx, S.Rule(Constant("zero"), Var("N1"), where),
-              Constant("zero")) == Ok(Constant("zero"))
+    where = (S.Where("N1", guard, ZERO),)
+    assert ev(nat_tree_ctx, S.Rule(ZERO, Var("N1"), where),
+              ZERO) == Ok(ZERO)
 
 
 def test_right_biased_overloading_commits_by_sort(nat_tree_ctx):
@@ -194,19 +194,19 @@ def test_right_biased_overloading_commits_by_sort(nat_tree_ctx):
     assert ev(nat_tree_ctx, S.TRChoice(S.Fail(), INC), LEAF0) == FAILURE
     # a failing s2 on its own sort does not fall back to s1
     dec = S.Rule(FunApp("succ", (Var("N"),)), Var("N"))
-    assert ev(nat_tree_ctx, S.TRChoice(S.Id(), dec), Constant("zero")) == \
+    assert ev(nat_tree_ctx, S.TRChoice(S.Id(), dec), ZERO) == \
         FAILURE
 
 
 def test_ill_typed_input_is_engine_failure(nat_tree_ctx):
     bad = S.Extend(S.All(INC), TP_TYPE)
-    got = ev(nat_tree_ctx, bad, Constant("zero"))
+    got = ev(nat_tree_ctx, bad, ZERO)
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "InternalTypeViolation"
     assert got.detail.startswith("runtime typing failed: ")
-    where = (S.Where("N1", bad, Constant("zero")),)
-    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), Var("N1"), where),
-             Constant("zero"))
+    where = (S.Where("N1", bad, ZERO),)
+    got = ev(nat_tree_ctx, S.Rule(ZERO, Var("N1"), where),
+             ZERO)
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "InternalTypeViolation"
 
@@ -287,9 +287,9 @@ def test_eval_body_add_step(problems):
 
 
 def test_eval_body_where_fail(nat_tree_ctx):
-    where = (S.Where("N1", S.Fail(), Constant("zero")),)
-    got = ev(nat_tree_ctx, S.Rule(Constant("zero"), Var("N1"), where),
-             Constant("zero"))
+    where = (S.Where("N1", S.Fail(), ZERO),)
+    got = ev(nat_tree_ctx, S.Rule(ZERO, Var("N1"), where),
+             ZERO)
     assert got == FAILURE
 
 
@@ -302,9 +302,9 @@ def test_fuel_exhaustion(nat_tree):
 
 
 @pytest.mark.parametrize("main,term,detail", [
-    (S.ParamRef("v"), Constant("zero"), "unbound strategy parameter v"),
+    (S.ParamRef("v"), ZERO, "unbound strategy parameter v"),
     (S.AmpS(S.Annot(S.Id(), NN), S.Annot(S.Id(), TT)),
-     Pair(Constant("zero"), Constant("zero")),
+     Pair(ZERO, ZERO),
      "no overloaded branch accepts a term of type (Nat,Nat)"),
 ])
 def test_core_the_checker_rejects_is_engine_failure(nat_tree_ctx, main,
@@ -341,7 +341,7 @@ def test_unbound_combinator_is_engine_error():
     ctx = sc.parse_program("sort Nat; con zero : Nat;\n"
                            "def Ghost : TP = id;\nmain = id;").context
     got = sc.apply_strategy(ctx, {}, S.Call("Ghost", (), ()),
-                            sc.tag_term(ctx, Constant("zero")),
+                            sc.tag_term(ctx, ZERO),
                             sc.EvalConfig())
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "UnboundCombinator"
@@ -356,7 +356,7 @@ def test_ok_results_are_ground_and_tagged(nat_tree_ctx):
 def test_trace_lines_format(nat_tree_ctx):
     st = EvalState()
     sc.apply_strategy(nat_tree_ctx, {}, S.Choice(S.Fail(), S.Id()),
-                      sc.tag_term(nat_tree_ctx, Constant("zero")),
+                      sc.tag_term(nat_tree_ctx, ZERO),
                       sc.EvalConfig(trace=True), st)
     assert any(line.strip() == "fail fail @ zero => fail"
                for line in st.trace_lines)
@@ -366,7 +366,7 @@ def test_trace_lines_format(nat_tree_ctx):
 
 def test_bare_parameter_is_engine_error(nat_tree_ctx):
     got = sc.apply_strategy(nat_tree_ctx, {}, S.ParamRef("v"),
-                            sc.tag_term(nat_tree_ctx, Constant("zero")),
+                            sc.tag_term(nat_tree_ctx, ZERO),
                             sc.EvalConfig())
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "InternalTypeViolation"
@@ -427,14 +427,14 @@ def test_actuals_bind_in_the_callers_scope():
 
 def _tagged_nat(depth):
     # Built bottom-up, since tag_term itself recurses on depth.
-    t = Constant("zero", NAT)
+    t = FunApp("zero", (), NAT)
     for _ in range(depth):
         t = FunApp("succ", (t,), NAT)
     return t
 
 
 def _tagged_tree(depth):
-    t = FunApp("leaf", (Constant("zero", NAT),), TREE)
+    t = FunApp("leaf", (FunApp("zero", (), NAT),), TREE)
     for _ in range(depth):
         t = FunApp("fork", (t, t), TREE)
     return t
@@ -462,12 +462,10 @@ def test_300_deep_term_runs(nat_tree, s, depth):
                             _tagged_nat(300), sc.EvalConfig())
     # Walked in a loop, since == on terms recurses on their depth.
     t, n = got.term, 0
-    while isinstance(t, FunApp):
+    while t.args:
         t, n = t.args[0], n + 1
-    assert (n, t) == (depth, Constant("zero"))
+    assert (n, t) == (depth, ZERO)
 
-
-ZERO = Constant("zero")
 
 
 @pytest.mark.parametrize("s,message", [

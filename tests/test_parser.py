@@ -13,7 +13,7 @@ from stratcalc import syntax as S
 from stratcalc.cli import main as cli_main
 from stratcalc.parser import RESERVED, Parser, tokenize
 from stratcalc.printer import render_strat
-from stratcalc.terms import Constant, FunApp, Pair, Term, UnitTuple, Var
+from stratcalc.terms import FunApp, Pair, Term, UnitTuple, Var
 
 from randgen import Gen, NAT, TREE
 from conftest import NAT_TREE_HEADER
@@ -129,7 +129,7 @@ def test_mutually_recursive_defs_resolve():
 
 def test_parse_term_examples(nat_tree_ctx):
     t = sc.parse_term("fork(leaf(zero),leaf(zero))", nat_tree_ctx)
-    assert t == FunApp("fork", (FunApp("leaf", (Constant("zero"),)),) * 2)
+    assert t == FunApp("fork", (FunApp("leaf", (FunApp("zero", ()),)),) * 2)
     assert t.tag == TREE
     u = sc.parse_term("()", nat_tree_ctx)
     assert u == UnitTuple() and u.tag == sc.UNIT
@@ -141,8 +141,9 @@ def test_parse_term_rejects_ill_sorted(nat_tree_ctx):
 
 
 def test_render_term_examples():
-    assert sc.render_term(FunApp("succ", (Constant("zero"),))) == "succ(zero)"
-    assert sc.render_term(Pair(Constant("zero"), UnitTuple())) == "(zero,())"
+    zero = FunApp("zero", ())
+    assert sc.render_term(FunApp("succ", (zero,))) == "succ(zero)"
+    assert sc.render_term(Pair(zero, UnitTuple())) == "(zero,())"
 
 
 def test_comments_ignored():
@@ -250,11 +251,11 @@ def test_strategy_render_parse_round_trip(seed, nat_tree):
 def as_parsed(x):
     """x as the parser gives it: every parameter and congruence on a named
     symbol is a bare name S.Call, and every constant in a term a Var."""
-    if isinstance(x, (S.ParamRef, S.CongCon)):
+    if isinstance(x, S.ParamRef):
         return S.Call(x.name, (), (), x.pos)
     if isinstance(x, S.CongFun):
         return S.Call(x.name, (), as_parsed(x.args), x.pos)
-    if isinstance(x, Constant):
+    if isinstance(x, FunApp) and not x.args:
         return Var(x.name)
     if isinstance(x, (S.StrategyExpr, S.RuleBody, Term)):
         return dataclasses.replace(x, **{

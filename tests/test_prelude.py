@@ -7,7 +7,6 @@ from stratcalc import syntax as S
 from stratcalc.terms import (
     Arrow,
     CombinatorType,
-    Constant,
     FAILURE,
     FunApp,
     Ok,
@@ -78,17 +77,17 @@ def call(nat_tree, expr, term):
 
 
 def test_con_detects_constants(nat_tree):
-    assert call(nat_tree, "Con", Constant("zero")) == Ok(Constant("zero"))
+    assert call(nat_tree, "Con", FunApp("zero", ())) == Ok(FunApp("zero", ()))
     assert call(nat_tree, "Con", num(1)) == FAILURE
 
 
 def test_fun_detects_compound_terms(nat_tree):
-    assert call(nat_tree, "Fun", Constant("zero")) == FAILURE
+    assert call(nat_tree, "Fun", FunApp("zero", ())) == FAILURE
     assert call(nat_tree, "Fun", num(1)) == Ok(num(1))
 
 
 def test_try_fail_is_identity(nat_tree):
-    for t in [Constant("zero"), num(3),
+    for t in [FunApp("zero", ()), num(3),
               FunApp("fork", (FunApp("leaf", (num(0),)),
                               FunApp("leaf", (num(1),))))]:
         assert call(nat_tree, "Try(fail)", t) == Ok(t)
@@ -120,7 +119,7 @@ def test_stoptdm_vs_stoptd_distinguishing_pair(nat_tree):
     # the contract-checking variant fails, while the biased-choice
     # variant silently descends and succeeds.
     arg_m = "succ(N) -> N"
-    tree = FunApp("leaf", (Constant("zero"),))
+    tree = FunApp("leaf", (FunApp("zero", ()),))
     assert call(nat_tree, "StopTDM[Nat](%s)" % arg_m, tree) == FAILURE
     assert call(nat_tree, "StopTD(extend(%s, TP))" % arg_m, tree) == Ok(tree)
 
@@ -147,7 +146,8 @@ def test_any_propagates_child_result(nat_tree):
 
 
 def test_crush_counts_with_add(problems):
+    a = FunApp("a", ())
     got = run_call(sc.elaborate_program(problems), "ProblemV",
                    sc.tag_term(problems.context,
-                               FunApp("g", (FunApp("g", (Constant("a"),)),))))
+                               FunApp("g", (FunApp("g", (a,)),))))
     assert got == Ok(num(2))

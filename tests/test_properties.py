@@ -236,7 +236,7 @@ TERM_VARS = ["N", "N1", "N2", "T1", "T2"]
 # Type arguments: declared, undeclared, a free type variable, compound.
 TYPE_ARGS = [sc.Sort("Nat"), sc.Sort("Bogus"), sc.TypeVar("a"),
              sc.PairType(sc.Sort("Nat"), sc.UNIT)]
-ILL_SORTED = sc.FunApp("succ", (sc.FunApp("leaf", (sc.Constant("zero"),)),))
+ILL_SORTED = sc.FunApp("succ", (sc.FunApp("leaf", (sc.FunApp("zero", ()),)),))
 
 
 def mutate_at(x, k, fn):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 import stratcalc as sc
 from stratcalc import errors as E
 from stratcalc.terms import (
-    Constant,
     Context,
     FunApp,
     Pair,
@@ -21,8 +20,8 @@ from randgen import Gen, NAT, TREE
 
 
 def test_type_of_fork_of_leaves(nat_tree_ctx):
-    t = FunApp("fork", (FunApp("leaf", (Constant("zero"),)),
-                        FunApp("leaf", (Constant("zero"),))))
+    t = FunApp("fork", (FunApp("leaf", (FunApp("zero", ()),)),
+                        FunApp("leaf", (FunApp("zero", ()),))))
     assert sc.type_of_term(nat_tree_ctx, t) == TREE
 
 
@@ -31,19 +30,19 @@ def test_type_of_empty_tuple(nat_tree_ctx):
 
 
 def test_type_of_pair(nat_tree_ctx):
-    t = Pair(Constant("zero"), FunApp("leaf", (Constant("zero"),)))
+    t = Pair(FunApp("zero", ()), FunApp("leaf", (FunApp("zero", ()),)))
     assert sc.type_of_term(nat_tree_ctx, t) == PairType(NAT, TREE)
 
 
 def test_wrong_child_sort_rejected(nat_tree_ctx):
-    t = FunApp("succ", (FunApp("leaf", (Constant("zero"),)),))
+    t = FunApp("succ", (FunApp("leaf", (FunApp("zero", ()),)),))
     with pytest.raises(E.ArgSortMismatch):
         sc.type_of_term(nat_tree_ctx, t)
 
 
 def test_undeclared_symbol_rejected(nat_tree_ctx):
     with pytest.raises(E.UndeclaredSymbol):
-        sc.type_of_term(nat_tree_ctx, Constant("nope"))
+        sc.type_of_term(nat_tree_ctx, FunApp("nope", ()))
 
 
 def test_arity_mismatch_rejected(nat_tree_ctx):
@@ -62,40 +61,41 @@ def test_var_types_to_declared_sort(nat_tree_ctx):
 
 def test_match_binds_both_children():
     pat = FunApp("fork", (Var("T1"), Var("T2")))
-    subj = FunApp("fork", (FunApp("leaf", (Constant("zero"),)),
-                           FunApp("leaf", (FunApp("succ", (Constant("zero"),)),))))
+    zero = FunApp("zero", ())
+    subj = FunApp("fork", (FunApp("leaf", (zero,)),
+                           FunApp("leaf", (FunApp("succ", (zero,)),))))
     theta = sc.match(pat, subj)
     assert theta == {"T1": subj.args[0], "T2": subj.args[1]}
 
 
 def test_match_constant_identity():
-    assert sc.match(Constant("zero"), Constant("zero")) == {}
+    assert sc.match(FunApp("zero", ()), FunApp("zero", ())) == {}
 
 
 def test_match_constructor_clash():
-    assert sc.match(FunApp("succ", (Var("N"),)), Constant("zero")) is None
+    assert sc.match(FunApp("succ", (Var("N"),)), FunApp("zero", ())) is None
 
 
 def test_match_nonlinear_requires_equal_subterms():
     pat = FunApp("fork", (Var("T1"), Var("T1")))
-    same = FunApp("leaf", (Constant("zero"),))
-    other = FunApp("leaf", (FunApp("succ", (Constant("zero"),)),))
+    same = FunApp("leaf", (FunApp("zero", ()),))
+    other = FunApp("leaf", (FunApp("succ", (FunApp("zero", ()),)),))
     assert sc.match(pat, FunApp("fork", (same, same))) == {"T1": same}
     assert sc.match(pat, FunApp("fork", (same, other))) is None
 
 
 def test_substitute_replaces_variable():
-    out = sc.substitute({"N": Constant("zero")}, FunApp("succ", (Var("N"),)))
-    assert out == FunApp("succ", (Constant("zero"),))
+    out = sc.substitute({"N": FunApp("zero", ())}, FunApp("succ", (Var("N"),)))
+    assert out == FunApp("succ", (FunApp("zero", ()),))
 
 
 def test_substitute_empty_theta():
-    assert sc.substitute({}, Constant("zero")) == Constant("zero")
+    assert sc.substitute({}, FunApp("zero", ())) == FunApp("zero", ())
 
 
 def test_substitute_flips_pair_bindings():
-    theta = {"T1": FunApp("leaf", (Constant("zero"),)),
-             "T2": FunApp("leaf", (FunApp("succ", (Constant("zero"),)),))}
+    theta = {"T1": FunApp("leaf", (FunApp("zero", ()),)),
+             "T2": FunApp("leaf", (FunApp("succ", (FunApp("zero", ()),)),))}
     out = sc.substitute(theta, FunApp("fork", (Var("T2"), Var("T1"))))
     assert out == FunApp("fork", (theta["T2"], theta["T1"]))
 

@@ -10,7 +10,6 @@ from stratcalc import syntax as S
 from stratcalc.terms import (
     Amp,
     Arrow,
-    Constant,
     FunApp,
     PairType,
     Sort,
@@ -227,7 +226,7 @@ def test_problem_types(problems):
         assert sc.type_and_core(ctx, problems.definitions[name].body)[0] == pi
 
 
-@pytest.mark.parametrize("s", [S.CongFun("nosuch", ()), S.CongCon("nosuch")])
+@pytest.mark.parametrize("s", [S.CongFun("nosuch", ())])
 def test_unknown_congruence_rejected(nat_tree_ctx, s):
     with pytest.raises(E.UnknownName):
         sc.type_and_core(nat_tree_ctx, s)
@@ -241,7 +240,7 @@ def test_congruence_arity_rejected(nat_tree_ctx, args):
     assert e.value.rule == "cong"
     # Library input meets the same check before it runs.
     got = sc.apply_strategy(nat_tree_ctx, {}, s,
-                            FunApp("leaf", (Constant("zero"),)),
+                            FunApp("leaf", (FunApp("zero", ()),)),
                             sc.EvalConfig())
     assert got.kind == "InternalTypeViolation"
     assert got.detail.startswith("runtime typing failed: ")
@@ -251,7 +250,7 @@ def test_congruence_arity_rejected(nat_tree_ctx, args):
 
 def test_apply_id_to_constant(nat_tree_ctx):
     assert apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, S.Id())[0],
-                      sc.type_of_term(nat_tree_ctx, Constant("zero"))) == NAT
+                      sc.type_of_term(nat_tree_ctx, FunApp("zero", ()))) == NAT
 
 
 def test_apply_arrow_to_wrong_sort_rejected(nat_tree_ctx):
@@ -259,12 +258,12 @@ def test_apply_arrow_to_wrong_sort_rejected(nat_tree_ctx):
     with pytest.raises(E.InapplicableType):
         apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, inc)[0],
                    sc.type_of_term(nat_tree_ctx,
-                                   FunApp("leaf", (Constant("zero"),))))
+                                   FunApp("leaf", (FunApp("zero", ()),))))
 
 
 def test_apply_overloaded_branch(overload):
     ctx = overload.context
-    t = FunApp("positive", (Constant("zero"),))
+    t = FunApp("positive", (FunApp("zero", ()),))
     pi = sc.type_and_core(ctx, S.Call("Inc", (), ()))[0]
     assert apply_type(ctx, pi, sc.type_of_term(ctx, t)) == Sort("Int")
 
