@@ -16,6 +16,10 @@ a tracer that raises, as it does at the recursion limit, so the script
 then names the tests during which tracing stopped; lines those tests ran
 after that point count as not run. The exit code is pytest's.
 
+Unless the arguments give `--hypothesis-seed`, the script passes
+`--hypothesis-seed=1`, so that the property tests draw the same examples
+on every run and two runs over the same code report the same lines.
+
 Usage: python3 scripts/line_coverage.py [pytest arguments, default: tests]
 """
 
@@ -80,11 +84,13 @@ class LineTracer:
 def main(argv):
     paths = sorted(os.path.realpath(os.path.join(PACKAGE, name))
                    for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    argv = argv or [os.path.join(ROOT, "tests")]
+    if not any(arg.startswith("--hypothesis-seed") for arg in argv):
+        argv = argv + ["--hypothesis-seed=1"]
     tracer = LineTracer(paths)
     sys.settrace(tracer)
     try:
-        code = pytest.main(argv or [os.path.join(ROOT, "tests")],
-                           plugins=[tracer])
+        code = pytest.main(argv, plugins=[tracer])
     finally:
         sys.settrace(None)
     for path in paths:

@@ -6,6 +6,7 @@ file, 5 engine error, 6 input nested too deep.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -26,6 +27,7 @@ from .terms import Ok
 from .typecheck import apply_type, check_and_elaborate
 
 
+@functools.cache
 def _build_argparser():
     ap = argparse.ArgumentParser(prog="stratcalc",
                                  description="typed strategic term rewriting")

@@ -27,6 +27,10 @@ class EvalConfig:
     fuel: int = 100000  # 0 means unlimited
     trace: bool = False
 
+    def __post_init__(self):
+        if self.fuel < 0:
+            raise ValueError("fuel must be >= 0, got %d" % self.fuel)
+
 
 @dataclass
 class EngineFailure:

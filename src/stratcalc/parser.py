@@ -397,7 +397,7 @@ def parse_program(text, prelude=None, require_main=True):
     if require_main and main is None:
         tok = parser.peek()
         raise ParseError("missing main strategy", tok[2], tok[3])
-    return S.Program(ctx, definitions, main)
+    return S.Program(ctx, definitions, main, prelude)
 
 
 def parse_term(text, ctx):

@@ -248,3 +248,7 @@ class Program:
     context: object  # Context
     definitions: dict  # name -> Definition
     main: StrategyExpr
+    # The prelude Program this one was parsed against, or None: its
+    # records begin `context.decls` and its definitions are shared, so the
+    # checker can reuse their cores.
+    prelude: object = field(default=None, compare=False, repr=False)

@@ -5,12 +5,16 @@ Generation is type-directed: gen_strategy(target) only produces
 expressions whose unique type is the target, drawing from every
 combinator family (rules, congruences, seq/choice/neg, traversal,
 type-unifying primitives, extend/restrict/annot, overloading, sugar).
+`edited` draws program texts instead, most of them ill-formed.
 """
 
 import random
 
+from hypothesis import strategies as st
+
 import stratcalc as sc
 from stratcalc import syntax as S
+from stratcalc.parser import tokenize
 from stratcalc.terms import (
     Arrow,
     Amp,
@@ -257,3 +261,21 @@ class Gen:
         if isinstance(pi, Amp):
             return self.pick([b.dom for b in sc.terms.amp_branches(pi)])
         return self.pick([NAT, TREE, UNIT])
+
+
+def edited(seeds, tokens):
+    """Token strings: a seed's tokens under up to three random insertions,
+    deletions and replacements by one of `tokens`, so that some of them
+    parse and reach the later phases."""
+    @st.composite
+    def strings(draw):
+        toks = [tok[1] for tok in tokenize(draw(st.sampled_from(seeds)))][:-1]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+            i = draw(st.integers(0, len(toks)))
+            edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+            if edit != "insert" and i < len(toks):
+                del toks[i]
+            if edit != "delete":
+                toks.insert(i, draw(st.sampled_from(tokens)))
+        return " ".join(toks)
+    return strings()

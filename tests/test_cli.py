@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import stratcalc as sc
 from stratcalc import syntax as S
 from stratcalc.cli import main as cli_main
-from stratcalc.parser import RESERVED, tokenize
+from stratcalc.parser import RESERVED
 
 from conftest import golden_path, program_path
+from randgen import edited
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -182,6 +183,48 @@ def test_custom_prelude_file(capcli, write):
     assert out.strip() == "succ(succ(zero))"
 
 
+# Programs whose prelude definitions cannot reuse the prelude's checked
+# cores: (program, prelude file or None, command, want (code, out, err)).
+# Each reply is the one that checking every definition in the program's
+# context gives.
+PRELUDE_SIG = ("sort Nat; con zero : Nat; fun succ : Nat -> Nat; "
+               "var N : Nat;\n")
+PRELUDE_REUSE = {
+    # Redeclares a prelude name, so the prelude bodies that call Try are
+    # checked, and rejected, in the program's context.
+    "fun Try": (PRELUDE_SIG + "fun Try : Nat -> Nat;\nmain = Try(id);", None,
+                ["check"], (2, "", (
+                    "ERROR ctx at 2:1: duplicate declaration of Try\n"
+                    "ERROR def.3 at 4:1: body of Repeat has type Nat -> Nat, "
+                    "declared TP\n"
+                    "ERROR all at 14:26: all needs a type-preserving argument, "
+                    "has Nat -> Nat\n"))),
+    "def Try": (PRELUDE_SIG + "def Try(v) : TP -> TP = v;\nmain = Try(id);",
+                None, ["check"],
+                (2, "", "ERROR def at 2:1: duplicate definition of Try\n")),
+    # IncAll names Inc, which only the program declares.
+    "IncAll": (PRELUDE_SIG + "def Inc : Nat -> Nat = N -> succ(N);\n"
+               "main = IncAll;", "def IncAll : TP = all(extend(Inc, TP));\n",
+               ["run", "--term", "succ(zero)"], (0, "succ(succ(zero))\n", "")),
+    "ill-typed prelude": (
+        "main = Bad(id);", "def Try(v) : TP -> TP = v <+ id;\n"
+        "def Bad(v) : TP -> TP = select(v);\n", ["check"],
+        (2, "", "ERROR sel at 2:25: select needs a type-unifying argument, "
+                "has TP\n")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRELUDE_REUSE))
+def test_prelude_reuse_keeps_every_reply(capcli, write, case):
+    text, prelude, (command, *rest), want = PRELUDE_REUSE[case]
+    argv = [command, write("p.strat", text)] + rest
+    if prelude is not None:
+        argv += ["--prelude", write("pre.strat", prelude)]
+    # Twice, so that the second run meets the slot the first one filled.
+    assert capcli(*argv) == want
+    assert capcli(*argv) == want
+
+
 def test_elaborate_shows_annot_and_round_trips(capcli, tmp_path):
     shown = {
         "problems.strat": ["extend((Inc : Nat -> Nat), TP)",
@@ -215,6 +258,25 @@ def test_elaborate_with_a_prelude_file_rechecks_against_it(capcli, write):
     e = write("e.strat", out)
     assert capcli("check", e, "--prelude", pre) == (0, "TP\n", "")
     assert capcli("check", p, "--prelude", pre) == (0, "TP\n", "")
+
+
+def test_elaborate_prints_a_parametrised_definition(capcli, write):
+    # A definition's type parameters, parameters, parameter references and
+    # argument types, each as it reads back.
+    f = write("params.strat", PRELUDE_SIG +
+              "def F[a](v, w, u) : TU(a) * (a -> a) * (() -> a) -> TU(a) =\n"
+              "    (v ; w) <+ (void ; u);\n"
+              "main = F[Nat](extend(N -> N, TU(Nat)), N -> succ(N), "
+              "() -> zero);\n")
+    code, out, err = capcli("elaborate", f)
+    assert (code, err) == (0, "")
+    assert out == (
+        "sort Nat;\ncon zero : Nat;\nfun succ : Nat -> Nat;\nvar N : Nat;\n"
+        "def F[a](v,w,u) : TU(a) * (a -> a) * (() -> a) -> TU(a) = "
+        "v ; w <+ void ; u;\n"
+        "main = F[Nat](extend((N -> N : Nat -> Nat), TU(Nat)),"
+        "N -> succ(N),() -> zero);\n")
+    assert capcli("elaborate", write("again.strat", out)) == (0, out, "")
 
 
 def test_elaborate_ill_typed_exit_2(capcli, write):
@@ -579,31 +641,13 @@ PROGRAM_SEEDS = ["", "def A : TP = id; main = A;",
 TERM_SEEDS = ["", "zero", "succ(zero)", "fork(leaf(zero),leaf(succ(zero)))"]
 
 
-def edited(seeds):
-    """Token strings: a seed's tokens under up to three random insertions,
-    deletions and replacements of tokens, so that some of them parse and
-    reach the later phases."""
-    @st.composite
-    def strings(draw):
-        toks = [tok[1] for tok in tokenize(draw(st.sampled_from(seeds)))][:-1]
-        for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
-            i = draw(st.integers(0, len(toks)))
-            edit = draw(st.sampled_from(["insert", "delete", "replace"]))
-            if edit != "insert" and i < len(toks):
-                del toks[i]
-            if edit != "delete":
-                toks.insert(i, draw(st.sampled_from(FUZZ_TOKENS)))
-        return " ".join(toks)
-    return strings()
-
-
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz"))
 
 
-@given(header=st.booleans(), text=edited(PROGRAM_SEEDS),
-       term=edited(TERM_SEEDS),
+@given(header=st.booleans(), text=edited(PROGRAM_SEEDS, FUZZ_TOKENS),
+       term=edited(TERM_SEEDS, FUZZ_TOKENS),
        command=st.sampled_from(["check", "elaborate", "run"]),
        prelude=st.booleans())
 @settings(max_examples=300, deadline=None)

@@ -336,6 +336,12 @@ def test_unlimited_fuel_terminating(problems):
     assert got == Ok(num(5))
 
 
+def test_negative_fuel_is_rejected():
+    # Not read as fuel already exhausted: it is no amount of fuel at all.
+    with pytest.raises(ValueError, match="fuel must be >= 0, got -1"):
+        sc.EvalConfig(fuel=-1)
+
+
 def test_unbound_combinator_is_engine_error():
     # Ghost's type is declared, so the call checks, but no body is passed.
     ctx = sc.parse_program("sort Nat; con zero : Nat;\n"

@@ -1,8 +1,11 @@
 """The checker walks each strategy node once: checking and elaboration
-stay linear in nesting depth, and a CLI run walks each definition once.
+stay linear in nesting depth, and a CLI run walks each definition at most
+once: the prelude's once per process, the program's own once per run.
 
 Costs are counted as visits of `typecheck._type_of`, never as wall time.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +73,8 @@ def test_nested_forms_are_linear_in_depth(build, depth, nat_tree_ctx,
 
 
 def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
+    # A cold run checks each prelude body once, in the prelude's context;
+    # a warm run reuses those cores and walks only the program's own.
     loaded = []
     load = cli._load
 
@@ -79,13 +84,25 @@ def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
         return program, prelude
 
     monkeypatch.setattr(cli, "_load", keep)
-    code = cli.main(["run", program_path("problems.strat"),
-                     "--term", "fork(leaf(zero),leaf(succ(zero)))"])
-    assert code == 0
-    walked = list(visits)
-    program, = loaded
-    for d in program.definitions.values():
-        assert sum(s is d.body for s in walked) == 1, d.name
+    monkeypatch.setattr(typecheck, "_prelude_slot", (None, {}))
+    argv = ["run", program_path("problems.strat"),
+            "--term", "fork(leaf(zero),leaf(succ(zero)))"]
+    assert cli.main(argv) == 0
+    cold = list(visits)
     visits.clear()
-    sc.check_program(program)
-    assert len(walked) == len(visits)
+    assert cli.main(argv) == 0
+    warm = list(visits)
+
+    first, second = loaded
+    for d in first.definitions.values():
+        assert sum(s is d.body for s in cold) == 1, d.name
+    prelude = second.prelude.definitions
+    assert set(second.definitions) > set(prelude)
+    for name, d in second.definitions.items():
+        assert sum(s is d.body for s in warm) == (name not in prelude), name
+
+    for program, walked in ((replace(first, prelude=None), cold),
+                            (second, warm)):
+        visits.clear()
+        sc.check_program(program)
+        assert len(walked) == len(visits)
