@@ -17,8 +17,8 @@ from .elaborate import elaborate_program
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
 from .terms import (FAILURE, FunApp, Ok, Pair, PairType, UNIT, UnitTuple,
-                    children, match, rebuild, substitute, tag_ground_term,
-                    tag_term)
+                    check_new_nodes, children, match, rebuild, substitute,
+                    tag_ground_term)
 from .typecheck import _substitute_type_vars, domains, substitute_stype
 
 
@@ -146,25 +146,28 @@ def _neg(sc, s):
 
 def _each(sc, s):
     # all(s) runs s on every child of t, and a congruence f(s1,...,sn) runs
-    # each si on the i-th child of an f-term; both fail once a child fails.
+    # each si on the i-th child of an f-term; both fail once a child fails,
+    # and return t itself when no child changed.
     name = s.name if isinstance(s, S.CongFun) else None
     fs = [sc.compile(a) for a in s.args] if name else repeat(sc.compile(s.arg))
 
     def each(t, env):
         if name is not None and (not isinstance(t, FunApp) or t.name != name):
             return None
-        out = []
+        out, changed = [], False
         for f, c in zip(fs, children(t)):
             r = f(c, env)
             if r is None:
                 return None
+            changed = changed or r is not c
             out.append(r)
-        return rebuild(t, out) if out else t
+        return rebuild(t, out) if changed else t
     return each
 
 
 def _pair(sc, s):
-    # A pair congruence takes t apart; spawn gives t to both sides.
+    # A pair congruence takes t apart, and returns t itself when neither
+    # side changed; spawn gives t to both sides.
     left, right = sc.compile(s.left), sc.compile(s.right)
     cong = isinstance(s, S.CongPair)
 
@@ -173,12 +176,17 @@ def _pair(sc, s):
             return None
         a = left(t.left if cong else t, env)
         b = None if a is None else right(t.right if cong else t, env)
-        return None if b is None else Pair(a, b, PairType(a.tag, b.tag))
+        if b is None:
+            return None
+        if cong and a is t.left and b is t.right:
+            return t
+        return Pair(a, b, PairType(a.tag, b.tag))
     return pair
 
 
 def _first(sc, s):
-    # At the first child s succeeds on, one rewrites it, select returns it.
+    # At the first child s succeeds on, one rewrites it (t itself if s
+    # returned that child), select returns it.
     arg, one = sc.compile(s.arg), isinstance(s, S.One)
 
     def first(t, env):
@@ -186,7 +194,9 @@ def _first(sc, s):
         for i, c in enumerate(cs):
             r = arg(c, env)
             if r is not None:
-                return rebuild(t, cs[:i] + (r,) + cs[i + 1:]) if one else r
+                if not one:
+                    return r
+                return t if r is c else rebuild(t, cs[:i] + (r,) + cs[i + 1:])
         return None
     return first
 
@@ -313,8 +323,10 @@ def depth_exceeded():
 
 def run_program(program, t, cfg=None, state=None):
     """Apply the main strategy of a core program, as `check_and_elaborate`
-    returns it, to t, a ground term tagged as `parse_term` or `tag_term`
-    returns it; returns Ok, Failure, or EngineFailure."""
+    returns it, to t, a ground term tagged as `parse_term`, `tag_term` or
+    `tag_ground_term` returns it; returns Ok, Failure, or EngineFailure.
+    Subject reduction is checked on the nodes the run built: the reduct's
+    nodes that are not nodes of t, whose tags are trusted."""
     cfg, state = cfg or EvalConfig(), state or EvalState()
     state.fuel, state.depth = cfg.fuel or None, 0
     try:
@@ -326,9 +338,11 @@ def run_program(program, t, cfg=None, state=None):
         if result is None:
             return FAILURE
         try:
-            return Ok(tag_term(program.context, result))
+            if result is not t:
+                check_new_nodes(program.context, result, t)
         except StaticError as e:
             return EngineFailure("InternalTypeViolation",
                                  "reduct is ill-typed: %s" % e.message)
+        return Ok(result)
     except RecursionError:
         return depth_exceeded()

@@ -383,6 +383,52 @@ _PARSE_ARG = {"strat": Parser.parse_strat, "ttype": Parser.parse_ttype,
 # Entry points
 
 
+class _Unread(Exception):
+    """Raised where `_read_tagged` stops: the text is read the slow way."""
+
+
+def _read_tagged(toks, functions):
+    """The term whose token values `toks` holds in reverse, popped as read,
+    each node built once and tagged. Only a declared function applied to
+    arguments of its signature's sorts, a pair or () is read; any other
+    name, an arity or sort mismatch, or a syntax error raises _Unread.
+    A level of nesting costs one frame."""
+    tok = toks.pop()
+    if tok == "(":
+        if toks[-1] == ")":
+            toks.pop()
+            return UnitTuple(UNIT)
+        t = _read_tagged(toks, functions)
+        tok = toks.pop()
+        if tok == ",":
+            right = _read_tagged(toks, functions)
+            t = Pair(t, right, PairType(t.tag, right.tag))
+            tok = toks.pop()
+        if tok != ")":
+            raise _Unread
+        return t
+    sig = functions.get(tok)
+    if sig is None or tok in RESERVED:
+        raise _Unread
+    arg_sorts, result = sig
+    if toks[-1] != "(":
+        if arg_sorts:
+            raise _Unread
+        return FunApp(tok, (), result)
+    toks.pop()
+    args = []
+    for want in arg_sorts:
+        if args and toks.pop() != ",":
+            raise _Unread
+        a = _read_tagged(toks, functions)
+        if a.tag != want:
+            raise _Unread
+        args.append(a)
+    if not args or toks.pop() != ")":
+        raise _Unread
+    return FunApp(tok, tuple(args), result)
+
+
 def parse_program(text, prelude=None, require_main=True):
     """Parse a program file; `prelude` is a Program whose declarations and
     definitions are visible to the parsed text."""
@@ -402,7 +448,25 @@ def parse_program(text, prelude=None, require_main=True):
 
 def parse_term(text, ctx):
     """Parse a standalone term, check that it is ground and well-typed, and
-    tag it."""
+    tag it. A well-typed ground term is read and tagged in one pass; any
+    other text is read again by Parser and tag_ground_term, which report
+    its first error."""
+    toks = []
+    # The groups of _TOKEN_RE are nl, ws, comment, name, op and bad.
+    for _, _, _, name, op, bad in _TOKEN_RE.findall(text):
+        if name or op:
+            toks.append(name or op)
+        elif bad:
+            break
+    else:
+        toks.append("")  # the end of input
+        toks.reverse()
+        try:
+            t = _read_tagged(toks, ctx.functions)
+            if len(toks) == 1:
+                return t
+        except _Unread:
+            pass
     parser = Parser(text)
     t = parser.parse_term()
     tok = parser.peek()

@@ -340,6 +340,53 @@ def tag_ground_term(ctx, t):
     return t
 
 
+def check_new_nodes(ctx, t, old):
+    """Check the tag of every node of t that is not a node of `old`, a term
+    whose nodes were all checked when it was tagged: each such node must be
+    a declared function over arguments of its signature's sorts, a pair or
+    (), tagged with its type. A node whose children are old or checked is
+    then well-typed, since terms are immutable. Walks with a stack, so it
+    costs no frame per level; raises a StaticError at the first bad node."""
+    seen = set()  # ids of the nodes of old, then of the nodes checked
+    todo = [old]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            todo.extend(children(u))
+    functions = ctx.functions
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if isinstance(u, FunApp):
+            sig = functions.get(u.name)
+            if sig is None:
+                raise UndeclaredSymbol("undeclared function %s" % u.name)
+            arg_sorts, want = sig
+            if len(u.args) != len(arg_sorts):
+                raise ArityMismatch("%s expects %d arguments, got %d"
+                                    % (u.name, len(arg_sorts), len(u.args)))
+            for i, a in enumerate(u.args):
+                if a.tag != arg_sorts[i]:
+                    raise ArgSortMismatch(
+                        "argument %d of %s has type %r, expected %r"
+                        % (i + 1, u.name, a.tag, arg_sorts[i]))
+            head = u.name
+        elif isinstance(u, Pair):
+            want, head = PairType(u.left.tag, u.right.tag), "(,)"
+        elif isinstance(u, UnitTuple):
+            want, head = UNIT, "()"
+        else:
+            raise UnboundVariable("not a ground term: %r" % (u,))
+        if u.tag != want:
+            raise ArgSortMismatch("%s is tagged %r, but has type %r"
+                                  % (head, u.tag, want))
+        todo.extend(children(u))
+
+
 def term_vars(t, acc):
     """Add the names of t's variables to the set acc, and return it."""
     if isinstance(t, Var):
@@ -398,13 +445,23 @@ def _match_into(pattern, subject, theta):
 
 
 def substitute(theta, t):
-    """Apply theta to t; every Var in t must be bound."""
+    """Apply theta to t; every Var in t must be bound. A subterm with no
+    variable under it, such as a constant, is returned as it is. A loop,
+    not a generator, so that a level of nesting costs one frame."""
     if isinstance(t, Var):
         if t.name not in theta:
             raise UnboundVariable("unbound variable %s" % t.name)
         return theta[t.name]
     if isinstance(t, FunApp):
-        return FunApp(t.name, tuple(substitute(theta, a) for a in t.args), t.tag)
+        args, changed = [], False
+        for a in t.args:
+            b = substitute(theta, a)
+            changed = changed or b is not a
+            args.append(b)
+        return FunApp(t.name, tuple(args), t.tag) if changed else t
     if isinstance(t, Pair):
-        return Pair(substitute(theta, t.left), substitute(theta, t.right), t.tag)
+        left, right = substitute(theta, t.left), substitute(theta, t.right)
+        if left is t.left and right is t.right:
+            return t
+        return Pair(left, right, t.tag)
     return t
