@@ -107,8 +107,8 @@ def _main(args):
             # The reader loads the prelude again, so the records that
             # parse_program replayed first, and its definitions, are left out.
             ctx, skip = core.context, set(prelude.definitions)
-            core = replace(core, context=replace(
-                ctx, decls=ctx.decls[len(prelude.context.decls):]))
+            core = replace(core, context=ctx.replace(
+                decls=ctx.decls[len(prelude.context.decls):]))
         sys.stdout.write(render_program(core, skip_defs=skip))
         return 0
 

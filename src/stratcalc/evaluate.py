@@ -9,43 +9,47 @@ With `EvalConfig.trace`, every node's closure also appends its trace line.
 """
 
 import sys
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import syntax as S
 from .elaborate import elaborate_program
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
-from .terms import (FAILURE, FunApp, Ok, Pair, PairType, UNIT, UnitTuple,
-                    check_new_nodes, children, match, rebuild, substitute,
-                    tag_ground_term)
+from .terms import (FAILURE, FunApp, Ok, Pair, PairType, Record, UNIT,
+                    UnitTuple, check_new_nodes, children, match, rebuild,
+                    substitute, tag_ground_term)
 from .typecheck import _substitute_type_vars, domains, substitute_stype
 
 
-@dataclass
-class EvalConfig:
-    fuel: int = 100000  # 0 means unlimited
-    trace: bool = False
+class EvalConfig(Record):
+    __slots__ = _fields = ("fuel", "trace")
 
-    def __post_init__(self):
-        if self.fuel < 0:
-            raise ValueError("fuel must be >= 0, got %d" % self.fuel)
-
-
-@dataclass
-class EngineFailure:
-    kind: str
-    detail: str
+    def __init__(self, fuel=100000, trace=False):
+        if fuel < 0:
+            raise ValueError("fuel must be >= 0, got %d" % fuel)
+        self.fuel = fuel  # 0 means unlimited
+        self.trace = trace
 
 
-@dataclass
-class EvalState:
-    # Set by run_program at the start of each run.
-    fuel: object = field(default=None, init=False)  # None = unlimited
-    depth: int = field(default=0, init=False)
-    trace_lines: list = field(default_factory=list)
-    amp_dispatches: int = 0
-    amp_branch_evals: int = 0
+class EngineFailure(Record):
+    __slots__ = _fields = ("kind", "detail")
+
+    def __init__(self, kind, detail):
+        self.kind, self.detail = kind, detail
+
+
+class EvalState(Record):
+    __slots__ = _fields = ("fuel", "depth", "trace_lines", "amp_dispatches",
+                           "amp_branch_evals")
+
+    def __init__(self, trace_lines=None, amp_dispatches=0,
+                 amp_branch_evals=0):
+        # Set by run_program at the start of each run.
+        self.fuel = None  # None = unlimited
+        self.depth = 0
+        self.trace_lines = [] if trace_lines is None else trace_lines
+        self.amp_dispatches = amp_dispatches
+        self.amp_branch_evals = amp_branch_evals
 
 
 class _Scope:

@@ -1,10 +1,13 @@
 """Core model: terms, term/strategy types, contexts, matching, substitution.
 
-Terms and types are immutable. Term equality is structural; the optional
-sort tag is metadata and excluded from equality and hashing.
+Terms, types and outcomes are `Node`s: immutable records with `__slots__`.
+Equality is structural and tests identity first; a term's sort tag is
+metadata, shown by `repr` but excluded from equality and hashing. There is
+one `Sort` object per name, so most tag comparisons settle on identity.
+`Context` is a mutable `Record`; `Context.replace` copies one.
 """
 
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .errors import (
     ArgSortMismatch,
@@ -18,23 +21,87 @@ from .errors import (
 
 
 # ---------------------------------------------------------------------------
+# Records and nodes
+
+
+class Record:
+    """A record with `__slots__`. Two records of one class are equal when
+    their `_fields` are; `repr` shows `_fields`, then `_uncompared`, as
+    `Name(field=value, ...)`. Mutable and unhashable."""
+
+    __slots__ = ()
+    _fields = ()  # compared, and hashed by a Node
+    _uncompared = ()  # shown by repr only
+
+    def __init_subclass__(cls):
+        # One getter of the compared fields per class, for == and hash.
+        cls._key = (attrgetter(*cls._fields) if cls._fields
+                    else staticmethod(lambda self: ()))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            ["%s=%r" % (f, getattr(self, f))
+             for f in self._fields + self._uncompared]))
+
+
+_set = object.__setattr__  # how a Node's __init__ sets its slots
+
+
+class Node(Record):
+    """An immutable, hashable record: a term, a type or an outcome. Its
+    constructor takes `_fields`, then `_uncompared`, in order."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):  # copy and pickle would set the slots
+        return type(self), tuple([getattr(self, f)
+                                  for f in self._fields + self._uncompared])
+
+
+# ---------------------------------------------------------------------------
 # Term types
 
 
-class TermType:
-    pass
+class TermType(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Sort(TermType):
-    name: str
+    """A sort; `Sort(name)` returns the one Sort of that name."""
+
+    __slots__ = _fields = ("name",)
+    _shared = {}  # name -> Sort
+
+    def __new__(cls, name):
+        s = cls._shared.get(name)
+        if s is None:
+            s = cls._shared[name] = object.__new__(cls)
+            _set(s, "name", name)
+        return s
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Unit(TermType):
+    __slots__ = ()
+
     def __repr__(self):
         return "()"
 
@@ -42,18 +109,22 @@ class Unit(TermType):
 UNIT = Unit()
 
 
-@dataclass(frozen=True)
 class PairType(TermType):
-    left: TermType
-    right: TermType
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return "(%r,%r)" % (self.left, self.right)
 
 
-@dataclass(frozen=True)
 class TypeVar(TermType):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
     def __repr__(self):
         return self.name
@@ -63,21 +134,24 @@ class TypeVar(TermType):
 # Strategy types
 
 
-class StrategyType:
-    pass
+class StrategyType(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Arrow(StrategyType):
-    dom: TermType
-    cod: TermType
+    __slots__ = _fields = ("dom", "cod")
+
+    def __init__(self, dom, cod):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
 
     def __repr__(self):
         return "%r -> %r" % (self.dom, self.cod)
 
 
-@dataclass(frozen=True)
 class TP(StrategyType):
+    __slots__ = ()
+
     def __repr__(self):
         return "TP"
 
@@ -85,18 +159,22 @@ class TP(StrategyType):
 TP_TYPE = TP()
 
 
-@dataclass(frozen=True)
 class TU(StrategyType):
-    result: TermType
+    __slots__ = _fields = ("result",)
+
+    def __init__(self, result):
+        _set(self, "result", result)
 
     def __repr__(self):
         return "TU(%r)" % self.result
 
 
-@dataclass(frozen=True)
 class Amp(StrategyType):
-    left: StrategyType
-    right: StrategyType
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return "%r & %r" % (self.left, self.right)
@@ -129,45 +207,62 @@ def is_generic(pi):
     return isinstance(pi, (TP, TU))
 
 
-@dataclass(frozen=True)
-class CombinatorType:
-    type_params: tuple  # of str
-    arg_types: tuple  # of StrategyType
-    result_type: StrategyType
+class CombinatorType(Node):
+    __slots__ = _fields = ("type_params", "arg_types", "result_type")
+
+    def __init__(self, type_params, arg_types, result_type):
+        _set(self, "type_params", type_params)  # of str
+        _set(self, "arg_types", arg_types)  # of StrategyType
+        _set(self, "result_type", result_type)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-class Term:
-    tag = None
+class Term(Node):
+    __slots__ = _uncompared = ("tag",)  # a TermType, or None if untyped
 
 
-@dataclass(frozen=True)
 class FunApp(Term):
     """f(t1,...,tn); a constant is a function with no arguments."""
-    name: str
-    args: tuple
-    tag: TermType = field(default=None, compare=False)
+
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name, args, tag=None):
+        _set_name(self, name)
+        _set_args(self, args)
+        _set_tag(self, tag)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
-    tag: TermType = field(default=None, compare=False)
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name, tag=None):
+        _set(self, "name", name)
+        _set(self, "tag", tag)
 
 
-@dataclass(frozen=True)
 class UnitTuple(Term):
-    tag: TermType = field(default=None, compare=False)
+    __slots__ = ()
+
+    def __init__(self, tag=None):
+        _set(self, "tag", tag)
 
 
-@dataclass(frozen=True)
 class Pair(Term):
-    left: Term
-    right: Term
-    tag: TermType = field(default=None, compare=False)
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, tag=None):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_tag(self, tag)
+
+
+# The slot setters of the two nodes that rewriting builds most.
+_set_name, _set_args = FunApp.name.__set__, FunApp.args.__set__
+_set_left, _set_right = Pair.left.__set__, Pair.right.__set__
+_set_tag = Term.tag.__set__
 
 
 def children(t):
@@ -190,14 +285,15 @@ def rebuild(t, new_children):
 # Outcomes
 
 
-@dataclass(frozen=True)
-class Ok:
-    term: Term
+class Ok(Node):
+    __slots__ = _fields = ("term",)
+
+    def __init__(self, term):
+        _set(self, "term", term)
 
 
-@dataclass(frozen=True)
-class Failure:
-    pass
+class Failure(Node):
+    __slots__ = ()
 
 
 FAILURE = Failure()
@@ -213,17 +309,26 @@ _TABLES = {"con": "functions", "fun": "functions", "var": "term_vars",
            "def": "combinators"}
 
 
-@dataclass
-class Context:
-    sorts: set = field(default_factory=set)
-    functions: dict = field(default_factory=dict)  # name -> (arg sorts, result sort)
-    term_vars: dict = field(default_factory=dict)  # name -> TermType
-    combinators: dict = field(default_factory=dict)  # name -> CombinatorType
-    strategy_params: dict = field(default_factory=dict)  # name -> StrategyType
-    type_vars: set = field(default_factory=set)
-    # Declarations in source order, duplicates included, as records
-    # (keyword, name, value, pos); the tables above index them by name.
-    decls: list = field(default_factory=list)
+class Context(Record):
+    __slots__ = _fields = ("sorts", "functions", "term_vars", "combinators",
+                           "strategy_params", "type_vars", "decls")
+
+    def __init__(self, sorts=None, functions=None, term_vars=None,
+                 combinators=None, strategy_params=None, type_vars=None,
+                 decls=None):
+        self.sorts = set() if sorts is None else sorts
+        # name -> (arg sorts, result sort)
+        self.functions = {} if functions is None else functions
+        self.term_vars = {} if term_vars is None else term_vars  # -> TermType
+        # name -> CombinatorType
+        self.combinators = {} if combinators is None else combinators
+        # name -> StrategyType
+        self.strategy_params = ({} if strategy_params is None
+                                else strategy_params)
+        self.type_vars = set() if type_vars is None else type_vars
+        # Declarations in source order, duplicates included, as records
+        # (keyword, name, value, pos); the tables above index them by name.
+        self.decls = [] if decls is None else decls
 
     def declare(self, keyword, name, value=None, pos=None):
         """Record `keyword name : value` and index it. The keyword is sort
@@ -235,10 +340,16 @@ class Context:
         else:
             getattr(self, _TABLES[keyword])[name] = value
 
+    def replace(self, **changes):
+        """A copy of this context with `changes` made; the tables left
+        unchanged are shared with it."""
+        return Context(**{**{f: getattr(self, f) for f in self._fields},
+                          **changes})
+
     def with_params(self, type_params, strategy_params):
         """A scope for checking one definition body."""
-        return replace(self, strategy_params=dict(strategy_params),
-                       type_vars=set(type_params))
+        return self.replace(strategy_params=dict(strategy_params),
+                            type_vars=set(type_params))
 
 
 def check_context(ctx):

@@ -13,7 +13,8 @@ from stratcalc import syntax as S
 from stratcalc.cli import main as cli_main
 from stratcalc.parser import RESERVED, Parser, tokenize
 from stratcalc.printer import render_strat
-from stratcalc.terms import FunApp, Pair, Term, UnitTuple, Var
+from stratcalc.terms import (FunApp, Pair, UnitTuple, Var, children,
+                            rebuild)
 
 from randgen import Gen, NAT, TREE
 from conftest import NAT_TREE_HEADER
@@ -257,7 +258,9 @@ def as_parsed(x):
         return S.Call(x.name, (), as_parsed(x.args), x.pos)
     if isinstance(x, FunApp) and not x.args:
         return Var(x.name)
-    if isinstance(x, (S.StrategyExpr, S.RuleBody, Term)):
+    if isinstance(x, (FunApp, Pair)):
+        return rebuild(x, as_parsed(children(x)))
+    if isinstance(x, (S.StrategyExpr, S.RuleBody)):
         return dataclasses.replace(x, **{
             f.name: as_parsed(getattr(x, f.name))
             for f in dataclasses.fields(x)})
