@@ -1,12 +1,13 @@
 """Concrete syntax: tokenizer and recursive-descent parser.
 
-The parser is purely syntactic and reads each token once. Every bare
-strategy name becomes an S.Call and every bare term name a Var; the
-checker resolves them once the whole program has been seen, so
+The parser is purely syntactic and reads each token once, except that
+it rewinds over a strategy-type atom that turns out not to be an arrow.
+Every bare strategy name becomes an S.Call and every bare term name a
+Var; the checker resolves them once the whole program has been seen, so
 definitions may use names before their `def`. A rule's left-hand side is
 read as the congruence it spells, then turned into that term. Operators
-and keyword forms come from `syntax.OPERATORS` and `syntax.KEYWORDS`,
-the tables the printer writes from.
+and keyword forms come from `syntax.OPERATORS` and `syntax.KEYWORDS`, the
+tables the printer writes from.
 """
 
 import re
@@ -36,28 +37,36 @@ RESERVED = set(S.KEYWORDS) | {
 
 _OPS = set(S.OPERATORS) | {":=", "->", ":", "=", "!", "*", "@",
                            "(", ")", "[", "]", ","}
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# A gap (blanks, newlines, comments), then a token: a name, an operator
+# (longest first: ":=" is not ":", "="), any other character (an error) or
+# the end of the text. As the token part cannot fail, no match backtracks.
 _TOKEN_RE = re.compile(
-    r"(?P<nl>\n)|(?P<ws>[^\S\n]+)|(?P<comment>\#[^\n]*)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-    # Longest operators first, so that ":=" is not read as ":", "=".
-    r"|(?P<op>%s)|(?P<bad>.)" % "|".join(
+    r"((?:\s+|\#[^\n]*)*)([A-Za-z_][A-Za-z0-9_']*|%s|.|\Z)" % "|".join(
         map(re.escape, sorted(_OPS, key=lambda op: (-len(op), op)))))
 
 
 def tokenize(text):
+    r"""(kind, value, line, col) for each name and operator of text, then
+    ("eof", "", line, col) at its end. Only "\n" ends a line."""
     tokens = []
-    line, last_nl = 1, -1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "name" or kind == "op":
-            tokens.append((kind, m.group(), line, m.start() - last_nl))
-        elif kind == "nl":
-            line += 1
-            last_nl = m.start()
-        elif kind == "bad":
-            raise ParseError("unexpected character %r" % m.group(), line,
-                             m.start() - last_nl)
-    tokens.append(("eof", "", line, len(text) - last_nl))
+    lines = text.split("\n")
+    for line, chars in enumerate(lines, 1):
+        col = 1
+        for gap, tok in _TOKEN_RE.findall(chars):
+            col += len(gap)
+            if not tok:  # the end of the line
+                break
+            if tok in _OPS:
+                kind = "op"
+            elif tok[0] in _NAME_START:
+                kind = "name"
+            else:
+                raise ParseError("unexpected character %r" % tok, line, col)
+            tokens.append((kind, tok, line, col))
+            col += len(tok)
+    tokens.append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -70,11 +79,10 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, k=0):
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+        return self.tokens[self.i + k]
 
     def at(self, value):
-        tok = self.peek()
-        return tok[1] == value and tok[0] in ("op", "name")
+        return self.tokens[self.i][1] == value
 
     def next(self):
         tok = self.tokens[self.i]
@@ -94,10 +102,6 @@ class Parser:
             raise ParseError("expected a name, got %r" % (tok[1] or "end of input"),
                              tok[2], tok[3])
         return tok[1]
-
-    def pos(self):
-        tok = self.peek()
-        return (tok[2], tok[3])
 
     def sep_list(self, item, sep=",", close=None):
         """`item (sep item)*` as a tuple, followed by `close` if given."""
@@ -214,7 +218,7 @@ class Parser:
     def parse_strat(self, level=1):
         """Precedence climbing over S.OPERATORS: a strategy whose binary
         operators all bind at `level` or tighter."""
-        pos = self.pos()
+        pos = self.peek()[2:]
         left = self._parse_primary()
         while True:
             tok = self.peek()
@@ -391,8 +395,9 @@ def _read_tagged(toks, functions):
     """The term whose token values `toks` holds in reverse, popped as read,
     each node built once and tagged. Only a declared function applied to
     arguments of its signature's sorts, a pair or () is read; any other
-    name, an arity or sort mismatch, or a syntax error raises _Unread.
-    A level of nesting costs one frame."""
+    name (also a declared one that `tokenize` rejects), an arity or sort
+    mismatch, or a syntax error raises _Unread. A level of nesting costs
+    one frame."""
     tok = toks.pop()
     if tok == "(":
         if toks[-1] == ")":
@@ -408,7 +413,7 @@ def _read_tagged(toks, functions):
             raise _Unread
         return t
     sig = functions.get(tok)
-    if sig is None or tok in RESERVED:
+    if sig is None or tok in RESERVED or tok[:1] not in _NAME_START:
         raise _Unread
     arg_sorts, result = sig
     if toks[-1] != "(":
@@ -451,22 +456,15 @@ def parse_term(text, ctx):
     tag it. A well-typed ground term is read and tagged in one pass; any
     other text is read again by Parser and tag_ground_term, which report
     its first error."""
-    toks = []
-    # The groups of _TOKEN_RE are nl, ws, comment, name, op and bad.
-    for _, _, _, name, op, bad in _TOKEN_RE.findall(text):
-        if name or op:
-            toks.append(name or op)
-        elif bad:
-            break
-    else:
-        toks.append("")  # the end of input
-        toks.reverse()
-        try:
-            t = _read_tagged(toks, ctx.functions)
-            if len(toks) == 1:
-                return t
-        except _Unread:
-            pass
+    # Each token, then "" at the end of the text (twice after a gap).
+    toks = [tok for _, tok in _TOKEN_RE.findall(text)]
+    toks.reverse()
+    try:
+        t = _read_tagged(toks, ctx.functions)
+        if not toks[-1]:
+            return t
+    except _Unread:
+        pass
     parser = Parser(text)
     t = parser.parse_term()
     tok = parser.peek()

@@ -252,3 +252,7 @@ class Program:
     # records begin `context.decls` and its definitions are shared, so the
     # checker can reuse their cores.
     prelude: object = field(default=None, compare=False, repr=False)
+    # As a prelude: name -> (definition, core) for each of its definitions
+    # that checks in its own context, or None before the checker needs it.
+    cores: object = field(default=None, init=False, compare=False,
+                          repr=False)

@@ -530,31 +530,22 @@ def check_definition(ctx, d):
     return S.Definition(d.name, d.params, d.ctype, body, d.pos)
 
 
-# The last prelude checked, and name -> (definition, core) for each of its
-# definitions that checks in the prelude's own context. One slot, so that
-# a prelude parsed anew for every program (`--prelude FILE`) holds no
-# memory beyond the last one.
-_prelude_slot = (None, {})
-
-
 def _prelude_cores(ctx, prelude):
     """The cores of `prelude`'s definitions that hold in ctx: all of them
     when ctx's declarations begin with the prelude's, none otherwise.
-    Checks the prelude when it is not the one in the slot."""
-    global _prelude_slot
+    Checks the prelude, and keeps its cores on it, the first time."""
     decls = prelude.context.decls
     if ctx.decls[:len(decls)] != decls:
         return {}
-    checked, cores = _prelude_slot
-    if checked is not prelude:
+    if prelude.cores is None:
         cores = {}
         for name, d in prelude.definitions.items():
             try:
                 cores[name] = d, check_definition(prelude.context, d)
             except StaticError:
                 pass
-        _prelude_slot = prelude, cores
-    return cores
+        prelude.cores = cores
+    return prelude.cores
 
 
 def check_and_elaborate(program):
@@ -563,13 +554,13 @@ def check_and_elaborate(program):
     None when checking failed anywhere.
 
     A definition of `program.prelude` takes the core it got when that
-    prelude was checked in its own context (once, while it stays the last
-    prelude checked) if check_context(ctx) is clean, ctx's declarations
-    begin with the prelude's, the definition is the prelude's own object,
-    and it checked cleanly there. The program's context then extends the
-    prelude's without redeclaring a name, so every lookup the body makes
-    gives the same answer in both, and so does its check. Any other
-    definition is checked in ctx."""
+    prelude was checked in its own context (once per prelude object) if
+    check_context(ctx) is clean, ctx's declarations begin with the
+    prelude's, the definition is the prelude's own object, and it checked
+    cleanly there. The program's context then extends the prelude's
+    without redeclaring a name, so every lookup the body makes gives the
+    same answer in both, and so does its check. Any other definition is
+    checked in ctx."""
     ctx = program.context
     diags = list(check_context(ctx))
     reuse = {}

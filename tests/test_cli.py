@@ -158,6 +158,15 @@ def test_run_term_from_file(capcli, write):
     assert out.strip() == "fork(leaf(succ(zero)),leaf(succ(zero)))"
 
 
+def test_run_term_after_a_comment_line(capcli, write):
+    # The term reader matches the whole text at once: its gap must cross
+    # the newline, or it would backtrack into the comment and read g(a).
+    f = write("g.strat", "sort A; con a : A; fun g : A -> A; main = id;")
+    t = write("g.term", "g(#xa\n)")
+    assert capcli("run", f, "--term", t) == (
+        4, "", "parse error at 2:1: expected a term, got ')'\n")
+
+
 def test_run_trace_goes_to_stderr(capcli, write):
     f = write("inc.strat", "sort Nat; con zero : Nat;\n"
               "fun succ : Nat -> Nat; var N : Nat;\nmain = N -> succ(N);")
@@ -614,6 +623,33 @@ def test_definition_type_errors_are_placed_at_the_definition(capcli, write):
               "def A(s) : (Nat -> Bogus) -> TP = id;\n")
     assert capcli("check", f) == (
         2, "", "ERROR tau.1 at 3:1: undeclared sort Bogus\n")
+
+
+def test_where_clause_binding_of_another_sort(capcli, write):
+    f = write("where.strat", "sort Nat;\nsort Tree;\ncon zero : Nat;\n"
+              "var N : Nat;\nvar T : Tree;\n"
+              "main = N -> N where T := id @ N;\n")
+    assert capcli("check", "--no-prelude", f) == (2, "", (
+        "ERROR apply at 6:8: where-clause binds T : Nat but the variable is "
+        "declared Tree\n"))
+
+
+def test_argument_types_without_a_result(capcli, write):
+    f = write("ctype.strat", "sort Nat;\ncon zero : Nat;\n"
+              "def F : TP * TP = id;\nmain = id;\n")
+    assert capcli("check", "--no-prelude", f) == (
+        4, "", "parse error at 3:17: expected '->' after argument types\n")
+
+
+def test_unit_in_a_pair_congruence(capcli, write):
+    text = "sort Nat;\ncon zero : Nat;\nmain = (zero,());\n"
+    f = write("unit.strat", text)
+    assert capcli("check", "--no-prelude", f) == (
+        0, "(Nat,()) -> (Nat,())\n", "")
+    # Elaboration prints the source itself, so its output checks as above.
+    assert capcli("elaborate", "--no-prelude", f) == (0, text, "")
+    assert capcli("run", "--no-prelude", f, "--term", "(zero,())") == (
+        0, "(zero,())\n", "")
 
 
 def test_run_needs_a_term(capcli, write):

@@ -84,7 +84,7 @@ def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
         return program, prelude
 
     monkeypatch.setattr(cli, "_load", keep)
-    monkeypatch.setattr(typecheck, "_prelude_slot", (None, {}))
+    monkeypatch.setattr(sc.load_prelude(), "cores", None)
     argv = ["run", program_path("problems.strat"),
             "--term", "fork(leaf(zero),leaf(succ(zero)))"]
     assert cli.main(argv) == 0

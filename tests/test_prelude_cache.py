@@ -48,7 +48,7 @@ def assert_reuse_changes_nothing(program, cold):
     """Cold, the program meets an empty slot; warm, a program that declares
     what IncAll needs has filled it."""
     if cold:
-        typecheck._prelude_slot = (None, {})
+        program.prelude.cores = None
     else:
         sc.check_and_elaborate(sc.parse_program(
             SIG + "def Inc : Nat -> Nat = N -> succ(N);\nmain = id;",

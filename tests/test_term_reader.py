@@ -113,6 +113,17 @@ def test_reserved_function_name_is_left_to_the_two_step_path():
         parse_term("all", ctx)
 
 
+def test_declared_name_that_is_no_token_is_left_to_the_two_step_path():
+    # A library context may declare a function whose name the tokenizer
+    # rejects; the term is then the tokenizer's error.
+    ctx = Context()
+    ctx.declare("sort", "Nat")
+    ctx.declare("con", "$", ((), NAT))
+    assert_same_outcome("$", ctx)
+    with pytest.raises(ParseError, match="unexpected character '\\$'"):
+        parse_term("$", ctx)
+
+
 def test_well_formed_term_is_read_in_one_pass(monkeypatch, nat_tree_ctx):
     def unused(*args):
         raise AssertionError("the two-step path ran")
