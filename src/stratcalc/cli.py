@@ -18,6 +18,7 @@ from .evaluate import (
     EvalConfig,
     EvalState,
     depth_exceeded,
+    expect_type,
     run_program,
 )
 from .parser import parse_program, parse_term
@@ -120,13 +121,13 @@ def _main(args):
     if os.path.exists(text):
         text = _read(text).strip()
     term = parse_term(text, program.context)
-    apply_type(program.context, main_type, term.tag)
+    want = apply_type(program.context, main_type, term.tag)
 
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print(line, file=sys.stderr)))
-    outcome = run_program(core, term,
-                          EvalConfig(fuel=args.fuel, trace=args.trace), state)
+    outcome = expect_type(run_program(
+        core, term, EvalConfig(fuel=args.fuel, trace=args.trace), state), want)
     if isinstance(outcome, Ok):
         print(render_term(outcome.term))
         return 0

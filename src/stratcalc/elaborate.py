@@ -4,8 +4,8 @@ with its type, so that evaluation dispatches on annotations alone.
 
 The checker builds the core while it types (`typecheck.check_and_elaborate`,
 `typecheck.type_and_core` for one strategy). `elaborate_program` is that
-pass's raising form, which `apply_strategy` uses; it stays public because
-`bench/layers.py` imports it.
+pass's raising form; no module of the package calls it, and it stays
+public because `bench/layers.py` imports it.
 """
 
 from .typecheck import check_and_elaborate

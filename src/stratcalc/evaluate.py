@@ -12,13 +12,14 @@ import sys
 from itertools import repeat
 
 from . import syntax as S
-from .elaborate import elaborate_program
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
 from .terms import (FAILURE, FunApp, Ok, Pair, PairType, Record, UNIT,
-                    UnitTuple, check_new_nodes, children, match, rebuild,
+                    UnitTuple, check_reduct, children, match, rebuild,
                     substitute, tag_ground_term)
-from .typecheck import _substitute_type_vars, domains, substitute_stype
+from .prelude import load_prelude
+from .typecheck import (_substitute_type_vars, apply_type, check_and_elaborate,
+                        domains, substitute_stype)
 
 
 class EvalConfig(Record):
@@ -303,19 +304,36 @@ _HEADS = {UnitTuple: "()", Pair: "(,)"}
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply the raw strategy s to the raw term t under the raw definitions
-    defs: t is tagged and must be ground, ctx, defs and s are checked and
-    elaborated in the CLI's one pass, `check_and_elaborate`, and the core
-    runs through run_program. Returns Ok, Failure, or EngineFailure;
-    ill-typed input gives InternalTypeViolation with the first diagnostic."""
+    defs. t is tagged and must be ground; ctx, defs and s are checked and
+    elaborated by the CLI's pass, `check_and_elaborate`, against the
+    bundled prelude, so a definition that is the prelude's own takes its
+    checked core; and s's type must apply to t's. The core runs through
+    run_program, and the reduct must have the type `apply_type` predicts.
+    Returns Ok, Failure, or EngineFailure; ill-typed input gives
+    InternalTypeViolation with the first diagnostic."""
     try:
         t = tag_ground_term(ctx, t)
-        core = elaborate_program(S.Program(ctx, defs, s))
+        diags, main_type, core = check_and_elaborate(
+            S.Program(ctx, defs, s, load_prelude()))
+        if diags:
+            raise diags[0]
+        want = apply_type(ctx, main_type, t.tag)
     except StaticError as e:
         return EngineFailure("InternalTypeViolation",
                              "runtime typing failed: %s" % e.message)
     except RecursionError:
         return depth_exceeded()
-    return run_program(core, t, cfg, state)
+    return expect_type(run_program(core, t, cfg, state), want)
+
+
+def expect_type(outcome, want):
+    """outcome, or InternalTypeViolation if it is a reduct whose type is not
+    `want`, the type that `apply_type` predicts for it."""
+    if isinstance(outcome, Ok) and outcome.term.tag != want:
+        return EngineFailure("InternalTypeViolation",
+                             "reduct is ill-typed: reduct has type %r, "
+                             "expected %r" % (outcome.term.tag, want))
+    return outcome
 
 
 def depth_exceeded():
@@ -329,8 +347,8 @@ def run_program(program, t, cfg=None, state=None):
     """Apply the main strategy of a core program, as `check_and_elaborate`
     returns it, to t, a ground term tagged as `parse_term`, `tag_term` or
     `tag_ground_term` returns it; returns Ok, Failure, or EngineFailure.
-    Subject reduction is checked on the nodes the run built: the reduct's
-    nodes that are not nodes of t, whose tags are trusted."""
+    Subject reduction is checked on every node of a reduct that is not t
+    itself."""
     cfg, state = cfg or EvalConfig(), state or EvalState()
     state.fuel, state.depth = cfg.fuel or None, 0
     try:
@@ -343,7 +361,7 @@ def run_program(program, t, cfg=None, state=None):
             return FAILURE
         try:
             if result is not t:
-                check_new_nodes(program.context, result, t)
+                check_reduct(program.context, result)
         except StaticError as e:
             return EngineFailure("InternalTypeViolation",
                                  "reduct is ill-typed: %s" % e.message)

@@ -13,7 +13,7 @@ tables the printer writes from.
 import re
 
 from . import syntax as S
-from .errors import DuplicateDefinition, ParseError
+from .errors import DuplicateDefinition, ParseError, StaticError
 from .terms import (
     Arrow,
     Amp,
@@ -29,6 +29,7 @@ from .terms import (
     UNIT,
     UnitTuple,
     Var,
+    fun_sort,
     tag_ground_term,
 )
 
@@ -393,10 +394,11 @@ class _Unread(Exception):
 
 def _read_tagged(toks, functions):
     """The term whose token values `toks` holds in reverse, popped as read,
-    each node built once and tagged. Only a declared function applied to
-    arguments of its signature's sorts, a pair or () is read; any other
-    name (also a declared one that `tokenize` rejects), an arity or sort
-    mismatch, or a syntax error raises _Unread. A level of nesting costs
+    each node built once and tagged. A name is read with its arguments and
+    then typed by `fun_sort`, whose StaticError (an undeclared name, a
+    variable among them, or an arity or sort mismatch) ends the read; a
+    reserved name, a bad character (also a declared name that `tokenize`
+    rejects) or a syntax error raises _Unread. A level of nesting costs
     one frame."""
     tok = toks.pop()
     if tok == "(":
@@ -412,26 +414,18 @@ def _read_tagged(toks, functions):
         if tok != ")":
             raise _Unread
         return t
-    sig = functions.get(tok)
-    if sig is None or tok in RESERVED or tok[:1] not in _NAME_START:
+    if tok in RESERVED or tok[:1] not in _NAME_START:
         raise _Unread
-    arg_sorts, result = sig
-    if toks[-1] != "(":
-        if arg_sorts:
-            raise _Unread
-        return FunApp(tok, (), result)
-    toks.pop()
     args = []
-    for want in arg_sorts:
-        if args and toks.pop() != ",":
+    if toks[-1] == "(":
+        toks.pop()
+        args.append(_read_tagged(toks, functions))
+        while toks[-1] == ",":
+            toks.pop()
+            args.append(_read_tagged(toks, functions))
+        if toks.pop() != ")":
             raise _Unread
-        a = _read_tagged(toks, functions)
-        if a.tag != want:
-            raise _Unread
-        args.append(a)
-    if not args or toks.pop() != ")":
-        raise _Unread
-    return FunApp(tok, tuple(args), result)
+    return FunApp(tok, tuple(args), fun_sort(functions, tok, args))
 
 
 def parse_program(text, prelude=None, require_main=True):
@@ -463,7 +457,7 @@ def parse_term(text, ctx):
         t = _read_tagged(toks, ctx.functions)
         if not toks[-1]:
             return t
-    except _Unread:
+    except (_Unread, StaticError):
         pass
     parser = Parser(text)
     t = parser.parse_term()

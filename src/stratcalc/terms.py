@@ -392,6 +392,29 @@ def _sorts_in_term_type(tt):
 # Term typing
 
 
+def fun_sort(functions, name, args, tag=None):
+    """The result sort of the node name(args): name must be a declared
+    function of len(args) arguments, each tagged with its argument sort.
+    Raises UndeclaredSymbol, ArityMismatch or ArgSortMismatch at the first
+    that fails. With `tag`, args is a list of untagged terms, and args[i]
+    becomes tag(args[i]) just before its sort is tested."""
+    sig = functions.get(name)
+    if sig is None:
+        raise UndeclaredSymbol("undeclared function %s" % name)
+    arg_sorts, result = sig
+    if len(args) != len(arg_sorts):
+        raise ArityMismatch("%s expects %d arguments, got %d"
+                            % (name, len(arg_sorts), len(args)))
+    for i, want in enumerate(arg_sorts):
+        a = args[i]
+        if tag is not None:
+            a = args[i] = tag(a)
+        if a.tag is not want and a.tag != want:
+            raise ArgSortMismatch("argument %d of %s has type %r, expected %r"
+                                  % (i + 1, name, a.tag, want))
+    return result
+
+
 def type_of_term(ctx, t):
     """The unique type of t under ctx; raises on undeclared/ill-sorted terms."""
     return tag_term(ctx, t).tag
@@ -404,23 +427,9 @@ def tag_term(ctx, t, bound=None):
     arguments. With `bound`, every variable must be in it (a rule term may
     use only what the rule binds)."""
     if isinstance(t, FunApp):
-        if t.name not in ctx.functions:
-            raise UndeclaredSymbol("undeclared function %s" % t.name)
-        arg_sorts, result = ctx.functions[t.name]
-        if len(t.args) != len(arg_sorts):
-            raise ArityMismatch(
-                "%s expects %d arguments, got %d"
-                % (t.name, len(arg_sorts), len(t.args))
-            )
-        args = []
-        for i, (a, want) in enumerate(zip(t.args, arg_sorts)):
-            a = tag_term(ctx, a, bound)
-            if a.tag != want:
-                raise ArgSortMismatch(
-                    "argument %d of %s has type %r, expected %r"
-                    % (i + 1, t.name, a.tag, want)
-                )
-            args.append(a)
+        args = list(t.args)
+        result = fun_sort(ctx.functions, t.name, args,
+                          lambda a: tag_term(ctx, a, bound))
         return FunApp(t.name, tuple(args), result)
     if isinstance(t, Var):
         sig = ctx.functions.get(t.name)
@@ -451,48 +460,29 @@ def tag_ground_term(ctx, t):
     return t
 
 
-def check_new_nodes(ctx, t, old):
-    """Check the tag of every node of t that is not a node of `old`, a term
-    whose nodes were all checked when it was tagged: each such node must be
-    a declared function over arguments of its signature's sorts, a pair or
-    (), tagged with its type. A node whose children are old or checked is
-    then well-typed, since terms are immutable. Walks with a stack, so it
-    costs no frame per level; raises a StaticError at the first bad node."""
-    seen = set()  # ids of the nodes of old, then of the nodes checked
-    todo = [old]
-    while todo:
-        u = todo.pop()
-        if id(u) not in seen:
-            seen.add(id(u))
-            todo.extend(children(u))
+def check_reduct(ctx, r):
+    """Check the tag of every node of the reduct r: each must be a declared
+    function over arguments of its signature's sorts, a pair or (), tagged
+    with its type. Walks with a stack, so it costs no frame per level, and
+    checks a node that occurs more than once only once; raises a
+    StaticError at the first bad node."""
     functions = ctx.functions
-    todo = [t]
+    seen = set()  # ids of the nodes checked
+    todo = [r]
     while todo:
         u = todo.pop()
         if id(u) in seen:
             continue
         seen.add(id(u))
         if isinstance(u, FunApp):
-            sig = functions.get(u.name)
-            if sig is None:
-                raise UndeclaredSymbol("undeclared function %s" % u.name)
-            arg_sorts, want = sig
-            if len(u.args) != len(arg_sorts):
-                raise ArityMismatch("%s expects %d arguments, got %d"
-                                    % (u.name, len(arg_sorts), len(u.args)))
-            for i, a in enumerate(u.args):
-                if a.tag != arg_sorts[i]:
-                    raise ArgSortMismatch(
-                        "argument %d of %s has type %r, expected %r"
-                        % (i + 1, u.name, a.tag, arg_sorts[i]))
-            head = u.name
+            want, head = fun_sort(functions, u.name, u.args), u.name
         elif isinstance(u, Pair):
             want, head = PairType(u.left.tag, u.right.tag), "(,)"
         elif isinstance(u, UnitTuple):
             want, head = UNIT, "()"
         else:
             raise UnboundVariable("not a ground term: %r" % (u,))
-        if u.tag != want:
+        if u.tag is not want and u.tag != want:
             raise ArgSortMismatch("%s is tagged %r, but has type %r"
                                   % (head, u.tag, want))
         todo.extend(children(u))

@@ -2,6 +2,7 @@
 type preservation. The checker's walk produces the core, so sugar is
 expanded by `type_and_core` itself."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 import stratcalc as sc
@@ -97,3 +98,12 @@ def test_desugar_idempotent_on_output(seed, nat_tree_ctx):
     g = Gen(seed)
     _, s = g.strategy()
     sugar_free(sc.type_and_core(nat_tree_ctx, s)[1])
+
+
+def test_elaborate_program_raises_the_first_diagnostic(nat_tree_ctx):
+    program = S.Program(nat_tree_ctx, {}, S.Seq(S.Void(), INC))
+    diags = sc.check_and_elaborate(program)[0]
+    with pytest.raises(sc.StaticError) as e:
+        sc.elaborate_program(program)
+    assert (type(e.value), e.value.render()) == (type(diags[0]),
+                                                 diags[0].render())

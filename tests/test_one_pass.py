@@ -106,3 +106,17 @@ def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
         visits.clear()
         sc.check_program(program)
         assert len(walked) == len(visits)
+
+
+def test_warm_apply_strategy_walks_no_prelude_body(visits, problems):
+    # apply_strategy checks against the bundled prelude, so once its cores
+    # are kept, a call walks only the program's own definitions.
+    defs = problems.definitions
+    prelude = sc.load_prelude().definitions
+    t = sc.FunApp("zero", ())
+    assert sc.apply_strategy(problems.context, defs, S.Id(), t) == sc.Ok(t)
+    visits.clear()
+    assert sc.apply_strategy(problems.context, defs, S.Id(), t) == sc.Ok(t)
+    assert set(defs) > set(prelude)
+    for name, d in defs.items():
+        assert sum(s is d.body for s in visits) == (name not in prelude), name

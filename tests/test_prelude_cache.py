@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stratcalc as sc
-from stratcalc import typecheck
 
 from conftest import NAT_TREE_HEADER
 from randgen import Gen, edited
@@ -45,8 +44,8 @@ def outcome(program):
 
 
 def assert_reuse_changes_nothing(program, cold):
-    """Cold, the program meets an empty slot; warm, a program that declares
-    what IncAll needs has filled it."""
+    """Cold, the program's prelude has no cores kept yet; warm, a program
+    that declares what IncAll needs has had them checked."""
     if cold:
         program.prelude.cores = None
     else:
