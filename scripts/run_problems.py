@@ -6,7 +6,6 @@ Usage: python3 scripts/run_problems.py [--trace]
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 from types import SimpleNamespace
@@ -56,7 +55,7 @@ def run(core, name, term_src, trace):
     # Trace lines go to stderr as they are emitted, as in the CLI.
     state = sc.EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print("   |", line, file=sys.stderr)))
-    out = sc.run_program(dataclasses.replace(core, main=call), term,
+    out = sc.run_program(core.replace(main=call), term,
                          sc.EvalConfig(trace=trace), state)
     shown = (sc.render_term(out.term) if isinstance(out, sc.Ok)
              else repr(out))

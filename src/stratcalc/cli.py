@@ -9,7 +9,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 from .errors import ParseError, StaticError
@@ -108,7 +107,7 @@ def _main(args):
             # The reader loads the prelude again, so the records that
             # parse_program replayed first, and its definitions, are left out.
             ctx, skip = core.context, set(prelude.definitions)
-            core = replace(core, context=ctx.replace(
+            core = core.replace(context=ctx.replace(
                 decls=ctx.decls[len(prelude.context.decls):]))
         sys.stdout.write(render_program(core, skip_defs=skip))
         return 0

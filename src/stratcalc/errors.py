@@ -1,7 +1,8 @@
 """Error types shared across the engine.
 
 Static errors carry a rule tag and an optional source position so the
-CLI can render them as `ERROR <rule-tag> at <line>:<col>: <message>`.
+CLI can render them as `ERROR <rule-tag> at <line>:<col>: <message>`, or
+as `ERROR <rule-tag>: <message>` without a position.
 """
 
 
@@ -35,8 +36,10 @@ class StaticError(StratError):
             self.rule = rule
 
     def render(self):
-        line, col = self.pos if self.pos else (0, 0)
-        return "ERROR %s at %d:%d: %s" % (self.rule, line, col, self.message)
+        if self.pos:
+            return "ERROR %s at %d:%d: %s" % (self.rule, *self.pos,
+                                              self.message)
+        return "ERROR %s: %s" % (self.rule, self.message)
 
     def __str__(self):
         return self.render()

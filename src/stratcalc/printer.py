@@ -5,8 +5,6 @@ and keyword forms are spelled as `syntax.OPERATORS` and `syntax.KEYWORDS`
 say, the tables the parser reads.
 """
 
-from dataclasses import fields
-
 from . import syntax as S
 from .terms import (
     Amp,
@@ -46,8 +44,7 @@ render_stype = repr
 _BINOPS = {cls: (op, lvl) for op, (cls, lvl) in S.OPERATORS.items()}
 
 # class -> (word, ((field name, argument kind), ...)), from S.KEYWORDS
-_FORMS = {cls: (word, tuple((f.name, kind)
-                            for f, kind in zip(fields(cls), kinds)))
+_FORMS = {cls: (word, tuple(zip(cls._fields, kinds)))
           for word, (cls, kinds) in S.KEYWORDS.items()}
 
 

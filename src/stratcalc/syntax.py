@@ -1,194 +1,253 @@
 """Abstract syntax of strategic programs.
 
-Node equality is structural; source positions are excluded so that
+Strategy nodes, where-clauses and definitions are `terms.Node`s: immutable
+records with `__slots__`, equal when their `_fields` are. A node's source
+`pos` is shown by `repr` but neither compared nor hashed, so that
 elaborated output can be compared with a second elaboration of it.
+`Program` is a mutable `terms.Record`; `Program.replace` copies one.
 `OPERATORS` and `KEYWORDS` are the one source of the concrete spelling of
 the strategy combinators; the parser and the printer both read them.
 """
 
-from dataclasses import dataclass, field
+from .terms import Node, Record
 
 
-class StrategyExpr:
-    pos = None
+class _DataclassFields:
+    """`__dataclass_fields__` for `dataclasses.fields` and
+    `dataclasses.replace`, built for a class when first read, so that
+    importing this module generates no dataclass code. A class's fields
+    are its `__init__` parameters, with their defaults, then its other
+    slots (init=False, default None); a field is compared if it is in
+    `_fields`, and shown if it is in `_fields` or `_uncompared`."""
+
+    def __init__(self):
+        self._built = {}  # class -> its fields
+
+    def __get__(self, obj, cls):
+        fields = self._built.get(cls)
+        if fields is None:
+            fields = self._built[cls] = _dataclass_fields(cls)
+        return fields
 
 
-def _posfield():
-    return field(default=None, compare=False)
+def _dataclass_fields(cls):
+    import dataclasses
+
+    init = cls.__init__
+    params = init.__code__.co_varnames[1:init.__code__.co_argcount]
+    later = tuple(n for c in reversed(cls.__mro__)
+                  for n in c.__dict__.get("__slots__", ()) if n not in params)
+    defaults = init.__defaults__ or ()
+    default = dict.fromkeys(later)  # None until set after __init__
+    default.update(zip(params[len(params) - len(defaults):], defaults))
+    shown = cls._fields + cls._uncompared
+    spec = [(n, object, dataclasses.field(
+        default=default.get(n, dataclasses.MISSING), init=n in params,
+        compare=n in cls._fields, repr=n in shown))
+        for n in params + later]
+    return dataclasses.make_dataclass(cls.__name__, spec).__dataclass_fields__
 
 
-@dataclass(frozen=True)
+_DATACLASS_FIELDS = _DataclassFields()
+
+
+class Syntax(Node):
+    """A strategy node, a where-clause or a definition."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DATACLASS_FIELDS
+
+
+_set = object.__setattr__  # how the less common nodes set their slots
+
+
+# Strategies ----------------------------------------------------------------
+
+
+class StrategyExpr(Syntax):
+    __slots__ = _uncompared = ("pos",)  # (line, col), or None
+
+
+# One constructor per node shape; the classes of a shape add no slots.
+
+
+class _Leaf(StrategyExpr):
+    __slots__ = ()
+
+    def __init__(self, pos=None):
+        _set_pos(self, pos)
+
+
+class _Unary(StrategyExpr):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg, pos=None):
+        _set_arg(self, arg)
+        _set_pos(self, pos)
+
+
+class _Binary(StrategyExpr):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, pos=None):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_pos(self, pos)
+
+
+class _Typed(StrategyExpr):  # a strategy and a strategy type
+    __slots__ = _fields = ("arg", "stype")
+
+    def __init__(self, arg, stype, pos=None):
+        _set_typed_arg(self, arg)
+        _set_stype(self, stype)
+        _set_pos(self, pos)
+
+
+_set_pos = StrategyExpr.pos.__set__
+_set_arg = _Unary.arg.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_typed_arg, _set_stype = _Typed.arg.__set__, _Typed.stype.__set__
+
+
 class Rule(StrategyExpr):
     """lhs -> rhs where var1 := strat1 @ arg1 ... (clauses in source order)."""
-    lhs: object  # Term
-    rhs: object  # Term
-    where: tuple = ()  # of Where
-    pos: tuple = _posfield()
+
+    __slots__ = _fields = ("lhs", "rhs", "where")
+
+    def __init__(self, lhs, rhs, where=(), pos=None):
+        _set(self, "lhs", lhs)  # a Term
+        _set(self, "rhs", rhs)  # a Term
+        _set(self, "where", where)  # of Where
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class Id(StrategyExpr):
-    pos: tuple = _posfield()
+class Id(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fail(StrategyExpr):
-    pos: tuple = _posfield()
+class Fail(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seq(StrategyExpr):
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class Seq(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Choice(StrategyExpr):
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class Choice(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LChoice(StrategyExpr):  # left-biased choice s1 <+ s2 (core)
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class LChoice(_Binary):  # left-biased choice s1 <+ s2 (core)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RChoice(StrategyExpr):  # sugar: s1 +> s2
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class RChoice(_Binary):  # sugar: s1 +> s2
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg(StrategyExpr):
-    arg: StrategyExpr
-    pos: tuple = _posfield()
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CongFun(StrategyExpr):  # f(s1,...,sn); a constant's has no arguments
-    name: str
-    args: tuple  # of StrategyExpr
-    pos: tuple = _posfield()
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name, args, pos=None):
+        _set(self, "name", name)
+        _set(self, "args", args)  # of StrategyExpr
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class CongUnit(StrategyExpr):
-    pos: tuple = _posfield()
+class CongUnit(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CongPair(StrategyExpr):
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class CongPair(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class All(StrategyExpr):
-    arg: StrategyExpr
-    pos: tuple = _posfield()
+class All(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class One(StrategyExpr):
-    arg: StrategyExpr
-    pos: tuple = _posfield()
+class One(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Reduce(StrategyExpr):
-    splus: StrategyExpr
-    child: StrategyExpr
-    pos: tuple = _posfield()
+    __slots__ = _fields = ("splus", "child")
+
+    def __init__(self, splus, child, pos=None):
+        _set(self, "splus", splus)
+        _set(self, "child", child)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class Select(StrategyExpr):
-    arg: StrategyExpr
-    pos: tuple = _posfield()
+class Select(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Void(StrategyExpr):
-    pos: tuple = _posfield()
+class Void(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Spawn(StrategyExpr):
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class Spawn(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Extend(StrategyExpr):
-    arg: StrategyExpr
-    stype: object  # StrategyType
-    pos: tuple = _posfield()
+class Extend(_Typed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Restrict(StrategyExpr):
-    arg: StrategyExpr
-    stype: object
-    pos: tuple = _posfield()
+class Restrict(_Typed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Annot(StrategyExpr):
-    arg: StrategyExpr
-    stype: object
-    pos: tuple = _posfield()
+class Annot(_Typed):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AmpS(StrategyExpr):  # overloaded strategy s1 & s2
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class AmpS(_Binary):  # overloaded strategy s1 & s2
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TypeGuard(StrategyExpr):  # sugar: guard(tau, gamma)
-    ttype: object  # TermType
-    stype: object  # StrategyType
-    pos: tuple = _posfield()
+    __slots__ = _fields = ("ttype", "stype")
+
+    def __init__(self, ttype, stype, pos=None):
+        _set(self, "ttype", ttype)  # a TermType
+        _set(self, "stype", stype)  # a StrategyType
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class TLChoice(StrategyExpr):  # sugar: s1 <& s2
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class TLChoice(_Binary):  # sugar: s1 <& s2
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TRChoice(StrategyExpr):  # sugar: s1 &> s2
-    left: StrategyExpr
-    right: StrategyExpr
-    pos: tuple = _posfield()
+class TRChoice(_Binary):  # sugar: s1 &> s2
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ParamRef(StrategyExpr):
-    name: str
-    pos: tuple = _posfield()
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name, pos=None):
+        _set(self, "name", name)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
 class Call(StrategyExpr):
     """In raw syntax, any bare name (the checker resolves it to a ParamRef,
     CongFun or combinator call); in the core, a combinator call."""
-    name: str
-    type_args: tuple  # of TermType
-    args: tuple  # of StrategyExpr
-    pos: tuple = _posfield()
+
+    __slots__ = _fields = ("name", "type_args", "args")
+
+    def __init__(self, name, type_args, args, pos=None):
+        _set(self, "name", name)
+        _set(self, "type_args", type_args)  # of TermType
+        _set(self, "args", args)  # of StrategyExpr
+        _set_pos(self, pos)
 
 
 # Concrete syntax -----------------------------------------------------------
@@ -220,39 +279,57 @@ KEYWORDS = {
 # Where-clauses -------------------------------------------------------------
 
 
-class RuleBody:  # kept as a base: bench/layers.core_nodes walks by it
-    pass
+class RuleBody(Syntax):  # kept as a base: bench/layers.core_nodes walks by it
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Where(RuleBody):
-    var: str
-    strat: StrategyExpr
-    arg: object  # Term
+    __slots__ = _fields = ("var", "strat", "arg")
+
+    def __init__(self, var, strat, arg):
+        _set(self, "var", var)
+        _set(self, "strat", strat)
+        _set(self, "arg", arg)  # a Term
 
 
 # Programs ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    params: tuple  # of str
-    ctype: object  # CombinatorType, which holds the type parameters
-    body: StrategyExpr
-    pos: tuple = _posfield()
+class Definition(Syntax):
+    __slots__ = ("name", "params", "ctype", "body", "pos")
+    _fields = ("name", "params", "ctype", "body")
+    _uncompared = ("pos",)
+
+    def __init__(self, name, params, ctype, body, pos=None):
+        _set(self, "name", name)
+        _set(self, "params", params)  # of str
+        # A CombinatorType, which holds the type parameters.
+        _set(self, "ctype", ctype)
+        _set(self, "body", body)
+        _set(self, "pos", pos)
 
 
-@dataclass
-class Program:
-    context: object  # Context
-    definitions: dict  # name -> Definition
-    main: StrategyExpr
-    # The prelude Program this one was parsed against, or None: its
-    # records begin `context.decls` and its definitions are shared, so the
-    # checker can reuse their cores.
-    prelude: object = field(default=None, compare=False, repr=False)
-    # As a prelude: name -> (definition, core) for each of its definitions
-    # that checks in its own context, or None before the checker needs it.
-    cores: object = field(default=None, init=False, compare=False,
-                          repr=False)
+class Program(Record):
+    __slots__ = ("context", "definitions", "main", "prelude", "cores")
+    _fields = ("context", "definitions", "main")
+    __dataclass_fields__ = _DATACLASS_FIELDS
+
+    def __init__(self, context, definitions, main, prelude=None):
+        self.context = context  # a Context
+        self.definitions = definitions  # name -> Definition
+        self.main = main  # a StrategyExpr
+        # The prelude Program this one was parsed against, or None: its
+        # records begin `context.decls` and its definitions are shared, so
+        # the checker can reuse their cores.
+        self.prelude = prelude
+        # As a prelude: name -> (definition, core) for each of its
+        # definitions that checks in its own context, or None before the
+        # checker needs it.
+        self.cores = None
+
+    def replace(self, **changes):
+        """A copy of this program with `changes` made, on the same prelude
+        unless `prelude` is one of them; its `cores` are None."""
+        return Program(**{"context": self.context,
+                          "definitions": self.definitions, "main": self.main,
+                          "prelude": self.prelude, **changes})

@@ -474,11 +474,11 @@ NAME_DIAGNOSTICS = [
      "ERROR name at 2:14: unknown name Nope\n"
      "ERROR name at 3:14: unknown name Nix"),
     ("main = id;", "bogus",
-     "ERROR name at 0:0: unknown symbol bogus in term"),
+     "ERROR name: unknown symbol bogus in term"),
     ("main = id;", "succ(bogus)",
-     "ERROR name at 0:0: unknown symbol bogus in term"),
+     "ERROR name: unknown symbol bogus in term"),
     ("main = id;", "N",
-     "ERROR var at 0:0: input term is not ground: N is a variable"),
+     "ERROR var: input term is not ground: N is a variable"),
 ]
 
 
@@ -496,7 +496,7 @@ def test_a_constant_takes_no_arguments(capcli, write):
     # term given to the library alike.
     f = write("id.strat", DIAG_HEADER + "main = id;\n")
     assert capcli("run", f, "--term", "zero(zero)") == (
-        2, "", "ERROR fun at 0:0: zero expects 0 arguments, got 1\n")
+        2, "", "ERROR fun: zero expects 0 arguments, got 1\n")
     ctx = sc.parse_program(DIAG_HEADER + "main = id;\n").context
     zero = sc.FunApp("zero", ())
     got = sc.apply_strategy(ctx, {}, S.Id(), sc.FunApp("zero", (zero,)))

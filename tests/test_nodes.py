@@ -4,11 +4,15 @@ import ast
 import copy
 import dataclasses
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
-from stratcalc import evaluate, terms
+import stratcalc
+from stratcalc import evaluate, syntax as S, terms
 from stratcalc.evaluate import EngineFailure, EvalConfig, EvalState
 from stratcalc.terms import (
     FAILURE,
@@ -32,7 +36,7 @@ from stratcalc.terms import (
     Var,
 )
 
-from conftest import load_program
+from conftest import load_program, program_path
 
 NAT = Sort("Nat")
 ZERO = FunApp("zero", (), NAT)
@@ -192,3 +196,206 @@ def test_no_dataclasses_in_the_term_layer(module, one_of_its_classes):
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
     assert "dataclasses" not in imported
+
+
+# ---------------------------------------------------------------------------
+# Syntax nodes and programs
+
+# The fields of every syntax class, in the order `dataclasses.fields`
+# gives them, as they were when these classes were dataclasses.
+SYNTAX_FIELDS = {
+    "Rule": ("lhs", "rhs", "where", "pos"), "Id": ("pos",),
+    "Fail": ("pos",), "Seq": ("left", "right", "pos"),
+    "Choice": ("left", "right", "pos"), "LChoice": ("left", "right", "pos"),
+    "RChoice": ("left", "right", "pos"), "Neg": ("arg", "pos"),
+    "CongFun": ("name", "args", "pos"), "CongUnit": ("pos",),
+    "CongPair": ("left", "right", "pos"), "All": ("arg", "pos"),
+    "One": ("arg", "pos"), "Reduce": ("splus", "child", "pos"),
+    "Select": ("arg", "pos"), "Void": ("pos",),
+    "Spawn": ("left", "right", "pos"), "Extend": ("arg", "stype", "pos"),
+    "Restrict": ("arg", "stype", "pos"), "Annot": ("arg", "stype", "pos"),
+    "AmpS": ("left", "right", "pos"), "TypeGuard": ("ttype", "stype", "pos"),
+    "TLChoice": ("left", "right", "pos"), "TRChoice": ("left", "right", "pos"),
+    "ParamRef": ("name", "pos"), "Call": ("name", "type_args", "args", "pos"),
+    "Where": ("var", "strat", "arg"),
+    "Definition": ("name", "params", "ctype", "body", "pos"),
+    "Program": ("context", "definitions", "main", "prelude", "cores"),
+}
+SYNTAX_CLASSES = [c for c in vars(S).values()
+                  if isinstance(c, type) and issubclass(c, S.Syntax)
+                  and c.__name__ in SYNTAX_FIELDS]
+POSITIONED = [c for c in SYNTAX_CLASSES if c is not S.Where]
+
+
+def positioned(cls, pos):
+    """A node of cls at pos, each of its other fields a node at 9:9."""
+    return cls(*[S.Id((9, 9))] * (len(SYNTAX_FIELDS[cls.__name__]) - 1), pos)
+
+
+def test_every_syntax_class_is_a_node():
+    assert sorted(c.__name__ for c in SYNTAX_CLASSES + [S.Program]) \
+        == sorted(SYNTAX_FIELDS)
+    assert all(issubclass(c, terms.Node) for c in SYNTAX_CLASSES)
+    assert issubclass(S.Program, terms.Record)
+    assert not issubclass(S.Program, terms.Node)
+
+
+@pytest.mark.parametrize("cls", POSITIONED, ids=lambda c: c.__name__)
+def test_positions_are_neither_compared_nor_hashed(cls):
+    here, there = positioned(cls, (1, 2)), positioned(cls, None)
+    assert here == there and hash(here) == hash(there)
+    assert here.pos == (1, 2) and repr(here) != repr(there)
+
+
+def test_syntax_fields_are_compared():
+    a, b = S.Id(), S.Fail()
+    assert a != b and S.Seq(a, b) != S.Seq(b, a) != S.Choice(b, a)
+    assert S.Call("F", (), ()) != S.CongFun("F", ()) != S.ParamRef("F")
+    assert S.Where("X", a, Var("N")) != S.Where("X", a, Var("M"))
+    assert len({S.Id(), S.Id((1, 1)), S.Fail(), S.Void(), S.CongUnit()}) == 4
+
+
+@pytest.mark.parametrize("cls", SYNTAX_CLASSES, ids=lambda c: c.__name__)
+def test_syntax_nodes_are_immutable(cls):
+    node = S.Where("X", S.Id(), Var("N")) if cls is S.Where \
+        else positioned(cls, (1, 2))
+    before = repr(node)
+    for name in SYNTAX_FIELDS[cls.__name__]:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    with pytest.raises(AttributeError):
+        node.extra = None
+    assert repr(node) == before
+
+
+@pytest.mark.parametrize("cls", POSITIONED, ids=lambda c: c.__name__)
+def test_copy_and_pickle_keep_positions(cls):
+    node = positioned(cls, (1, 2))
+    for other in (copy.copy(node), copy.deepcopy(node),
+                  pickle.loads(pickle.dumps(node))):
+        assert type(other) is cls and other == node
+        assert other.pos == (1, 2) and repr(other) == repr(node)
+
+
+def test_syntax_reprs_are_exact():
+    # The text the dataclass repr gave, which the request digest reads.
+    assert repr(S.Seq(S.Id((1, 2)), S.Fail(), (1, 1))) == (
+        "Seq(left=Id(pos=(1, 2)), right=Fail(pos=None), pos=(1, 1))")
+    assert repr(S.Rule(Var("N", NAT), ZERO,
+                       (S.Where("M", S.ParamRef("s", (2, 3)), Var("N")),),
+                       (2, 1))) == (
+        "Rule(lhs=Var(name='N', tag=Nat), rhs=FunApp(name='zero', args=(), "
+        "tag=Nat), where=(Where(var='M', strat=ParamRef(name='s', "
+        "pos=(2, 3)), arg=Var(name='N', tag=None)),), pos=(2, 1))")
+    assert repr(S.Call("TD", (NAT,), (S.Extend(S.Id(), TP_TYPE, (3, 4)),),
+                       (3, 1))) == (
+        "Call(name='TD', type_args=(Nat,), args=(Extend(arg=Id(pos=None), "
+        "stype=TP, pos=(3, 4)),), pos=(3, 1))")
+    assert repr(S.Definition("F", ("s",),
+                             CombinatorType((), (TP_TYPE,), TP_TYPE),
+                             S.ParamRef("s"), (5, 1))) == (
+        "Definition(name='F', params=('s',), ctype=CombinatorType("
+        "type_params=(), arg_types=(TP,), result_type=TP), "
+        "body=ParamRef(name='s', pos=None), pos=(5, 1))")
+    assert repr(S.Program(Context(), {}, S.Id(), S.Program(None, {}, None))) \
+        == ("Program(context=Context(sorts=set(), functions={}, "
+            "term_vars={}, combinators={}, strategy_params={}, "
+            "type_vars=set(), decls=[]), definitions={}, main=Id(pos=None))")
+
+
+@pytest.mark.parametrize("cls", SYNTAX_CLASSES + [S.Program],
+                         ids=lambda c: c.__name__)
+def test_dataclass_fields_of_syntax_classes(cls):
+    # The one dataclass protocol kept: a walk by `dataclasses.fields`.
+    fields = dataclasses.fields(cls)
+    assert tuple(f.name for f in fields) == SYNTAX_FIELDS[cls.__name__]
+    for f in fields:
+        if f.name == "pos":
+            assert (f.init, f.compare, f.repr, f.default) \
+                == (True, False, True, None)
+    assert dataclasses.is_dataclass(cls)
+
+
+def test_dataclasses_replace_on_a_node():
+    seq = S.Seq(S.Id((1, 2)), S.Fail(), (1, 1))
+    other = dataclasses.replace(seq, right=S.Void())
+    assert type(other) is S.Seq and other == S.Seq(S.Id(), S.Void())
+    assert other.pos == (1, 1) and other.left is seq.left
+    assert dataclasses.replace(seq, pos=None).pos is None
+    rule = S.Rule(Var("N"), ZERO)
+    assert rule.where == () and dataclasses.fields(rule)[2].default == ()
+    assert dataclasses.replace(rule, where=(S.Where("M", S.Id(), ZERO),)) \
+        .where[0].var == "M"
+
+
+def test_dataclasses_replace_on_a_program():
+    prelude = stratcalc.load_prelude()
+    program = load_program("problems.strat")
+    program.cores = {}
+    for other in (dataclasses.replace(program, main=S.Fail()),
+                  program.replace(main=S.Fail())):
+        assert type(other) is S.Program and other.main == S.Fail()
+        assert other.prelude is program.prelude is prelude
+        assert other.cores is None
+        assert other.context is program.context
+        assert other.definitions is program.definitions
+        assert other != program
+        assert other.replace(main=program.main) == program
+    assert program.replace(prelude=None).prelude is None
+    with pytest.raises(ValueError):
+        dataclasses.replace(program, cores={})
+    with pytest.raises(TypeError):
+        program.replace(cores={})
+    fields = {f.name: f for f in dataclasses.fields(program)}
+    assert (fields["prelude"].init, fields["prelude"].compare,
+            fields["prelude"].repr) == (True, False, False)
+    assert (fields["cores"].init, fields["cores"].compare,
+            fields["cores"].repr, fields["cores"].default) \
+        == (False, False, False, None)
+
+
+def test_programs_compare_without_prelude_or_cores():
+    program = load_program("problems.strat")
+    other = S.Program(program.context, program.definitions, program.main)
+    other.cores = {}
+    assert other == program and repr(other) == repr(program)
+    with pytest.raises(TypeError):
+        hash(program)
+
+
+def test_no_module_imports_dataclasses_at_module_level():
+    # Only the syntax classes' adapter imports it, when first read.
+    package = os.path.dirname(stratcalc.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "dataclasses" not in imported, name
+
+
+FRESH = """
+import io, sys
+before = set(sys.modules)
+from stratcalc import cli
+out, sys.stdout = sys.stdout, io.StringIO()
+rc = cli.main(["check", sys.argv[1]])
+sys.stdout = out
+print(rc, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
+
+
+def test_a_fresh_check_imports_neither_dataclasses_nor_inspect():
+    # Generating dataclass code was the largest cost of a fresh process.
+    src = os.path.dirname(os.path.dirname(stratcalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH, program_path("problems.strat")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")

@@ -79,3 +79,21 @@ def test_line_coverage_reports_each_module():
     not_run = int(lines[i].split()[1])
     reported = [int(n) for n in lines[i + 1].split(",")]
     assert not_run == len(reported) > 0
+
+
+IMPORT_COST = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                           "import_cost.py")
+
+
+def test_import_cost_reports_each_module():
+    proc = subprocess.run([sys.executable, IMPORT_COST, "-n", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    names = {"stratcalc." + name[:-3] for name in os.listdir(MODULES)
+             if name.endswith(".py") and name != "__init__.py"}
+    assert sorted(name for name, _, _ in rows) == sorted(names | {"stratcalc"})
+    for name, own, cumulative in rows:
+        assert 0 <= float(own) <= float(cumulative)
+    assert total[0] == "total"
+    assert float(total[1]) == max(float(c) for _, _, c in rows)

@@ -140,4 +140,4 @@ def test_apply_strategy_rejects_an_inapplicable_term(capsys, tmp_path,
         src.write_text(f.read().replace("main = ProblemI;",
                                         "main = %s;" % name))
     assert cli.main(["run", str(src), "--term", "leaf(zero)"]) == 2
-    assert capsys.readouterr() == ("", "ERROR apply at 0:0: %s\n" % message)
+    assert capsys.readouterr() == ("", "ERROR apply: %s\n" % message)

@@ -169,7 +169,7 @@ def test_cli_reports_an_ill_typed_term_as_before(capsys):
     path = program_path("problems.strat")
     assert cli.main(["run", path, "--term", "succ(leaf(zero))"]) == 2
     assert capsys.readouterr().err == (
-        "ERROR fun at 0:0: argument 1 of succ has type Tree, expected Nat\n")
+        "ERROR fun: argument 1 of succ has type Tree, expected Nat\n")
     assert cli.main(["run", path, "--term", "succ(zero"]) == 4
     assert capsys.readouterr().err == (
         "parse error at 1:10: expected ')', got 'end of input'\n")
