@@ -16,6 +16,7 @@ from .evaluate import (
     EngineFailure,
     EvalConfig,
     EvalState,
+    _in_frame_room,
     depth_exceeded,
     expect_type,
     run_program,
@@ -76,7 +77,8 @@ def main(argv=None):
     if args.fuel < 0:
         ap.error("argument --fuel: expected N >= 0, got %d" % args.fuel)
     try:
-        return _main(args)
+        # The whole request recurses on nesting depth, front end included.
+        return _in_frame_room(_main, args)
     except ParseError as e:
         print(e, file=sys.stderr)
         return 4

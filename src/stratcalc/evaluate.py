@@ -302,6 +302,24 @@ _NODES = {
 _HEADS = {UnitTuple: "()", Pair: "(,)"}
 
 
+def _in_frame_room(f, *args):
+    """f(*args), run above a frame large enough to open a data-stack chunk
+    of its own, so that the frames f pushes never cross a chunk edge."""
+    return f(*args)
+
+
+# CPython 3.11+ keeps frames in 16 KiB data-stack chunks and frees a chunk
+# as soon as the frame at its base returns, so a walk that recurses back
+# and forth across a chunk edge maps and unmaps one on every crossing. A
+# 512 KiB value stack makes the helper's frame open a 1 MiB chunk, and the
+# ~512 KiB above it hold more frames than the default recursion limit lets
+# f push. That stack is never written, so its pages are never touched.
+# Older versions allocate each frame on the heap, so the helper stays plain.
+if sys.implementation.name == "cpython" and sys.version_info >= (3, 11):
+    _in_frame_room.__code__ = _in_frame_room.__code__.replace(
+        co_stacksize=1 << 16)
+
+
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply the raw strategy s to the raw term t under the raw definitions
     defs. t is tagged and must be ground; ctx, defs and s are checked and
@@ -311,6 +329,10 @@ def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     run_program, and the reduct must have the type `apply_type` predicts.
     Returns Ok, Failure, or EngineFailure; ill-typed input gives
     InternalTypeViolation with the first diagnostic."""
+    return _in_frame_room(_apply_strategy, ctx, defs, s, t, cfg, state)
+
+
+def _apply_strategy(ctx, defs, s, t, cfg, state):
     try:
         t = tag_ground_term(ctx, t)
         diags, main_type, core = check_and_elaborate(

@@ -97,3 +97,20 @@ def test_import_cost_reports_each_module():
         assert 0 <= float(own) <= float(cumulative)
     assert total[0] == "total"
     assert float(total[1]) == max(float(c) for _, _, c in rows)
+
+
+STACK_OFFSET = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                            "stack_offset.py")
+
+
+def test_stack_offset_reports_each_request():
+    argv = [sys.executable, STACK_OFFSET, "--seed", "101", "--limit", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert len(rows) == 2
+    for cls, fastest, slowest, faults in rows:
+        assert cls.split("/")[0] in ("ProblemI", "ProblemIII", "ProblemIV",
+                                     "ProblemV", "Inc", "Dec"), cls
+        assert 0 < float(fastest) <= float(slowest)
+        assert int(faults) >= 0
