@@ -1,4 +1,6 @@
+import contextlib
 import os
+import re
 
 import pytest
 
@@ -15,6 +17,15 @@ def program_path(name):
 
 def golden_path(name):
     return os.path.join(GOLDEN, name)
+
+
+@contextlib.contextmanager
+def raises_static(rule, message):
+    """Expect a StaticError with this rule tag and exactly this message."""
+    with pytest.raises(sc.StaticError,
+                       match=r" %s\Z" % re.escape(message)) as exc:
+        yield exc
+    assert (exc.value.rule, exc.value.message) == (rule, message)
 
 
 def load_program(name):

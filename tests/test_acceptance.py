@@ -157,11 +157,11 @@ def test_criterion_4_innermost_vs_oracle(addition):
 def test_criterion_5_negative_typing_suite():
     assert len(ILL_TYPED) >= 10
     bad = []
-    for src, tag in ILL_TYPED:
-        tags = reject(src)
-        if not tags or tag not in tags:
-            bad.append((tag, tags))
-    report(5, "%d ill-typed programs rejected with expected rule-tags "
+    for src, tag, rendered in ILL_TYPED:
+        got = reject(src)
+        if got != rendered:
+            bad.append((tag, got))
+    report(5, "%d ill-typed programs rejected with expected diagnostics "
               "(%d wrong)" % (len(ILL_TYPED), len(bad)), not bad)
 
 

@@ -57,6 +57,17 @@ def test_request_digest_lines():
     assert again.stdout == proc.stdout
 
 
+def test_request_digest_matches_golden():
+    """Every reply to the seed-101 benchmark requests, and every parse of
+    them, is byte-identical to the committed digest. A deliberate output
+    change regenerates the file (see the README)."""
+    argv = [sys.executable, DIGEST, "--seed", "101"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(golden_path("request_digest_seed101.txt")) as f:
+        assert proc.stdout == f.read()
+
+
 COVERAGE = os.path.join(os.path.dirname(__file__), "..", "scripts",
                         "line_coverage.py")
 TESTS_TERMS = os.path.join(os.path.dirname(__file__), "test_terms.py")

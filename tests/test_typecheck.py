@@ -21,7 +21,7 @@ from stratcalc.terms import (
 )
 from stratcalc.typecheck import apply_type
 
-from conftest import NAT_TREE_HEADER
+from conftest import NAT_TREE_HEADER, raises_static
 from randgen import NAT, TREE
 
 BOOL = Sort("Boolean")
@@ -42,13 +42,16 @@ def test_wf_declared_sort(nat_tree_ctx):
 
 
 def test_wf_undeclared_sort_rejected(nat_tree_ctx):
-    with pytest.raises(E.UndeclaredSort):
+    with raises_static("tau.1", "undeclared sort Foo"):
         sc.wf_term_type(nat_tree_ctx, Sort("Foo"))
 
 
 def test_wf_unbound_type_var_rejected(nat_tree_ctx):
-    with pytest.raises(E.UnboundTypeVar):
+    # No program reaches tau.4: the parser reads a type variable only
+    # where its definition binds it.
+    with raises_static("tau.4", "type variable a is not in scope") as exc:
         sc.wf_term_type(nat_tree_ctx, TypeVar("a"))
+    assert exc.value.render() == "ERROR tau.4: type variable a is not in scope"
 
 
 def test_wf_strategy_types(nat_tree_ctx):
@@ -58,7 +61,7 @@ def test_wf_strategy_types(nat_tree_ctx):
 
 
 def test_wf_overlapping_amp_rejected(nat_tree_ctx):
-    with pytest.raises(E.OverlappingAmpDomains):
+    with raises_static("pi.4", "overloaded branches share the domain Nat"):
         sc.wf_strategy_type(nat_tree_ctx, Amp(NN, Arrow(NAT, TREE)))
 
 
@@ -88,7 +91,7 @@ def test_domains_amp_union():
 
 
 def test_domains_generic_undefined():
-    with pytest.raises(E.GenericDomainUndefined):
+    with raises_static("dom", "domain of generic type TP is undefined"):
         sc.domains(TP_TYPE)
 
 
@@ -129,7 +132,8 @@ def test_negatable_arrow_and_generics(nat_tree_ctx):
 
 
 def test_negatable_amp_rejected(nat_tree_ctx):
-    with pytest.raises(E.NotNegatable):
+    with raises_static("negt", "cannot negate overloaded type "
+                       "Nat -> Nat & Tree -> Tree"):
         sc.negatable(nat_tree_ctx, Amp(NN, TT))
 
 
@@ -164,11 +168,11 @@ def test_composable_amp_pairwise(nat_tree_ctx):
 
 
 def test_composable_rejections(nat_tree_ctx):
-    with pytest.raises(E.NotComposable):
+    with raises_static("comp.1", "cannot compose Nat -> Tree with Nat -> Nat"):
         sc.composable(nat_tree_ctx, Arrow(NAT, TREE), NN)
-    with pytest.raises(E.NotComposable):
+    with raises_static("comp", "cannot compose TU(Nat) with TU(Tree)"):
         sc.composable(nat_tree_ctx, TU(NAT), TU(TREE))
-    with pytest.raises(E.NotComposable):
+    with raises_static("comp", "cannot compose TU(Nat) with TP"):
         sc.composable(nat_tree_ctx, TU(NAT), TP_TYPE)
 
 
@@ -177,7 +181,8 @@ def test_composable_rejections(nat_tree_ctx):
 def test_glb_examples(nat_tree_ctx):
     assert sc.glb(nat_tree_ctx, TP_TYPE, TP_TYPE) == TP_TYPE
     assert sc.glb(nat_tree_ctx, NN, TP_TYPE) == NN
-    with pytest.raises(E.NoLowerBound):
+    with raises_static("choice", "types Nat -> Nat and Tree -> Tree have "
+                       "no lower bound"):
         sc.glb(nat_tree_ctx, NN, TT)
 
 
@@ -213,7 +218,7 @@ def test_extend_instance_accepted(nat_tree):
 
 def test_extend_non_instance_rejected(nat_tree):
     inc = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
-    with pytest.raises(E.ExtendNotInstance):
+    with raises_static("extend", "Nat -> Nat is not an instance of TU(Tree)"):
         sc.type_and_core(nat_tree.context, S.Extend(inc, TU(TREE)))
 
 
@@ -228,7 +233,7 @@ def test_problem_types(problems):
 
 @pytest.mark.parametrize("s", [S.CongFun("nosuch", ())])
 def test_unknown_congruence_rejected(nat_tree_ctx, s):
-    with pytest.raises(E.UnknownName):
+    with raises_static("name", "unknown function nosuch in congruence"):
         sc.type_and_core(nat_tree_ctx, s)
 
 
@@ -255,10 +260,12 @@ def test_apply_id_to_constant(nat_tree_ctx):
 
 def test_apply_arrow_to_wrong_sort_rejected(nat_tree_ctx):
     inc = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
-    with pytest.raises(E.InapplicableType):
+    with pytest.raises(E.InapplicableType) as exc:
         apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, inc)[0],
                    sc.type_of_term(nat_tree_ctx,
                                    FunApp("leaf", (FunApp("zero", ()),))))
+    assert exc.value.render() == ("ERROR apply: strategy of type Nat -> Nat "
+                                  "is not applicable to a term of type Tree")
 
 
 def test_apply_overloaded_branch(overload):
@@ -284,7 +291,7 @@ def test_prelude_alone_checks_with_main_id():
 
 def test_body_with_undeclared_param_rejected():
     diags, _ = sc.check_program(sc.parse_program("def A : TP = v; main = A;"))
-    assert [type(d) for d in diags] == [E.UnknownName]
+    assert [d.render() for d in diags] == ["ERROR name at 1:14: unknown name v"]
 
 
 def test_problems_check_to_declared_types(problems):
@@ -296,53 +303,82 @@ def test_problems_check_to_declared_types(problems):
 
 ILL_TYPED = [
     # choice branches with no common lower bound
-    (nat_main("(N -> succ(N)) + (T1 -> T1)"), "choice"),
+    (nat_main("(N -> succ(N)) + (T1 -> T1)"), "choice",
+     ["ERROR choice at 13:8: types Nat -> Nat and Tree -> Tree have no "
+      "lower bound"]),
     # extend target is not a generic supertype of the argument
-    (nat_main("extend(N -> succ(N), TU(Tree))"), "extend"),
+    (nat_main("extend(N -> succ(N), TU(Tree))"), "extend",
+     ["ERROR extend at 13:8: Nat -> Nat is not an instance of TU(Tree)"]),
     # overloaded branches with overlapping domains
-    (nat_main("(N -> succ(N)) & (N -> zero)"), "pi.4"),
+    (nat_main("(N -> succ(N)) & (N -> zero)"), "pi.4",
+     ["ERROR pi.4 at 13:8: overloaded branches share the domain Nat"]),
     # rule pattern applies a symbol to the wrong sort
-    (nat_main("succ(T1) -> T1"), "fun"),
+    (nat_main("succ(T1) -> T1"), "fun",
+     ["ERROR fun at 13:8: argument 1 of succ has type Tree, expected Nat"]),
+    # rule over a function the context does not declare
+    (nat_main("foo(N) -> N"), "con",
+     ["ERROR con at 13:8: undeclared function foo"]),
     # restriction to a type that is not an instance of the argument's
-    (nat_main("restrict(void, Nat -> Nat)"), "restrict"),
+    (nat_main("restrict(void, Nat -> Nat)"), "restrict",
+     ["ERROR restrict at 13:8: Nat -> Nat is not an instance of TU(())"]),
     # sequential composition with a codomain/domain clash
-    (nat_main("(N -> leaf(N)) ; (N -> succ(N))"), "comp.1"),
+    (nat_main("(N -> leaf(N)) ; (N -> succ(N))"), "comp.1",
+     ["ERROR comp.1 at 13:8: cannot compose Nat -> Tree with Nat -> Nat"]),
+    # sequential composition of two type-unifying strategies
+    (nat_main("void ; void"), "comp",
+     ["ERROR comp at 13:8: cannot compose TU(()) with TU(())"]),
     # negation of an overloaded strategy
-    (nat_main("!((N -> succ(N)) & (T1 -> T1))"), "negt"),
+    (nat_main("!((N -> succ(N)) & (T1 -> T1))"), "negt",
+     ["ERROR negt at 13:8: cannot negate overloaded type Nat -> Nat & "
+      "Tree -> Tree"]),
     # all() applied to a non-type-preserving argument
-    (nat_main("all(N -> succ(N))"), "all"),
+    (nat_main("all(N -> succ(N))"), "all",
+     ["ERROR all at 13:8: all needs a type-preserving argument, has "
+      "Nat -> Nat"]),
     # undeclared sort mentioned in a guard type
-    (nat_main("guard(Foo, TP)"), "tau.1"),
+    (nat_main("guard(Foo, TP)"), "tau.1",
+     ["ERROR tau.1 at 13:8: undeclared sort Foo"]),
     # annotation that disagrees with the actual type
-    (nat_main("(id : Nat -> Nat)"), "annot"),
+    (nat_main("(id : Nat -> Nat)"), "annot",
+     ["ERROR annot at 13:8: annotation Nat -> Nat does not match actual "
+      "type TP"]),
     # definition body disagrees with the declared result type
     (nat_main("A").replace(
-        "main =", "def A : Nat -> Nat = T1 -> T1;\nmain ="), "def.3"),
+        "main =", "def A : Nat -> Nat = T1 -> T1;\nmain ="), "def.3",
+     ["ERROR def.3 at 13:1: body of A has type Tree -> Tree, declared "
+      "Nat -> Nat"]),
     # combinator argument with the wrong declared type
     (nat_main("A(T1 -> T1)").replace(
         "main =",
-        "def A(v) : (Nat -> Nat) -> TP = extend(v, TP);\nmain ="), "comb"),
+        "def A(v) : (Nat -> Nat) -> TP = extend(v, TP);\nmain ="), "comb",
+     ["ERROR comb at 14:8: argument 1 of A must have type Nat -> Nat, has "
+      "Tree -> Tree"]),
     # spawn over a non-type-unifying operand
-    (nat_main("spawn(id, void)"), "spawn"),
+    (nat_main("spawn(id, void)"), "spawn",
+     ["ERROR spawn at 13:8: spawn needs type-unifying operands, has TP and "
+      "TU(())"]),
     # reduce composer that cannot fold pairs of results
-    (nat_main("reduce(N -> succ(N), extend(N -> succ(N), TU(Nat)))"), "red"),
+    (nat_main("reduce(N -> succ(N), extend(N -> succ(N), TU(Nat)))"), "red",
+     ["ERROR red at 13:8: reduce composer must admit (Nat,Nat) -> Nat, has "
+      "Nat -> Nat"]),
 ]
 
 
 def reject(src):
-    """Parse/check one ill-typed program; return the rule-tags it is
-    rejected with (empty means a false accept)."""
+    """Parse/check one ill-typed program; return the diagnostics it is
+    rejected with, rendered (empty means a false accept)."""
     try:
         program = sc.parse_program(src, prelude=sc.load_prelude())
     except E.StaticError as e:
-        return [e.rule]
+        return [e.render()]
     diags, _ = sc.check_program(program)
-    return [d.rule for d in diags]
+    return [d.render() for d in diags]
 
 
-@pytest.mark.parametrize("src,tag", ILL_TYPED,
-                         ids=[t for _, t in ILL_TYPED])
-def test_ill_typed_program_rejected_with_tag(src, tag):
-    tags = reject(src)
-    assert tags, "ill-typed program was accepted"
-    assert tag in tags, "expected rule-tag %s, got %s" % (tag, tags)
+@pytest.mark.parametrize("src,tag,rendered", ILL_TYPED,
+                         ids=[t for _, t, _ in ILL_TYPED])
+def test_ill_typed_program_rejected_with_tag(src, tag, rendered):
+    got = reject(src)
+    assert got, "ill-typed program was accepted"
+    assert got == rendered
+    assert all(line.startswith("ERROR %s " % tag) for line in got)
