@@ -1,39 +1,40 @@
 """Error types shared across the engine.
 
-Static errors carry a rule tag and an optional source position so the
-CLI can render them as `ERROR <rule-tag> at <line>:<col>: <message>`, or
-as `ERROR <rule-tag>: <message>` without a position.
+Every parse error and static error carries a message and an optional
+source position `pos`, a `(line, col)` pair. A static error also names,
+where it is raised, the typing rule it reports (`rule`, such as `comp.1`
+or `tau.4`), so the CLI renders it as
+`ERROR <rule-tag> at <line>:<col>: <message>`, or as
+`ERROR <rule-tag>: <message>` without a position. `InapplicableType`
+(rule `apply`) is the one static error with a class of its own, for
+callers that ask whether a strategy applies to a term and catch exactly
+that answer.
 """
 
 
 class StratError(Exception):
-    pass
+    def __init__(self, message, pos=None):
+        super().__init__(message)
+        self.message = message
+        self.pos = pos  # (line, col) or None
 
 
 class ParseError(StratError):
-    def __init__(self, message, line=None, col=None):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
-
     def __str__(self):
-        if self.line is not None:
-            return "parse error at %d:%d: %s" % (self.line, self.col, self.message)
+        if self.pos is not None:
+            return "parse error at %d:%d: %s" % (*self.pos, self.message)
         return "parse error: %s" % self.message
 
 
 class StaticError(StratError):
     """A diagnostic from context checking or type checking."""
 
-    rule = "error"
+    def __init__(self, message, pos=None, *, rule):
+        super().__init__(message, pos)
+        self.rule = rule
 
-    def __init__(self, message, pos=None, rule=None):
-        super().__init__(message)
-        self.message = message
-        self.pos = pos  # (line, col) or None
-        if rule is not None:
-            self.rule = rule
+    def __reduce__(self):  # copy and pickle cannot pass `rule` to __init__
+        return type(self).__new__, (type(self), *self.args), self.__dict__
 
     def render(self):
         if self.pos:
@@ -45,98 +46,8 @@ class StaticError(StratError):
         return self.render()
 
 
-# Term-level errors.
-class UndeclaredSymbol(StaticError):
-    rule = "con"
-
-
-class ArityMismatch(StaticError):
-    rule = "fun"
-
-
-class ArgSortMismatch(StaticError):
-    rule = "fun"
-
-
-class UnboundVariable(StaticError):
-    rule = "var"
-
-
-# Context well-formedness.
-class DuplicateName(StaticError):
-    rule = "ctx"
-
-
-class UndeclaredSortInDecl(StaticError):
-    rule = "ctx"
-
-
-# Type well-formedness.
-class UndeclaredSort(StaticError):
-    rule = "tau.1"
-
-
-class UnboundTypeVar(StaticError):
-    rule = "tau.4"
-
-
-class OverlappingAmpDomains(StaticError):
-    rule = "pi.4"
-
-
-class GenericDomainUndefined(StaticError):
-    rule = "dom"
-
-
-# Strategy typing.
-class TypeError_(StaticError):
-    """Generic strategy typing failure; `rule` names the violated rule."""
-
-
-class NotNegatable(StaticError):
-    rule = "negt"
-
-
-class NotComposable(StaticError):
-    rule = "comp"
-
-
-class NoLowerBound(StaticError):
-    rule = "choice"
-
-
-class ExtendNotInstance(StaticError):
-    rule = "extend"
-
-
-class RestrictNotInstance(StaticError):
-    rule = "restrict"
-
-
-class AmpOverlap(StaticError):
-    rule = "pi.4"
-
-
-class CallArityMismatch(StaticError):
-    rule = "comb"
-
-
-class CallTypeArgMismatch(StaticError):
-    rule = "comb-forall"
-
-
 class InapplicableType(StaticError):
-    rule = "apply"
-
-
-# Names: duplicate definitions (parser), unknown or misused names and
-# unbound rule variables (checker).
-class DuplicateDefinition(StaticError):
-    rule = "def"
-
-
-class UnknownName(StaticError):
-    rule = "name"
+    """A strategy's type does not apply to a term's type (rule `apply`)."""
 
 
 # Engine-level evaluation errors (never user errors).

@@ -13,7 +13,7 @@ tables the printer writes from.
 import re
 
 from . import syntax as S
-from .errors import DuplicateDefinition, ParseError, StaticError
+from .errors import ParseError, StaticError
 from .terms import (
     Arrow,
     Amp,
@@ -64,11 +64,17 @@ def tokenize(text):
             elif tok[0] in _NAME_START:
                 kind = "name"
             else:
-                raise ParseError("unexpected character %r" % tok, line, col)
+                raise ParseError("unexpected character %r" % tok, (line, col))
             tokens.append((kind, tok, line, col))
             col += len(tok)
     tokens.append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
+
+
+def _unexpected(what, tok):
+    """The error for reading the token `tok` where `what` should be."""
+    return ParseError("expected %s, got %r" % (what, tok[1] or "end of input"),
+                      tok[2:])
 
 
 class Parser:
@@ -93,15 +99,13 @@ class Parser:
     def expect(self, value):
         tok = self.next()
         if tok[1] != value:
-            raise ParseError("expected %r, got %r" % (value, tok[1] or "end of input"),
-                             tok[2], tok[3])
+            raise _unexpected(repr(value), tok)
         return tok
 
     def expect_name(self):
         tok = self.next()
         if tok[0] != "name" or tok[1] in RESERVED:
-            raise ParseError("expected a name, got %r" % (tok[1] or "end of input"),
-                             tok[2], tok[3])
+            raise _unexpected("a name", tok)
         return tok[1]
 
     def sep_list(self, item, sep=",", close=None):
@@ -143,8 +147,7 @@ class Parser:
                 return FunApp(name, tuple(args))
             # Constant vs variable is settled when the term is tagged.
             return Var(name)
-        raise ParseError("expected a term, got %r" % (tok[1] or "end of input"),
-                         tok[2], tok[3])
+        raise _unexpected("a term", tok)
 
     # -- types --------------------------------------------------------------
 
@@ -165,8 +168,7 @@ class Parser:
             if tok[1] in self.type_params:
                 return TypeVar(tok[1])
             return Sort(tok[1])
-        raise ParseError("expected a type, got %r" % (tok[1] or "end of input"),
-                         tok[2], tok[3])
+        raise _unexpected("a type", tok)
 
     def parse_stype(self):
         left = self._parse_stype_atom()
@@ -199,8 +201,7 @@ class Parser:
             inner = self.parse_stype()
             self.expect(")")
             return inner
-        raise ParseError("expected a strategy type, got %r"
-                         % (tok[1] or "end of input"), tok[2], tok[3])
+        raise _unexpected("a strategy type", tok)
 
     def parse_ctype(self, type_params):
         self.type_params = tuple(type_params)
@@ -211,7 +212,7 @@ class Parser:
             return CombinatorType(tuple(type_params), args, result)
         if len(args) > 1:
             tok = self.peek()
-            raise ParseError("expected '->' after argument types", tok[2], tok[3])
+            raise ParseError("expected '->' after argument types", tok[2:])
         return CombinatorType(tuple(type_params), (), args[0])
 
     # -- strategies ---------------------------------------------------------
@@ -285,8 +286,7 @@ class Parser:
             # Congruence vs call vs parameter is settled by the checker.
             node = S.Call(word, type_args, args, pos)
         else:
-            raise ParseError("expected a strategy, got %r"
-                             % (word or "end of input"), tok[2], tok[3])
+            raise _unexpected("a strategy", tok)
         if self.at("->"):
             # A rewrite rule, whose left-hand side was read as a congruence.
             self.next()
@@ -320,13 +320,12 @@ class Parser:
                 strat = self.parse_strat()
                 self.expect(";")
                 if main is not None:
-                    raise DuplicateDefinition("duplicate main strategy",
-                                              pos=pos)
+                    raise StaticError("duplicate main strategy", pos,
+                                      rule="def")
                 main = strat
                 continue
             if word not in ("sort", "con", "fun", "var", "def"):
-                raise ParseError("expected a declaration, got %r"
-                                 % (word or "end of input"), tok[2], tok[3])
+                raise _unexpected("a declaration", tok)
             name = self.expect_name()
             value = None
             if word == "def":
@@ -353,13 +352,13 @@ class Parser:
             self.expect(";")
             if word == "def":
                 if name in definitions:
-                    raise DuplicateDefinition("duplicate definition of %s" % name,
-                                              pos=pos)
+                    raise StaticError("duplicate definition of %s" % name,
+                                      pos, rule="def")
                 if len(value.arg_types) != len(params):
                     raise ParseError(
                         "definition %s declares %d parameters but its type has %d "
                         "argument types" % (name, len(params), len(value.arg_types)),
-                        pos[0], pos[1])
+                        pos)
                 definitions[name] = S.Definition(name, params, value, body,
                                                  pos)
             ctx.declare(word, name, value, pos)
@@ -376,7 +375,7 @@ def _as_term(s):
         return UnitTuple()
     if isinstance(s, S.CongPair):
         return Pair(_as_term(s.left), _as_term(s.right))
-    raise ParseError("a rule's left-hand side must be a term", *s.pos)
+    raise ParseError("a rule's left-hand side must be a term", s.pos)
 
 
 # How Parser reads each argument kind of a keyword form (S.KEYWORDS).
@@ -441,7 +440,7 @@ def parse_program(text, prelude=None, require_main=True):
     main = parser.parse_items(ctx, definitions)
     if require_main and main is None:
         tok = parser.peek()
-        raise ParseError("missing main strategy", tok[2], tok[3])
+        raise ParseError("missing main strategy", tok[2:])
     return S.Program(ctx, definitions, main, prelude)
 
 
@@ -463,5 +462,5 @@ def parse_term(text, ctx):
     t = parser.parse_term()
     tok = parser.peek()
     if tok[0] != "eof":
-        raise ParseError("trailing input after term: %r" % tok[1], tok[2], tok[3])
+        raise ParseError("trailing input after term: %r" % tok[1], tok[2:])
     return tag_ground_term(ctx, t)

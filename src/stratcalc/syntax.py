@@ -13,12 +13,10 @@ from .terms import Node, Record
 
 
 class _DataclassFields:
-    """`__dataclass_fields__` for `dataclasses.fields` and
-    `dataclasses.replace`, built for a class when first read, so that
-    importing this module generates no dataclass code. A class's fields
-    are its `__init__` parameters, with their defaults, then its other
-    slots (init=False, default None); a field is compared if it is in
-    `_fields`, and shown if it is in `_fields` or `_uncompared`."""
+    """`__dataclass_fields__`, so that `dataclasses.fields` gives a class's
+    `_fields`, then its `_uncompared`, by name. Built for a class when
+    first read, so that importing this module generates no dataclass
+    code."""
 
     def __init__(self):
         self._built = {}  # class -> its fields
@@ -26,26 +24,12 @@ class _DataclassFields:
     def __get__(self, obj, cls):
         fields = self._built.get(cls)
         if fields is None:
-            fields = self._built[cls] = _dataclass_fields(cls)
+            import dataclasses
+
+            fields = self._built[cls] = dataclasses.make_dataclass(
+                cls.__name__, cls._fields + cls._uncompared
+            ).__dataclass_fields__
         return fields
-
-
-def _dataclass_fields(cls):
-    import dataclasses
-
-    init = cls.__init__
-    params = init.__code__.co_varnames[1:init.__code__.co_argcount]
-    later = tuple(n for c in reversed(cls.__mro__)
-                  for n in c.__dict__.get("__slots__", ()) if n not in params)
-    defaults = init.__defaults__ or ()
-    default = dict.fromkeys(later)  # None until set after __init__
-    default.update(zip(params[len(params) - len(defaults):], defaults))
-    shown = cls._fields + cls._uncompared
-    spec = [(n, object, dataclasses.field(
-        default=default.get(n, dataclasses.MISSING), init=n in params,
-        compare=n in cls._fields, repr=n in shown))
-        for n in params + later]
-    return dataclasses.make_dataclass(cls.__name__, spec).__dataclass_fields__
 
 
 _DATACLASS_FIELDS = _DataclassFields()
@@ -312,7 +296,6 @@ class Definition(Syntax):
 class Program(Record):
     __slots__ = ("context", "definitions", "main", "prelude", "cores")
     _fields = ("context", "definitions", "main")
-    __dataclass_fields__ = _DATACLASS_FIELDS
 
     def __init__(self, context, definitions, main, prelude=None):
         self.context = context  # a Context

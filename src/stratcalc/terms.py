@@ -9,15 +9,7 @@ one `Sort` object per name, so most tag comparisons settle on identity.
 
 from operator import attrgetter
 
-from .errors import (
-    ArgSortMismatch,
-    ArityMismatch,
-    DuplicateName,
-    UnboundVariable,
-    UndeclaredSortInDecl,
-    UndeclaredSymbol,
-    UnknownName,
-)
+from .errors import StaticError
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +354,8 @@ def check_context(ctx):
     for keyword, name, value, pos in ctx.decls:
         key = (keyword == "sort", name)  # sorts, and all other symbols
         if key in seen:
-            diags.append(DuplicateName("duplicate declaration of %s" % name, pos=pos))
+            diags.append(StaticError("duplicate declaration of %s" % name,
+                                     pos, rule="ctx"))
         seen.add(key)
         last[keyword, name] = value, pos
     for (keyword, name), (value, pos) in last.items():
@@ -374,9 +367,9 @@ def check_context(ctx):
             mentioned = ()
         for s in mentioned:
             if s.name not in ctx.sorts:
-                diags.append(UndeclaredSortInDecl(
+                diags.append(StaticError(
                     "%s %s mentions undeclared sort %s" % (keyword, name, s.name),
-                    pos=pos))
+                    pos, rule="ctx"))
     return diags
 
 
@@ -395,23 +388,23 @@ def _sorts_in_term_type(tt):
 def fun_sort(functions, name, args, tag=None):
     """The result sort of the node name(args): name must be a declared
     function of len(args) arguments, each tagged with its argument sort.
-    Raises UndeclaredSymbol, ArityMismatch or ArgSortMismatch at the first
-    that fails. With `tag`, args is a list of untagged terms, and args[i]
-    becomes tag(args[i]) just before its sort is tested."""
+    Raises a StaticError (rule `con` or `fun`) at the first that fails.
+    With `tag`, args is a list of untagged terms, and args[i] becomes
+    tag(args[i]) just before its sort is tested."""
     sig = functions.get(name)
     if sig is None:
-        raise UndeclaredSymbol("undeclared function %s" % name)
+        raise StaticError("undeclared function %s" % name, rule="con")
     arg_sorts, result = sig
     if len(args) != len(arg_sorts):
-        raise ArityMismatch("%s expects %d arguments, got %d"
-                            % (name, len(arg_sorts), len(args)))
+        raise StaticError("%s expects %d arguments, got %d"
+                          % (name, len(arg_sorts), len(args)), rule="fun")
     for i, want in enumerate(arg_sorts):
         a = args[i]
         if tag is not None:
             a = args[i] = tag(a)
         if a.tag is not want and a.tag != want:
-            raise ArgSortMismatch("argument %d of %s has type %r, expected %r"
-                                  % (i + 1, name, a.tag, want))
+            raise StaticError("argument %d of %s has type %r, expected %r"
+                              % (i + 1, name, a.tag, want), rule="fun")
     return result
 
 
@@ -436,9 +429,11 @@ def tag_term(ctx, t, bound=None):
         if sig is not None and not sig[0]:
             return FunApp(t.name, (), sig[1])
         if t.name not in ctx.term_vars:
-            raise UnknownName("unknown symbol %s in term" % t.name)
+            raise StaticError("unknown symbol %s in term" % t.name,
+                              rule="name")
         if bound is not None and t.name not in bound:
-            raise UnknownName("variable %s is not bound by the rule" % t.name)
+            raise StaticError("variable %s is not bound by the rule" % t.name,
+                              rule="name")
         return Var(t.name, ctx.term_vars[t.name])
     if isinstance(t, UnitTuple):
         return UnitTuple(UNIT)
@@ -455,8 +450,8 @@ def tag_ground_term(ctx, t):
     t = tag_term(ctx, t)
     free = term_vars(t, set())
     if free:
-        raise UnboundVariable("input term is not ground: %s is a variable"
-                              % min(free))
+        raise StaticError("input term is not ground: %s is a variable"
+                          % min(free), rule="var")
     return t
 
 
@@ -481,10 +476,10 @@ def check_reduct(ctx, r):
         elif isinstance(u, UnitTuple):
             want, head = UNIT, "()"
         else:
-            raise UnboundVariable("not a ground term: %r" % (u,))
+            raise StaticError("not a ground term: %r" % (u,), rule="var")
         if u.tag is not want and u.tag != want:
-            raise ArgSortMismatch("%s is tagged %r, but has type %r"
-                                  % (head, u.tag, want))
+            raise StaticError("%s is tagged %r, but has type %r"
+                              % (head, u.tag, want), rule="fun")
         todo.extend(children(u))
 
 
@@ -551,7 +546,7 @@ def substitute(theta, t):
     not a generator, so that a level of nesting costs one frame."""
     if isinstance(t, Var):
         if t.name not in theta:
-            raise UnboundVariable("unbound variable %s" % t.name)
+            raise StaticError("unbound variable %s" % t.name, rule="var")
         return theta[t.name]
     if isinstance(t, FunApp):
         args, changed = [], False

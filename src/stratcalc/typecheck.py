@@ -12,25 +12,7 @@ deterministic).
 """
 
 from . import syntax as S
-from .errors import (
-    AmpOverlap,
-    CallArityMismatch,
-    CallTypeArgMismatch,
-    DuplicateDefinition,
-    ExtendNotInstance,
-    GenericDomainUndefined,
-    InapplicableType,
-    NoLowerBound,
-    NotComposable,
-    NotNegatable,
-    OverlappingAmpDomains,
-    RestrictNotInstance,
-    StaticError,
-    TypeError_,
-    UnboundTypeVar,
-    UndeclaredSort,
-    UnknownName,
-)
+from .errors import InapplicableType, StaticError
 from .terms import (
     Amp,
     Arrow,
@@ -58,7 +40,7 @@ from .terms import (
 def wf_term_type(ctx, tt):
     if isinstance(tt, Sort):
         if tt.name not in ctx.sorts:
-            raise UndeclaredSort("undeclared sort %s" % tt.name)
+            raise StaticError("undeclared sort %s" % tt.name, rule="tau.1")
         return
     if isinstance(tt, Unit):
         return
@@ -68,7 +50,8 @@ def wf_term_type(ctx, tt):
         return
     if isinstance(tt, TypeVar):
         if tt.name not in ctx.type_vars:
-            raise UnboundTypeVar("type variable %s is not in scope" % tt.name)
+            raise StaticError("type variable %s is not in scope" % tt.name,
+                              rule="tau.4")
         return
     raise TypeError("not a term type: %r" % (tt,))
 
@@ -88,13 +71,14 @@ def wf_strategy_type(ctx, pi):
         seen = set()
         for b in branches:
             if is_generic(b):
-                raise TypeError_("overloaded sum contains a generic type %r"
-                                 % (b,), rule="pi.4")
+                raise StaticError("overloaded sum contains a generic type %r"
+                                  % (b,), rule="pi.4")
             wf_strategy_type(ctx, b)
             for d in domains(b):
                 if d in seen:
-                    raise OverlappingAmpDomains(
-                        "overloaded branches share the domain %r" % (d,))
+                    raise StaticError(
+                        "overloaded branches share the domain %r" % (d,),
+                        rule="pi.4")
                 seen.add(d)
         return
     raise TypeError("not a strategy type: %r" % (pi,))
@@ -106,8 +90,8 @@ def domains(pi):
         return frozenset([pi.dom])
     if isinstance(pi, Amp):
         return frozenset().union(*(domains(b) for b in amp_branches(pi)))
-    raise GenericDomainUndefined("domain of generic type %r is undefined"
-                                 % (pi,))
+    raise StaticError("domain of generic type %r is undefined" % (pi,),
+                      rule="dom")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +132,7 @@ def negatable(ctx, pi):
         return Arrow(pi.dom, pi.dom)
     if is_generic(pi):
         return TP_TYPE
-    raise NotNegatable("cannot negate overloaded type %r" % (pi,))
+    raise StaticError("cannot negate overloaded type %r" % (pi,), rule="negt")
 
 
 def composable(ctx, p1, p2):
@@ -156,7 +140,7 @@ def composable(ctx, p1, p2):
         if isinstance(p2, Arrow):
             if p1.cod == p2.dom:
                 return Arrow(p1.dom, p2.cod)
-            raise NotComposable(
+            raise StaticError(
                 "cannot compose %r with %r" % (p1, p2), rule="comp.1")
         if isinstance(p2, TP):
             return p1
@@ -177,11 +161,11 @@ def composable(ctx, p1, p2):
         for b in amp_branches(p1):
             partner = right.get(b.cod)
             if partner is None:
-                raise NotComposable("no overloaded branch of %r accepts %r"
-                                    % (p2, b.cod), rule="comp.6")
+                raise StaticError("no overloaded branch of %r accepts %r"
+                                  % (p2, b.cod), rule="comp.6")
             out.append(Arrow(b.dom, partner.cod))
         return amp_of(out)
-    raise NotComposable("cannot compose %r with %r" % (p1, p2))
+    raise StaticError("cannot compose %r with %r" % (p1, p2), rule="comp")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +191,8 @@ def glb(ctx, p1, p2):
         sub = [b for b in amp_branches(m) if generically_less(ctx, b, g)]
         if sub:
             return amp_of(sub)
-    raise NoLowerBound("types %r and %r have no lower bound" % (p1, p2))
+    raise StaticError("types %r and %r have no lower bound" % (p1, p2),
+                      rule="choice")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +214,7 @@ def apply_type(ctx, pi, tau):
             if b.dom == tau:
                 return b.cod
     raise InapplicableType("strategy of type %r is not applicable to a term "
-                           "of type %r" % (pi, tau))
+                           "of type %r" % (pi, tau), rule="apply")
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +259,12 @@ def substitute_stype(subst, pi):
     raise TypeError("not a strategy type: %r" % (pi,))
 
 
+def _require_instance(ctx, p, q, rule="extend"):
+    """Raise unless p is a strict instance of q (p < q)."""
+    if not generically_less(ctx, p, q):
+        raise StaticError("%r is not an instance of %r" % (p, q), rule=rule)
+
+
 def _annotated(core, pi):
     """core wrapped in its type pi, unless it already carries one."""
     return core if isinstance(core, S.Annot) else S.Annot(core, pi, core.pos)
@@ -289,8 +280,7 @@ def expand_tlchoice(ctx, s1, s2, pi1, pi2, pos=None):
     """The type and core of s1 <& s2 from its operands' cores and types:
     extend(s1, pi2) + (!guard(dom s1, TP) ; s2)."""
     wf_strategy_type(ctx, pi2)
-    if not generically_less(ctx, pi1, pi2):
-        raise ExtendNotInstance("%r is not an instance of %r" % (pi1, pi2))
+    _require_instance(ctx, pi1, pi2)
     guard = _type_guard(Arrow(pi1.dom, pi1.dom), TP_TYPE, pos)
     core = S.Choice(S.Extend(_annotated(s1, pi1), pi2, pos),
                     S.Seq(S.Neg(guard, pos), s2, pos), pos)
@@ -311,14 +301,16 @@ def _type_of(ctx, s):
             pi_s, strat = type_and_core(ctx, w.strat)
             arg = tag_term(ctx, w.arg, bound)
             if w.var in bound:
-                raise UnknownName("where-clause rebinds variable %s" % w.var)
+                raise StaticError("where-clause rebinds variable %s" % w.var,
+                                  rule="name")
             declared = ctx.term_vars.get(w.var)
             if declared is None:
-                raise UnknownName(
-                    "where-bound variable %s is not declared" % w.var)
+                raise StaticError(
+                    "where-bound variable %s is not declared" % w.var,
+                    rule="name")
             tau_x = apply_type(ctx, pi_s, arg.tag)
             if declared != tau_x:
-                raise TypeError_(
+                raise StaticError(
                     "where-clause binds %s : %r but the variable is declared %r"
                     % (w.var, tau_x, declared), rule="apply")
             bound.add(w.var)
@@ -345,17 +337,18 @@ def _type_of(ctx, s):
         return negatable(ctx, p), S.Neg(c, pos)
     if isinstance(s, S.CongFun):
         if s.name not in ctx.functions:
-            raise UnknownName("unknown function %s in congruence" % s.name)
+            raise StaticError("unknown function %s in congruence" % s.name,
+                              rule="name")
         arg_sorts, result = ctx.functions[s.name]
         if len(s.args) != len(arg_sorts):
-            raise TypeError_(
+            raise StaticError(
                 "congruence %s expects %d argument strategies, got %d"
                 % (s.name, len(arg_sorts), len(s.args)), rule="cong")
         cores = []
         for i, (a, sigma) in enumerate(zip(s.args, arg_sorts)):
             pa, ca = type_and_core(ctx, a)
             if not generically_leq(ctx, Arrow(sigma, sigma), pa):
-                raise TypeError_(
+                raise StaticError(
                     "argument %d of congruence %s must admit %r -> %r, has %r"
                     % (i + 1, s.name, sigma, sigma, pa), rule="cong.2")
             cores.append(ca)
@@ -367,7 +360,7 @@ def _type_of(ctx, s):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
         if not isinstance(p1, Arrow) or not isinstance(p2, Arrow):
-            raise TypeError_(
+            raise StaticError(
                 "pair congruence needs many-sorted components, has %r and %r"
                 % (p1, p2), rule="cong.4")
         return (Arrow(PairType(p1.dom, p2.dom), PairType(p1.cod, p2.cod)),
@@ -376,26 +369,26 @@ def _type_of(ctx, s):
         pa, ca = type_and_core(ctx, s.arg)
         if not isinstance(pa, TP):
             word = "all" if isinstance(s, S.All) else "one"
-            raise TypeError_("%s needs a type-preserving argument, has %r"
-                             % (word, pa), rule=word)
+            raise StaticError("%s needs a type-preserving argument, has %r"
+                              % (word, pa), rule=word)
         return TP_TYPE, type(s)(ca, pos)
     if isinstance(s, S.Reduce):
         pc, cc = type_and_core(ctx, s.child)
         if not isinstance(pc, TU):
-            raise TypeError_("reduce needs a type-unifying child strategy, "
-                             "has %r" % (pc,), rule="red")
+            raise StaticError("reduce needs a type-unifying child strategy, "
+                              "has %r" % (pc,), rule="red")
         tau = pc.result
         want = Arrow(PairType(tau, tau), tau)
         pp, cp = type_and_core(ctx, s.splus)
         if not generically_leq(ctx, want, pp):
-            raise TypeError_("reduce composer must admit %r, has %r"
-                             % (want, pp), rule="red")
+            raise StaticError("reduce composer must admit %r, has %r"
+                              % (want, pp), rule="red")
         return pc, S.Reduce(cp, cc, pos)
     if isinstance(s, S.Select):
         pa, ca = type_and_core(ctx, s.arg)
         if not isinstance(pa, TU):
-            raise TypeError_("select needs a type-unifying argument, has %r"
-                             % (pa,), rule="sel")
+            raise StaticError("select needs a type-unifying argument, has %r"
+                              % (pa,), rule="sel")
         return pa, S.Select(ca, pos)
     if isinstance(s, S.Void):
         return TU(Unit()), s
@@ -403,29 +396,25 @@ def _type_of(ctx, s):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
         if not isinstance(p1, TU) or not isinstance(p2, TU):
-            raise TypeError_("spawn needs type-unifying operands, has %r and %r"
-                             % (p1, p2), rule="spawn")
+            raise StaticError("spawn needs type-unifying operands, has %r "
+                              "and %r" % (p1, p2), rule="spawn")
         return TU(PairType(p1.result, p2.result)), S.Spawn(c1, c2, pos)
     if isinstance(s, S.Extend):
         wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
-        if not generically_less(ctx, inner, s.stype):
-            raise ExtendNotInstance("%r is not an instance of %r"
-                                    % (inner, s.stype))
+        _require_instance(ctx, inner, s.stype)
         return s.stype, S.Extend(_annotated(c, inner), s.stype, pos)
     if isinstance(s, S.Restrict):
         wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
-        if not generically_less(ctx, s.stype, inner):
-            raise RestrictNotInstance("%r is not an instance of %r"
-                                      % (s.stype, inner))
+        _require_instance(ctx, s.stype, inner, "restrict")
         return s.stype, S.Restrict(c, s.stype, pos)
     if isinstance(s, S.Annot):
         wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
         if not types_equal(inner, s.stype):
-            raise TypeError_("annotation %r does not match actual type %r"
-                             % (s.stype, inner), rule="annot")
+            raise StaticError("annotation %r does not match actual type %r"
+                              % (s.stype, inner), rule="annot")
         return s.stype, S.Annot(c, s.stype, pos)
     if isinstance(s, S.AmpS):
         p1, c1 = type_and_core(ctx, s.left)
@@ -434,54 +423,54 @@ def _type_of(ctx, s):
         try:
             wf_strategy_type(ctx, combined)
         except StaticError as e:
-            raise AmpOverlap(e.message)
+            raise StaticError(e.message, rule="pi.4")
         return combined, S.AmpS(_annotated(c1, p1), _annotated(c2, p2), pos)
     if isinstance(s, S.TypeGuard):
         wf_term_type(ctx, s.ttype)
         wf_strategy_type(ctx, s.stype)
         arrow = Arrow(s.ttype, s.ttype)
-        if not generically_less(ctx, arrow, s.stype):
-            raise ExtendNotInstance("%r is not an instance of %r"
-                                    % (arrow, s.stype))
+        _require_instance(ctx, arrow, s.stype)
         return s.stype, _type_guard(arrow, s.stype, pos)
     if isinstance(s, S.TLChoice):
         p1, c1 = type_and_core(ctx, s.left)
         if not isinstance(p1, Arrow):
-            raise TypeError_("left operand of <& must be many-sorted, has %r"
-                             % (p1,), rule="extend")
+            raise StaticError("left operand of <& must be many-sorted, has %r"
+                              % (p1,), rule="extend")
         p2, c2 = type_and_core(ctx, s.right)
         return expand_tlchoice(ctx, c1, c2, p1, p2, pos)
     if isinstance(s, S.TRChoice):
         return _type_of(ctx, S.TLChoice(s.right, s.left, pos))
     if isinstance(s, S.ParamRef):
         if s.name not in ctx.strategy_params:
-            raise TypeError_("unknown strategy parameter %s" % s.name,
-                             rule="arg")
+            raise StaticError("unknown strategy parameter %s" % s.name,
+                              rule="arg")
         return ctx.strategy_params[s.name], s
     if isinstance(s, S.Call):
         # A bare name: a strategy parameter, a congruence or a combinator
         # call, in that order.
         if s.name in ctx.strategy_params:
             if s.type_args or s.args:
-                raise UnknownName("strategy parameter %s takes no arguments"
-                                  % s.name)
+                raise StaticError("strategy parameter %s takes no arguments"
+                                  % s.name, rule="name")
             return _type_of(ctx, S.ParamRef(s.name, pos))
         if s.name in ctx.functions:
             if s.type_args:
-                raise UnknownName(
-                    "function congruence %s takes no type arguments" % s.name)
+                raise StaticError(
+                    "function congruence %s takes no type arguments" % s.name,
+                    rule="name")
             return _type_of(ctx, S.CongFun(s.name, s.args, pos))
         ct = ctx.combinators.get(s.name)
         if ct is None:
-            raise UnknownName("unknown name %s" % s.name)
+            raise StaticError("unknown name %s" % s.name, rule="name")
         if len(s.args) != len(ct.arg_types):
-            raise CallArityMismatch(
+            raise StaticError(
                 "%s expects %d arguments, got %d"
-                % (s.name, len(ct.arg_types), len(s.args)))
+                % (s.name, len(ct.arg_types), len(s.args)), rule="comb")
         if len(s.type_args) != len(ct.type_params):
-            raise CallTypeArgMismatch(
+            raise StaticError(
                 "%s expects %d type arguments, got %d"
-                % (s.name, len(ct.type_params), len(s.type_args)))
+                % (s.name, len(ct.type_params), len(s.type_args)),
+                rule="comb-forall")
         for ta in s.type_args:
             wf_term_type(ctx, ta)
         subst = dict(zip(ct.type_params, s.type_args))
@@ -491,7 +480,7 @@ def _type_of(ctx, s):
             wf_strategy_type(ctx, want)
             pa, ca = type_and_core(ctx, a)
             if not types_equal(pa, want):
-                raise TypeError_(
+                raise StaticError(
                     "argument %d of %s must have type %r, has %r"
                     % (i + 1, s.name, want, pa), rule="comb")
             cores.append(ca)
@@ -513,8 +502,8 @@ def check_definition(ctx, d):
                         ("parameter", d.params)):
         for i, name in enumerate(names):
             if name in names[:i]:
-                raise DuplicateDefinition("duplicate %s %s in definition of %s"
-                                          % (what, name, d.name), pos=d.pos)
+                raise StaticError("duplicate %s %s in definition of %s"
+                                  % (what, name, d.name), d.pos, rule="def")
     try:
         for pi in (*d.ctype.arg_types, d.ctype.result_type):
             wf_strategy_type(sub, pi)
@@ -523,7 +512,7 @@ def check_definition(ctx, d):
         raise
     body_type, body = type_and_core(sub, d.body)
     if not types_equal(body_type, d.ctype.result_type):
-        raise TypeError_(
+        raise StaticError(
             "body of %s has type %r, declared %r"
             % (d.name, body_type, d.ctype.result_type),
             pos=d.pos, rule="def.3")

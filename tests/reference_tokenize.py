@@ -31,7 +31,7 @@ def tokenize(text):
             line += 1
             last_nl = m.start()
         elif kind == "bad":
-            raise ParseError("unexpected character %r" % m.group(), line,
-                             m.start() - last_nl)
+            raise ParseError("unexpected character %r" % m.group(),
+                             pos=(line, m.start() - last_nl))
     tokens.append(("eof", "", line, len(text) - last_nl))
     return tokens

@@ -6,7 +6,6 @@ the failure kind and message), the fuel left, every trace line and both
 `&` counters.
 """
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,16 +119,14 @@ PROBLEM_CASES += [("ProblemII", CHAIN), ("ProblemII", "gp(gp(a))"),
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("name,term", PROBLEM_CASES)
 def test_problems_match_reference(name, term, trace):
-    core = dataclasses.replace(core_of("problems.strat"),
-                               main=S.Call(name, (), ()))
+    core = core_of("problems.strat").replace(main=S.Call(name, (), ()))
     t = sc.parse_term(term, core.context)
     assert_same_run(core, t, sc.EvalConfig(trace=trace))
 
 
 @pytest.mark.parametrize("fuel", [1, 2, 10, 43, 44])
 def test_problem5_fuel_edge_matches_reference(fuel):
-    core = dataclasses.replace(core_of("problems.strat"),
-                               main=S.Call("ProblemV", (), ()))
+    core = core_of("problems.strat").replace(main=S.Call("ProblemV", (), ()))
     t = sc.parse_term(QUICK_START_TREE, core.context)
     got = assert_same_run(core, t, sc.EvalConfig(fuel=fuel, trace=True))
     assert isinstance(got, sc.EngineFailure) == (fuel <= 43)
@@ -143,8 +140,7 @@ OVERLOAD_TERMS = ["positive(zero)", "negative(i)", "negative(succ(succ(i)))",
 @pytest.mark.parametrize("name", ["Inc", "Dec"])
 @pytest.mark.parametrize("term", OVERLOAD_TERMS)
 def test_overload_matches_reference(name, term, trace):
-    core = dataclasses.replace(core_of("overload.strat"),
-                               main=S.Call(name, (), ()))
+    core = core_of("overload.strat").replace(main=S.Call(name, (), ()))
     t = sc.parse_term(term, core.context)
     assert_same_run(core, t, sc.EvalConfig(trace=trace))
 

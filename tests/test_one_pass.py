@@ -5,7 +5,6 @@ once: the prelude's once per process, the program's own once per run.
 Costs are counted as visits of `typecheck._type_of`, never as wall time.
 """
 
-from dataclasses import replace
 
 import pytest
 
@@ -101,7 +100,7 @@ def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
     for name, d in second.definitions.items():
         assert sum(s is d.body for s in warm) == (name not in prelude), name
 
-    for program, walked in ((replace(first, prelude=None), cold),
+    for program, walked in ((first.replace(prelude=None), cold),
                             (second, warm)):
         visits.clear()
         sc.check_program(program)

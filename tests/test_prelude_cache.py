@@ -3,7 +3,6 @@ checked once in the prelude's own context. Reuse must change no result:
 the same diagnostics, at the same positions, and an equal core as checking
 every definition in the program's context."""
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,7 +51,7 @@ def assert_reuse_changes_nothing(program, cold):
         sc.check_and_elaborate(sc.parse_program(
             SIG + "def Inc : Nat -> Nat = N -> succ(N);\nmain = id;",
             prelude=program.prelude))
-    want = outcome(replace(program, prelude=None))
+    want = outcome(program.replace(prelude=None))
     assert outcome(program) == want
     assert outcome(program) == want  # the prelude's cores are now cached
 
@@ -61,7 +60,7 @@ def assert_reuse_changes_nothing(program, cold):
 @given(seed=st.integers(0, 10**9))
 def test_reuse_on_generated_programs(nat_tree, cold, seed):
     _, s = Gen(seed).strategy()
-    assert_reuse_changes_nothing(replace(nat_tree, main=s), cold)
+    assert_reuse_changes_nothing(nat_tree.replace(main=s), cold)
 
 
 @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
@@ -79,14 +78,14 @@ def test_reuse_on_edited_programs(cold, prelude, text):
 def ill_typed_try(program):
     """The program with its prelude's Try replaced by an ill-typed one."""
     bad = sc.parse_program("def Try(v) : TP -> TP = select(v);\nmain = id;")
-    return replace(program, definitions={**program.definitions,
-                                         "Try": bad.definitions["Try"]})
+    return program.replace(definitions={**program.definitions,
+                                        "Try": bad.definitions["Try"]})
 
 
 def without_prelude_declarations(program):
     """The program's definitions in a context that declares none of them."""
     ctx = sc.parse_program(NAT_TREE_HEADER).context
-    return replace(program, context=ctx)
+    return program.replace(context=ctx)
 
 
 # Parsing never builds these: each breaks one condition of reuse.

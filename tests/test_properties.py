@@ -1,7 +1,6 @@
 """Property-based invariants over randomly generated well-typed
 strategies and terms."""
 
-import dataclasses
 import functools
 
 from hypothesis import given, settings, strategies as st
@@ -193,9 +192,8 @@ def expand(x):
         left, right = expand(x.left), expand(x.right)
         return S.Choice(left, S.Seq(S.Neg(left, x.pos), right, x.pos), x.pos)
     if isinstance(x, (S.StrategyExpr, S.RuleBody)):
-        return dataclasses.replace(x, **{
-            f.name: expand(getattr(x, f.name))
-            for f in dataclasses.fields(x)})
+        return type(x)(*[expand(getattr(x, f))
+                         for f in x._fields + x._uncompared])
     if isinstance(x, tuple):
         return tuple(expand(y) for y in x)
     return x
@@ -249,9 +247,8 @@ def mutate_at(x, k, fn):
             if seen[0] == k:
                 return fn(y)
         if isinstance(y, (S.StrategyExpr, S.RuleBody)):
-            return dataclasses.replace(y, **{
-                f.name: walk(getattr(y, f.name))
-                for f in dataclasses.fields(y)})
+            return type(y)(*[walk(getattr(y, f))
+                             for f in y._fields + y._uncompared])
         if isinstance(y, tuple):
             return tuple(walk(z) for z in y)
         return y
@@ -266,8 +263,7 @@ def count_nodes(x):
     if not isinstance(x, (S.StrategyExpr, S.RuleBody)):
         return 0
     return (isinstance(x, S.StrategyExpr)
-            + sum(count_nodes(getattr(x, f.name))
-                  for f in dataclasses.fields(x)))
+            + sum(count_nodes(getattr(x, f)) for f in x._fields))
 
 
 def mutation(g, node):

@@ -24,8 +24,8 @@ def two_step(text, ctx):
     t = p.parse_term()
     tok = p.peek()
     if tok[0] != "eof":
-        raise ParseError("trailing input after term: %r" % tok[1], tok[2],
-                         tok[3])
+        raise ParseError("trailing input after term: %r" % tok[1],
+                         pos=(tok[2], tok[3]))
     return tag_ground_term(ctx, t)
 
 

@@ -36,7 +36,8 @@ def test_type_of_pair(nat_tree_ctx):
 
 def test_wrong_child_sort_rejected(nat_tree_ctx):
     t = FunApp("succ", (FunApp("leaf", (FunApp("zero", ()),)),))
-    with raises_static("fun", "argument 1 of succ has type Tree, expected Nat"):
+    with raises_static("fun",
+                       "argument 1 of succ has type Tree, expected Nat"):
         sc.type_of_term(nat_tree_ctx, t)
 
 

@@ -31,7 +31,7 @@ def outcome(tokenize_, text):
     try:
         return tokenize_(text)
     except ParseError as e:
-        return e.message, e.line, e.col
+        return e.message, e.pos
 
 
 @settings(max_examples=400, deadline=None)

@@ -2,6 +2,9 @@
 strategy/program typing, and a corpus of ill-typed programs that must be
 rejected with a specific rule-tag."""
 
+import copy
+import pickle
+
 import pytest
 
 import stratcalc as sc
@@ -266,6 +269,13 @@ def test_apply_arrow_to_wrong_sort_rejected(nat_tree_ctx):
                                    FunApp("leaf", (FunApp("zero", ()),))))
     assert exc.value.render() == ("ERROR apply: strategy of type Nat -> Nat "
                                   "is not applicable to a term of type Tree")
+    # Copies and pickles keep the class, the rule and the position.
+    for e in (exc.value, E.StaticError("undeclared sort Foo", (1, 2),
+                                       rule="tau.1")):
+        for other in (copy.copy(e), pickle.loads(pickle.dumps(e))):
+            assert type(other) is type(e)
+            assert (other.rule, other.pos, other.render()) \
+                == (e.rule, e.pos, e.render())
 
 
 def test_apply_overloaded_branch(overload):
