@@ -34,14 +34,12 @@ from .terms import (
     Failure,
     FunApp,
     Ok,
-    Pair,
     PairType,
     Sort,
     TP_TYPE,
     TU,
     TypeVar,
     UNIT,
-    UnitTuple,
     Var,
     check_context,
     match,

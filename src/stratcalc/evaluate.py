@@ -14,9 +14,9 @@ from itertools import repeat
 from . import syntax as S
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
-from .terms import (FAILURE, FunApp, Ok, Pair, PairType, Record, UNIT,
-                    UnitTuple, check_reduct, children, match, rebuild,
-                    substitute, tag_ground_term)
+from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, FunApp, Ok,
+                    PairType, Record, check_reduct, match, substitute,
+                    tag_ground_term)
 from .prelude import load_prelude
 from .typecheck import (_substitute_type_vars, apply_type, check_and_elaborate,
                         domains, substitute_stype)
@@ -43,14 +43,12 @@ class EvalState(Record):
     __slots__ = _fields = ("fuel", "depth", "trace_lines", "amp_dispatches",
                            "amp_branch_evals")
 
-    def __init__(self, trace_lines=None, amp_dispatches=0,
-                 amp_branch_evals=0):
+    def __init__(self, trace_lines=None):
         # Set by run_program at the start of each run.
         self.fuel = None  # None = unlimited
         self.depth = 0
         self.trace_lines = [] if trace_lines is None else trace_lines
-        self.amp_dispatches = amp_dispatches
-        self.amp_branch_evals = amp_branch_evals
+        self.amp_dispatches = self.amp_branch_evals = 0
 
 
 class _Scope:
@@ -110,7 +108,7 @@ def _traced(st, f, prefix):
 
 def _emit(st, prefix, t, r):
     st.trace_lines.append("%s%s%s => %s" % (
-        "  " * st.depth, prefix, _HEADS.get(type(t)) or t.name,
+        "  " * st.depth, prefix, t.name,
         "fail" if r is None else "ok"))
 
 
@@ -157,16 +155,16 @@ def _each(sc, s):
     fs = [sc.compile(a) for a in s.args] if name else repeat(sc.compile(s.arg))
 
     def each(t, env):
-        if name is not None and (not isinstance(t, FunApp) or t.name != name):
+        if name is not None and t.name != name:
             return None
         out, changed = [], False
-        for f, c in zip(fs, children(t)):
+        for f, c in zip(fs, t.args):
             r = f(c, env)
             if r is None:
                 return None
             changed = changed or r is not c
             out.append(r)
-        return rebuild(t, out) if changed else t
+        return FunApp(t.name, tuple(out), t.tag) if changed else t
     return each
 
 
@@ -177,15 +175,16 @@ def _pair(sc, s):
     cong = isinstance(s, S.CongPair)
 
     def pair(t, env):
-        if cong and not isinstance(t, Pair):
+        if cong and t.name != PAIR_NAME:
             return None
-        a = left(t.left if cong else t, env)
-        b = None if a is None else right(t.right if cong else t, env)
+        l, r = t.args if cong else (t, t)
+        a = left(l, env)
+        b = None if a is None else right(r, env)
         if b is None:
             return None
-        if cong and a is t.left and b is t.right:
+        if cong and a is l and b is r:
             return t
-        return Pair(a, b, PairType(a.tag, b.tag))
+        return FunApp(PAIR_NAME, (a, b), PairType(a.tag, b.tag))
     return pair
 
 
@@ -195,13 +194,14 @@ def _first(sc, s):
     arg, one = sc.compile(s.arg), isinstance(s, S.One)
 
     def first(t, env):
-        cs = children(t)
+        cs = t.args
         for i, c in enumerate(cs):
             r = arg(c, env)
             if r is not None:
                 if not one:
                     return r
-                return t if r is c else rebuild(t, cs[:i] + (r,) + cs[i + 1:])
+                return t if r is c else FunApp(
+                    t.name, cs[:i] + (r,) + cs[i + 1:], t.tag)
         return None
     return first
 
@@ -211,14 +211,15 @@ def _reduce(sc, s):
 
     def reduce_(t, env):
         results = []
-        for c in children(t):
+        for c in t.args:
             r = child(c, env)
             if r is None:
                 return None
             results.append(r)
         acc = results[0] if results else None
         for r in results[1:]:
-            acc = splus(Pair(acc, r, PairType(acc.tag, r.tag)), env)
+            acc = splus(FunApp(PAIR_NAME, (acc, r), PairType(acc.tag, r.tag)),
+                        env)
             if acc is None:
                 return None
         return acc
@@ -280,7 +281,7 @@ def _leaf(f):
 
 
 # Per core class: the tag and head of its trace lines (a head of None is
-# the node's name) and its compile function; `_HEADS` heads nameless terms.
+# the node's name) and its compile function.
 _NODES = {
     S.Rule: ("rule", "rule", _rule),
     S.Id: ("id", "id", _leaf(lambda t, env: t)),
@@ -288,18 +289,18 @@ _NODES = {
     S.Seq: ("seq", ";", _seq), S.Choice: ("choice", "+", _choice),
     S.LChoice: ("choice", "<+", _choice), S.Neg: ("neg", "!", _neg),
     S.CongFun: ("cong", None, _each), S.CongUnit: ("cong", "()", _leaf(
-        lambda t, env: t if isinstance(t, UnitTuple) else None)),
+        lambda t, env: t if t.name == UNIT_NAME else None)),
     S.CongPair: ("cong", "(,)", _pair),
     S.All: ("all", "all", _each), S.One: ("one", "one", _first),
     S.Reduce: ("red", "reduce", _reduce), S.Select: ("sel", "select", _first),
-    S.Void: ("void", "void", _leaf(lambda t, env: UnitTuple(UNIT))),
+    S.Void: ("void", "void", _leaf(
+        lambda t, env: FunApp(UNIT_NAME, (), UNIT))),
     S.Spawn: ("spawn", "spawn", _pair),
     S.Extend: ("extend", "extend", _extend),
     S.Restrict: ("restrict", "restrict", lambda sc, s: sc.compile(s.arg)),
     S.Annot: ("annot", ":", lambda sc, s: sc.compile(s.arg)),
     S.AmpS: ("amp", "&", _amp), S.Call: ("comb", None, _call),
 }
-_HEADS = {UnitTuple: "()", Pair: "(,)"}
 
 
 def _in_frame_room(f, *args):

@@ -20,14 +20,14 @@ from .terms import (
     CombinatorType,
     Context,
     FunApp,
-    Pair,
+    PAIR_NAME,
     PairType,
     Sort,
     TP_TYPE,
     TU,
     TypeVar,
     UNIT,
-    UnitTuple,
+    UNIT_NAME,
     Var,
     fun_sort,
     tag_ground_term,
@@ -126,11 +126,11 @@ class Parser:
             self.next()
             if self.at(")"):
                 self.next()
-                return UnitTuple()
+                return FunApp(UNIT_NAME, ())
             t = self.parse_term()
             if self.at(","):
                 self.next()
-                t = Pair(t, self.parse_term())
+                t = FunApp(PAIR_NAME, (t, self.parse_term()))
             self.expect(")")  # without a ",", grouping parentheses
             return t
         if tok[0] == "name" and tok[1] not in RESERVED:
@@ -372,9 +372,9 @@ def _as_term(s):
             return FunApp(s.name, tuple(map(_as_term, s.args)))
         return Var(s.name)
     if isinstance(s, S.CongUnit):
-        return UnitTuple()
+        return FunApp(UNIT_NAME, ())
     if isinstance(s, S.CongPair):
-        return Pair(_as_term(s.left), _as_term(s.right))
+        return FunApp(PAIR_NAME, (_as_term(s.left), _as_term(s.right)))
     raise ParseError("a rule's left-hand side must be a term", s.pos)
 
 
@@ -400,23 +400,21 @@ def _read_tagged(toks, functions):
     rejects) or a syntax error raises _Unread. A level of nesting costs
     one frame."""
     tok = toks.pop()
-    if tok == "(":
-        if toks[-1] == ")":
-            toks.pop()
-            return UnitTuple(UNIT)
-        t = _read_tagged(toks, functions)
-        tok = toks.pop()
-        if tok == ",":
-            right = _read_tagged(toks, functions)
-            t = Pair(t, right, PairType(t.tag, right.tag))
-            tok = toks.pop()
-        if tok != ")":
-            raise _Unread
-        return t
-    if tok in RESERVED or tok[:1] not in _NAME_START:
-        raise _Unread
     args = []
-    if toks[-1] == "(":
+    if tok == "(":  # (), grouping parentheses, or a pair
+        if toks[-1] != ")":
+            args.append(_read_tagged(toks, functions))
+            if toks[-1] == ",":
+                toks.pop()
+                args.append(_read_tagged(toks, functions))
+        if toks.pop() != ")":
+            raise _Unread
+        if len(args) == 1:
+            return args[0]
+        tok = PAIR_NAME if args else UNIT_NAME
+    elif tok in RESERVED or tok[:1] not in _NAME_START:
+        raise _Unread
+    elif toks[-1] == "(":
         toks.pop()
         args.append(_read_tagged(toks, functions))
         while toks[-1] == ",":

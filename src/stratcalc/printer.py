@@ -6,14 +6,7 @@ say, the tables the parser reads.
 """
 
 from . import syntax as S
-from .terms import (
-    Amp,
-    Arrow,
-    FunApp,
-    Pair,
-    UnitTuple,
-    Var,
-)
+from .terms import PAIR_NAME, Amp, Arrow, FunApp, Var
 
 
 def render_term(t):
@@ -25,11 +18,11 @@ def render_term(t):
         args = []
         for a in t.args:
             args.append(render_term(a))
-        return "%s(%s)" % (t.name, ",".join(args)) if args else t.name
-    if isinstance(t, UnitTuple):
-        return "()"
-    if isinstance(t, Pair):
-        return "(%s,%s)" % (render_term(t.left), render_term(t.right))
+        if not args:  # a constant, or ()
+            return t.name
+        # A pair is an application with no head: (t1,t2).
+        return "%s(%s)" % ("" if t.name == PAIR_NAME else t.name,
+                           ",".join(args))
     raise TypeError("not a term: %r" % (t,))
 
 

@@ -217,7 +217,8 @@ class Term(Node):
 
 
 class FunApp(Term):
-    """f(t1,...,tn); a constant is a function with no arguments."""
+    """f(t1,...,tn); a constant is a function with no arguments, and ()
+    and (t1,t2) are the functions UNIT_NAME and PAIR_NAME."""
 
     __slots__ = _fields = ("name", "args")
 
@@ -235,42 +236,13 @@ class Var(Term):
         _set(self, "tag", tag)
 
 
-class UnitTuple(Term):
-    __slots__ = ()
+# The two built-in functions of the type-unifying combinators: () has no
+# arguments, and (t1,t2) has two; `fun_sort` types them structurally.
+UNIT_NAME, PAIR_NAME = "()", "(,)"
 
-    def __init__(self, tag=None):
-        _set(self, "tag", tag)
-
-
-class Pair(Term):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, tag=None):
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_tag(self, tag)
-
-
-# The slot setters of the two nodes that rewriting builds most.
+# The slot setters of the node that rewriting builds most.
 _set_name, _set_args = FunApp.name.__set__, FunApp.args.__set__
-_set_left, _set_right = Pair.left.__set__, Pair.right.__set__
 _set_tag = Term.tag.__set__
-
-
-def children(t):
-    """Immediate subterms of a compound term; constants and () have none."""
-    if isinstance(t, FunApp):
-        return t.args
-    if isinstance(t, Pair):
-        return (t.left, t.right)
-    return ()
-
-
-def rebuild(t, new_children):
-    """t, a term with children, over new children, keeping t's tag."""
-    if isinstance(t, FunApp):
-        return FunApp(t.name, tuple(new_children), t.tag)
-    return Pair(new_children[0], new_children[1], t.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +337,7 @@ def check_context(ctx):
             mentioned = _sorts_in_term_type(value)
         else:
             mentioned = ()
-        for s in mentioned:
+        for s in dict.fromkeys(mentioned):  # each sort once
             if s.name not in ctx.sorts:
                 diags.append(StaticError(
                     "%s %s mentions undeclared sort %s" % (keyword, name, s.name),
@@ -385,13 +357,20 @@ def _sorts_in_term_type(tt):
 # Term typing
 
 
+# The signatures of () and (,); None stands for any argument type, and for
+# the pair of its arguments' types.
+_TUPLES = {UNIT_NAME: ((), UNIT), PAIR_NAME: ((None, None), None)}
+
+
 def fun_sort(functions, name, args, tag=None):
-    """The result sort of the node name(args): name must be a declared
-    function of len(args) arguments, each tagged with its argument sort.
-    Raises a StaticError (rule `con` or `fun`) at the first that fails.
-    With `tag`, args is a list of untagged terms, and args[i] becomes
-    tag(args[i]) just before its sort is tested."""
-    sig = functions.get(name)
+    """The type of the node name(args): name must be a declared function
+    of len(args) arguments, each tagged with its argument sort, and the
+    node has its result sort; or () with no arguments, of type (); or (,)
+    with two, of the pair of their types. Raises a StaticError (rule `con`
+    or `fun`) at the first that fails. With `tag`, args is a list of
+    untagged terms, and args[i] becomes tag(args[i]) just before its sort
+    is tested."""
+    sig = functions.get(name) or _TUPLES.get(name)
     if sig is None:
         raise StaticError("undeclared function %s" % name, rule="con")
     arg_sorts, result = sig
@@ -402,10 +381,10 @@ def fun_sort(functions, name, args, tag=None):
         a = args[i]
         if tag is not None:
             a = args[i] = tag(a)
-        if a.tag is not want and a.tag != want:
+        if a.tag is not want and want is not None and a.tag != want:
             raise StaticError("argument %d of %s has type %r, expected %r"
                               % (i + 1, name, a.tag, want), rule="fun")
-    return result
+    return PairType(args[0].tag, args[1].tag) if result is None else result
 
 
 def type_of_term(ctx, t):
@@ -435,12 +414,6 @@ def tag_term(ctx, t, bound=None):
             raise StaticError("variable %s is not bound by the rule" % t.name,
                               rule="name")
         return Var(t.name, ctx.term_vars[t.name])
-    if isinstance(t, UnitTuple):
-        return UnitTuple(UNIT)
-    if isinstance(t, Pair):
-        left = tag_term(ctx, t.left, bound)
-        right = tag_term(ctx, t.right, bound)
-        return Pair(left, right, PairType(left.tag, right.tag))
     raise TypeError("not a term: %r" % (t,))
 
 
@@ -456,11 +429,10 @@ def tag_ground_term(ctx, t):
 
 
 def check_reduct(ctx, r):
-    """Check the tag of every node of the reduct r: each must be a declared
-    function over arguments of its signature's sorts, a pair or (), tagged
-    with its type. Walks with a stack, so it costs no frame per level, and
-    checks a node that occurs more than once only once; raises a
-    StaticError at the first bad node."""
+    """Check the tag of every node of the reduct r: each must be a FunApp
+    that `fun_sort` types, tagged with that type. Walks with a stack, so
+    it costs no frame per level, and checks a node that occurs more than
+    once only once; raises a StaticError at the first bad node."""
     functions = ctx.functions
     seen = set()  # ids of the nodes checked
     todo = [r]
@@ -469,18 +441,13 @@ def check_reduct(ctx, r):
         if id(u) in seen:
             continue
         seen.add(id(u))
-        if isinstance(u, FunApp):
-            want, head = fun_sort(functions, u.name, u.args), u.name
-        elif isinstance(u, Pair):
-            want, head = PairType(u.left.tag, u.right.tag), "(,)"
-        elif isinstance(u, UnitTuple):
-            want, head = UNIT, "()"
-        else:
+        if not isinstance(u, FunApp):
             raise StaticError("not a ground term: %r" % (u,), rule="var")
+        want = fun_sort(functions, u.name, u.args)
         if u.tag is not want and u.tag != want:
             raise StaticError("%s is tagged %r, but has type %r"
-                              % (head, u.tag, want), rule="fun")
-        todo.extend(children(u))
+                              % (u.name, u.tag, want), rule="fun")
+        todo.extend(u.args)
 
 
 def term_vars(t, acc):
@@ -490,9 +457,6 @@ def term_vars(t, acc):
     elif isinstance(t, FunApp):
         for a in t.args:
             term_vars(a, acc)
-    elif isinstance(t, Pair):
-        term_vars(t.left, acc)
-        term_vars(t.right, acc)
     return acc
 
 
@@ -520,23 +484,14 @@ def _match_into(pattern, subject, theta):
             return True
         return bound == subject
     if isinstance(pattern, FunApp):
-        return (
-            isinstance(subject, FunApp)
-            and pattern.name == subject.name
-            and len(pattern.args) == len(subject.args)
-            and all(
-                _match_into(p, s, theta)
-                for p, s in zip(pattern.args, subject.args)
-            )
-        )
-    if isinstance(pattern, UnitTuple):
-        return isinstance(subject, UnitTuple)
-    if isinstance(pattern, Pair):
-        return (
-            isinstance(subject, Pair)
-            and _match_into(pattern.left, subject.left, theta)
-            and _match_into(pattern.right, subject.right, theta)
-        )
+        if (not isinstance(subject, FunApp) or pattern.name != subject.name
+                or len(pattern.args) != len(subject.args)):
+            return False
+        # A loop, not all(<generator>): a generator per pattern node costs.
+        for p, s in zip(pattern.args, subject.args):
+            if not _match_into(p, s, theta):
+                return False
+        return True
     raise TypeError("not a pattern: %r" % (pattern,))
 
 
@@ -555,9 +510,4 @@ def substitute(theta, t):
             changed = changed or b is not a
             args.append(b)
         return FunApp(t.name, tuple(args), t.tag) if changed else t
-    if isinstance(t, Pair):
-        left, right = substitute(theta, t.left), substitute(theta, t.right)
-        if left is t.left and right is t.right:
-            return t
-        return Pair(left, right, t.tag)
     return t

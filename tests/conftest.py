@@ -5,6 +5,7 @@ import re
 import pytest
 
 import stratcalc as sc
+from stratcalc.terms import PAIR_NAME, UNIT_NAME
 
 HERE = os.path.dirname(__file__)
 PROGRAMS = os.path.join(HERE, "..", "programs")
@@ -87,6 +88,31 @@ def addition():
     diags, _ = sc.check_program(p)
     assert not diags, [d.render() for d in diags]
     return p
+
+
+def unit(tag=None):
+    """(), the built-in function of no arguments."""
+    return sc.FunApp(UNIT_NAME, (), tag)
+
+
+def pair(left, right, tag=None):
+    """(left,right), the built-in function of two arguments."""
+    return sc.FunApp(PAIR_NAME, (left, right), tag)
+
+
+def assert_tuples_typed(t):
+    """Every node of the ground term t is a FunApp, and each () and (,)
+    node carries its structural type: () for (), and for a pair the pair
+    of its arguments' tags. Walked with a loop."""
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        assert type(u) is sc.FunApp, u
+        if u.name == UNIT_NAME:
+            assert u.args == () and u.tag is sc.UNIT, u
+        elif u.name == PAIR_NAME:
+            assert u.tag == sc.PairType(*[a.tag for a in u.args]), u
+        todo.extend(u.args)
 
 
 def num(n):

@@ -19,13 +19,13 @@ from stratcalc.terms import (
     Arrow,
     Amp,
     FunApp,
-    Pair,
+    PAIR_NAME,
     PairType,
     Sort,
     TP_TYPE,
     TU,
     UNIT,
-    UnitTuple,
+    UNIT_NAME,
     Var,
 )
 
@@ -72,17 +72,17 @@ RULES = {
         _rule(_v("T1"), FunApp("zero", ())),
     ],
     UN: [
-        _rule(UnitTuple(), FunApp("zero", ())),
+        _rule(FunApp(UNIT_NAME, ()), FunApp("zero", ())),
     ],
     Arrow(UNIT, TREE): [
-        _rule(UnitTuple(), FunApp("leaf", (FunApp("zero", ()),))),
+        _rule(FunApp(UNIT_NAME, ()), FunApp("leaf", (FunApp("zero", ()),))),
     ],
     Arrow(PairType(NAT, NAT), NAT): [
-        _rule(Pair(_v("N1"), _v("N2")), _v("N1")),
-        _rule(Pair(_v("N1"), _v("N2")), _v("N2")),
+        _rule(FunApp(PAIR_NAME, (_v("N1"), _v("N2"))), _v("N1")),
+        _rule(FunApp(PAIR_NAME, (_v("N1"), _v("N2"))), _v("N2")),
     ],
     Arrow(PairType(TREE, TREE), TREE): [
-        _rule(Pair(_v("T1"), _v("T2")), _v("T2")),
+        _rule(FunApp(PAIR_NAME, (_v("T1"), _v("T2"))), _v("T2")),
     ],
 }
 
@@ -248,10 +248,10 @@ class Gen:
             return FunApp("fork", (self.term(TREE, depth - 1),
                                    self.term(TREE, depth - 1)))
         if tau == UNIT:
-            return UnitTuple()
+            return FunApp(UNIT_NAME, ())
         if isinstance(tau, PairType):
-            return Pair(self.term(tau.left, depth - 1),
-                        self.term(tau.right, depth - 1))
+            return FunApp(PAIR_NAME, (self.term(tau.left, depth - 1),
+                                      self.term(tau.right, depth - 1)))
         raise AssertionError(tau)
 
     def applicable_type(self, pi):

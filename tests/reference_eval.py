@@ -21,10 +21,10 @@ from stratcalc.terms import (
     FAILURE,
     FunApp,
     Ok,
-    Pair,
+    PAIR_NAME,
     PairType,
     UNIT,
-    UnitTuple,
+    UNIT_NAME,
     match,
     substitute,
     tag_term,
@@ -71,21 +71,33 @@ _TRACE = {
 }
 
 
+def is_unit(t):
+    return t.name == UNIT_NAME
+
+
+def is_pair(t):
+    return t.name == PAIR_NAME
+
+
+def pair(left, right, tag):
+    return FunApp(PAIR_NAME, (left, right), tag)
+
+
 def term_head(t):
-    if isinstance(t, FunApp):
-        return t.name
-    if isinstance(t, UnitTuple):
+    if is_unit(t):
         return "()"
-    return "(,)"
+    if is_pair(t):
+        return "(,)"
+    return t.name
 
 
 def children(t):
     """Immediate subterms of a compound term; constants and () have none."""
-    if isinstance(t, FunApp):
-        return list(t.args)
-    if isinstance(t, Pair):
-        return [t.left, t.right]
-    return []
+    if is_unit(t):
+        return []
+    if is_pair(t):
+        return [t.args[0], t.args[1]]
+    return list(t.args)
 
 
 def _eval(st, s, t, env):
@@ -121,7 +133,7 @@ def _eval_node(st, s, t, env):
     if isinstance(s, S.Fail):
         return None
     if isinstance(s, S.Void):
-        return UnitTuple(UNIT)
+        return FunApp(UNIT_NAME, (), UNIT)
     if isinstance(s, S.Rule):
         theta = match(s.lhs, t)
         if theta is None:
@@ -158,17 +170,17 @@ def _eval_node(st, s, t, env):
             out.append(r)
         return FunApp(t.name, tuple(out), t.tag)
     if isinstance(s, S.CongUnit):
-        return t if isinstance(t, UnitTuple) else None
+        return t if is_unit(t) else None
     if isinstance(s, S.CongPair):
-        if not isinstance(t, Pair):
+        if not is_pair(t):
             return None
-        left = _eval(st, s.left, t.left, env)
+        left = _eval(st, s.left, t.args[0], env)
         if left is None:
             return None
-        right = _eval(st, s.right, t.right, env)
+        right = _eval(st, s.right, t.args[1], env)
         if right is None:
             return None
-        return Pair(left, right, PairType(left.tag, right.tag))
+        return pair(left, right, PairType(left.tag, right.tag))
     if isinstance(s, S.All):
         cs = children(t)
         if not cs:
@@ -201,7 +213,7 @@ def _eval_node(st, s, t, env):
             results.append(r)
         acc = results[0]
         for r in results[1:]:
-            acc = _eval(st, s.splus, Pair(acc, r, PairType(acc.tag, r.tag)),
+            acc = _eval(st, s.splus, pair(acc, r, PairType(acc.tag, r.tag)),
                         env)
             if acc is None:
                 return None
@@ -219,7 +231,7 @@ def _eval_node(st, s, t, env):
         right = _eval(st, s.right, t, env)
         if right is None:
             return None
-        return Pair(left, right, PairType(left.tag, right.tag))
+        return pair(left, right, PairType(left.tag, right.tag))
     if isinstance(s, S.Extend):
         if t.tag in _domains(s.arg, env):
             return _eval(st, s.arg, t, env)
@@ -255,9 +267,9 @@ def _eval_node(st, s, t, env):
 
 def _rebuild(t, new_children):
     """t, a term with children, over new children."""
-    if isinstance(t, FunApp):
-        return FunApp(t.name, tuple(new_children), t.tag)
-    return Pair(new_children[0], new_children[1], t.tag)
+    if is_pair(t):
+        return pair(new_children[0], new_children[1], t.tag)
+    return FunApp(t.name, tuple(new_children), t.tag)
 
 
 def run_reference(program, t, cfg=None):

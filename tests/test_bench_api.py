@@ -3,6 +3,8 @@ through its module API; this keeps that API and the CLI in step."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +12,8 @@ from stratcalc.cli import main as cli_main
 
 from conftest import program_path
 
-LAYERS = os.path.join(os.path.dirname(__file__), "..", "bench", "layers.py")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+LAYERS = os.path.join(BENCH, "layers.py")
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +45,13 @@ def test_layers_agree_with_the_cli(layers, capsys, argv):
     if argv[0] == "run":
         assert counts["nodes"] > 0 and counts["fuel_used"] > 0
         assert counts["fail"] == counts["engine_fail"] == 0
+
+
+def test_bench_self_check_passes():
+    """One pass of every benchmark workload through the CLI and the traced
+    pipeline agrees with the oracles; it writes only under `.bench/`."""
+    proc = subprocess.run([sys.executable, os.path.join(BENCH, "run.py"),
+                           "--self-check"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-check passed" in proc.stdout

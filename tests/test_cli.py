@@ -515,6 +515,12 @@ def test_context_diagnostics_name_their_declaration(capcli, write):
         "ERROR ctx at 4:1: var X mentions undeclared sort Bogus\n"))
 
 
+def test_undeclared_sort_reported_once_per_declaration(capcli, write):
+    f = write("succ.strat", "fun succ : Nat -> Nat; main = id;")
+    assert capcli("check", "--no-prelude", f) == (2, "", (
+        "ERROR ctx at 1:1: fun succ mentions undeclared sort Nat\n"))
+
+
 def test_context_diagnostics_come_in_source_order(capcli, write):
     # g and a are each declared under two keywords; every diagnostic is
     # placed at the declaration it names, duplicates first.

@@ -4,22 +4,22 @@ errors, and fuel accounting."""
 import pytest
 
 import stratcalc as sc
-from stratcalc import syntax as S
+from stratcalc import evaluate, syntax as S
 from stratcalc.evaluate import EvalState
 from stratcalc.terms import (
     Arrow,
     FAILURE,
+    PAIR_NAME,
     FunApp,
     Ok,
-    Pair,
     TP_TYPE,
     TU,
     UNIT,
-    UnitTuple,
+    UNIT_NAME,
     Var,
 )
 
-from conftest import num
+from conftest import assert_tuples_typed, num, pair, unit
 from randgen import NAT, NN, TREE, TT
 
 INC = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
@@ -48,7 +48,7 @@ def test_rule_no_match_fails(nat_tree_ctx):
 def test_id_fail_void(nat_tree_ctx):
     assert ev(nat_tree_ctx, S.Id(), LEAF0) == Ok(LEAF0)
     assert ev(nat_tree_ctx, S.Fail(), LEAF0) == FAILURE
-    assert ev(nat_tree_ctx, S.Void(), LEAF0) == Ok(UnitTuple())
+    assert ev(nat_tree_ctx, S.Void(), LEAF0) == Ok(unit())
 
 
 def test_neg_swaps_outcomes(nat_tree_ctx):
@@ -80,9 +80,9 @@ def test_congruence_dispatch(nat_tree_ctx):
 
 
 def test_pair_and_unit_congruence(nat_tree_ctx):
-    assert ev(nat_tree_ctx, S.CongUnit(), UnitTuple()) == Ok(UnitTuple())
-    got = ev(nat_tree_ctx, S.CongPair(INC, INC), Pair(num(0), num(1)))
-    assert got == Ok(Pair(num(1), num(2)))
+    assert ev(nat_tree_ctx, S.CongUnit(), unit()) == Ok(unit())
+    got = ev(nat_tree_ctx, S.CongPair(INC, INC), pair(num(0), num(1)))
+    assert got == Ok(pair(num(1), num(2)))
 
 
 def test_all_children_rewritten(nat_tree_ctx):
@@ -118,10 +118,10 @@ def test_reduce_folds_left_to_right(nat_tree_ctx):
     to_nat = S.Extend(S.Annot(S.Rule(FunApp("leaf", (Var("N"),)),
                                      Var("N")),
                               Arrow(sc.Sort("Tree"), NAT)), TU(NAT))
-    first = S.Rule(Pair(Var("N1"), Var("N2")), Var("N1"))
+    first = S.Rule(pair(Var("N1"), Var("N2")), Var("N1"))
     got = ev(nat_tree_ctx, S.Reduce(first, to_nat), TREE7)
     assert got == Ok(num(0))
-    second = S.Rule(Pair(Var("N1"), Var("N2")), Var("N2"))
+    second = S.Rule(pair(Var("N1"), Var("N2")), Var("N2"))
     assert ev(nat_tree_ctx, S.Reduce(second, to_nat), TREE7) == Ok(num(1))
     # single child: no composer application (an always-failing composer
     # still succeeds)
@@ -139,15 +139,47 @@ def test_reduce_fails_when_its_composer_does(nat_tree_ctx):
     to_nat = S.Extend(S.Annot(S.Rule(FunApp("leaf", (Var("N"),)), Var("N")),
                               Arrow(sc.Sort("Tree"), NAT)), TU(NAT))
     # (succ(N1), N2) -> N1 fails on the leaves' values, (zero, succ(zero))
-    never = S.Rule(Pair(FunApp("succ", (Var("N1"),)), Var("N2")), Var("N1"))
+    never = S.Rule(pair(FunApp("succ", (Var("N1"),)), Var("N2")), Var("N1"))
     assert ev(nat_tree_ctx, S.Reduce(never, to_nat), TREE7) == FAILURE
 
 
 def test_spawn_pairs_results_short_circuit(nat_tree_ctx):
     got = ev(nat_tree_ctx, S.Spawn(S.Void(), S.Void()), LEAF0)
-    assert got == Ok(Pair(UnitTuple(), UnitTuple()))
+    assert got == Ok(pair(unit(), unit()))
     assert ev(nat_tree_ctx, S.Spawn(S.Seq(S.Fail(), S.Void()), S.Void()),
               LEAF0) == FAILURE
+
+
+def test_type_unifying_results_are_tuple_functions(nat_tree_ctx,
+                                                  monkeypatch):
+    # void builds (), spawn a pair, and reduce a pair of its children's
+    # results for its composer: each a FunApp with its structural type.
+    for s in (S.Void(), S.Spawn(S.Void(), S.Void())):
+        assert_tuples_typed(ev(nat_tree_ctx, s, LEAF0).term)
+    built = []
+
+    def recording(name, args, tag=None):
+        built.append(FunApp(name, args, tag))
+        return built[-1]
+
+    monkeypatch.setattr(evaluate, "FunApp", recording)
+    to_nat = S.Extend(S.Annot(S.Rule(FunApp("leaf", (Var("N"),)), Var("N")),
+                              Arrow(TREE, NAT)), TU(NAT))
+    first = S.Rule(pair(Var("N1"), Var("N2")), Var("N1"))
+    assert ev(nat_tree_ctx, S.Reduce(first, to_nat), TREE7) == Ok(num(0))
+    assert built == [pair(num(0), num(1))]
+    assert_tuples_typed(built[0])
+
+
+@pytest.mark.parametrize("term,message", [
+    (FunApp(PAIR_NAME, (ZERO,)), "(,) expects 2 arguments, got 1"),
+    (FunApp(UNIT_NAME, (ZERO,)), "() expects 0 arguments, got 1"),
+], ids=["pair", "unit"])
+def test_ill_formed_tuple_input_is_engine_failure(nat_tree_ctx, term,
+                                                  message):
+    got = sc.apply_strategy(nat_tree_ctx, {}, S.Id(), term)
+    assert got == sc.EngineFailure("InternalTypeViolation",
+                                   "runtime typing failed: " + message)
 
 
 def test_extend_dispatch_by_tag(nat_tree_ctx):
@@ -273,7 +305,7 @@ def test_type_arguments_instantiate_bodies(nat_tree):
 def test_where_clause_evaluation(problems):
     ctx, defs = problems.context, problems.definitions
     got = sc.apply_strategy(ctx, defs, S.Call("Add", (), ()),
-                            sc.tag_term(ctx, Pair(num(1), num(1))),
+                            sc.tag_term(ctx, pair(num(1), num(1))),
                             sc.EvalConfig())
     assert got == Ok(num(2))
 
@@ -281,7 +313,7 @@ def test_where_clause_evaluation(problems):
 def test_eval_body_add_step(problems):
     ctx, defs = problems.context, problems.definitions
     step = problems.definitions["Add"].body.right  # the succ case
-    got = sc.apply_strategy(ctx, defs, step, Pair(num(1), num(1)),
+    got = sc.apply_strategy(ctx, defs, step, pair(num(1), num(1)),
                             sc.EvalConfig())
     assert got == Ok(num(2))
 
@@ -295,7 +327,7 @@ def test_eval_body_where_fail(nat_tree_ctx):
 
 def test_fuel_exhaustion(nat_tree):
     p = sc.parse_program("def Loop : TP = Loop;\nmain = Loop;")
-    got = sc.run_program(sc.elaborate_program(p), UnitTuple(tag=UNIT),
+    got = sc.run_program(sc.elaborate_program(p), unit(UNIT),
                          sc.EvalConfig(fuel=100))
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "FuelExhausted"
@@ -304,7 +336,7 @@ def test_fuel_exhaustion(nat_tree):
 @pytest.mark.parametrize("main,term,detail", [
     (S.ParamRef("v"), ZERO, "unbound strategy parameter v"),
     (S.AmpS(S.Annot(S.Id(), NN), S.Annot(S.Id(), TT)),
-     Pair(ZERO, ZERO),
+     pair(ZERO, ZERO),
      "no overloaded branch accepts a term of type (Nat,Nat)"),
 ])
 def test_core_the_checker_rejects_is_engine_failure(nat_tree_ctx, main,
@@ -322,16 +354,16 @@ def test_trace_depth_resets_after_an_engine_failure():
                                               "main = Loop;"))
     state = EvalState()
     cfg = sc.EvalConfig(fuel=5, trace=True)
-    got = sc.run_program(p, UnitTuple(tag=UNIT), cfg, state)
+    got = sc.run_program(p, unit(UNIT), cfg, state)
     assert got.kind == "FuelExhausted"
-    sc.apply_strategy(p.context, {}, S.Id(), UnitTuple(tag=UNIT), cfg, state)
+    sc.apply_strategy(p.context, {}, S.Id(), unit(UNIT), cfg, state)
     assert state.trace_lines[-1] == "id id @ () => ok"
 
 
 def test_unlimited_fuel_terminating(problems):
     ctx, defs = problems.context, problems.definitions
     got = sc.apply_strategy(ctx, defs, S.Call("Add", (), ()),
-                            sc.tag_term(ctx, Pair(num(2), num(3))),
+                            sc.tag_term(ctx, pair(num(2), num(3))),
                             sc.EvalConfig(fuel=0))
     assert got == Ok(num(5))
 

@@ -16,8 +16,10 @@ from stratcalc import evaluate, syntax as S, terms
 from stratcalc.evaluate import EngineFailure, EvalConfig, EvalState
 from stratcalc.terms import (
     FAILURE,
+    PAIR_NAME,
     TP_TYPE,
     UNIT,
+    UNIT_NAME,
     Amp,
     Arrow,
     CombinatorType,
@@ -25,14 +27,12 @@ from stratcalc.terms import (
     Failure,
     FunApp,
     Ok,
-    Pair,
     PairType,
     Sort,
     TP,
     TU,
     TypeVar,
     Unit,
-    UnitTuple,
     Var,
 )
 
@@ -40,6 +40,8 @@ from conftest import load_program, program_path
 
 NAT = Sort("Nat")
 ZERO = FunApp("zero", (), NAT)
+UNIT_TERM = FunApp(UNIT_NAME, (), UNIT)
+PAIR = FunApp(PAIR_NAME, (ZERO, UNIT_TERM), PairType(NAT, UNIT))
 
 # One node of every term, type and outcome class, with a field of it (the
 # tag for a term without fields, any name for a node without any).
@@ -48,10 +50,12 @@ NODES = [
     (TypeVar("a"), "name"), (Arrow(NAT, NAT), "dom"), (TP_TYPE, "name"),
     (TU(NAT), "result"), (Amp(Arrow(NAT, NAT), TP_TYPE), "right"),
     (CombinatorType(("a",), (TP_TYPE,), TU(TypeVar("a"))), "arg_types"),
-    (ZERO, "args"), (Var("N", NAT), "name"), (UnitTuple(UNIT), "tag"),
-    (Pair(ZERO, UnitTuple(UNIT), PairType(NAT, UNIT)), "right"),
-    (Ok(ZERO), "term"), (FAILURE, "name"),
+    (ZERO, "args"), (Var("N", NAT), "name"), (UNIT_TERM, "tag"),
+    (PAIR, "args"), (Ok(ZERO), "term"), (FAILURE, "name"),
 ]
+# The ids of NODES: its class, or the tuple that a FunApp spells.
+NODE_IDS = [{UNIT_TERM: "unit", PAIR: "pair"}.get(n, type(n).__name__)
+            for n, _ in NODES]
 
 
 def test_fieldless_nodes_of_different_classes_are_unequal():
@@ -70,23 +74,24 @@ def test_tags_are_neither_compared_nor_hashed():
     assert FunApp("zero", (), Sort("Nat")) == FunApp("zero", ())
     assert hash(FunApp("zero", (), Sort("Nat"))) == hash(FunApp("zero", ()))
     assert Var("N", NAT) == Var("N") and hash(Var("N", NAT)) == hash(Var("N"))
-    assert UnitTuple(UNIT) == UnitTuple()
-    pair = Pair(ZERO, ZERO, PairType(NAT, NAT))
-    assert pair == Pair(FunApp("zero", ()), FunApp("zero", ()))
-    assert hash(pair) == hash(Pair(FunApp("zero", ()), FunApp("zero", ())))
+    assert UNIT_TERM == FunApp(UNIT_NAME, ())
+    pair = FunApp(PAIR_NAME, (ZERO, ZERO), PairType(NAT, NAT))
+    untagged = FunApp(PAIR_NAME, (FunApp("zero", ()), FunApp("zero", ())))
+    assert pair == untagged
+    assert hash(pair) == hash(untagged)
 
 
 def test_fields_are_compared():
     assert FunApp("zero", ()) != FunApp("one", ())
     assert FunApp("succ", (ZERO,)) != FunApp("succ", (ZERO, ZERO))
     assert Arrow(NAT, UNIT) != Arrow(UNIT, NAT)
-    assert Ok(ZERO) == Ok(FunApp("zero", ())) != Ok(UnitTuple())
+    assert Ok(ZERO) == Ok(FunApp("zero", ())) != Ok(FunApp(UNIT_NAME, ()))
     assert EngineFailure("FuelExhausted", "x") == EngineFailure(
         "FuelExhausted", "x") != EngineFailure("FuelExhausted", "y")
 
 
 @pytest.mark.parametrize("node, name", NODES,
-                         ids=[type(n).__name__ for n, _ in NODES])
+                         ids=NODE_IDS)
 def test_nodes_are_immutable(node, name):
     before = repr(node)
     with pytest.raises(AttributeError):
@@ -99,7 +104,7 @@ def test_nodes_are_immutable(node, name):
 
 
 @pytest.mark.parametrize("node, name", NODES,
-                         ids=[type(n).__name__ for n, _ in NODES])
+                         ids=NODE_IDS)
 def test_copy_and_pickle_keep_nodes_equal(node, name):
     for other in (copy.copy(node), copy.deepcopy(node),
                   pickle.loads(pickle.dumps(node))):
@@ -112,9 +117,9 @@ def test_reprs_are_exact():
     assert repr(FunApp("zero", ())) == "FunApp(name='zero', args=(), tag=None)"
     assert repr(Ok(ZERO)) == "Ok(term=FunApp(name='zero', args=(), tag=Nat))"
     assert repr(Var("N", NAT)) == "Var(name='N', tag=Nat)"
-    assert repr(Pair(ZERO, UnitTuple(UNIT), PairType(NAT, UNIT))) == (
-        "Pair(left=FunApp(name='zero', args=(), tag=Nat), "
-        "right=UnitTuple(tag=()), tag=(Nat,()))")
+    assert repr(PAIR) == (
+        "FunApp(name='(,)', args=(FunApp(name='zero', args=(), tag=Nat), "
+        "FunApp(name='()', args=(), tag=())), tag=(Nat,()))")
     assert repr(FAILURE) == "Failure()"
     assert repr(CombinatorType(("a",), (Arrow(NAT, NAT), TP_TYPE),
                                TU(TypeVar("a")))) == (

@@ -12,11 +12,10 @@ from stratcalc import syntax as S
 from stratcalc.cli import main as cli_main
 from stratcalc.parser import RESERVED, Parser, tokenize
 from stratcalc.printer import render_strat
-from stratcalc.terms import (FunApp, Pair, UnitTuple, Var, children,
-                            rebuild)
+from stratcalc.terms import PAIR_NAME, UNIT_NAME, FunApp, Var
 
 from randgen import Gen, NAT, TREE
-from conftest import NAT_TREE_HEADER, raises_static
+from conftest import NAT_TREE_HEADER, assert_tuples_typed, raises_static
 
 FLIPTOP = """
 sort Nat;
@@ -134,7 +133,35 @@ def test_parse_term_examples(nat_tree_ctx):
     assert t == FunApp("fork", (FunApp("leaf", (FunApp("zero", ()),)),) * 2)
     assert t.tag == TREE
     u = sc.parse_term("()", nat_tree_ctx)
-    assert u == UnitTuple() and u.tag == sc.UNIT
+    assert u == FunApp(UNIT_NAME, ()) and u.tag == sc.UNIT
+
+
+def test_parse_term_builds_tuples_as_functions(nat_tree_ctx):
+    text = "(zero,((),leaf(zero)))"
+    zero = FunApp("zero", ())
+    want = FunApp(PAIR_NAME, (zero, FunApp(PAIR_NAME, (
+        FunApp(UNIT_NAME, ()), FunApp("leaf", (zero,))))))
+    # The one-pass reader, and the two-step path it falls back on.
+    for t in (sc.parse_term(text, nat_tree_ctx),
+              sc.tag_term(nat_tree_ctx, Parser(text).parse_term())):
+        assert t == want
+        assert t.tag == sc.PairType(NAT, sc.PairType(sc.UNIT, TREE))
+        assert_tuples_typed(t)
+    # Parentheses around one term only group it.
+    assert sc.parse_term("((zero))", nat_tree_ctx) == zero
+    assert Parser("((zero))").parse_term() == Var("zero")
+
+
+def test_rule_pattern_builds_tuples_as_functions():
+    p = sc.parse_program(NAT_TREE_HEADER.replace(
+        "main = id;", "main = (N, ()) -> N;"))
+    assert p.main.lhs == FunApp(PAIR_NAME, (Var("N"), FunApp(UNIT_NAME, ())))
+    diags, main_type, core = sc.check_and_elaborate(p)
+    assert diags == [] and main_type == sc.Arrow(
+        sc.PairType(NAT, sc.UNIT), NAT)
+    lhs = core.main.lhs
+    assert lhs.tag == sc.PairType(NAT, sc.UNIT)
+    assert lhs.args[0].tag is NAT and lhs.args[1].tag is sc.UNIT
 
 
 def test_parse_term_rejects_ill_sorted(nat_tree_ctx):
@@ -146,7 +173,8 @@ def test_parse_term_rejects_ill_sorted(nat_tree_ctx):
 def test_render_term_examples():
     zero = FunApp("zero", ())
     assert sc.render_term(FunApp("succ", (zero,))) == "succ(zero)"
-    assert sc.render_term(Pair(zero, UnitTuple())) == "(zero,())"
+    pair = FunApp(PAIR_NAME, (zero, FunApp(UNIT_NAME, ())))
+    assert sc.render_term(pair) == "(zero,())"
 
 
 def test_comments_ignored():
@@ -258,10 +286,10 @@ def as_parsed(x):
         return S.Call(x.name, (), (), x.pos)
     if isinstance(x, S.CongFun):
         return S.Call(x.name, (), as_parsed(x.args), x.pos)
-    if isinstance(x, FunApp) and not x.args:
+    if isinstance(x, FunApp) and not x.args and x.name != UNIT_NAME:
         return Var(x.name)
-    if isinstance(x, (FunApp, Pair)):
-        return rebuild(x, as_parsed(children(x)))
+    if isinstance(x, FunApp):
+        return FunApp(x.name, as_parsed(x.args), x.tag)
     if isinstance(x, (S.StrategyExpr, S.RuleBody)):
         return type(x)(*[as_parsed(getattr(x, f))
                          for f in x._fields + x._uncompared])

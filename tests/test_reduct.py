@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import stratcalc as sc
 from stratcalc import cli, evaluate
 from stratcalc import syntax as S
-from stratcalc.terms import (FunApp, Pair, PairType, Sort, Var, children,
+from stratcalc.terms import (PAIR_NAME, FunApp, PairType, Sort, Var,
                              substitute, tag_term)
 
 from conftest import load_program, program_path
@@ -78,9 +78,10 @@ def test_substitute_returns_ground_subterms_as_they_are():
     assert got.args[0] is ground and got.args[1].args[0] is zero
     assert substitute({"N": zero}, zero) is zero
     assert substitute({}, ground) is ground
-    pair = Pair(ground, zero, PairType(TREE, NAT))
+    pair = FunApp(PAIR_NAME, (ground, zero), PairType(TREE, NAT))
     assert substitute({}, pair) is pair
-    assert substitute({"N": zero}, Pair(ground, Var("N", NAT))).left is ground
+    pattern = FunApp(PAIR_NAME, (ground, Var("N", NAT)))
+    assert substitute({"N": zero}, pattern).args[0] is ground
 
 
 # -- every node the run built is checked ---------------------------------------------
@@ -92,7 +93,7 @@ def assert_tags_derived(ctx, r):
     while todo:
         a, b = todo.pop()
         assert type(a.tag) is type(b.tag) and a.tag == b.tag, (a, b)
-        todo.extend(zip(children(a), children(b)))
+        todo.extend(zip(a.args, b.args))
 
 
 @given(seed=st.integers(0, 10**9))
@@ -133,11 +134,12 @@ def variable(t, new):
 
 
 def on_forks(build):
-    def rebuild(t, new):
-        if t.name == "fork":
-            return build(t, new)
-        return FunApp(t.name, tuple(new), t.tag)
-    return rebuild
+    """A stand-in for the FunApp constructor the evaluator builds nodes
+    with: a fork node t over the children `new` is built by `build`."""
+    def fun_app(name, new, tag=None):
+        t = FunApp(name, new, tag)
+        return build(t, new) if name == "fork" else t
+    return fun_app
 
 
 BAD_REBUILDS = [
@@ -153,7 +155,7 @@ BAD_REBUILDS = [
                          ids=[b.__name__ for b, _ in BAD_REBUILDS])
 def test_ill_sorted_built_node_is_internal_type_violation(
         monkeypatch, capsys, problems_core, build, message):
-    monkeypatch.setattr(evaluate, "rebuild", on_forks(build))
+    monkeypatch.setattr(evaluate, "FunApp", on_forks(build))
     _, got = run_main(problems_core, call("ProblemI"),
                       "fork(leaf(zero),leaf(zero))")
     assert got == sc.EngineFailure("InternalTypeViolation",

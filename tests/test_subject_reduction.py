@@ -11,7 +11,7 @@ import pytest
 import stratcalc as sc
 from stratcalc import cli, evaluate, terms
 from stratcalc import syntax as S
-from stratcalc.terms import FunApp, children
+from stratcalc.terms import FunApp, fun_sort
 
 from conftest import load_program, program_path
 from randgen import NAT, TREE
@@ -53,15 +53,18 @@ def tree(leaves):
 
 @pytest.fixture
 def visited(monkeypatch):
-    """The nodes the reduct check visits, in order; the evaluator's own
-    `children` is bound in `evaluate` and not counted."""
+    """The nodes the reduct check visits, in order, as (name, args): it
+    types each with one `fun_sort` call without `tag`. The checker's
+    `tag_term` passes a `tag`, and the one-pass reader's `fun_sort` is
+    bound in `parser`, so neither is counted."""
     seen = []
 
-    def counting(t):
-        seen.append(t)
-        return children(t)
+    def counting(functions, name, args, tag=None):
+        if tag is None:
+            seen.append((name, args))
+        return fun_sort(functions, name, args, tag)
 
-    monkeypatch.setattr(terms, "children", counting)
+    monkeypatch.setattr(terms, "fun_sort", counting)
     return seen
 
 
@@ -70,7 +73,7 @@ def test_reduct_check_reads_only_the_reduct(visited, problems_core):
     # one node to check, whatever the size of the input.
     got = run_main(problems_core, call("ProblemIII"), tree(2 ** 8))
     assert got == sc.Ok(FunApp("true", ()))
-    assert len(visited) == 1 and visited[0] is got.term
+    assert visited == [(got.term.name, got.term.args)]
 
 
 def test_shared_reduct_node_is_checked_once(visited, problems_core):
@@ -84,7 +87,7 @@ def test_shared_reduct_node_is_checked_once(visited, problems_core):
     # fork, two leaves and two succ(succ(zero)) built, and the shared
     # succ(zero) and zero of the input.
     assert len(visited) == 7
-    assert len({id(u) for u in visited}) == 7
+    assert len({(name, id(args)) for name, args in visited}) == 7
 
 
 def test_ill_tagged_input_node_in_a_changed_reduct(problems_core):
@@ -101,7 +104,7 @@ def test_ill_tagged_input_node_in_a_changed_reduct(problems_core):
 
 def first_child(sc_, s):
     # A broken select: the first child itself, whatever s does.
-    return lambda t, env: children(t)[0] if children(t) else None
+    return lambda t, env: t.args[0] if t.args else None
 
 
 def test_reduct_root_of_the_wrong_type(monkeypatch, capsys, tmp_path,

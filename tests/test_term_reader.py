@@ -11,7 +11,7 @@ from stratcalc import cli, parser
 from stratcalc.errors import ParseError, StratError
 from stratcalc.parser import Parser, parse_term
 from stratcalc.printer import render_term
-from stratcalc.terms import Context, PairType, children, tag_ground_term
+from stratcalc.terms import Context, PairType, tag_ground_term
 
 from conftest import NAT_TREE_HEADER, load_program, program_path
 from randgen import NAT, TREE, UNIT, Gen, edited
@@ -46,8 +46,8 @@ def assert_same_nodes(t, u):
         assert type(a) is type(b)
         assert getattr(a, "name", None) == getattr(b, "name", None)
         assert type(a.tag) is type(b.tag) and a.tag == b.tag
-        assert len(children(a)) == len(children(b))
-        todo.extend(zip(children(a), children(b)))
+        assert len(a.args) == len(b.args)
+        todo.extend(zip(a.args, b.args))
 
 
 def assert_same_outcome(text, ctx):

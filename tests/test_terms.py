@@ -7,15 +7,13 @@ import stratcalc as sc
 from stratcalc.terms import (
     Context,
     FunApp,
-    Pair,
     PairType,
     Sort,
     UNIT,
-    UnitTuple,
     Var,
 )
 
-from conftest import raises_static
+from conftest import pair, raises_static, unit
 from randgen import Gen, NAT, TREE
 
 
@@ -26,11 +24,11 @@ def test_type_of_fork_of_leaves(nat_tree_ctx):
 
 
 def test_type_of_empty_tuple(nat_tree_ctx):
-    assert sc.type_of_term(nat_tree_ctx, UnitTuple()) == UNIT
+    assert sc.type_of_term(nat_tree_ctx, unit()) == UNIT
 
 
 def test_type_of_pair(nat_tree_ctx):
-    t = Pair(FunApp("zero", ()), FunApp("leaf", (FunApp("zero", ()),)))
+    t = pair(FunApp("zero", ()), FunApp("leaf", (FunApp("zero", ()),)))
     assert sc.type_of_term(nat_tree_ctx, t) == PairType(NAT, TREE)
 
 
@@ -125,6 +123,21 @@ def test_check_context_undeclared_sort_in_decl():
     diags = sc.check_context(ctx)
     assert {d.render() for d in diags} == {
         "ERROR ctx at 1:1: fun succ mentions undeclared sort Nat"}
+
+
+def test_check_context_reports_each_undeclared_sort_once():
+    # One diagnostic per undeclared sort of a declaration, in the order
+    # the sorts are first mentioned, however often it mentions each.
+    ctx = Context()
+    ctx.declare("fun", "succ", ((Sort("Nat"),), Sort("Nat")), (1, 1))
+    ctx.declare("fun", "f", ((Sort("B"), Sort("A"), Sort("B")), Sort("A")),
+                (2, 1))
+    ctx.declare("var", "P", PairType(Sort("Nat"), Sort("Nat")), (3, 1))
+    assert [d.render() for d in sc.check_context(ctx)] == [
+        "ERROR ctx at 1:1: fun succ mentions undeclared sort Nat",
+        "ERROR ctx at 2:1: fun f mentions undeclared sort B",
+        "ERROR ctx at 2:1: fun f mentions undeclared sort A",
+        "ERROR ctx at 3:1: var P mentions undeclared sort Nat"]
 
 
 # -- properties over random ground terms ------------------------------------
