@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Split the time of a benchmark pass between the phases of a request.
+
+This script calls `stratcalc.cli.main` in this process once for each
+request of one seeded pass of a benchmark workload, as bench/inputs.py
+builds it. It wraps the names that `stratcalc.cli` imports for each phase
+(`parse_program`, `check_and_elaborate`, `parse_term`, `run_program` and
+`render_term`) with timers, in this process only, and prints one line per
+phase and two more:
+
+    <phase> <ms> <share of request time, %>
+    other <ms> <share>
+    request <ms> 100.0
+
+where ms is the phase's total over the pass, `other` is what no wrapped
+phase took (argument parsing, reading files, the type of the reduct) and
+`request` is the wall time of all the `cli.main` calls.
+
+Usage: python3 scripts/phase_split.py [--workload W] [--seed N] [--limit N]
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(HERE, "..", "src"),
+                os.path.join(HERE, "..", "bench")]
+
+import inputs  # noqa: E402  (the benchmark's request builder)
+from stratcalc import cli  # noqa: E402
+
+PHASES = ("parse_program", "check_and_elaborate", "parse_term",
+          "run_program", "render_term")
+
+
+def timed(f, totals, name):
+    """f, adding the seconds each call takes to totals[name]."""
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            totals[name] += time.perf_counter() - start
+    return wrapper
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", default="traverse",
+                    choices=("traverse", "normalize", "oneshot"))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--limit", type=int,
+                    help="only the first N requests of the pass")
+    args = ap.parse_args()
+    totals = dict.fromkeys(PHASES + ("request",), 0.0)
+    for name in PHASES:
+        setattr(cli, name, timed(getattr(cli, name), totals, name))
+    with tempfile.TemporaryDirectory() as root:
+        requests, _ = inputs.build(args.workload, args.seed, root, 1)
+        for req in requests[:args.limit]:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                start = time.perf_counter()
+                cli.main(list(req.argv))
+                totals["request"] += time.perf_counter() - start
+    request = totals["request"]
+    totals["other"] = request - sum(totals[name] for name in PHASES)
+    for name in PHASES + ("other", "request"):
+        print("%s %.2f %.1f" % (name, totals[name] * 1000,
+                                100 * totals[name] / request))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,21 +1,31 @@
 """Evaluation of strategy applications, by compiling the core to closures.
 
 `run_program` compiles checked core to closures `f(t, env)` that return the
-reduct, or None for failure. Each combinator instance (a definition under
-closed type arguments) compiles on its first call in a run, closing its
-`extend`/`&` domains and its calls' type arguments. `env` binds the running
-definition's strategy parameters, by position, to (closure, env) pairs.
-With `EvalConfig.trace`, every node's closure also appends its trace line.
+reduct, or None for failure. `env` binds the running definition's strategy
+parameters, by position, to (closure, env) pairs.
+
+A call compiles in one of two ways. A call of a definition that takes
+strategy parameters and cannot reach itself in the call graph gets its own
+copy of the callee's body, compiled on its first run with the type
+arguments closed and each strategy parameter bound to the site's compiled
+actual, and that copy runs on the caller's env. Every other call, and every
+call inside such a copy, goes through the run's shared instances: one body
+per definition and closed type arguments, compiled on its first call and
+run on an env built from the actuals. So the code a run compiles is bounded
+by the program's size, never by the work done. Both ways cost one unit of
+fuel and emit one `comb` trace line. With `EvalConfig.trace`, every node's
+closure also appends its trace line.
 """
 
 import sys
 from itertools import repeat
+from operator import attrgetter
 
 from . import syntax as S
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
 from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, FunApp, Ok,
-                    PairType, Record, check_reduct, match, substitute,
+                    PairType, Record, Var, check_reduct, substitute,
                     tag_ground_term)
 from .prelude import load_prelude
 from .typecheck import (_substitute_type_vars, apply_type, check_and_elaborate,
@@ -51,15 +61,15 @@ class EvalState(Record):
         self.amp_dispatches = self.amp_branch_evals = 0
 
 
-class _Scope:
-    """Compiles the core of one instance, or of main: `types` binds its type
-    parameters, `params` maps its strategy parameters to env indices, and
-    `instances` holds the run's compiled bodies by (name, type arguments).
-    A call looks its instance up when first run, so recursion just works."""
+class _Run:
+    """What one run's scopes share: the core definitions, the state, the
+    trace flag, the compiled instances by (name, type arguments) and which
+    definitions are known to reach themselves."""
 
-    def __init__(self, defs, st, trace, instances, types, params):
+    def __init__(self, defs, st, trace):
         self.defs, self.st, self.trace = defs, st, trace
-        self.instances, self.types, self.params = instances, types, params
+        self.instances = {}
+        self.cyclic = {}  # name -> whether it can reach itself
 
     def instance(self, name, type_args):
         body = self.instances.get((name, type_args))
@@ -69,26 +79,94 @@ class _Scope:
                 raise UnboundCombinator(
                     "no definition for combinator %s" % name)
             body = self.instances[name, type_args] = _Scope(
-                self.defs, self.st, self.trace, self.instances,
-                dict(zip(d.ctype.type_params, type_args)),
+                self, dict(zip(d.ctype.type_params, type_args)),
                 {p: i for i, p in enumerate(d.params)}).compile(d.body)
         return body
 
-    def compile(self, s):
-        if isinstance(s, S.ParamRef):
-            i = self.params.get(s.name)
+    def reaches_itself(self, name):
+        """Whether a call of name can lead to another call of name, through
+        any body, actual or where-clause it runs; walks with a stack."""
+        cyclic = self.cyclic.get(name)
+        if cyclic is None:
+            cyclic, seen, todo = False, {name}, [name]
+            while todo and not cyclic:
+                d = self.defs.get(todo.pop())
+                callees = _EMPTY if d is None else _callees(d)
+                cyclic = name in callees
+                todo.extend(callees - seen)
+                seen |= callees
+            self.cyclic[name] = cyclic
+        return cyclic
 
-            def param(t, env):
-                if i is None:
+
+# The names each core definition's body calls, by the definition's id; the
+# entry holds the definition, so that its id is not reused while it lives.
+# The prelude's cores serve every program of a process, so each is walked
+# once. Emptied when full, so that programs that come and go stay bounded.
+_CALLEES, _CALLEES_MAX, _EMPTY = {}, 512, frozenset()
+
+
+def _callees(d):
+    hit = _CALLEES.get(id(d))
+    if hit is not None:
+        return hit[1]
+    if len(_CALLEES) >= _CALLEES_MAX:
+        _CALLEES.clear()
+    names, call, under, todo = set(), S.Call, _UNDER, [d.body]
+    while todo:
+        s = todo.pop()
+        if type(s) is call:
+            names.add(s.name)
+        todo.extend(under[type(s)](s))
+    names = frozenset(names)
+    _CALLEES[id(d)] = d, names
+    return names
+
+
+# Per core class, the strategies directly under a node of it.
+_UNDER = dict.fromkeys([S.Id, S.Fail, S.CongUnit, S.Void, S.ParamRef],
+                       lambda s: ())
+_UNDER.update(dict.fromkeys(
+    [S.Neg, S.All, S.One, S.Select, S.Extend, S.Restrict, S.Annot],
+    lambda s: (s.arg,)))
+_UNDER.update(dict.fromkeys(
+    [S.Seq, S.Choice, S.LChoice, S.CongPair, S.Spawn, S.AmpS],
+    attrgetter("left", "right")))
+_UNDER.update({S.CongFun: attrgetter("args"), S.Call: attrgetter("args"),
+               S.Reduce: attrgetter("splus", "child"),
+               S.Rule: lambda s: [w.strat for w in s.where]})
+
+
+class _Scope:
+    """Compiles the core of one instance, of main, or of an inlined call:
+    `types` binds its type parameters, and `params` binds each strategy
+    parameter to an index into the running env or, in an inlined copy, to
+    a closure compiled in the caller's scope. An inlined copy compiles its
+    own calls through the shared instances."""
+
+    def __init__(self, run, types, params, inlined=False):
+        self.run, self.types, self.params = run, types, params
+        self.inlined = inlined
+
+    def compile(self, s):
+        if type(s) is S.ParamRef:
+            b = self.params.get(s.name)
+            if b is None:
+                def unbound(t, env):
                     raise InternalTypeViolation(
                         "unbound strategy parameter %s" % s.name)
-                f, bound = env[i]
+                return unbound
+            if not isinstance(b, int):
+                return b  # a closure that runs on this env
+
+            def param(t, env):
+                f, bound = env[b]
                 return f(t, bound)
             return param
         tag, head, build = _NODES[type(s)]
         f = build(self, s)
-        if self.trace and type(s) is not S.Call:  # see _call
-            return _traced(self.st, f, "%s %s @ " % (tag, head or s.name))
+        if self.run.trace and type(s) is not S.Call:  # see _call
+            return _traced(self.run.st, f, "%s %s @ " % (tag, head or s.name))
         return f
 
     def domains(self, annot):
@@ -113,11 +191,14 @@ def _emit(st, prefix, t, r):
 
 
 def _rule(sc, s):
-    lhs, rhs = s.lhs, s.rhs
+    pattern, rhs, lhs = s.lhs, s.rhs, None
     steps = [(w.var, w.arg, sc.compile(w.strat)) for w in s.where]
 
     def rule(t, env):
-        theta = match(lhs, t)
+        nonlocal lhs
+        if lhs is None:  # compiled on the first attempt
+            lhs = _matcher(pattern)
+        theta = lhs(t)
         if theta is None:
             return None
         for var, arg, strat in steps:
@@ -127,6 +208,57 @@ def _rule(sc, s):
             theta[var] = r  # theta is this application's own match
         return substitute(theta, rhs)
     return rule
+
+
+def _matcher(pattern):
+    """`terms.match(pattern, ·)` as a closure: it takes a ground term and
+    returns a new substitution, or None. A pattern whose arguments are
+    distinct variables reads them off at once."""
+    if isinstance(pattern, Var):
+        name = pattern.name
+        return lambda t: {name: t}
+    name, n = pattern.name, len(pattern.args)
+    names = [a.name for a in pattern.args if isinstance(a, Var)]
+    if len(set(names)) == n:
+        return lambda t: (dict(zip(names, t.args)) if t.name == name
+                          and len(t.args) == n else None)
+    test = _match_into(pattern, set())
+
+    def match(t):
+        theta = {}
+        return theta if test(t, theta) else None
+    return match
+
+
+def _match_into(pattern, seen):
+    """A closure that matches a term against the function pattern into
+    theta and says whether it matched. `seen` holds the variables bound
+    before it, in `terms.match`'s left-to-right order; a repeated variable
+    must meet a term equal to its first (tags excluded). The variables
+    first bound here are bound before the other arguments are tested,
+    which no test there can tell apart."""
+    name, n = pattern.name, len(pattern.args)
+    fresh, tests = [], []
+    for i, a in enumerate(pattern.args):
+        if not isinstance(a, Var):
+            tests.append((i, _match_into(a, seen)))
+        elif a.name in seen:
+            tests.append((i, lambda t, theta, var=a.name: theta[var] == t))
+        else:
+            seen.add(a.name)
+            fresh.append((i, a.name))
+
+    def node(t, theta):
+        args = t.args
+        if t.name != name or len(args) != n:
+            return False
+        for i, var in fresh:
+            theta[var] = args[i]
+        for i, test in tests:
+            if not test(args[i], theta):
+                return False
+        return True
+    return node
 
 
 def _seq(sc, s):
@@ -232,7 +364,7 @@ def _extend(sc, s):
 
 
 def _amp(sc, s):
-    st, branches = sc.st, [(sc.domains(b), sc.compile(b))
+    st, branches = sc.run.st, [(sc.domains(b), sc.compile(b))
                            for b in (s.left, s.right)]
 
     def amp(t, env):
@@ -247,24 +379,26 @@ def _amp(sc, s):
 
 
 def _call(sc, s):
-    st, name, params = sc.st, s.name, sc.params
+    st, name, params = sc.run.st, s.name, sc.params
     key = tuple(_substitute_type_vars(sc.types, ta) for ta in s.type_args)
     # An actual that is the caller's own parameter passes on its binding,
     # so parameter chains never grow with recursion depth.
-    actuals = [params[a.name] if isinstance(a, S.ParamRef) and a.name in params
+    actuals = [params[a.name]
+               if type(a) is S.ParamRef and isinstance(params.get(a.name), int)
                else sc.compile(a) for a in s.args]
-    prefix, body = sc.trace and "comb %s @ " % name, None
+    prefix, body, pack = sc.run.trace and "comb %s @ " % name, None, None
 
     def call(t, env):
-        nonlocal body
+        nonlocal body, pack
         if body is None:
-            body = sc.instance(name, key)
+            body, pack = _expansion(sc, name, key, actuals)
         if st.fuel is not None:
             if st.fuel <= 0:
                 raise FuelExhausted("fuel exhausted expanding %s" % name)
             st.fuel -= 1
-        env = tuple([env[a] if isinstance(a, int) else (a, env)
-                     for a in actuals])
+        if pack is not None:
+            env = tuple([env[a] if isinstance(a, int) else (a, env)
+                         for a in pack])
         if not prefix:
             return body(t, env)
         # Traced in place, not wrapped: one frame per call in both modes.
@@ -274,6 +408,25 @@ def _call(sc, s):
         _emit(st, prefix, t, r)
         return r
     return call
+
+
+def _expansion(sc, name, key, actuals):
+    """(body, pack) for a call in scope sc, decided on its first run: the
+    body it runs, and the actuals to build its env from, or None to run it
+    on the caller's env."""
+    run = sc.run
+    d = run.defs.get(name)
+    # A callee without strategy parameters gains nothing from a copy: its
+    # shared instance already runs on the caller's env, compiled once.
+    if (d is not None and d.params and not sc.inlined
+            and not run.reaches_itself(name)):
+        # A copy of the body, each parameter bound to its actual.
+        return _Scope(run, dict(zip(d.ctype.type_params, key)),
+                      dict(zip(d.params, actuals)), True).compile(d.body), None
+    # A shared instance, on the caller's env if the actuals are its first
+    # entries in order, as in TD(v).
+    return run.instance(name, key), (
+        None if actuals == list(range(len(actuals))) else actuals)
 
 
 def _leaf(f):
@@ -376,7 +529,7 @@ def run_program(program, t, cfg=None, state=None):
     state.fuel, state.depth = cfg.fuel or None, 0
     try:
         try:
-            result = _Scope(program.definitions, state, cfg.trace, {}, {},
+            result = _Scope(_Run(program.definitions, state, cfg.trace), {},
                             {}).compile(program.main)(t, ())
         except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
             return EngineFailure(e.kind, e.detail)

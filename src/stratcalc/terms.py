@@ -362,29 +362,38 @@ def _sorts_in_term_type(tt):
 _TUPLES = {UNIT_NAME: ((), UNIT), PAIR_NAME: ((None, None), None)}
 
 
-def fun_sort(functions, name, args, tag=None):
+def fun_sort(functions, name, args):
     """The type of the node name(args): name must be a declared function
     of len(args) arguments, each tagged with its argument sort, and the
     node has its result sort; or () with no arguments, of type (); or (,)
     with two, of the pair of their types. Raises a StaticError (rule `con`
-    or `fun`) at the first that fails. With `tag`, args is a list of
-    untagged terms, and args[i] becomes tag(args[i]) just before its sort
-    is tested."""
+    or `fun`) at the first that fails."""
+    sig = functions.get(name)
+    if sig is None or len(sig[0]) != len(args):  # (,), (), or an error
+        sig = _signature(functions, name, len(args))
+    arg_sorts, result = sig
+    for i, want in enumerate(arg_sorts):
+        a = args[i]
+        if a.tag is not want and want is not None and a.tag != want:
+            raise _arg_mismatch(name, i, a, want)
+    return PairType(args[0].tag, args[1].tag) if result is None else result
+
+
+def _signature(functions, name, n):
+    """(argument sorts, result sort) of name, which must take n arguments;
+    for (,), each and the result are None."""
     sig = functions.get(name) or _TUPLES.get(name)
     if sig is None:
         raise StaticError("undeclared function %s" % name, rule="con")
-    arg_sorts, result = sig
-    if len(args) != len(arg_sorts):
+    if n != len(sig[0]):
         raise StaticError("%s expects %d arguments, got %d"
-                          % (name, len(arg_sorts), len(args)), rule="fun")
-    for i, want in enumerate(arg_sorts):
-        a = args[i]
-        if tag is not None:
-            a = args[i] = tag(a)
-        if a.tag is not want and want is not None and a.tag != want:
-            raise StaticError("argument %d of %s has type %r, expected %r"
-                              % (i + 1, name, a.tag, want), rule="fun")
-    return PairType(args[0].tag, args[1].tag) if result is None else result
+                          % (name, len(sig[0]), n), rule="fun")
+    return sig
+
+
+def _arg_mismatch(name, i, a, want):
+    return StaticError("argument %d of %s has type %r, expected %r"
+                       % (i + 1, name, a.tag, want), rule="fun")
 
 
 def type_of_term(ctx, t):
@@ -394,27 +403,55 @@ def type_of_term(ctx, t):
 
 def tag_term(ctx, t, bound=None):
     """Rebuild t with every node carrying its type, derived from its tagged
-    children, so each node is typed once; raises as type_of_term does.
-    A Var that names a constant becomes that constant, a FunApp with no
-    arguments. With `bound`, every variable must be in it (a rule term may
-    use only what the rule binds)."""
-    if isinstance(t, FunApp):
-        args = list(t.args)
-        result = fun_sort(ctx.functions, t.name, args,
-                          lambda a: tag_term(ctx, a, bound))
-        return FunApp(t.name, tuple(args), result)
-    if isinstance(t, Var):
-        sig = ctx.functions.get(t.name)
-        if sig is not None and not sig[0]:
-            return FunApp(t.name, (), sig[1])
-        if t.name not in ctx.term_vars:
-            raise StaticError("unknown symbol %s in term" % t.name,
-                              rule="name")
-        if bound is not None and t.name not in bound:
-            raise StaticError("variable %s is not bound by the rule" % t.name,
-                              rule="name")
-        return Var(t.name, ctx.term_vars[t.name])
-    raise TypeError("not a term: %r" % (t,))
+    children, so each node is typed once; raises as type_of_term does, at
+    the error `fun_sort` would meet first: a node's name and arity before
+    its arguments, and each argument's sort once it is tagged, left to
+    right. A Var that names a constant becomes that constant, a FunApp with
+    no arguments. With `bound`, every variable must be in it (a rule term
+    may use only what the rule binds). Walks with a stack, so it costs no
+    frame per level."""
+    functions = ctx.functions
+    # Per open node: the node, its signature and its arguments tagged so far.
+    stack = []
+    while True:
+        if isinstance(t, FunApp):
+            sig = _signature(functions, t.name, len(t.args))
+            if t.args:
+                stack.append((t, sig, []))
+                t = t.args[0]
+                continue
+            t = FunApp(t.name, (), sig[1])
+        elif isinstance(t, Var):
+            t = _tag_var(ctx, t, bound)
+        else:
+            raise TypeError("not a term: %r" % (t,))
+        while stack:  # t is tagged: check it against its parent's sort
+            node, (arg_sorts, result), args = stack[-1]
+            want = arg_sorts[len(args)]
+            if t.tag is not want and want is not None and t.tag != want:
+                raise _arg_mismatch(node.name, len(args), t, want)
+            args.append(t)
+            if len(args) < len(node.args):
+                t = node.args[len(args)]
+                break
+            stack.pop()
+            if result is None:  # a pair
+                result = PairType(args[0].tag, args[1].tag)
+            t = FunApp(node.name, tuple(args), result)
+        else:
+            return t
+
+
+def _tag_var(ctx, t, bound):
+    sig = ctx.functions.get(t.name)
+    if sig is not None and not sig[0]:
+        return FunApp(t.name, (), sig[1])
+    if t.name not in ctx.term_vars:
+        raise StaticError("unknown symbol %s in term" % t.name, rule="name")
+    if bound is not None and t.name not in bound:
+        raise StaticError("variable %s is not bound by the rule" % t.name,
+                          rule="name")
+    return Var(t.name, ctx.term_vars[t.name])
 
 
 def tag_ground_term(ctx, t):
@@ -452,11 +489,13 @@ def check_reduct(ctx, r):
 
 def term_vars(t, acc):
     """Add the names of t's variables to the set acc, and return it."""
-    if isinstance(t, Var):
-        acc.add(t.name)
-    elif isinstance(t, FunApp):
-        for a in t.args:
-            term_vars(a, acc)
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Var):
+            acc.add(u.name)
+        elif isinstance(u, FunApp):
+            todo.extend(u.args)
     return acc
 
 

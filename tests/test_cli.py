@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import subprocess
 import sys
 
 import pytest
@@ -384,6 +385,22 @@ def test_run_300_deep_term(capcli, write, main, depth):
     code, out, err = capcli("run", f, "--term", nat_text(300))
     assert (code, err) == (0, "")
     assert out == nat_text(depth) + "\n"
+
+
+def test_980_deep_ill_typed_term_gets_its_diagnostic():
+    # The one-pass reader stops at the unknown name; the term is then read
+    # again and tagged with a stack, so the diagnostic shows at any depth
+    # the parser reads. A fresh process, so that no test runner's frames
+    # sit below the command's.
+    term = "(" * 980 + "nowhere,zero)" + ",zero)" * 979
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "stratcalc.cli", "run",
+         program_path("problems.strat"), "--term", term],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "ERROR name: unknown symbol nowhere in term\n"
 
 
 def test_elaborate_prints_a_300_deep_congruence(capcli, write):

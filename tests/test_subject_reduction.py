@@ -54,15 +54,14 @@ def tree(leaves):
 @pytest.fixture
 def visited(monkeypatch):
     """The nodes the reduct check visits, in order, as (name, args): it
-    types each with one `fun_sort` call without `tag`. The checker's
-    `tag_term` passes a `tag`, and the one-pass reader's `fun_sort` is
-    bound in `parser`, so neither is counted."""
+    types each with one `fun_sort` call. The checker's `tag_term` does not
+    call it, and the one-pass reader's `fun_sort` is bound in `parser`, so
+    neither is counted."""
     seen = []
 
-    def counting(functions, name, args, tag=None):
-        if tag is None:
-            seen.append((name, args))
-        return fun_sort(functions, name, args, tag)
+    def counting(functions, name, args):
+        seen.append((name, args))
+        return fun_sort(functions, name, args)
 
     monkeypatch.setattr(terms, "fun_sort", counting)
     return seen
