@@ -19,7 +19,6 @@ closure also appends its trace line.
 
 import sys
 from itertools import repeat
-from operator import attrgetter
 
 from . import syntax as S
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
@@ -63,13 +62,14 @@ class EvalState(Record):
 
 class _Run:
     """What one run's scopes share: the core definitions, the state, the
-    trace flag, the compiled instances by (name, type arguments) and which
-    definitions are known to reach themselves."""
+    trace flag, the compiled instances by (name, type arguments), and the
+    call graph as far as it has been walked."""
 
     def __init__(self, defs, st, trace):
         self.defs, self.st, self.trace = defs, st, trace
         self.instances = {}
         self.cyclic = {}  # name -> whether it can reach itself
+        self.called = {}  # name -> the names its body calls
 
     def instance(self, name, type_args):
         body = self.instances.get((name, type_args))
@@ -90,51 +90,30 @@ class _Run:
         if cyclic is None:
             cyclic, seen, todo = False, {name}, [name]
             while todo and not cyclic:
-                d = self.defs.get(todo.pop())
-                callees = _EMPTY if d is None else _callees(d)
+                callees = self.callees(todo.pop())
                 cyclic = name in callees
                 todo.extend(callees - seen)
                 seen |= callees
             self.cyclic[name] = cyclic
         return cyclic
 
-
-# The names each core definition's body calls, by the definition's id; the
-# entry holds the definition, so that its id is not reused while it lives.
-# The prelude's cores serve every program of a process, so each is walked
-# once. Emptied when full, so that programs that come and go stay bounded.
-_CALLEES, _CALLEES_MAX, _EMPTY = {}, 512, frozenset()
-
-
-def _callees(d):
-    hit = _CALLEES.get(id(d))
-    if hit is not None:
-        return hit[1]
-    if len(_CALLEES) >= _CALLEES_MAX:
-        _CALLEES.clear()
-    names, call, under, todo = set(), S.Call, _UNDER, [d.body]
-    while todo:
-        s = todo.pop()
-        if type(s) is call:
-            names.add(s.name)
-        todo.extend(under[type(s)](s))
-    names = frozenset(names)
-    _CALLEES[id(d)] = d, names
-    return names
-
-
-# Per core class, the strategies directly under a node of it.
-_UNDER = dict.fromkeys([S.Id, S.Fail, S.CongUnit, S.Void, S.ParamRef],
-                       lambda s: ())
-_UNDER.update(dict.fromkeys(
-    [S.Neg, S.All, S.One, S.Select, S.Extend, S.Restrict, S.Annot],
-    lambda s: (s.arg,)))
-_UNDER.update(dict.fromkeys(
-    [S.Seq, S.Choice, S.LChoice, S.CongPair, S.Spawn, S.AmpS],
-    attrgetter("left", "right")))
-_UNDER.update({S.CongFun: attrgetter("args"), S.Call: attrgetter("args"),
-               S.Reduce: attrgetter("splus", "child"),
-               S.Rule: lambda s: [w.strat for w in s.where]})
+    def callees(self, name):
+        """The names the body of definition name calls; walks its fields
+        with a stack."""
+        names = self.called.get(name)
+        if names is None:
+            d, names = self.defs.get(name), set()
+            todo = [] if d is None else [d.body]
+            while todo:
+                x = todo.pop()
+                if type(x) is tuple:
+                    todo.extend(x)
+                elif isinstance(x, (S.StrategyExpr, S.Where)):
+                    if type(x) is S.Call:
+                        names.add(x.name)
+                    todo.extend([getattr(x, f) for f in x._fields])
+            self.called[name] = names
+        return names
 
 
 class _Scope:

@@ -166,6 +166,26 @@ def test_mutual_recursion_stays_shared(shared, name, term, trace):
     assert name in shared
 
 
+def test_call_graph_counts_where_clauses_and_actuals(shared):
+    # W calls itself only in a where-clause, A only in an actual of Try;
+    # N calls Try and nothing calls N back.
+    program = sc.parse_program(
+        "sort B; con t : B; con f : B; var X : B;\n"
+        "def W(v) : TP -> TP =\n"
+        "  extend(t -> X where X := W(v) @ f, TP) <+ v;\n"
+        "def A(v) : TP -> TP = extend(t -> f, TP) <+ Try(one(A(v)));\n"
+        "def N(v) : TP -> TP = Try(v);\n"
+        "main = W(id) ; A(N(id));", prelude=sc.load_prelude())
+    diags, _, core = sc.check_and_elaborate(program)
+    assert diags == []
+    run = evaluate._Run(core.definitions, EvalState(), False)
+    assert run.reaches_itself("W") and run.reaches_itself("A")
+    assert not run.reaches_itself("N") and not run.reaches_itself("Try")
+    for term in ["t", "f"]:
+        same_as_reference(core, sc.parse_term(term, core.context))
+    assert "W" in shared and "A" in shared and "N" not in shared
+
+
 def doubling_chain(n):
     """D0 ... D(n-1), each Dk running D(k-1) twice, and main = D(n-1) of a
     toggle, over a signature of its own and no prelude."""
