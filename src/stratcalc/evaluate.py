@@ -4,17 +4,18 @@
 reduct, or None for failure. `env` binds the running definition's strategy
 parameters, by position, to (closure, env) pairs.
 
-A call compiles in one of two ways. A call of a definition that takes
-strategy parameters and cannot reach itself in the call graph gets its own
-copy of the callee's body, compiled on its first run with the type
-arguments closed and each strategy parameter bound to the site's compiled
-actual, and that copy runs on the caller's env. Every other call, and every
-call inside such a copy, goes through the run's shared instances: one body
-per definition and closed type arguments, compiled on its first call and
-run on an env built from the actuals. So the code a run compiles is bounded
-by the program's size, never by the work done. Both ways cost one unit of
-fuel and emit one `comb` trace line. With `EvalConfig.trace`, every node's
-closure also appends its trace line.
+A call compiles in one of two ways. A call that sits in main or in a
+shared instance, and whose callee takes strategy parameters and is not
+that instance's own definition, gets its own copy of the callee's body,
+compiled on its first run with the type arguments closed and each strategy
+parameter bound to the site's compiled actual; that copy runs on the
+caller's env. Every other call, a self-call and every call inside a copy
+among them, goes through the run's shared instances: one body per
+definition and closed type arguments, compiled on its first call and run
+on an env built from the actuals. So a copy never makes a copy, and the
+code a run compiles is bounded by the program's size, never by the work
+done. Both ways cost one unit of fuel and emit one `comb` trace line. With
+`EvalConfig.trace`, every node's closure also appends its trace line.
 """
 
 import sys
@@ -62,14 +63,11 @@ class EvalState(Record):
 
 class _Run:
     """What one run's scopes share: the core definitions, the state, the
-    trace flag, the compiled instances by (name, type arguments), and the
-    call graph as far as it has been walked."""
+    trace flag and the compiled instances by (name, type arguments)."""
 
     def __init__(self, defs, st, trace):
         self.defs, self.st, self.trace = defs, st, trace
         self.instances = {}
-        self.cyclic = {}  # name -> whether it can reach itself
-        self.called = {}  # name -> the names its body calls
 
     def instance(self, name, type_args):
         body = self.instances.get((name, type_args))
@@ -79,53 +77,22 @@ class _Run:
                 raise UnboundCombinator(
                     "no definition for combinator %s" % name)
             body = self.instances[name, type_args] = _Scope(
-                self, dict(zip(d.ctype.type_params, type_args)),
+                self, name, dict(zip(d.ctype.type_params, type_args)),
                 {p: i for i, p in enumerate(d.params)}).compile(d.body)
         return body
 
-    def reaches_itself(self, name):
-        """Whether a call of name can lead to another call of name, through
-        any body, actual or where-clause it runs; walks with a stack."""
-        cyclic = self.cyclic.get(name)
-        if cyclic is None:
-            cyclic, seen, todo = False, {name}, [name]
-            while todo and not cyclic:
-                callees = self.callees(todo.pop())
-                cyclic = name in callees
-                todo.extend(callees - seen)
-                seen |= callees
-            self.cyclic[name] = cyclic
-        return cyclic
-
-    def callees(self, name):
-        """The names the body of definition name calls; walks its fields
-        with a stack."""
-        names = self.called.get(name)
-        if names is None:
-            d, names = self.defs.get(name), set()
-            todo = [] if d is None else [d.body]
-            while todo:
-                x = todo.pop()
-                if type(x) is tuple:
-                    todo.extend(x)
-                elif isinstance(x, (S.StrategyExpr, S.Where)):
-                    if type(x) is S.Call:
-                        names.add(x.name)
-                    todo.extend([getattr(x, f) for f in x._fields])
-            self.called[name] = names
-        return names
-
 
 class _Scope:
-    """Compiles the core of one instance, of main, or of an inlined call:
-    `types` binds its type parameters, and `params` binds each strategy
-    parameter to an index into the running env or, in an inlined copy, to
-    a closure compiled in the caller's scope. An inlined copy compiles its
-    own calls through the shared instances."""
+    """Compiles the core of one instance, of main, or of an inlined call.
+    `owner` is the name of the definition whose shared instance it
+    compiles, "" for main, and None for an inlined copy. `types` binds its
+    type parameters, and `params` binds each strategy parameter to an index
+    into the running env or, in an inlined copy, to a closure compiled in
+    the caller's scope."""
 
-    def __init__(self, run, types, params, inlined=False):
-        self.run, self.types, self.params = run, types, params
-        self.inlined = inlined
+    def __init__(self, run, owner, types, params):
+        self.run, self.owner = run, owner
+        self.types, self.params = types, params
 
     def compile(self, s):
         if type(s) is S.ParamRef:
@@ -170,13 +137,10 @@ def _emit(st, prefix, t, r):
 
 
 def _rule(sc, s):
-    pattern, rhs, lhs = s.lhs, s.rhs, None
+    lhs, rhs = _matcher(s.lhs), s.rhs
     steps = [(w.var, w.arg, sc.compile(w.strat)) for w in s.where]
 
     def rule(t, env):
-        nonlocal lhs
-        if lhs is None:  # compiled on the first attempt
-            lhs = _matcher(pattern)
         theta = lhs(t)
         if theta is None:
             return None
@@ -395,13 +359,15 @@ def _expansion(sc, name, key, actuals):
     on the caller's env."""
     run = sc.run
     d = run.defs.get(name)
-    # A callee without strategy parameters gains nothing from a copy: its
-    # shared instance already runs on the caller's env, compiled once.
-    if (d is not None and d.params and not sc.inlined
-            and not run.reaches_itself(name)):
-        # A copy of the body, each parameter bound to its actual.
-        return _Scope(run, dict(zip(d.ctype.type_params, key)),
-                      dict(zip(d.params, actuals)), True).compile(d.body), None
+    # A copy of the body, each parameter bound to its actual. A callee
+    # without strategy parameters gains nothing from one: its shared
+    # instance already runs on the caller's env. A copy's own calls go to
+    # the shared instances, so no copy makes a copy; and a self-call keeps
+    # its instance, so a recursion like TD(v) keeps the caller's env.
+    if (d is not None and d.params and sc.owner is not None
+            and name != sc.owner):
+        return _Scope(run, None, dict(zip(d.ctype.type_params, key)),
+                      dict(zip(d.params, actuals))).compile(d.body), None
     # A shared instance, on the caller's env if the actuals are its first
     # entries in order, as in TD(v).
     return run.instance(name, key), (
@@ -508,8 +474,8 @@ def run_program(program, t, cfg=None, state=None):
     state.fuel, state.depth = cfg.fuel or None, 0
     try:
         try:
-            result = _Scope(_Run(program.definitions, state, cfg.trace), {},
-                            {}).compile(program.main)(t, ())
+            result = _Scope(_Run(program.definitions, state, cfg.trace), "",
+                            {}, {}).compile(program.main)(t, ())
         except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
             return EngineFailure(e.kind, e.detail)
         if result is None:

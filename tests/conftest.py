@@ -34,6 +34,19 @@ def load_program(name):
         return sc.parse_program(f.read(), prelude=sc.load_prelude())
 
 
+def core_with_main(name, main, defs=""):
+    """The core of a bundled program with `defs` added and `main` in place
+    of its own."""
+    with open(program_path(name)) as f:
+        text = f.read()
+    head = text[:text.index("\nmain = ")]
+    program = sc.parse_program("%s\n%s\nmain = %s;\n" % (head, defs, main),
+                               prelude=sc.load_prelude())
+    diags, _, core = sc.check_and_elaborate(program)
+    assert diags == [], [d.render() for d in diags]
+    return core
+
+
 NAT_TREE_HEADER = """
 sort Nat;
 sort Tree;

@@ -19,7 +19,7 @@ from stratcalc.terms import (
     Var,
 )
 
-from conftest import assert_tuples_typed, num, pair, unit
+from conftest import assert_tuples_typed, core_with_main, num, pair, unit
 from randgen import NAT, NN, TREE, TT
 
 INC = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
@@ -476,6 +476,35 @@ def _tagged_tree(depth):
     for _ in range(depth):
         t = FunApp("fork", (t, t), TREE)
     return t
+
+
+# count(2L) - 2 count(L) in trace lines: the same at every doubling of a
+# tree's L leaves exactly when the count is a constant per leaf plus a
+# constant per run. A miss searches the whole tree; the folds take
+# constant time. Innermost and Repeat with hits are not linear today.
+@pytest.mark.parametrize("main,lines", [
+    ("TD(id)", 4), ("BU(id)", 4), ("StopTD(extend(Inc, TP))", 4),
+    ("Try(OnceTD(extend(g(P) -> gp(P), TP)))", 1),
+    ("Try(OnceBU(extend(g(P) -> gp(P), TP)))", 1),
+    ("Innermost(extend(g(P) -> gp(P), TP))", -2),
+    ("Many(id)", -8), ("CF[()](void, () -> (), ((),()) -> ())", -14),
+    ("Crush[()](void, () -> (), ((),()) -> ())", 17),
+    ("StopCrush[()](extend(leaf(id), TP) ; void, () -> (), ((),()) -> ())",
+     18),
+    ("Any[()](extend(g(id), TP) ; void)", 5),
+    ("Tm[()](extend(g(id), TP) ; void)", 5),
+    ("Bm[()](extend(g(id), TP) ; void)", 5),
+])
+def test_prelude_schemes_run_in_linear_time(main, lines):
+    core, counts = core_with_main("problems.strat", main), []
+    for depth in range(8, 12):
+        state = EvalState()
+        sc.run_program(core, _tagged_tree(depth),
+                       sc.EvalConfig(fuel=10 ** 9, trace=True), state)
+        counts.append((len(state.trace_lines), 10 ** 9 - state.fuel))
+    steps = {(l2 - 2 * l1, f2 - 2 * f1)
+             for (l1, f1), (l2, f2) in zip(counts, counts[1:])}
+    assert len(steps) == 1 and steps.pop()[0] == lines, counts
 
 
 @pytest.mark.parametrize("name,term", [

@@ -1,12 +1,14 @@
 """Inlined calls against the reference semantics in `reference_eval`.
 
-A call of a definition that cannot reach itself runs a copy of the
-callee's body compiled at the call site; every other call runs a shared
-instance. Each case here runs the engine and the reference on the same
-core and term, and compares what a caller can see: the outcome's `repr`
-(tags included), the fuel left, every trace line and both `&` counters.
-Each also checks which calls went through a shared instance, so that a
-case meant to inline does inline.
+A call in main or in a shared instance runs a copy of the callee's body,
+compiled at the call site, when the callee takes strategy parameters and
+is not that instance's own definition. A self-call, a call of a
+definition without strategy parameters and every call inside a copy run
+a shared instance. Each case here runs the engine and the reference on
+the same core and term, and compares what a caller can see: the
+outcome's `repr` (tags included), the fuel left, every trace line and
+both `&` counters. Each also checks which calls went through a shared
+instance, so that a case meant to inline does inline.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from stratcalc import syntax as S
 from stratcalc.evaluate import EvalState, _matcher
 from stratcalc.terms import FunApp, Var, match
 
-from conftest import load_program, program_path
+from conftest import core_with_main, load_program
 from reference_eval import run_reference
 
 
@@ -51,19 +53,6 @@ def same_as_reference(core, t, fuel=100000, trace=False):
     return got, state
 
 
-def core_with_main(name, main, defs=""):
-    """The core of a bundled program with `defs` added and `main` in place
-    of its own."""
-    with open(program_path(name)) as f:
-        text = f.read()
-    head = text[:text.index("\nmain = ")]
-    program = sc.parse_program("%s\n%s\nmain = %s;\n" % (head, defs, main),
-                               prelude=sc.load_prelude())
-    diags, _, core = sc.check_and_elaborate(program)
-    assert diags == [], [d.render() for d in diags]
-    return core
-
-
 TREE3 = ("fork(fork(fork(leaf(zero),leaf(succ(zero))),"
          "fork(leaf(succ(succ(zero))),leaf(zero))),"
          "fork(fork(leaf(succ(zero)),leaf(zero)),"
@@ -76,11 +65,10 @@ def test_every_fuel_value_of_a_problem_v_run(shared):
     got, state = same_as_reference(core, t)
     assert got == sc.Ok(sc.FunApp("zero", ()))
     used = 100000 - state.fuel
-    # The CF of each Crush step is inlined. Crush, which recurses,
-    # ProblemV, which takes no strategy parameters, and the calls inside
-    # inlined bodies are shared.
-    assert "CF" not in shared
-    assert "Crush" in shared and "ProblemV" in shared
+    # ProblemV takes no strategy parameters, so its call is shared; its
+    # Crush and Chi get copies, whose calls go to the shared instances.
+    # Crush's instance calls itself through that instance and copies CF.
+    assert shared == ["ProblemV", "Zero", "CF", "Con", "Fun", "Crush", "Add"]
     for trace in (False, True):
         for fuel in range(1, used + 1):
             got, state = same_as_reference(core, t, fuel, trace)
@@ -144,14 +132,15 @@ def test_chi_at_two_types_in_one_run(shared, term, trace):
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("fuel", [7, 100000])
 def test_many_passed_a_traversal_parameter(shared, fuel, trace):
-    # Many's copy in TDMany binds its v to TDMany's own v; TDMany calls
-    # itself with its own parameter, so that call keeps its env.
+    # Main's copy of TDMany calls the shared Many and TDMany. In TDMany's
+    # instance, Many's copy binds its v to TDMany's own v, and the
+    # self-call with its own parameter keeps its env.
     defs = "def TDMany(v) : TP -> TP = Many(v) ; all(TDMany(v));\n"
     core = core_with_main("problems.strat",
                           "TDMany(extend(leaf(N) -> leaf(succ(N)), TP))", defs)
     t = sc.parse_term(TREE3, core.context)
     same_as_reference(core, t, fuel, trace)
-    assert "TDMany" in shared and "Many" not in shared
+    assert shared == ["Many", "TDMany", "Try"]
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -166,11 +155,47 @@ def test_mutual_recursion_stays_shared(shared, name, term, trace):
     assert name in shared
 
 
-def test_call_graph_counts_where_clauses_and_actuals(shared):
+# P and Q call each other, as do R and S, each passing its parameter on.
+MUTUAL = (
+    "sort Nat; con zero : Nat; fun succ : Nat -> Nat;\n"
+    "fun pair : Nat * Nat -> Nat;\n"
+    "def P(v) : TP -> TP = v <+ one(Q(v));\n"
+    "def Q(v) : TP -> TP = Try(v) ; all(P(v));\n"
+    "def R[a](v) : TU(a) -> TU(a) = v <+ select(S[a](v));\n"
+    "def S[a](v) : TU(a) -> TU(a) = v +> select(R[a](v));\n"
+    "main = P(extend(succ(zero) -> zero, TP)) ; Q(id) ;"
+    " spawn(R[Nat](extend(succ(zero) -> zero, TU(Nat))), void);")
+
+
+def test_every_fuel_value_of_mutual_recursion_through_parameters(shared):
+    diags, _, core = sc.check_and_elaborate(
+        sc.parse_program(MUTUAL, prelude=sc.load_prelude()))
+    assert diags == []
+    t = sc.parse_term("pair(succ(succ(succ(zero))),pair(zero,succ(zero)))",
+                      core.context)
+    got, state = same_as_reference(core, t)
+    assert isinstance(got, sc.Ok)
+    used = 100000 - state.fuel
+    assert used == 13
+    # Main's copies of P, Q and R call the shared Q, then Try and P, then
+    # S. Q's instance copies P, whose Q goes back to that instance; P's
+    # instance copies Q, and S's copies R.
+    assert shared == ["Q", "Try", "P", "S"]
+    for trace in (False, True):
+        for fuel in range(1, used + 1):
+            got, state = same_as_reference(core, t, fuel, trace)
+            if fuel < used:
+                assert got.kind == "FuelExhausted", fuel
+            else:
+                assert isinstance(got, sc.Ok) and state.fuel == 0
+
+
+def test_calls_in_where_clauses_and_actuals_compile_in_their_scope(shared):
     # W calls itself only in a where-clause, A only in an actual of Try;
-    # N calls Try and nothing calls N back.
+    # both self-calls sit in main's copies, so they run the shared W and
+    # A, which h(t) reaches. N, an actual in main, gets a copy.
     program = sc.parse_program(
-        "sort B; con t : B; con f : B; var X : B;\n"
+        "sort B; con t : B; con f : B; fun h : B -> B; var X : B;\n"
         "def W(v) : TP -> TP =\n"
         "  extend(t -> X where X := W(v) @ f, TP) <+ v;\n"
         "def A(v) : TP -> TP = extend(t -> f, TP) <+ Try(one(A(v)));\n"
@@ -178,21 +203,26 @@ def test_call_graph_counts_where_clauses_and_actuals(shared):
         "main = W(id) ; A(N(id));", prelude=sc.load_prelude())
     diags, _, core = sc.check_and_elaborate(program)
     assert diags == []
-    run = evaluate._Run(core.definitions, EvalState(), False)
-    assert run.reaches_itself("W") and run.reaches_itself("A")
-    assert not run.reaches_itself("N") and not run.reaches_itself("Try")
-    for term in ["t", "f"]:
+    for term in ["t", "f", "h(t)"]:
         same_as_reference(core, sc.parse_term(term, core.context))
     assert "W" in shared and "A" in shared and "N" not in shared
+    # W(fail) on t fails in its where-clause.
+    got, _ = same_as_reference(core.replace(main=S.Call("W", (), (S.Fail(),))),
+                               sc.parse_term("t", core.context))
+    assert got == sc.FAILURE
 
 
-def doubling_chain(n):
+def doubling_chain(n, recursive):
     """D0 ... D(n-1), each Dk running D(k-1) twice, and main = D(n-1) of a
-    toggle, over a signature of its own and no prelude."""
+    toggle, over a signature of its own and no prelude. If recursive,
+    each Dk also calls itself on a branch that is never taken."""
     lines = ["sort B; con t : B; con f : B;",
              "def D0(v) : TP -> TP = v;"]
-    lines += ["def D%d(v) : TP -> TP = D%d(v ; id) ; D%d(v ; id);"
-              % (k, k - 1, k - 1) for k in range(1, n)]
+    for k in range(1, n):
+        body = "D%d(v ; id) ; D%d(v ; id)" % (k - 1, k - 1)
+        if recursive:
+            body = "(%s) <+ (fail ; D%d(v))" % (body, k)
+        lines.append("def D%d(v) : TP -> TP = %s;" % (k, body))
     lines.append("main = D%d(extend((t -> f) + (f -> t), TP));" % (n - 1))
     diags, _, core = sc.check_and_elaborate(
         sc.parse_program("\n".join(lines)))
@@ -200,7 +230,9 @@ def doubling_chain(n):
     return core
 
 
-def test_compiled_code_grows_with_the_program_not_the_work(monkeypatch):
+@pytest.mark.parametrize("recursive", [False, True])
+def test_compiled_code_grows_with_the_program_not_the_work(monkeypatch,
+                                                           recursive):
     compile_, compiled = evaluate._Scope.compile, []
 
     def counting(scope, s):
@@ -209,7 +241,7 @@ def test_compiled_code_grows_with_the_program_not_the_work(monkeypatch):
 
     sizes = {}
     for n in (8, 12, 16):
-        core = doubling_chain(n)
+        core = doubling_chain(n, recursive)
         t = sc.parse_term("t", core.context)
         compiled.clear()
         with monkeypatch.context() as m:
