@@ -14,9 +14,13 @@ phase and two more:
 
 where ms is the phase's total over the pass, `other` is what no wrapped
 phase took (argument parsing, reading files, the type of the reduct) and
-`request` is the wall time of all the `cli.main` calls.
+`request` is the wall time of all the `cli.main` calls. With
+`--repeat N` the pass runs N times and the rows are those of the pass
+whose `request` time is the median (the lower middle one for even N), so
+they still sum to its `request`.
 
 Usage: python3 scripts/phase_split.py [--workload W] [--seed N] [--limit N]
+                                      [--repeat N]
 """
 
 import argparse
@@ -56,19 +60,30 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--limit", type=int,
                     help="only the first N requests of the pass")
+    ap.add_argument("--repeat", type=int, default=1,
+                    help="run the pass N times and report the median one")
     args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("argument --repeat: expected N >= 1, got %d" % args.repeat)
     totals = dict.fromkeys(PHASES + ("request",), 0.0)
     for name in PHASES:
         setattr(cli, name, timed(getattr(cli, name), totals, name))
+    passes = []
     with tempfile.TemporaryDirectory() as root:
         requests, _ = inputs.build(args.workload, args.seed, root, 1)
-        for req in requests[:args.limit]:
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink):
-                start = time.perf_counter()
-                cli.main(list(req.argv))
-                totals["request"] += time.perf_counter() - start
+        for _ in range(args.repeat):
+            for name in totals:
+                totals[name] = 0.0
+            for req in requests[:args.limit]:
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), \
+                        contextlib.redirect_stderr(sink):
+                    start = time.perf_counter()
+                    cli.main(list(req.argv))
+                    totals["request"] += time.perf_counter() - start
+            passes.append(dict(totals))
+    passes.sort(key=lambda p: p["request"])
+    totals = passes[(len(passes) - 1) // 2]
     request = totals["request"]
     totals["other"] = request - sum(totals[name] for name in PHASES)
     for name in PHASES + ("other", "request"):

@@ -29,7 +29,6 @@ from .terms import (
     UNIT,
     UNIT_NAME,
     Var,
-    fun_sort,
     tag_ground_term,
 )
 
@@ -387,42 +386,92 @@ _PARSE_ARG = {"strat": Parser.parse_strat, "ttype": Parser.parse_ttype,
 # Entry points
 
 
-class _Unread(Exception):
-    """Raised where `_read_tagged` stops: the text is read the slow way."""
+# A token of a term: a name, or any other character that is not blank; a
+# well-formed term has only names, "(", ")" and ",".
+_TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\S")
 
 
-def _read_tagged(toks, functions):
-    """The term whose token values `toks` holds in reverse, popped as read,
-    each node built once and tagged. A name is read with its arguments and
-    then typed by `fun_sort`, whose StaticError (an undeclared name, a
-    variable among them, or an arity or sort mismatch) ends the read; a
-    reserved name, a bad character (also a declared name that `tokenize`
-    rejects) or a syntax error raises _Unread. A level of nesting costs
-    one frame."""
-    tok = toks.pop()
-    args = []
-    if tok == "(":  # (), grouping parentheses, or a pair
-        if toks[-1] != ")":
-            args.append(_read_tagged(toks, functions))
-            if toks[-1] == ",":
-                toks.pop()
-                args.append(_read_tagged(toks, functions))
-        if toks.pop() != ")":
-            raise _Unread
-        if len(args) == 1:
-            return args[0]
-        tok = PAIR_NAME if args else UNIT_NAME
-    elif tok in RESERVED or tok[:1] not in _NAME_START:
-        raise _Unread
-    elif toks[-1] == "(":
-        toks.pop()
-        args.append(_read_tagged(toks, functions))
-        while toks[-1] == ",":
-            toks.pop()
-            args.append(_read_tagged(toks, functions))
-        if toks.pop() != ")":
-            raise _Unread
-    return FunApp(tok, tuple(args), fun_sort(functions, tok, args))
+def _declared(functions, tok):
+    """The signature of tok if it is a declared function that the parser
+    reads as a name, else None."""
+    if tok in RESERVED or tok[:1] not in _NAME_START:
+        return None
+    return functions.get(tok)
+
+
+def _read_flat(text, functions):
+    """The term that text spells, read and tagged in one flat pass, or
+    None where the text is not a well-typed ground term in plain syntax:
+    at a name that is undeclared, reserved or no name token, a wrong arity
+    or sort, a comment, or any other misplaced token.
+
+    Open nodes wait on one stack as (name, signature, arguments so far),
+    so a level of nesting costs no frame; a grouping parenthesis or a pair
+    has signature None. An argument's tag is checked against its sort by
+    identity, as there is one Sort per name. Each constant, () included,
+    is built once per read and shared."""
+    toks = _TERM_TOKEN_RE.findall(text)
+    toks += ("", "")  # the end, twice, so the lookahead past it stays in range
+    consts = {}  # name -> the node of that constant in this read
+    heads = {}  # name -> signature of a function applied in this read
+    stack = []
+    i = 0
+    while True:
+        # Read a constant, or open a node and read its first argument.
+        tok = toks[i]
+        i += 1
+        if tok == "(":
+            if toks[i] != ")":
+                stack.append((None, None, []))
+                continue
+            i += 1
+            tok = UNIT_NAME
+        elif toks[i] == "(":
+            sig = heads.get(tok)
+            if sig is None:
+                sig = _declared(functions, tok)
+                if sig is None or not sig[0]:
+                    return None
+                heads[tok] = sig
+            i += 1
+            stack.append((tok, sig, []))
+            continue
+        t = consts.get(tok)
+        if t is None:
+            sig = ((), UNIT) if tok == UNIT_NAME else _declared(functions, tok)
+            if sig is None or sig[0]:
+                return None
+            t = consts[tok] = FunApp(tok, (), sig[1])
+        # t is read: add it to the open node, and close each node it ends.
+        while stack:
+            name, sig, args = stack[-1]
+            args.append(t)
+            tok = toks[i]
+            i += 1
+            if sig is None:  # (t), or (t1,t2)
+                if tok == "," and len(args) == 1:
+                    break
+                if tok != ")":
+                    return None
+                stack.pop()
+                if len(args) == 2:
+                    t = FunApp(PAIR_NAME, tuple(args),
+                               PairType(args[0].tag, args[1].tag))
+                continue
+            arg_sorts, result = sig
+            n = len(args)
+            if t.tag is not arg_sorts[n - 1]:
+                return None
+            if n < len(arg_sorts):
+                if tok != ",":
+                    return None
+                break
+            if tok != ")":
+                return None
+            stack.pop()
+            t = FunApp(name, tuple(args), result)
+        else:
+            return t if not toks[i] else None
 
 
 def parse_program(text, prelude=None, require_main=True):
@@ -444,18 +493,13 @@ def parse_program(text, prelude=None, require_main=True):
 
 def parse_term(text, ctx):
     """Parse a standalone term, check that it is ground and well-typed, and
-    tag it. A well-typed ground term is read and tagged in one pass; any
-    other text is read again by Parser and tag_ground_term, which report
-    its first error."""
-    # Each token, then "" at the end of the text (twice after a gap).
-    toks = [tok for _, tok in _TOKEN_RE.findall(text)]
-    toks.reverse()
-    try:
-        t = _read_tagged(toks, ctx.functions)
-        if not toks[-1]:
-            return t
-    except (_Unread, StaticError):
-        pass
+    tag it. A well-typed ground term is read by `_read_flat`, in one pass
+    with no frame per level, so it reads at any depth; any other text is
+    read again by Parser and tag_ground_term, which report its first
+    error."""
+    t = _read_flat(text, ctx.functions)
+    if t is not None:
+        return t
     parser = Parser(text)
     t = parser.parse_term()
     tok = parser.peek()

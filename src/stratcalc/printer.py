@@ -10,20 +10,32 @@ from .terms import PAIR_NAME, Amp, Arrow, FunApp, Var
 
 
 def render_term(t):
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, FunApp):
-        # A loop, not a generator, so that a level of nesting costs one
-        # frame, as in tag_term.
-        args = []
-        for a in t.args:
-            args.append(render_term(a))
-        if not args:  # a constant, or ()
-            return t.name
-        # A pair is an application with no head: (t1,t2).
-        return "%s(%s)" % ("" if t.name == PAIR_NAME else t.name,
-                           ",".join(args))
-    raise TypeError("not a term: %r" % (t,))
+    """The source text of t. Walks with a stack of the nodes and the ")"
+    and "," still to write, in the order they are written, so it costs no
+    frame per level."""
+    out = []
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is str:  # a ")" or a ","
+            out.append(u)
+        elif isinstance(u, FunApp):
+            args = u.args
+            if not args:  # a constant, or ()
+                out.append(u.name)
+                continue
+            # A pair is an application with no head: (t1,t2).
+            out.append("(" if u.name == PAIR_NAME else u.name + "(")
+            todo.append(")")
+            for a in args[:0:-1]:
+                todo.append(a)
+                todo.append(",")
+            todo.append(args[0])
+        elif isinstance(u, Var):
+            out.append(u.name)
+        else:
+            raise TypeError("not a term: %r" % (u,))
+    return "".join(out)
 
 
 # The type classes print themselves in source syntax.

@@ -1,0 +1,78 @@
+"""A well-typed `--term` reads and prints at any depth: `parse_term` reads
+it with a stack and `render_term` writes it with one, so neither spends a
+frame per level. Terms here are compared by loops, not by `==`, which
+recurses in C on nested records.
+"""
+
+import pytest
+
+from stratcalc import cli
+from stratcalc.parser import parse_term
+from stratcalc.printer import render_term
+from stratcalc.terms import FunApp, tag_ground_term
+
+from conftest import NAT_TREE_HEADER
+
+DEPTH = 10000
+
+
+def succ_chain(n):
+    """succ^n(zero), as text and as an untagged term."""
+    t = FunApp("zero", ())
+    for _ in range(n):
+        t = FunApp("succ", (t,))
+    return "succ(" * n + "zero" + ")" * n, t
+
+
+def left_spine(n):
+    """fork(fork(...,leaf(zero)),leaf(zero)), n forks deep, as text and as
+    an untagged term."""
+    leaf = FunApp("leaf", (FunApp("zero", ()),))
+    t = leaf
+    for _ in range(n):
+        t = FunApp("fork", (t, leaf))
+    return "fork(" * n + "leaf(zero)" + ",leaf(zero))" * n, t
+
+
+SHAPES = {"succ": succ_chain, "spine": left_spine}
+
+
+def assert_same_names_and_tags(t, u):
+    todo = [(t, u)]
+    while todo:
+        a, b = todo.pop()
+        assert type(a) is FunApp and type(b) is FunApp
+        assert a.name == b.name and a.tag is b.tag
+        assert len(a.args) == len(b.args)
+        todo.extend(zip(a.args, b.args))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_deep_term_reads_as_tag_ground_term_tags_it(shape, nat_tree_ctx):
+    text, t = SHAPES[shape](DEPTH)
+    assert_same_names_and_tags(parse_term(text, nat_tree_ctx),
+                               tag_ground_term(nat_tree_ctx, t))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_deep_term_renders_as_its_source(shape, nat_tree_ctx):
+    text, _ = SHAPES[shape](DEPTH)
+    assert render_term(parse_term(text, nat_tree_ctx)) == text
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cli_runs_id_on_a_deep_term(shape, capsys, tmp_path):
+    text, _ = SHAPES[shape](DEPTH)
+    src = tmp_path / "id.strat"
+    src.write_text(NAT_TREE_HEADER)
+    assert cli.main(["run", str(src), "--term", text]) == 0
+    out, err = capsys.readouterr()
+    assert out == text + "\n" and err == ""
+
+
+def test_each_constant_is_built_once_per_read(nat_tree_ctx):
+    t = parse_term("fork(leaf(zero),leaf(zero))", nat_tree_ctx)
+    left, right = t.args
+    assert left.args[0] is right.args[0]
+    assert parse_term("zero", nat_tree_ctx) is not parse_term(
+        "zero", nat_tree_ctx)

@@ -132,15 +132,20 @@ PHASE_SPLIT = os.path.join(os.path.dirname(__file__), "..", "scripts",
 
 
 def test_phase_split_reports_each_phase():
-    argv = [sys.executable, PHASE_SPLIT, "--seed", "101", "--limit", "3"]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [name for name, _, _ in rows] == [
-        "parse_program", "check_and_elaborate", "parse_term", "run_program",
-        "render_term", "other", "request"]
-    ms = {name: float(value) for name, value, _ in rows}
-    assert all(ms[name] > 0 for name in ms if name != "other")
-    assert sum(ms.values()) - ms["request"] == pytest.approx(ms["request"],
-                                                          abs=0.05)
-    assert rows[-1][2] == "100.0"
+    # With --repeat, the rows are those of one pass, so they still sum to
+    # its request time.
+    for repeat in ([], ["--repeat", "3"]):
+        argv = [sys.executable, PHASE_SPLIT, "--seed", "101", "--limit",
+                "3"] + repeat
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert [name for name, _, _ in rows] == [
+            "parse_program", "check_and_elaborate", "parse_term",
+            "run_program", "render_term", "other", "request"]
+        ms = {name: float(value) for name, value, _ in rows}
+        assert all(ms[name] > 0 for name in ms if name != "other")
+        assert sum(ms.values()) - ms["request"] == pytest.approx(
+            ms["request"], abs=0.05)
+        assert rows[-1][2] == "100.0"
