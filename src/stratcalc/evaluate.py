@@ -450,7 +450,7 @@ def _apply_strategy(ctx, defs, s, t, cfg, state):
 def expect_type(outcome, want):
     """outcome, or InternalTypeViolation if it is a reduct whose type is not
     `want`, the type that `apply_type` predicts for it."""
-    if isinstance(outcome, Ok) and outcome.term.tag != want:
+    if isinstance(outcome, Ok) and outcome.term.tag is not want:
         return EngineFailure("InternalTypeViolation",
                              "reduct is ill-typed: reduct has type %r, "
                              "expected %r" % (outcome.term.tag, want))

@@ -1,10 +1,10 @@
 """Core model: terms, term/strategy types, contexts, matching, substitution.
 
 Terms, types and outcomes are `Node`s: immutable records with `__slots__`.
-Equality is structural and tests identity first; a term's sort tag is
-metadata, shown by `repr` but excluded from equality and hashing. There is
-one `Sort` object per name, so most tag comparisons settle on identity.
-`Context` is a mutable `Record`; `Context.replace` copies one.
+Types are interned: there is one object per type, so they compare and hash
+by identity. Terms and outcomes compare structurally, identity first; a
+term's sort tag is metadata, shown by `repr` but excluded from equality
+and hashing. `Context` is a mutable `Record`; `Context.replace` copies one.
 """
 
 from operator import attrgetter
@@ -67,25 +67,41 @@ class Node(Record):
 
 
 # ---------------------------------------------------------------------------
-# Term types
+# Types
 
 
-class TermType(Node):
+class Type(Node):
+    """A term, strategy or combinator type. `C(*fields)` returns the one
+    object of class C with those fields, made on first use, so types
+    compare and hash by identity."""
+
+    __slots__ = ()
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        t = _types.get(key)
+        if t is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError("%s() takes %d fields, got %d" % (
+                    cls.__name__, len(cls._fields), len(fields)))
+            t = object.__new__(cls)
+            for f, v in zip(cls._fields, fields):
+                _set(t, f, v)
+            # Of two threads that make the same type, both get the first.
+            t = _types.setdefault(key, t)
+        return t
+
+
+_types = {}  # (class, *fields) -> the one type; an entry is never dropped
+
+
+class TermType(Type):
     __slots__ = ()
 
 
 class Sort(TermType):
-    """A sort; `Sort(name)` returns the one Sort of that name."""
-
     __slots__ = _fields = ("name",)
-    _shared = {}  # name -> Sort
-
-    def __new__(cls, name):
-        s = cls._shared.get(name)
-        if s is None:
-            s = cls._shared[name] = object.__new__(cls)
-            _set(s, "name", name)
-        return s
 
     def __repr__(self):
         return self.name
@@ -104,10 +120,6 @@ UNIT = Unit()
 class PairType(TermType):
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
     def __repr__(self):
         return "(%r,%r)" % (self.left, self.right)
 
@@ -115,27 +127,16 @@ class PairType(TermType):
 class TypeVar(TermType):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name):
-        _set(self, "name", name)
-
     def __repr__(self):
         return self.name
 
 
-# ---------------------------------------------------------------------------
-# Strategy types
-
-
-class StrategyType(Node):
+class StrategyType(Type):
     __slots__ = ()
 
 
 class Arrow(StrategyType):
     __slots__ = _fields = ("dom", "cod")
-
-    def __init__(self, dom, cod):
-        _set(self, "dom", dom)
-        _set(self, "cod", cod)
 
     def __repr__(self):
         return "%r -> %r" % (self.dom, self.cod)
@@ -154,19 +155,12 @@ TP_TYPE = TP()
 class TU(StrategyType):
     __slots__ = _fields = ("result",)
 
-    def __init__(self, result):
-        _set(self, "result", result)
-
     def __repr__(self):
         return "TU(%r)" % self.result
 
 
 class Amp(StrategyType):
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
     def __repr__(self):
         return "%r & %r" % (self.left, self.right)
@@ -199,13 +193,9 @@ def is_generic(pi):
     return isinstance(pi, (TP, TU))
 
 
-class CombinatorType(Node):
+class CombinatorType(Type):
+    # type_params: a tuple of str; arg_types: a tuple of StrategyType
     __slots__ = _fields = ("type_params", "arg_types", "result_type")
-
-    def __init__(self, type_params, arg_types, result_type):
-        _set(self, "type_params", type_params)  # of str
-        _set(self, "arg_types", arg_types)  # of StrategyType
-        _set(self, "result_type", result_type)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +364,7 @@ def fun_sort(functions, name, args):
     arg_sorts, result = sig
     for i, want in enumerate(arg_sorts):
         a = args[i]
-        if a.tag is not want and want is not None and a.tag != want:
+        if a.tag is not want and want is not None:
             raise _arg_mismatch(name, i, a, want)
     return PairType(args[0].tag, args[1].tag) if result is None else result
 
@@ -428,7 +418,7 @@ def tag_term(ctx, t, bound=None):
         while stack:  # t is tagged: check it against its parent's sort
             node, (arg_sorts, result), args = stack[-1]
             want = arg_sorts[len(args)]
-            if t.tag is not want and want is not None and t.tag != want:
+            if t.tag is not want and want is not None:
                 raise _arg_mismatch(node.name, len(args), t, want)
             args.append(t)
             if len(args) < len(node.args):
@@ -481,7 +471,7 @@ def check_reduct(ctx, r):
         if not isinstance(u, FunApp):
             raise StaticError("not a ground term: %r" % (u,), rule="var")
         want = fun_sort(functions, u.name, u.args)
-        if u.tag is not want and u.tag != want:
+        if u.tag is not want:
             raise StaticError("%s is tagged %r, but has type %r"
                               % (u.name, u.tag, want), rule="fun")
         todo.extend(u.args)

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -35,6 +36,7 @@ from stratcalc.terms import (
     Unit,
     Var,
 )
+from stratcalc.typecheck import substitute_stype
 
 from conftest import load_program, program_path
 
@@ -174,6 +176,37 @@ def test_context_replace_shares_what_it_does_not_change():
         ctx.replace(bogus=1)
 
 
+def fresh(text):
+    """A str equal to text but not the same object."""
+    return "".join(list(text))
+
+
+# Every type class, as a constructor of fresh but equal field values.
+TYPE_MAKERS = {
+    "Sort": lambda: Sort(fresh("Nat")),
+    "Unit": lambda: Unit(),
+    "PairType": lambda: PairType(Sort(fresh("Nat")), Unit()),
+    "TypeVar": lambda: TypeVar(fresh("a")),
+    "Arrow": lambda: Arrow(Sort(fresh("Nat")), PairType(UNIT, UNIT)),
+    "TP": lambda: TP(),
+    "TU": lambda: TU(TypeVar(fresh("a"))),
+    "Amp": lambda: Amp(Arrow(NAT, NAT), Arrow(UNIT, UNIT)),
+    "CombinatorType": lambda: CombinatorType(
+        (fresh("a"),), (TP(), Arrow(TypeVar(fresh("a")), NAT)),
+        TU(TypeVar(fresh("a")))),
+}
+
+
+@pytest.mark.parametrize("name", TYPE_MAKERS)
+def test_one_object_per_type(name):
+    t = TYPE_MAKERS[name]()
+    assert type(t).__name__ == name and isinstance(t, terms.Type)
+    assert TYPE_MAKERS[name]() is t
+    for other in (copy.copy(t), copy.deepcopy(t),
+                  pickle.loads(pickle.dumps(t))):
+        assert other is t
+
+
 def test_one_sort_per_name():
     assert Sort("Nat") is Sort("Nat") is NAT
     assert Sort("Tree") is not NAT
@@ -184,6 +217,71 @@ def test_one_sort_per_name():
     assert arg is result is Sort("NatOne")
     assert functions["notzero"][0][0] is arg
     assert functions["zero"][1] is functions["notzero"][1]
+
+
+def test_parse_program_and_substitute_stype_build_the_one_type():
+    combinators = load_program("problems.strat").context.combinators
+    assert combinators["Add"].result_type is Arrow(PairType(NAT, NAT), NAT)
+    assert combinators["ProblemIII"].result_type is TU(Sort("Boolean"))
+    crush = combinators["Crush"]
+    assert crush.result_type is TU(TypeVar("a"))
+    assert crush is CombinatorType(("a",), crush.arg_types, TU(TypeVar("a")))
+    subst = {"a": PairType(NAT, UNIT)}
+    assert substitute_stype(subst, crush.result_type) is TU(
+        PairType(NAT, UNIT))
+    assert substitute_stype(subst, Amp(Arrow(TypeVar("a"), NAT), TP_TYPE)) \
+        is Amp(Arrow(PairType(NAT, UNIT), NAT), TP_TYPE)
+
+
+def test_reduce_and_spawn_tag_pairs_with_the_one_type(monkeypatch, problems):
+    # ProblemV is a Crush, whose prelude body runs both reduce and spawn.
+    made = []
+
+    def recording(left, right):
+        made.append(PairType(left, right))
+        return made[-1]
+
+    monkeypatch.setattr(evaluate, "PairType", recording)
+    core = stratcalc.elaborate_program(problems).replace(
+        main=S.Call("ProblemV", (), ()))
+    tree = stratcalc.parse_term("fork(leaf(zero),fork(leaf(zero),leaf(zero)))",
+                                core.context)
+    assert stratcalc.run_program(core, tree) == Ok(stratcalc.parse_term(
+        "zero", core.context))
+    assert len(made) > 2
+    assert {id(p) for p in made} == {id(PairType(NAT, NAT))}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Sort(), lambda: Sort("Nat", "Tree"), lambda: Unit(NAT),
+    lambda: PairType(NAT), lambda: TypeVar(), lambda: Arrow(NAT),
+    lambda: TP(NAT), lambda: TU(), lambda: Amp(TP_TYPE),
+    lambda: CombinatorType((), ()),
+], ids=["Sort0", "Sort2", "Unit", "PairType", "TypeVar", "Arrow", "TP", "TU",
+        "Amp", "CombinatorType"])
+def test_a_wrong_field_count_is_a_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_threads_making_the_same_new_types_get_one_object_each():
+    # Names no other test uses, so that every type below is new.
+    names = ["Threaded%d_%d" % (os.getpid(), i) for i in range(200)]
+    start = threading.Barrier(8)
+    made = [None] * 8
+
+    def make(k):
+        start.wait()
+        made[k] = [TU(PairType(Sort(n), UNIT)) for n in names]
+
+    threads = [threading.Thread(target=make, args=(k,)) for k in range(8)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for i, n in enumerate(names):
+        assert len({id(m[i]) for m in made}) == 1
+        assert made[0][i] is TU(PairType(Sort(n), UNIT))
 
 
 @pytest.mark.parametrize("module, one_of_its_classes",
