@@ -399,19 +399,17 @@ def _declared(functions, tok):
     return functions.get(tok)
 
 
-def _read_flat(text, functions):
-    """The term that text spells, read and tagged in one flat pass, or
-    None where the text is not a well-typed ground term in plain syntax:
-    at a name that is undeclared, reserved or no name token, a wrong arity
-    or sort, a comment, or any other misplaced token.
+def _read_flat(toks, functions):
+    """The term that the tokens toks spell, read and tagged in one flat
+    pass, or None where they are not a well-typed ground term in plain
+    syntax: at a name that is undeclared, reserved or no name token, a
+    wrong arity or sort, a comment, or any other misplaced token.
 
     Open nodes wait on one stack as (name, signature, arguments so far),
     so a level of nesting costs no frame; a grouping parenthesis or a pair
     has signature None. An argument's tag is checked against its sort by
-    identity, as there is one Sort per name. Each constant, () included,
-    is built once per read and shared."""
-    toks = _TERM_TOKEN_RE.findall(text)
-    toks += ("", "")  # the end, twice, so the lookahead past it stays in range
+    identity, as types are interned. Each constant, () included, is built
+    once per read and shared."""
     consts = {}  # name -> the node of that constant in this read
     heads = {}  # name -> signature of a function applied in this read
     stack = []
@@ -474,6 +472,49 @@ def _read_flat(text, functions):
             return t if not toks[i] else None
 
 
+def _read_plain(toks):
+    """The untagged term that toks spell, as Parser.parse_term reads it (a
+    bare name is a Var), or None where they are not a term in plain
+    syntax. Open nodes wait on one stack as (name, arguments so far), with
+    name None for a grouping parenthesis or a pair, so a level of nesting
+    costs no frame."""
+    stack = []
+    i = 0
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "(":
+            if toks[i] != ")":
+                stack.append((None, []))
+                continue
+            i += 1
+            t = FunApp(UNIT_NAME, ())
+        elif tok in RESERVED or tok[:1] not in _NAME_START:
+            return None
+        elif toks[i] == "(":
+            i += 1
+            stack.append((tok, []))
+            continue
+        else:
+            t = Var(tok)
+        while stack:  # as in _read_flat
+            name, args = stack[-1]
+            args.append(t)
+            tok = toks[i]
+            i += 1
+            if tok == "," and (name is not None or len(args) == 1):
+                break
+            if tok != ")":
+                return None
+            stack.pop()
+            if name is not None:
+                t = FunApp(name, tuple(args))
+            elif len(args) == 2:
+                t = FunApp(PAIR_NAME, tuple(args))
+        else:
+            return t if not toks[i] else None
+
+
 def parse_program(text, prelude=None, require_main=True):
     """Parse a program file; `prelude` is a Program whose declarations and
     definitions are visible to the parsed text."""
@@ -494,15 +535,21 @@ def parse_program(text, prelude=None, require_main=True):
 def parse_term(text, ctx):
     """Parse a standalone term, check that it is ground and well-typed, and
     tag it. A well-typed ground term is read by `_read_flat`, in one pass
-    with no frame per level, so it reads at any depth; any other text is
-    read again by Parser and tag_ground_term, which report its first
-    error."""
-    t = _read_flat(text, ctx.functions)
+    with no frame per level; any other term in plain syntax is read by
+    `_read_plain`, also flat, and tag_ground_term reports its first error.
+    So a term reads, or gets its diagnostic, at any depth. Only other text
+    is read again by Parser, which reports where it goes wrong."""
+    toks = _TERM_TOKEN_RE.findall(text)
+    toks += ("", "")  # the end, twice, so the lookahead past it stays in range
+    t = _read_flat(toks, ctx.functions)
     if t is not None:
         return t
-    parser = Parser(text)
-    t = parser.parse_term()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise ParseError("trailing input after term: %r" % tok[1], tok[2:])
+    t = _read_plain(toks)
+    if t is None:
+        parser = Parser(text)
+        t = parser.parse_term()
+        tok = parser.peek()
+        if tok[0] != "eof":
+            raise ParseError("trailing input after term: %r" % tok[1],
+                             tok[2:])
     return tag_ground_term(ctx, t)

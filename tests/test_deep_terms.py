@@ -1,7 +1,9 @@
 """A well-typed `--term` reads and prints at any depth: `parse_term` reads
 it with a stack and `render_term` writes it with one, so neither spends a
-frame per level. Terms here are compared by loops, not by `==`, which
-recurses in C on nested records.
+frame per level. An ill-typed one gets its diagnostic at any depth, as
+`parse_term` reads it with a stack too and `tag_ground_term` walks it with
+one. Terms here are compared by loops, not by `==`, which recurses in C on
+nested records.
 """
 
 import pytest
@@ -68,6 +70,15 @@ def test_cli_runs_id_on_a_deep_term(shape, capsys, tmp_path):
     assert cli.main(["run", str(src), "--term", text]) == 0
     out, err = capsys.readouterr()
     assert out == text + "\n" and err == ""
+
+
+def test_cli_reports_a_deep_ill_typed_term(capsys, tmp_path):
+    src = tmp_path / "id.strat"
+    src.write_text(NAT_TREE_HEADER)
+    text = "succ(" * DEPTH + "leaf(zero)" + ")" * DEPTH
+    assert cli.main(["run", str(src), "--term", text]) == 2
+    assert capsys.readouterr() == (
+        "", "ERROR fun: argument 1 of succ has type Tree, expected Nat\n")
 
 
 def test_each_constant_is_built_once_per_read(nat_tree_ctx):

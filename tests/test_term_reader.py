@@ -1,7 +1,8 @@
-"""`parse_term` reads and tags a well-typed ground term in one pass, and
-leaves every other text to the two-step path (`Parser(text).parse_term()`
-then `tag_ground_term`), so each reply, error and position is as that
-path gives it.
+"""`parse_term` reads and tags a well-typed ground term in one pass. Every
+other text gets the reply, error and position of the two-step path
+(`Parser(text).parse_term()` then `tag_ground_term`): an ill-typed term in
+plain syntax is read flat and tagged by `tag_ground_term`, and only other
+text goes to `Parser`.
 """
 
 import pytest
@@ -137,10 +138,22 @@ def test_well_formed_term_is_read_in_one_pass(monkeypatch, nat_tree_ctx):
         assert_same_nodes(parse_term(text, nat_tree_ctx), w)
 
 
+def test_ill_typed_term_is_tagged_without_parser(monkeypatch, nat_tree_ctx):
+    def unused(*args):
+        raise AssertionError("Parser ran")
+
+    texts = ["succ(leaf(zero))", "fork(leaf(zero))", "leaf(zero,zero)",
+             "(N,fork(leaf(zero),zero))", "nope(zero)", "succ(succ)"]
+    want = [outcome(two_step, text, nat_tree_ctx) for text in texts]
+    monkeypatch.setattr(Parser, "parse_term", unused)
+    assert [outcome(parse_term, text, nat_tree_ctx) for text in texts] == want
+
+
 def test_10000_deep_term_makes_one_parse_attempt(monkeypatch, capsys,
                                                  tmp_path):
-    # The one-pass reader runs out of stack and the CLI reports it; the
-    # two-step path, which would only fail the same way, never starts.
+    # The one-pass reader reads the term, and TD(id) then runs out of
+    # stack, which the CLI reports; the term is read once, and Parser
+    # never tokenizes it.
     term = "succ(" * 10000 + "zero" + ")" * 10000
     src = tmp_path / "td.strat"
     src.write_text(NAT_TREE_HEADER.replace("main = id;", "main = TD(id);"))
