@@ -497,7 +497,7 @@ def _read_plain(toks):
             continue
         else:
             t = Var(tok)
-        while stack:  # as in _read_flat
+        while stack:
             name, args = stack[-1]
             args.append(t)
             tok = toks[i]

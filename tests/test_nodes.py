@@ -177,7 +177,8 @@ def test_context_replace_shares_what_it_does_not_change():
 
 
 def fresh(text):
-    """A str equal to text but not the same object."""
+    """A str equal to text but not the same object (text has two or more
+    characters, as CPython shares one-character strings)."""
     return "".join(list(text))
 
 
@@ -186,14 +187,14 @@ TYPE_MAKERS = {
     "Sort": lambda: Sort(fresh("Nat")),
     "Unit": lambda: Unit(),
     "PairType": lambda: PairType(Sort(fresh("Nat")), Unit()),
-    "TypeVar": lambda: TypeVar(fresh("a")),
+    "TypeVar": lambda: TypeVar(fresh("elem")),
     "Arrow": lambda: Arrow(Sort(fresh("Nat")), PairType(UNIT, UNIT)),
     "TP": lambda: TP(),
-    "TU": lambda: TU(TypeVar(fresh("a"))),
+    "TU": lambda: TU(TypeVar(fresh("elem"))),
     "Amp": lambda: Amp(Arrow(NAT, NAT), Arrow(UNIT, UNIT)),
     "CombinatorType": lambda: CombinatorType(
-        (fresh("a"),), (TP(), Arrow(TypeVar(fresh("a")), NAT)),
-        TU(TypeVar(fresh("a")))),
+        (fresh("elem"),), (TP(), Arrow(TypeVar(fresh("elem")), NAT)),
+        TU(TypeVar(fresh("elem")))),
 }
 
 
@@ -275,10 +276,16 @@ def test_threads_making_the_same_new_types_get_one_object_each():
         made[k] = [TU(PairType(Sort(n), UNIT)) for n in names]
 
     threads = [threading.Thread(target=make, args=(k,)) for k in range(8)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as it can
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
     for i, n in enumerate(names):
         assert len({id(m[i]) for m in made}) == 1
         assert made[0][i] is TU(PairType(Sort(n), UNIT))
