@@ -19,7 +19,7 @@ from stratcalc.printer import render_term
 from reference_eval import run_reference
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
-import inputs  # noqa: E402  (the benchmark's request builder)
+import inputs  # noqa: E402  (bench/inputs.py: the benchmark's requests)
 
 SEED = 101
 FUEL = 100000  # the CLI's default
