@@ -70,6 +70,9 @@ class Node(Record):
 # Types
 
 
+_types = {}  # (class, *fields) -> the one type; an entry is never dropped
+
+
 class Type(Node):
     """A term, strategy or combinator type. `C(*fields)` returns the one
     object of class C with those fields, made on first use, so types
@@ -91,9 +94,6 @@ class Type(Node):
             # Of two threads that make the same type, both get the first.
             t = _types.setdefault(key, t)
         return t
-
-
-_types = {}  # (class, *fields) -> the one type; an entry is never dropped
 
 
 class TermType(Type):
