@@ -5,9 +5,10 @@ it rewinds over a strategy-type atom that turns out not to be an arrow.
 Every bare strategy name becomes an S.Call and every bare term name a
 Var; the checker resolves them once the whole program has been seen, so
 definitions may use names before their `def`. A rule's left-hand side is
-read as the congruence it spells, then turned into that term. Operators
-and keyword forms come from `syntax.OPERATORS` and `syntax.KEYWORDS`, the
-tables the printer writes from.
+read as the congruence it spells, then turned into that term; every other
+term is read with an explicit stack, so it costs no frame per level.
+Operators and keyword forms come from `syntax.OPERATORS` and
+`syntax.KEYWORDS`, the tables the printer writes from.
 """
 
 import re
@@ -120,33 +121,45 @@ class Parser:
     # -- terms --------------------------------------------------------------
 
     def parse_term(self):
-        tok = self.peek()
-        if tok[1] == "(":
-            self.next()
-            if self.at(")"):
+        """A term. Open nodes wait on one stack as (name, arguments so
+        far), with name None for a parenthesis, which holds one term
+        (grouping) or two (a pair); so a level of nesting costs no frame."""
+        stack = []
+        while True:
+            # Read a unit or a bare name, or open a node.
+            tok = self.peek()
+            if tok[1] == "(":
                 self.next()
-                return FunApp(UNIT_NAME, ())
-            t = self.parse_term()
-            if self.at(","):
+                if not self.at(")"):
+                    stack.append((None, []))
+                    continue
                 self.next()
-                t = FunApp(PAIR_NAME, (t, self.parse_term()))
-            self.expect(")")  # without a ",", grouping parentheses
-            return t
-        if tok[0] == "name" and tok[1] not in RESERVED:
-            self.next()
-            name = tok[1]
-            if self.at("("):
-                # Not sep_list: a level of term nesting costs one frame.
+                t = FunApp(UNIT_NAME, ())
+            elif tok[0] == "name" and tok[1] not in RESERVED:
                 self.next()
-                args = [self.parse_term()]
-                while self.at(","):
+                if self.at("("):
                     self.next()
-                    args.append(self.parse_term())
+                    stack.append((tok[1], []))
+                    continue
+                # Constant vs variable is settled when the term is tagged.
+                t = Var(tok[1])
+            else:
+                raise _unexpected("a term", tok)
+            # t is read: add it to the open node, and close each node it ends.
+            while stack:
+                name, args = stack[-1]
+                args.append(t)
+                if self.at(",") and (name is not None or len(args) == 1):
+                    self.next()
+                    break
                 self.expect(")")
-                return FunApp(name, tuple(args))
-            # Constant vs variable is settled when the term is tagged.
-            return Var(name)
-        raise _unexpected("a term", tok)
+                stack.pop()
+                if name is not None:
+                    t = FunApp(name, tuple(args))
+                elif len(args) == 2:
+                    t = FunApp(PAIR_NAME, tuple(args))
+            else:
+                return t
 
     # -- types --------------------------------------------------------------
 
@@ -399,17 +412,19 @@ def _declared(functions, tok):
     return functions.get(tok)
 
 
-def _read_flat(toks, functions):
-    """The term that the tokens toks spell, read and tagged in one flat
-    pass, or None where they are not a well-typed ground term in plain
-    syntax: at a name that is undeclared, reserved or no name token, a
-    wrong arity or sort, a comment, or any other misplaced token.
+def _read_flat(text, functions):
+    """The term that text spells, read and tagged in one flat pass, or
+    None where the text is not a well-typed ground term in plain syntax:
+    at a name that is undeclared, reserved or no name token, a wrong arity
+    or sort, a comment, or any other misplaced token.
 
     Open nodes wait on one stack as (name, signature, arguments so far),
     so a level of nesting costs no frame; a grouping parenthesis or a pair
     has signature None. An argument's tag is checked against its sort by
     identity, as types are interned. Each constant, () included, is built
     once per read and shared."""
+    toks = _TERM_TOKEN_RE.findall(text)
+    toks += ("", "")  # the end, twice, so the lookahead past it stays in range
     consts = {}  # name -> the node of that constant in this read
     heads = {}  # name -> signature of a function applied in this read
     stack = []
@@ -472,49 +487,6 @@ def _read_flat(toks, functions):
             return t if not toks[i] else None
 
 
-def _read_plain(toks):
-    """The untagged term that toks spell, as Parser.parse_term reads it (a
-    bare name is a Var), or None where they are not a term in plain
-    syntax. Open nodes wait on one stack as (name, arguments so far), with
-    name None for a grouping parenthesis or a pair, so a level of nesting
-    costs no frame."""
-    stack = []
-    i = 0
-    while True:
-        tok = toks[i]
-        i += 1
-        if tok == "(":
-            if toks[i] != ")":
-                stack.append((None, []))
-                continue
-            i += 1
-            t = FunApp(UNIT_NAME, ())
-        elif tok in RESERVED or tok[:1] not in _NAME_START:
-            return None
-        elif toks[i] == "(":
-            i += 1
-            stack.append((tok, []))
-            continue
-        else:
-            t = Var(tok)
-        while stack:
-            name, args = stack[-1]
-            args.append(t)
-            tok = toks[i]
-            i += 1
-            if tok == "," and (name is not None or len(args) == 1):
-                break
-            if tok != ")":
-                return None
-            stack.pop()
-            if name is not None:
-                t = FunApp(name, tuple(args))
-            elif len(args) == 2:
-                t = FunApp(PAIR_NAME, tuple(args))
-        else:
-            return t if not toks[i] else None
-
-
 def parse_program(text, prelude=None, require_main=True):
     """Parse a program file; `prelude` is a Program whose declarations and
     definitions are visible to the parsed text."""
@@ -534,22 +506,16 @@ def parse_program(text, prelude=None, require_main=True):
 
 def parse_term(text, ctx):
     """Parse a standalone term, check that it is ground and well-typed, and
-    tag it. A well-typed ground term is read by `_read_flat`, in one pass
-    with no frame per level; any other term in plain syntax is read by
-    `_read_plain`, also flat, and tag_ground_term reports its first error.
-    So a term reads, or gets its diagnostic, at any depth. Only other text
-    is read again by Parser, which reports where it goes wrong."""
-    toks = _TERM_TOKEN_RE.findall(text)
-    toks += ("", "")  # the end, twice, so the lookahead past it stays in range
-    t = _read_flat(toks, ctx.functions)
+    tag it. A well-typed ground term is read by `_read_flat` in one pass;
+    any other text is read again by Parser and tag_ground_term, which
+    report its first error. All three walk with a stack, so a term reads,
+    or gets its diagnostic, at any depth."""
+    t = _read_flat(text, ctx.functions)
     if t is not None:
         return t
-    t = _read_plain(toks)
-    if t is None:
-        parser = Parser(text)
-        t = parser.parse_term()
-        tok = parser.peek()
-        if tok[0] != "eof":
-            raise ParseError("trailing input after term: %r" % tok[1],
-                             tok[2:])
+    parser = Parser(text)
+    t = parser.parse_term()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        raise ParseError("trailing input after term: %r" % tok[1], tok[2:])
     return tag_ground_term(ctx, t)

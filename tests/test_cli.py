@@ -345,8 +345,9 @@ def problems_with_main(main):
 ])
 def test_run_too_deep_exit_6(capcli, write, src, term):
     # On a 1024-leaf tree ProblemIV's last Append where-chain is 512 calls
-    # deep, so evaluation runs out of stack; at 10000 parsing does. Neither
-    # may surface as a traceback or as FAIL's exit code.
+    # deep, so evaluation runs out of stack; at 10000 levels TD(id)'s
+    # evaluation does. Neither may surface as a traceback or as FAIL's exit
+    # code.
     f = write("deep.strat", src)
     code, out, err = capcli("run", f, "--term", term)
     assert code == 6

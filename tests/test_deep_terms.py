@@ -1,16 +1,16 @@
 """A well-typed `--term` reads and prints at any depth: `parse_term` reads
 it with a stack and `render_term` writes it with one, so neither spends a
-frame per level. An ill-typed one gets its diagnostic at any depth, as
-`parse_term` reads it with a stack too and `tag_ground_term` walks it with
-one. Terms here are compared by loops, not by `==`, which recurses in C on
-nested records.
+frame per level. Any other term text gets its diagnostic at any depth, as
+`Parser.parse_term` reads it with a stack too and `tag_ground_term` walks
+it with one; so do rule terms. Terms here are compared by loops, not by
+`==`, which recurses in C on nested records.
 """
 
 import pytest
 
-from stratcalc import cli
-from stratcalc.parser import parse_term
-from stratcalc.printer import render_term
+from stratcalc import check_program, cli
+from stratcalc.parser import Parser, parse_program, parse_term
+from stratcalc.printer import render_stype, render_term
 from stratcalc.terms import FunApp, tag_ground_term
 
 from conftest import NAT_TREE_HEADER
@@ -57,6 +57,14 @@ def test_deep_term_reads_as_tag_ground_term_tags_it(shape, nat_tree_ctx):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
+def test_parser_reads_a_deep_term(shape, nat_tree_ctx):
+    text, _ = SHAPES[shape](DEPTH)
+    assert_same_names_and_tags(
+        tag_ground_term(nat_tree_ctx, Parser(text).parse_term()),
+        parse_term(text, nat_tree_ctx))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_deep_term_renders_as_its_source(shape, nat_tree_ctx):
     text, _ = SHAPES[shape](DEPTH)
     assert render_term(parse_term(text, nat_tree_ctx)) == text
@@ -79,6 +87,23 @@ def test_cli_reports_a_deep_ill_typed_term(capsys, tmp_path):
     assert cli.main(["run", str(src), "--term", text]) == 2
     assert capsys.readouterr() == (
         "", "ERROR fun: argument 1 of succ has type Tree, expected Nat\n")
+
+
+def test_cli_reports_a_deep_malformed_term(capsys, tmp_path):
+    src = tmp_path / "id.strat"
+    src.write_text(NAT_TREE_HEADER)
+    text = "succ(" * DEPTH + "zero" + ")" * (DEPTH - 1)
+    assert cli.main(["run", str(src), "--term", text]) == 4
+    assert capsys.readouterr() == ("", "parse error at 1:%d: expected ')', "
+                                   "got 'end of input'\n" % (len(text) + 1))
+
+
+def test_deep_rule_terms_parse_and_check():
+    text, _ = succ_chain(DEPTH)
+    program = parse_program(NAT_TREE_HEADER.replace(
+        "main = id;", "main = zero -> N where N := id @ %s;" % text))
+    diags, main_type = check_program(program)
+    assert diags == [] and render_stype(main_type) == "Nat -> Nat"
 
 
 def test_each_constant_is_built_once_per_read(nat_tree_ctx):

@@ -231,6 +231,26 @@ def test_each_token_is_read_once(monkeypatch, shape, depth):
     assert reads == list(range(len(tokenize(text)) - 1))
 
 
+@pytest.mark.parametrize("text,pos,message", [
+    ("", (1, 1), "expected a term, got 'end of input'"),
+    (")", (1, 1), "expected a term, got ')'"),
+    ("(", (1, 2), "expected a term, got 'end of input'"),
+    ("(()", (1, 4), "expected ')', got 'end of input'"),
+    ("(zero,zero,zero)", (1, 11), "expected ')', got ','"),
+    ("f(zero zero)", (1, 8), "expected ')', got 'zero'"),
+    ("f(zero,)", (1, 8), "expected a term, got ')'"),
+    ("f(,zero)", (1, 3), "expected a term, got ','"),
+    ("((zero)", (1, 8), "expected ')', got 'end of input'"),
+    ("(zero,\n  where)", (2, 3), "expected a term, got 'where'"),
+    ("f(x,(y,z)", (1, 10), "expected ')', got 'end of input'"),
+    ("all", (1, 1), "expected a term, got 'all'"),
+])
+def test_malformed_term_errors(text, pos, message):
+    with pytest.raises(E.ParseError) as exc:
+        Parser(text).parse_term()
+    assert (exc.value.pos, exc.value.message) == (pos, message)
+
+
 LHS_HEADER = "sort Nat; con x : Nat; fun f : Nat -> Nat; var N : Nat;\n"
 
 

@@ -1,8 +1,7 @@
-"""`parse_term` reads and tags a well-typed ground term in one pass. Every
-other text gets the reply, error and position of the two-step path
-(`Parser(text).parse_term()` then `tag_ground_term`): an ill-typed term in
-plain syntax is read flat and tagged by `tag_ground_term`, and only other
-text goes to `Parser`.
+"""`parse_term` reads and tags a well-typed ground term in one pass, and
+leaves every other text to the two-step path (`Parser(text).parse_term()`
+then `tag_ground_term`), so each reply, error and position is as that
+path gives it.
 """
 
 import pytest
@@ -136,17 +135,6 @@ def test_well_formed_term_is_read_in_one_pass(monkeypatch, nat_tree_ctx):
     monkeypatch.setattr(parser, "tag_ground_term", unused)
     for text, w in zip(texts, want):
         assert_same_nodes(parse_term(text, nat_tree_ctx), w)
-
-
-def test_ill_typed_term_is_tagged_without_parser(monkeypatch, nat_tree_ctx):
-    def unused(*args):
-        raise AssertionError("Parser ran")
-
-    texts = ["succ(leaf(zero))", "fork(leaf(zero))", "leaf(zero,zero)",
-             "(N,fork(leaf(zero),zero))", "nope(zero)", "succ(succ)"]
-    want = [outcome(two_step, text, nat_tree_ctx) for text in texts]
-    monkeypatch.setattr(Parser, "parse_term", unused)
-    assert [outcome(parse_term, text, nat_tree_ctx) for text in texts] == want
 
 
 def test_10000_deep_term_makes_one_parse_attempt(monkeypatch, capsys,
