@@ -17,7 +17,9 @@ phase took (argument parsing, reading files, the type of the reduct) and
 `request` is the wall time of all the `cli.main` calls. With
 `--repeat N` the pass runs N times and the rows are those of the pass
 whose `request` time is the median (the lower middle one for even N), so
-they still sum to its `request`.
+they still sum to its `request`. Each pass starts with the CLI's cache of
+checked programs emptied, so every pass parses and checks each program
+file once, on its first request, and reuses it on the rest.
 
 Usage: python3 scripts/phase_split.py [--workload W] [--seed N] [--limit N]
                                       [--repeat N]
@@ -74,6 +76,7 @@ def main():
         for _ in range(args.repeat):
             for name in totals:
                 totals[name] = 0.0
+            cli._checked.cache_clear()
             for req in requests[:args.limit]:
                 sink = io.StringIO()
                 with contextlib.redirect_stdout(sink), \

@@ -68,7 +68,7 @@ def parse(argv):
     arbitrary; its declaration list names every sort and symbol."""
     args = cli._build_argparser().parse_args(argv)
     try:
-        program, _ = cli._load(args)
+        program, _ = cli._parse(*cli._source(args))
     except ParseError as e:
         return 4, "", str(e)
     except StaticError as e:

@@ -54,13 +54,35 @@ def _read(path):
                          % (path, getattr(e, "strerror", None) or e)) from None
 
 
-def _load(args):
+def _source(args):
+    """What a request's check depends on: the program's text, the text of
+    the --prelude file (None without one) and --no-prelude."""
+    prelude_text = _read(args.prelude) if args.prelude else None
+    return _read(args.file), prelude_text, args.no_prelude
+
+
+def _parse(text, prelude_text, no_prelude):
+    """The program and the prelude it extends (None under --no-prelude)."""
     prelude = None
-    if args.prelude:
-        prelude = parse_program(_read(args.prelude), require_main=False)
-    elif not args.no_prelude:
+    if prelude_text is not None:
+        prelude = parse_program(prelude_text, require_main=False)
+    elif not no_prelude:
         prelude = load_prelude()
-    return parse_program(_read(args.file), prelude=prelude), prelude
+    return parse_program(text, prelude=prelude), prelude
+
+
+# The most checked programs one process keeps, least recently used first out.
+CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _checked(text, prelude_text, no_prelude):
+    """(prelude, (diagnostics, main type, core)) for a `_source` key.
+    Typing is static, so a process checks each key once; an error raised
+    while parsing or checking is not kept. Callers share what it returns
+    and must not mutate it."""
+    program, prelude = _parse(text, prelude_text, no_prelude)
+    return prelude, check_and_elaborate(program)
 
 
 _ENGINE_EXIT = {"FuelExhausted": 3, "DepthExceeded": 6}
@@ -92,8 +114,7 @@ def main(argv=None):
 
 
 def _main(args):
-    program, prelude = _load(args)
-    diags, main_type, core = check_and_elaborate(program)
+    prelude, (diags, main_type, core) = _checked(*_source(args))
     if diags:
         for d in diags:
             print(d.render(), file=sys.stderr)
@@ -121,8 +142,8 @@ def _main(args):
     text = args.term
     if os.path.exists(text):
         text = _read(text).strip()
-    term = parse_term(text, program.context)
-    want = apply_type(program.context, main_type, term.tag)
+    term = parse_term(text, core.context)
+    want = apply_type(core.context, main_type, term.tag)
 
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(

@@ -121,7 +121,21 @@ class PairType(TermType):
     __slots__ = _fields = ("left", "right")
 
     def __repr__(self):
-        return "(%r,%r)" % (self.left, self.right)
+        """(left,right). Walks with a stack of the types and the text still
+        to write, as `printer.render_term` does, so it costs no frame per
+        level."""
+        out = []
+        todo = [self]
+        while todo:
+            u = todo.pop()
+            if type(u) is str:  # a "," or a ")"
+                out.append(u)
+            elif type(u) is PairType:
+                out.append("(")
+                todo += (")", u.right, ",", u.left)
+            else:
+                out.append(repr(u))
+        return "".join(out)
 
 
 class TypeVar(TermType):

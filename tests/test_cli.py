@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stratcalc as sc
-from stratcalc import syntax as S
+from stratcalc import cli, syntax as S
 from stratcalc.cli import main as cli_main
 from stratcalc.parser import RESERVED
 
-from conftest import golden_path, program_path
+from conftest import NAT_TREE_HEADER, golden_path, program_path
 from randgen import edited
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
@@ -364,13 +364,19 @@ def test_run_512_leaf_tree_prints_its_list(capcli, write):
     assert out == "cons(zero," * 512 + "nil" + ")" * 512 + "\n"
 
 
-def test_tree9_depth_probe_matches_the_bench_oracle(capcli, tmp_path):
-    # The benchmark's own request and reference reply, built by bench/inputs.
+def bench_inputs():
+    """bench/inputs.py, the benchmark's request builder."""
     sys.path.insert(0, BENCH)
     try:
         import inputs
     finally:
         sys.path.remove(BENCH)
+    return inputs
+
+
+def test_tree9_depth_probe_matches_the_bench_oracle(capcli, tmp_path):
+    # The benchmark's own request and reference reply, built by bench/inputs.
+    inputs = bench_inputs()
     probes = inputs.build_probes(101, inputs.Writer(str(tmp_path)))
     req, = [r for r in probes if r.cls == "ProblemIV/tree9"]
     code, out, err = capcli(*req.argv)
@@ -733,3 +739,106 @@ def test_token_strings_exit_with_a_documented_code(
     finally:
         os.chdir(cwd)
     assert code in range(7)
+
+
+# The CLI's cache of checked programs, keyed on the program's text and the
+# prelude's: a warm call must reply as a cold one does.
+
+
+@pytest.fixture
+def cache_info():
+    """The cache's `cache_info`, the cache emptied first; its entries after
+    the test are left as they are."""
+    cli._checked.cache_clear()
+    return cli._checked.cache_info
+
+
+def test_cache_reads_a_rewritten_program(capcli, write, cache_info):
+    f = write("p.strat", NAT_TREE_HEADER)
+    assert capcli("run", f, "--term", "succ(zero)") == (0, "succ(zero)\n", "")
+    write("p.strat", NAT_TREE_HEADER.replace("main = id;",
+                                             "main = succ(N) -> N;"))
+    assert capcli("run", f, "--term", "succ(zero)") == (0, "zero\n", "")
+    assert cache_info().misses == 2
+
+
+def test_cache_repeats_the_diagnostics_of_an_ill_typed_program(
+        capcli, write, cache_info):
+    f = write("bad.strat", "sort Nat; con zero : Nat; var N : Nat;\n"
+              "main = all(zero -> zero);")
+    want = (2, "", "ERROR all at 2:8: all needs a type-preserving argument, "
+                   "has Nat -> Nat\n")
+    for _ in range(3):
+        assert capcli("check", f) == want
+    assert (cache_info().misses, cache_info().hits) == (1, 2)
+
+
+def test_cache_keeps_no_parse_error(capcli, write, cache_info):
+    f = write("broken.strat", "main = ;")
+    for _ in range(3):
+        code, out, err = capcli("check", f)
+        assert (code, out) == (4, "") and "parse error" in err
+    assert cache_info().currsize == 0
+    write("broken.strat", "main = id;")
+    assert capcli("check", f) == (0, "TP\n", "")
+
+
+def test_cache_keeps_one_entry_per_prelude(capcli, write, cache_info):
+    f = write("p.strat", PRELUDE_SIG + "main = Try(extend(N -> succ(N), TP));")
+    pre = write("pre.strat", "def Try(v) : TP -> TP = v ; v;")
+    replies = {
+        (): (0, "succ(zero)\n", ""),
+        ("--no-prelude",): (2, "", "ERROR name at 2:8: unknown name Try\n"),
+        ("--prelude", pre): (0, "succ(succ(zero))\n", ""),
+    }
+    for _ in range(2):
+        for extra, want in replies.items():
+            assert capcli("run", f, "--term", "zero", *extra) == want
+    assert (cache_info().currsize, cache_info().hits) == (3, 3)
+
+
+def test_cache_holds_at_most_its_bound(capcli, write, cache_info):
+    files = [write("p%d.strat" % i, NAT_TREE_HEADER + "# %d\n" % i)
+             for i in range(cli.CACHE_SIZE + 4)]
+    for f in files + files[:2]:
+        assert capcli("check", f) == (0, "TP\n", "")
+    # The first two were dropped to make room, and checked again.
+    assert cache_info().currsize == cli.CACHE_SIZE
+    assert cache_info().misses == cli.CACHE_SIZE + 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["elaborate"],
+    ["run", "--trace", "--term", "fork(leaf(zero),leaf(succ(zero)))"]],
+    ids=["check", "elaborate", "run --trace"])
+def test_cache_replies_the_same_cold_and_warm(capcli, cache_info, argv):
+    command, *rest = argv
+    argv = [command, program_path("problems.strat")] + rest
+    first = capcli(*argv)
+    assert first[0] == 0 and first[1]
+    assert capcli(*argv) == first
+    assert cache_info().hits == 1
+
+
+@pytest.mark.parametrize("workload", ["traverse", "normalize"])
+def test_bench_pass_replies_the_same_cold_and_warm(capsys, tmp_path,
+                                                   workload):
+    # One seed-101 pass of the benchmark's requests with every request's
+    # program checked afresh, then as the benchmark runs it (each program
+    # checked on its first request), then with the cache warm: every exit
+    # code, stdout and stderr must agree.
+    requests, _ = bench_inputs().build(workload, 101, str(tmp_path), 1)
+
+    def reply(req):
+        code = cli_main(list(req.argv))
+        return (req.cls, code) + tuple(capsys.readouterr())
+
+    fresh = []
+    for req in requests:
+        cli._checked.cache_clear()
+        fresh.append(reply(req))
+    cli._checked.cache_clear()
+    assert [reply(req) for req in requests] == fresh
+    filled = cli._checked.cache_info().misses
+    assert [reply(req) for req in requests] == fresh
+    assert cli._checked.cache_info().misses == filled

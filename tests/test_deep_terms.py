@@ -89,6 +89,19 @@ def test_cli_reports_a_deep_ill_typed_term(capsys, tmp_path):
         "", "ERROR fun: argument 1 of succ has type Tree, expected Nat\n")
 
 
+def test_cli_reports_a_deep_pair_type(capsys, tmp_path):
+    # The diagnostic names the argument's 10^4-deep pair type, whose repr
+    # is written with a stack.
+    src = tmp_path / "id.strat"
+    src.write_text(NAT_TREE_HEADER)
+    text = "succ(" + "(zero," * DEPTH + "zero" + ")" * DEPTH + ")"
+    assert cli.main(["run", str(src), "--term", text]) == 2
+    want = "(Nat," * DEPTH + "Nat" + ")" * DEPTH
+    assert capsys.readouterr() == (
+        "", "ERROR fun: argument 1 of succ has type %s, expected Nat\n"
+        % want)
+
+
 def test_cli_reports_a_deep_malformed_term(capsys, tmp_path):
     src = tmp_path / "id.strat"
     src.write_text(NAT_TREE_HEADER)

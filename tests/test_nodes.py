@@ -128,6 +128,8 @@ def test_reprs_are_exact():
         "CombinatorType(type_params=('a',), arg_types=(Nat -> Nat, TP), "
         "result_type=TU(a))")
     assert repr(Amp(Arrow(NAT, NAT), TP_TYPE)) == "Nat -> Nat & TP"
+    assert repr(TU(PairType(PairType(NAT, UNIT), PairType(TypeVar("a"), NAT)))) \
+        == "TU(((Nat,()),(a,Nat)))"
     assert repr(EngineFailure("FuelExhausted", "fuel exhausted expanding F")) \
         == ("EngineFailure(kind='FuelExhausted', "
             "detail='fuel exhausted expanding F')")

@@ -1,6 +1,7 @@
 """The checker walks each strategy node once: checking and elaboration
 stay linear in nesting depth, and a CLI run walks each definition at most
-once: the prelude's once per process, the program's own once per run.
+once: the prelude's once per process, the program's own once per program
+text the process has not checked lately.
 
 Costs are counted as visits of `typecheck._type_of`, never as wall time.
 """
@@ -73,24 +74,31 @@ def test_nested_forms_are_linear_in_depth(build, depth, nat_tree_ctx,
 
 def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
     # A cold run checks each prelude body once, in the prelude's context;
-    # a warm run reuses those cores and walks only the program's own.
+    # a run that parses the program again reuses those cores and walks only
+    # the program's own, and a run the cache of checked programs answers
+    # walks none.
     loaded = []
-    load = cli._load
+    parse = cli._parse
 
-    def keep(args):
-        program, prelude = load(args)
+    def keep(*key):
+        program, prelude = parse(*key)
         loaded.append(program)
         return program, prelude
 
-    monkeypatch.setattr(cli, "_load", keep)
+    monkeypatch.setattr(cli, "_parse", keep)
     monkeypatch.setattr(sc.load_prelude(), "cores", None)
     argv = ["run", program_path("problems.strat"),
             "--term", "fork(leaf(zero),leaf(succ(zero)))"]
+    cli._checked.cache_clear()
     assert cli.main(argv) == 0
     cold = list(visits)
     visits.clear()
+    cli._checked.cache_clear()
     assert cli.main(argv) == 0
     warm = list(visits)
+    visits.clear()
+    assert cli.main(argv) == 0
+    assert visits == [] and len(loaded) == 2
 
     first, second = loaded
     for d in first.definitions.values():
