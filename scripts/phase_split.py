@@ -19,7 +19,9 @@ phase took (argument parsing, reading files, the type of the reduct) and
 whose `request` time is the median (the lower middle one for even N), so
 they still sum to its `request`. Each pass starts with the CLI's cache of
 checked programs emptied, so every pass parses and checks each program
-file once, on its first request, and reuses it on the rest.
+file once, on its first request, and reuses it on the rest. That cache is
+the only one of checking, so each of those checks also walks every body
+of the prelude, once per program file.
 
 Usage: python3 scripts/phase_split.py [--workload W] [--seed N] [--limit N]
                                       [--repeat N]

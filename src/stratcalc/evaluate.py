@@ -27,7 +27,6 @@ from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
 from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, FunApp, Ok,
                     PairType, Record, Var, check_reduct, substitute,
                     tag_ground_term)
-from .prelude import load_prelude
 from .typecheck import (_substitute_type_vars, apply_type, check_and_elaborate,
                         domains, substitute_stype)
 
@@ -422,10 +421,10 @@ if sys.implementation.name == "cpython" and sys.version_info >= (3, 11):
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply the raw strategy s to the raw term t under the raw definitions
     defs. t is tagged and must be ground; ctx, defs and s are checked and
-    elaborated by the CLI's pass, `check_and_elaborate`, against the
-    bundled prelude, so a definition that is the prelude's own takes its
-    checked core; and s's type must apply to t's. The core runs through
-    run_program, and the reduct must have the type `apply_type` predicts.
+    elaborated on every call by the CLI's pass, `check_and_elaborate`,
+    which keeps nothing; and s's type must apply to t's. The core runs
+    through run_program, and the reduct must have the type `apply_type`
+    predicts.
     Returns Ok, Failure, or EngineFailure; ill-typed input gives
     InternalTypeViolation with the first diagnostic."""
     return _in_frame_room(_apply_strategy, ctx, defs, s, t, cfg, state)
@@ -434,8 +433,7 @@ def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
 def _apply_strategy(ctx, defs, s, t, cfg, state):
     try:
         t = tag_ground_term(ctx, t)
-        diags, main_type, core = check_and_elaborate(
-            S.Program(ctx, defs, s, load_prelude()))
+        diags, main_type, core = check_and_elaborate(S.Program(ctx, defs, s))
         if diags:
             raise diags[0]
         want = apply_type(ctx, main_type, t.tag)

@@ -501,7 +501,7 @@ def parse_program(text, prelude=None, require_main=True):
     if require_main and main is None:
         tok = parser.peek()
         raise ParseError("missing main strategy", tok[2:])
-    return S.Program(ctx, definitions, main, prelude)
+    return S.Program(ctx, definitions, main)
 
 
 def parse_term(text, ctx):

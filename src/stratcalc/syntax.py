@@ -294,25 +294,14 @@ class Definition(Syntax):
 
 
 class Program(Record):
-    __slots__ = ("context", "definitions", "main", "prelude", "cores")
-    _fields = ("context", "definitions", "main")
+    __slots__ = _fields = ("context", "definitions", "main")
 
-    def __init__(self, context, definitions, main, prelude=None):
+    def __init__(self, context, definitions, main):
         self.context = context  # a Context
         self.definitions = definitions  # name -> Definition
         self.main = main  # a StrategyExpr
-        # The prelude Program this one was parsed against, or None: its
-        # records begin `context.decls` and its definitions are shared, so
-        # the checker can reuse their cores.
-        self.prelude = prelude
-        # As a prelude: name -> (definition, core) for each of its
-        # definitions that checks in its own context, or None before the
-        # checker needs it.
-        self.cores = None
 
     def replace(self, **changes):
-        """A copy of this program with `changes` made, on the same prelude
-        unless `prelude` is one of them; its `cores` are None."""
-        return Program(**{"context": self.context,
-                          "definitions": self.definitions, "main": self.main,
-                          "prelude": self.prelude, **changes})
+        """A copy of this program with `changes` made."""
+        return Program(**{**{f: getattr(self, f) for f in self._fields},
+                          **changes})

@@ -67,21 +67,48 @@ def wf_strategy_type(ctx, pi):
         wf_term_type(ctx, pi.result)
         return
     if isinstance(pi, Amp):
-        branches = amp_branches(pi)
-        seen = set()
-        for b in branches:
+        seen = []
+        for b in amp_branches(pi):
             if is_generic(b):
                 raise StaticError("overloaded sum contains a generic type %r"
                                   % (b,), rule="pi.4")
             wf_strategy_type(ctx, b)
             for d in domains(b):
-                if d in seen:
-                    raise StaticError(
-                        "overloaded branches share the domain %r" % (d,),
-                        rule="pi.4")
-                seen.add(d)
+                for e in seen:
+                    if _unify(e, d):
+                        raise StaticError(
+                            "overloaded branches share the domain %r" % (d,)
+                            if e == d else "overloaded branches share the "
+                            "domains %r and %r under some type arguments"
+                            % (e, d), rule="pi.4")
+                seen.append(d)
         return
     raise TypeError("not a strategy type: %r" % (pi,))
+
+
+def _unify(t1, t2):
+    """Whether some type arguments make the term types t1 and t2 equal, a
+    type variable standing for one type wherever it occurs."""
+    subst = {}  # type variable name -> its type, which names no key
+    todo = [(t1, t2)]
+    while todo:
+        a, b = (_substitute_type_vars(subst, t) for t in todo.pop())
+        if isinstance(b, TypeVar):
+            a, b = b, a
+        if a == b:
+            continue
+        if isinstance(a, TypeVar):
+            bind = {a.name: b}
+            if _substitute_type_vars(bind, b) != b:  # b names a
+                return False
+            subst = {n: _substitute_type_vars(bind, t)
+                     for n, t in subst.items()}
+            subst[a.name] = b
+        elif isinstance(a, PairType) and isinstance(b, PairType):
+            todo += [(a.left, b.left), (a.right, b.right)]
+        else:
+            return False
+    return True
 
 
 def domains(pi):
@@ -98,19 +125,19 @@ def domains(pi):
 # Genericity ordering
 
 
-def generically_less(ctx, p, q):
+def generically_less(p, q):
     """Strict 'is an instance of' ordering between strategy types."""
     if isinstance(q, TP):
         if isinstance(p, Arrow):
             return p.dom == p.cod
         if isinstance(p, Amp):
-            return all(generically_less(ctx, b, q) for b in amp_branches(p))
+            return all(generically_less(b, q) for b in amp_branches(p))
         return False
     if isinstance(q, TU):
         if isinstance(p, Arrow):
             return p.cod == q.result
         if isinstance(p, Amp):
-            return all(generically_less(ctx, b, q) for b in amp_branches(p))
+            return all(generically_less(b, q) for b in amp_branches(p))
         return False
     if isinstance(q, Amp):
         if isinstance(p, (Arrow, Amp)):
@@ -119,15 +146,15 @@ def generically_less(ctx, p, q):
     return False
 
 
-def generically_leq(ctx, p, q):
-    return types_equal(p, q) or generically_less(ctx, p, q)
+def generically_leq(p, q):
+    return types_equal(p, q) or generically_less(p, q)
 
 
 # ---------------------------------------------------------------------------
 # Negation and composition of types
 
 
-def negatable(ctx, pi):
+def negatable(pi):
     if isinstance(pi, Arrow):
         return Arrow(pi.dom, pi.dom)
     if is_generic(pi):
@@ -135,7 +162,7 @@ def negatable(ctx, pi):
     raise StaticError("cannot negate overloaded type %r" % (pi,), rule="negt")
 
 
-def composable(ctx, p1, p2):
+def composable(p1, p2):
     if isinstance(p1, Arrow):
         if isinstance(p2, Arrow):
             if p1.cod == p2.dom:
@@ -172,12 +199,12 @@ def composable(ctx, p1, p2):
 # Greatest lower bounds
 
 
-def glb(ctx, p1, p2):
+def glb(p1, p2):
     if types_equal(p1, p2):
         return p1
-    if generically_less(ctx, p1, p2):
+    if generically_less(p1, p2):
         return p1
-    if generically_less(ctx, p2, p1):
+    if generically_less(p2, p1):
         return p2
     nongen1 = isinstance(p1, (Arrow, Amp))
     nongen2 = isinstance(p2, (Arrow, Amp))
@@ -188,7 +215,7 @@ def glb(ctx, p1, p2):
             return amp_of(common)
     elif nongen1 != nongen2:
         m, g = (p1, p2) if nongen1 else (p2, p1)
-        sub = [b for b in amp_branches(m) if generically_less(ctx, b, g)]
+        sub = [b for b in amp_branches(m) if generically_less(b, g)]
         if sub:
             return amp_of(sub)
     raise StaticError("types %r and %r have no lower bound" % (p1, p2),
@@ -201,7 +228,8 @@ def glb(ctx, p1, p2):
 
 def apply_type(ctx, pi, tau):
     """The unique codomain for applying a strategy of type pi to a term of
-    type tau."""
+    type tau. ctx is unused, and kept because `bench/layers.py` calls
+    apply_type(ctx, pi, tau)."""
     if isinstance(pi, Arrow):
         if pi.dom == tau:
             return pi.cod
@@ -259,9 +287,9 @@ def substitute_stype(subst, pi):
     raise TypeError("not a strategy type: %r" % (pi,))
 
 
-def _require_instance(ctx, p, q, rule="extend"):
+def _require_instance(p, q, rule="extend"):
     """Raise unless p is a strict instance of q (p < q)."""
-    if not generically_less(ctx, p, q):
+    if not generically_less(p, q):
         raise StaticError("%r is not an instance of %r" % (p, q), rule=rule)
 
 
@@ -277,16 +305,16 @@ def _type_guard(arrow, stype, pos):
 
 
 def expand_tlchoice(ctx, s1, s2, pi1, pi2, pos=None):
-    """The type and core of s1 <& s2 from its operands' cores and types:
+    """The type and core of s1 <& s2 from each operand's core and type:
     extend(s1, pi2) + (!guard(dom s1, TP) ; s2)."""
     wf_strategy_type(ctx, pi2)
-    _require_instance(ctx, pi1, pi2)
+    _require_instance(pi1, pi2)
     guard = _type_guard(Arrow(pi1.dom, pi1.dom), TP_TYPE, pos)
     core = S.Choice(S.Extend(_annotated(s1, pi1), pi2, pos),
                     S.Seq(S.Neg(guard, pos), s2, pos), pos)
     # The left branch has type pi2 and the right one TP ; pi2, which is
     # pi2 wherever it is defined, so their glb is that type.
-    return composable(ctx, TP_TYPE, pi2), core
+    return composable(TP_TYPE, pi2), core
 
 
 def _type_of(ctx, s):
@@ -320,21 +348,21 @@ def _type_of(ctx, s):
     if isinstance(s, S.Seq):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
-        return composable(ctx, p1, p2), S.Seq(c1, c2, pos)
+        return composable(p1, p2), S.Seq(c1, c2, pos)
     if isinstance(s, S.Choice):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
-        return glb(ctx, p1, p2), S.Choice(c1, c2, pos)
+        return glb(p1, p2), S.Choice(c1, c2, pos)
     if isinstance(s, S.LChoice):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
-        pi = glb(ctx, p1, composable(ctx, negatable(ctx, p1), p2))
+        pi = glb(p1, composable(negatable(p1), p2))
         return pi, S.LChoice(c1, c2, pos)
     if isinstance(s, S.RChoice):
         return _type_of(ctx, S.LChoice(s.right, s.left, pos))
     if isinstance(s, S.Neg):
         p, c = type_and_core(ctx, s.arg)
-        return negatable(ctx, p), S.Neg(c, pos)
+        return negatable(p), S.Neg(c, pos)
     if isinstance(s, S.CongFun):
         if s.name not in ctx.functions:
             raise StaticError("unknown function %s in congruence" % s.name,
@@ -344,15 +372,15 @@ def _type_of(ctx, s):
             raise StaticError(
                 "congruence %s expects %d argument strategies, got %d"
                 % (s.name, len(arg_sorts), len(s.args)), rule="cong")
-        cores = []
+        core_args = []
         for i, (a, sigma) in enumerate(zip(s.args, arg_sorts)):
             pa, ca = type_and_core(ctx, a)
-            if not generically_leq(ctx, Arrow(sigma, sigma), pa):
+            if not generically_leq(Arrow(sigma, sigma), pa):
                 raise StaticError(
                     "argument %d of congruence %s must admit %r -> %r, has %r"
                     % (i + 1, s.name, sigma, sigma, pa), rule="cong.2")
-            cores.append(ca)
-        return Arrow(result, result), S.CongFun(s.name, tuple(cores), pos)
+            core_args.append(ca)
+        return Arrow(result, result), S.CongFun(s.name, tuple(core_args), pos)
     if isinstance(s, S.CongUnit):
         u = Unit()
         return Arrow(u, u), s
@@ -380,7 +408,7 @@ def _type_of(ctx, s):
         tau = pc.result
         want = Arrow(PairType(tau, tau), tau)
         pp, cp = type_and_core(ctx, s.splus)
-        if not generically_leq(ctx, want, pp):
+        if not generically_leq(want, pp):
             raise StaticError("reduce composer must admit %r, has %r"
                               % (want, pp), rule="red")
         return pc, S.Reduce(cp, cc, pos)
@@ -402,12 +430,12 @@ def _type_of(ctx, s):
     if isinstance(s, S.Extend):
         wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
-        _require_instance(ctx, inner, s.stype)
+        _require_instance(inner, s.stype)
         return s.stype, S.Extend(_annotated(c, inner), s.stype, pos)
     if isinstance(s, S.Restrict):
         wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
-        _require_instance(ctx, s.stype, inner, "restrict")
+        _require_instance(s.stype, inner, "restrict")
         return s.stype, S.Restrict(c, s.stype, pos)
     if isinstance(s, S.Annot):
         wf_strategy_type(ctx, s.stype)
@@ -429,7 +457,7 @@ def _type_of(ctx, s):
         wf_term_type(ctx, s.ttype)
         wf_strategy_type(ctx, s.stype)
         arrow = Arrow(s.ttype, s.ttype)
-        _require_instance(ctx, arrow, s.stype)
+        _require_instance(arrow, s.stype)
         return s.stype, _type_guard(arrow, s.stype, pos)
     if isinstance(s, S.TLChoice):
         p1, c1 = type_and_core(ctx, s.left)
@@ -474,7 +502,7 @@ def _type_of(ctx, s):
         for ta in s.type_args:
             wf_term_type(ctx, ta)
         subst = dict(zip(ct.type_params, s.type_args))
-        cores = []
+        core_args = []
         for i, (a, want) in enumerate(zip(s.args, ct.arg_types)):
             want = substitute_stype(subst, want)
             wf_strategy_type(ctx, want)
@@ -483,10 +511,10 @@ def _type_of(ctx, s):
                 raise StaticError(
                     "argument %d of %s must have type %r, has %r"
                     % (i + 1, s.name, want, pa), rule="comb")
-            cores.append(ca)
+            core_args.append(ca)
         result = substitute_stype(subst, ct.result_type)
         wf_strategy_type(ctx, result)
-        return result, S.Call(s.name, s.type_args, tuple(cores), pos)
+        return result, S.Call(s.name, s.type_args, tuple(core_args), pos)
     raise TypeError("not a strategy: %r" % (s,))
 
 
@@ -519,48 +547,15 @@ def check_definition(ctx, d):
     return S.Definition(d.name, d.params, d.ctype, body, d.pos)
 
 
-def _prelude_cores(ctx, prelude):
-    """The cores of `prelude`'s definitions that hold in ctx: all of them
-    when ctx's declarations begin with the prelude's, none otherwise.
-    Checks the prelude, and keeps its cores on it, the first time."""
-    decls = prelude.context.decls
-    if ctx.decls[:len(decls)] != decls:
-        return {}
-    if prelude.cores is None:
-        cores = {}
-        for name, d in prelude.definitions.items():
-            try:
-                cores[name] = d, check_definition(prelude.context, d)
-            except StaticError:
-                pass
-        prelude.cores = cores
-    return prelude.cores
-
-
 def check_and_elaborate(program):
     """Check and elaborate every definition and main in one pass. Return
     (diagnostics, main_type, core program); main_type and the core are
-    None when checking failed anywhere.
-
-    A definition of `program.prelude` takes the core it got when that
-    prelude was checked in its own context (once per prelude object) if
-    check_context(ctx) is clean, ctx's declarations begin with the
-    prelude's, the definition is the prelude's own object, and it checked
-    cleanly there. The program's context then extends the prelude's
-    without redeclaring a name, so every lookup the body makes gives the
-    same answer in both, and so does its check. Any other definition is
-    checked in ctx."""
+    None when checking failed anywhere. Every definition, a prelude's
+    included, is checked in the program's context."""
     ctx = program.context
     diags = list(check_context(ctx))
-    reuse = {}
-    if program.prelude is not None and not diags:
-        reuse = _prelude_cores(ctx, program.prelude)
     defs = {}
     for name, d in program.definitions.items():
-        hit = reuse.get(name)
-        if hit is not None and hit[0] is d:
-            defs[name] = hit[1]
-            continue
         try:
             defs[name] = check_definition(ctx, d)
         except StaticError as e:

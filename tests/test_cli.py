@@ -193,10 +193,11 @@ def test_custom_prelude_file(capcli, write):
     assert out.strip() == "succ(succ(zero))"
 
 
-# Programs whose prelude definitions cannot reuse the prelude's checked
-# cores: (program, prelude file or None, command, want (code, out, err)).
-# Each reply is the one that checking every definition in the program's
-# context gives.
+# Programs whose prelude definitions check differently in the program's
+# context than in the prelude's alone, or check in neither: (program,
+# prelude file or None, command, want (code, out, err)). Each reply is the
+# one that checking every definition in the program's context gives, as
+# the checker does.
 PRELUDE_SIG = ("sort Nat; con zero : Nat; fun succ : Nat -> Nat; "
                "var N : Nat;\n")
 PRELUDE_REUSE = {
@@ -230,7 +231,7 @@ def test_prelude_reuse_keeps_every_reply(capcli, write, case):
     argv = [command, write("p.strat", text)] + rest
     if prelude is not None:
         argv += ["--prelude", write("pre.strat", prelude)]
-    # Twice, so that the second run meets the slot the first one filled.
+    # Twice, so that the CLI's cache of checked programs answers the second.
     assert capcli(*argv) == want
     assert capcli(*argv) == want
 
@@ -653,6 +654,24 @@ def test_definition_type_errors_are_placed_at_the_definition(capcli, write):
               "def A(s) : (Nat -> Bogus) -> TP = id;\n")
     assert capcli("check", f) == (
         2, "", "ERROR tau.1 at 3:1: undeclared sort Bogus\n")
+
+
+@pytest.mark.parametrize("params,args,stype,want", [
+    ("[a,b]", "[Nat,Nat]", "(a -> a) * (b -> b)",
+     "ERROR pi.4 at 2:54: overloaded branches share the domains a and b "
+     "under some type arguments"),
+    ("", "", "(Nat -> Nat) * (Nat -> Nat)",
+     "ERROR pi.4 at 2:57: overloaded branches share the domain Nat"),
+], ids=["type-params", "monomorphic"])
+def test_overlapping_amp_is_rejected_at_its_definition(capcli, write, params,
+                                                       args, stype, want):
+    # With type parameters, the call's type arguments make both branches
+    # Nat -> Nat; an evaluator that got this far would take the left one.
+    text = ("def H%s(v,w) : %s -> TP = extend(v & w, TP);\n"
+            "main = H%s(succ(N) -> N, N -> succ(N));\n")
+    f = write("amp.strat", PARAM_HEADER + text % (params, stype, args))
+    for argv in (("check", f), ("run", f, "--term", "succ(zero)")):
+        assert capcli(*argv) == (2, "", want + "\n")
 
 
 def test_where_clause_binding_of_another_sort(capcli, write):

@@ -415,19 +415,24 @@ SWAP_SIGNATURE = (
     "fun leaf : Nat -> Tree; fun fork : Tree * Tree -> Tree;\n"
     "var N : Nat; var T1 : Tree; var T2 : Tree;\n"
     "def Lift[a](v) : (a -> a) -> TP = extend(v, TP);\n"
-    "def Pick[a,b](v, w) : (a -> a) * (b -> b) -> a -> a & b -> b = v & w;\n"
+    "def Pick[a](v, w) : (a -> a) * ((a,a) -> (a,a))"
+    " -> a -> a & (a,a) -> (a,a) = v & w;\n"
     "def Both[a,b](v, w) : (a -> a) * (b -> b) -> TP ="
     " Try(Lift[a](v)) ; Try(Lift[b](w));\n")
+# Pick's branches stay apart under every type argument (no a is (a,a)),
+# so its sum checks; one over a and b would not (rule pi.4).
+PICK_NAT = ("Try(extend(Pick[Nat](zero -> succ(zero),"
+            " (N,zero) -> (zero,N)), TP))")
+PICK_TREE = ("Try(extend(Pick[Tree](fork(T1,T2) -> fork(T2,T1),"
+             " (T1,T2) -> (T2,T1)), TP))")
 
 
 @pytest.mark.parametrize("main", [
     "BU(Try(Lift[Nat](zero -> succ(zero)))"
     " ; Try(Lift[Tree](fork(T1,T2) -> fork(T2,T1))))",
-    "BU(Try(extend(Pick[Nat,Tree](zero -> succ(zero),"
-    " fork(T1,T2) -> fork(T2,T1)), TP)))",
+    "BU(%s ; %s)" % (PICK_NAT, PICK_TREE),
     "BU(Both[Nat,Tree](zero -> succ(zero), fork(T1,T2) -> fork(T2,T1)))",
-    "BU(Try(extend(Pick[Tree,Nat](fork(T1,T2) -> fork(T2,T1),"
-    " zero -> succ(zero)), TP)))",
+    "BU(%s ; %s)" % (PICK_TREE, PICK_NAT),
 ])
 def test_type_parameters_reach_extend_and_amp_dispatch(main):
     # Lift's extend and Pick's & dispatch on annotations that mention the

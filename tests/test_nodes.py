@@ -332,7 +332,7 @@ SYNTAX_FIELDS = {
     "ParamRef": ("name", "pos"), "Call": ("name", "type_args", "args", "pos"),
     "Where": ("var", "strat", "arg"),
     "Definition": ("name", "params", "ctype", "body", "pos"),
-    "Program": ("context", "definitions", "main", "prelude", "cores"),
+    "Program": ("context", "definitions", "main"),
 }
 SYNTAX_CLASSES = [c for c in vars(S).values()
                   if isinstance(c, type) and issubclass(c, S.Syntax)
@@ -410,10 +410,10 @@ def test_syntax_reprs_are_exact():
         "Definition(name='F', params=('s',), ctype=CombinatorType("
         "type_params=(), arg_types=(TP,), result_type=TP), "
         "body=ParamRef(name='s', pos=None), pos=(5, 1))")
-    assert repr(S.Program(Context(), {}, S.Id(), S.Program(None, {}, None))) \
-        == ("Program(context=Context(sorts=set(), functions={}, "
-            "term_vars={}, combinators={}, strategy_params={}, "
-            "type_vars=set(), decls=[]), definitions={}, main=Id(pos=None))")
+    assert repr(S.Program(Context(), {}, S.Id())) == (
+        "Program(context=Context(sorts=set(), functions={}, "
+        "term_vars={}, combinators={}, strategy_params={}, "
+        "type_vars=set(), decls=[]), definitions={}, main=Id(pos=None))")
 
 
 @pytest.mark.parametrize("cls", SYNTAX_CLASSES, ids=lambda c: c.__name__)
@@ -426,27 +426,21 @@ def test_dataclass_fields_of_syntax_classes(cls):
 
 
 def test_program_replace():
-    prelude = stratcalc.load_prelude()
     program = load_program("problems.strat")
-    program.cores = {}
     other = program.replace(main=S.Fail())
     assert type(other) is S.Program and other.main == S.Fail()
-    assert other.prelude is program.prelude is prelude
-    assert other.cores is None
     assert other.context is program.context
     assert other.definitions is program.definitions
     assert other != program
     assert other.replace(main=program.main) == program
-    assert program.replace(prelude=None).prelude is None
     with pytest.raises(TypeError):
-        program.replace(cores={})
+        program.replace(pos=None)
     assert not dataclasses.is_dataclass(program)
 
 
-def test_programs_compare_without_prelude_or_cores():
+def test_programs_compare_by_their_fields():
     program = load_program("problems.strat")
     other = S.Program(program.context, program.definitions, program.main)
-    other.cores = {}
     assert other == program and repr(other) == repr(program)
     with pytest.raises(TypeError):
         hash(program)

@@ -1,7 +1,7 @@
 """The checker walks each strategy node once: checking and elaboration
-stay linear in nesting depth, and a CLI run walks each definition at most
-once: the prelude's once per process, the program's own once per program
-text the process has not checked lately.
+stay linear in nesting depth, and a CLI request walks each definition, the
+prelude's included, once per program text the process has not checked
+lately, and no definition otherwise.
 
 Costs are counted as visits of `typecheck._type_of`, never as wall time.
 """
@@ -73,57 +73,34 @@ def test_nested_forms_are_linear_in_depth(build, depth, nat_tree_ctx,
 
 
 def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
-    # A cold run checks each prelude body once, in the prelude's context;
-    # a run that parses the program again reuses those cores and walks only
-    # the program's own, and a run the cache of checked programs answers
-    # walks none.
-    loaded = []
+    # The CLI's cache of checked programs is the one cache of checking. A
+    # request for a program text it has not kept walks every body, the
+    # prelude's included, once; a repeated request walks none.
+    parsed = []
     parse = cli._parse
 
     def keep(*key):
         program, prelude = parse(*key)
-        loaded.append(program)
+        parsed.append(program)
         return program, prelude
 
     monkeypatch.setattr(cli, "_parse", keep)
-    monkeypatch.setattr(sc.load_prelude(), "cores", None)
-    argv = ["run", program_path("problems.strat"),
-            "--term", "fork(leaf(zero),leaf(succ(zero)))"]
+    run = ["run", program_path("problems.strat"),
+           "--term", "fork(leaf(zero),leaf(succ(zero)))"]
+    walked = []
     cli._checked.cache_clear()
-    assert cli.main(argv) == 0
-    cold = list(visits)
-    visits.clear()
-    cli._checked.cache_clear()
-    assert cli.main(argv) == 0
-    warm = list(visits)
-    visits.clear()
-    assert cli.main(argv) == 0
-    assert visits == [] and len(loaded) == 2
+    for argv in (run, run, ["check", program_path("overload.strat")]):
+        visits.clear()
+        assert cli.main(argv) == 0
+        walked.append(list(visits))
+    cold, warm, other = walked
+    assert warm == [] and len(parsed) == 2
 
-    first, second = loaded
-    for d in first.definitions.values():
-        assert sum(s is d.body for s in cold) == 1, d.name
-    prelude = second.prelude.definitions
-    assert set(second.definitions) > set(prelude)
-    for name, d in second.definitions.items():
-        assert sum(s is d.body for s in warm) == (name not in prelude), name
-
-    for program, walked in ((first.replace(prelude=None), cold),
-                            (second, warm)):
+    prelude = sc.load_prelude().definitions
+    for program, seen in zip(parsed, (cold, other)):
+        assert set(program.definitions) > set(prelude)
+        for d in program.definitions.values():
+            assert sum(s is d.body for s in seen) == 1, d.name
         visits.clear()
         sc.check_program(program)
-        assert len(walked) == len(visits)
-
-
-def test_warm_apply_strategy_walks_no_prelude_body(visits, problems):
-    # apply_strategy checks against the bundled prelude, so once its cores
-    # are kept, a call walks only the program's own definitions.
-    defs = problems.definitions
-    prelude = sc.load_prelude().definitions
-    t = sc.FunApp("zero", ())
-    assert sc.apply_strategy(problems.context, defs, S.Id(), t) == sc.Ok(t)
-    visits.clear()
-    assert sc.apply_strategy(problems.context, defs, S.Id(), t) == sc.Ok(t)
-    assert set(defs) > set(prelude)
-    for name, d in defs.items():
-        assert sum(s is d.body for s in visits) == (name not in prelude), name
+        assert len(seen) == len(visits)

@@ -100,108 +100,107 @@ def test_domains_generic_undefined():
 
 # -- genericity -------------------------------------------------------------
 
-def test_less_preserving_arrow_below_tp(nat_tree_ctx):
-    assert sc.generically_less(nat_tree_ctx, NN, TP_TYPE)
-    assert not sc.generically_less(nat_tree_ctx, Arrow(NAT, TREE), TP_TYPE)
+def test_less_preserving_arrow_below_tp():
+    assert sc.generically_less(NN, TP_TYPE)
+    assert not sc.generically_less(Arrow(NAT, TREE), TP_TYPE)
 
 
-def test_less_arrow_below_tu_by_codomain(nat_tree_ctx):
-    assert sc.generically_less(nat_tree_ctx, Arrow(TREE, NAT), TU(NAT))
-    assert not sc.generically_less(nat_tree_ctx, NN, TU(BOOL))
+def test_less_arrow_below_tu_by_codomain():
+    assert sc.generically_less(Arrow(TREE, NAT), TU(NAT))
+    assert not sc.generically_less(NN, TU(BOOL))
 
 
-def test_less_branch_subset(nat_tree_ctx):
-    assert sc.generically_less(nat_tree_ctx, NN, Amp(NN, TT))
-    assert not sc.generically_less(nat_tree_ctx, Amp(NN, TT), NN)
+def test_less_branch_subset():
+    assert sc.generically_less(NN, Amp(NN, TT))
+    assert not sc.generically_less(Amp(NN, TT), NN)
 
 
-def test_less_amp_below_generic(nat_tree_ctx):
-    assert sc.generically_less(nat_tree_ctx, Amp(NN, TT), TP_TYPE)
-    assert not sc.generically_less(
-        nat_tree_ctx, Amp(NN, Arrow(TREE, NAT)), TP_TYPE)
+def test_less_amp_below_generic():
+    assert sc.generically_less(Amp(NN, TT), TP_TYPE)
+    assert not sc.generically_less(Amp(NN, Arrow(TREE, NAT)), TP_TYPE)
 
 
-def test_less_is_irreflexive(nat_tree_ctx):
+def test_less_is_irreflexive():
     for pi in [NN, TT, TP_TYPE, TU(NAT), Amp(NN, TT)]:
-        assert not sc.generically_less(nat_tree_ctx, pi, pi)
+        assert not sc.generically_less(pi, pi)
 
 
 # -- negation and composition of types -------------------------------------
 
-def test_negatable_arrow_and_generics(nat_tree_ctx):
-    assert sc.negatable(nat_tree_ctx, Arrow(NAT, TREE)) == NN
-    assert sc.negatable(nat_tree_ctx, TU(NAT)) == TP_TYPE
-    assert sc.negatable(nat_tree_ctx, TP_TYPE) == TP_TYPE
+def test_negatable_arrow_and_generics():
+    assert sc.negatable(Arrow(NAT, TREE)) == NN
+    assert sc.negatable(TU(NAT)) == TP_TYPE
+    assert sc.negatable(TP_TYPE) == TP_TYPE
 
 
-def test_negatable_amp_rejected(nat_tree_ctx):
+def test_negatable_amp_rejected():
     with raises_static("negt", "cannot negate overloaded type "
                        "Nat -> Nat & Tree -> Tree"):
-        sc.negatable(nat_tree_ctx, Amp(NN, TT))
+        sc.negatable(Amp(NN, TT))
 
 
-def test_composable_arrows(nat_tree_ctx):
-    got = sc.composable(nat_tree_ctx, Arrow(NAT, TREE), Arrow(TREE, NAT))
+def test_composable_arrows():
+    got = sc.composable(Arrow(NAT, TREE), Arrow(TREE, NAT))
     assert got == NN
 
 
-def test_composable_tp_left(nat_tree_ctx):
-    assert sc.composable(nat_tree_ctx, TP_TYPE, TU(NAT)) == TU(NAT)
-    assert sc.composable(nat_tree_ctx, TP_TYPE, NN) == NN
-    assert sc.composable(nat_tree_ctx, TP_TYPE, TP_TYPE) == TP_TYPE
+def test_composable_tp_left():
+    assert sc.composable(TP_TYPE, TU(NAT)) == TU(NAT)
+    assert sc.composable(TP_TYPE, NN) == NN
+    assert sc.composable(TP_TYPE, TP_TYPE) == TP_TYPE
 
 
-def test_composable_tu_then_arrow(nat_tree_ctx):
-    assert sc.composable(nat_tree_ctx, TU(NAT), Arrow(NAT, BOOL)) == TU(BOOL)
+def test_composable_tu_then_arrow():
+    assert sc.composable(TU(NAT), Arrow(NAT, BOOL)) == TU(BOOL)
 
 
-def test_composable_arrow_then_tp(nat_tree_ctx):
-    assert sc.composable(nat_tree_ctx, Arrow(NAT, TREE), TP_TYPE) \
+def test_composable_arrow_then_tp():
+    assert sc.composable(Arrow(NAT, TREE), TP_TYPE) \
         == Arrow(NAT, TREE)
 
 
-def test_composable_arrow_then_tu(nat_tree_ctx):
-    assert sc.composable(nat_tree_ctx, Arrow(NAT, TREE), TU(NAT)) == \
+def test_composable_arrow_then_tu():
+    assert sc.composable(Arrow(NAT, TREE), TU(NAT)) == \
         Arrow(NAT, NAT)
 
 
-def test_composable_amp_pairwise(nat_tree_ctx):
-    got = sc.composable(nat_tree_ctx, Amp(NN, TT), Amp(NN, TT))
+def test_composable_amp_pairwise():
+    got = sc.composable(Amp(NN, TT), Amp(NN, TT))
     assert sc.terms.types_equal(got, Amp(NN, TT))
 
 
-def test_composable_rejections(nat_tree_ctx):
+def test_composable_rejections():
     with raises_static("comp.1", "cannot compose Nat -> Tree with Nat -> Nat"):
-        sc.composable(nat_tree_ctx, Arrow(NAT, TREE), NN)
+        sc.composable(Arrow(NAT, TREE), NN)
     with raises_static("comp", "cannot compose TU(Nat) with TU(Tree)"):
-        sc.composable(nat_tree_ctx, TU(NAT), TU(TREE))
+        sc.composable(TU(NAT), TU(TREE))
     with raises_static("comp", "cannot compose TU(Nat) with TP"):
-        sc.composable(nat_tree_ctx, TU(NAT), TP_TYPE)
+        sc.composable(TU(NAT), TP_TYPE)
 
 
 # -- greatest lower bounds --------------------------------------------------
 
-def test_glb_examples(nat_tree_ctx):
-    assert sc.glb(nat_tree_ctx, TP_TYPE, TP_TYPE) == TP_TYPE
-    assert sc.glb(nat_tree_ctx, NN, TP_TYPE) == NN
+def test_glb_examples():
+    assert sc.glb(TP_TYPE, TP_TYPE) == TP_TYPE
+    assert sc.glb(NN, TP_TYPE) == NN
     with raises_static("choice", "types Nat -> Nat and Tree -> Tree have "
                        "no lower bound"):
-        sc.glb(nat_tree_ctx, NN, TT)
+        sc.glb(NN, TT)
 
 
-def test_glb_symmetric_and_bounded(nat_tree_ctx):
+def test_glb_symmetric_and_bounded():
     cases = [(NN, TP_TYPE), (Amp(NN, TT), TP_TYPE), (TU(NAT), TU(NAT)),
              (Amp(NN, TT), Amp(NN, Arrow(TREE, NAT)))]
     for p1, p2 in cases:
-        g12 = sc.glb(nat_tree_ctx, p1, p2)
-        g21 = sc.glb(nat_tree_ctx, p2, p1)
+        g12 = sc.glb(p1, p2)
+        g21 = sc.glb(p2, p1)
         assert sc.terms.types_equal(g12, g21)
-        assert sc.generically_leq(nat_tree_ctx, g12, p1)
-        assert sc.generically_leq(nat_tree_ctx, g12, p2)
+        assert sc.generically_leq(g12, p1)
+        assert sc.generically_leq(g12, p2)
 
 
-def test_glb_amp_vs_generic_filters_branches(nat_tree_ctx):
-    got = sc.glb(nat_tree_ctx, Amp(NN, TT), TU(NAT))
+def test_glb_amp_vs_generic_filters_branches():
+    got = sc.glb(Amp(NN, TT), TU(NAT))
     assert got == Arrow(NAT, NAT)
 
 
@@ -383,6 +382,38 @@ def reject(src):
         return [e.render()]
     diags, _ = sc.check_program(program)
     return [d.render() for d in diags]
+
+
+# Overloaded sums over type variables, each in a definition before main:
+# two branch domains that some type arguments make equal share a domain,
+# as two equal ones do, so the definition is rejected whatever its call.
+AMP_OVER_TYPE_VARS = [
+    ("def H[a,b](v,w) : (a -> a) * (b -> b) -> TP = extend(v & w, TP);",
+     ["ERROR pi.4 at 13:54: overloaded branches share the domains a and b "
+      "under some type arguments"]),
+    ("def H[a](v,w) : (a -> a) * (Nat -> Nat) -> TP = extend(v & w, TP);",
+     ["ERROR pi.4 at 13:56: overloaded branches share the domains a and Nat "
+      "under some type arguments"]),
+    ("def F[a](v) : ((a -> a) & (Nat -> Nat)) -> TP = extend(v, TP);",
+     ["ERROR pi.4 at 13:1: overloaded branches share the domains a and Nat "
+      "under some type arguments"]),
+    ("def F[a](v) : (((a,Nat) -> (a,Nat)) & ((Nat,a) -> (Nat,a))) -> TP "
+     "= extend(v, TP);",
+     ["ERROR pi.4 at 13:1: overloaded branches share the domains (a,Nat) "
+      "and (Nat,a) under some type arguments"]),
+    # Disjoint for every type argument: no a makes (a,Nat) equal to
+    # (Nat,Tree), nor a equal to (a,Nat).
+    ("def G[a](v,w) : ((a,Nat) -> (a,Nat)) * ((Nat,Tree) -> (Nat,Tree)) -> TP"
+     " = extend(v & w, TP);", []),
+    ("def G[a](v,w) : (a -> a) * ((a,Nat) -> (a,Nat)) -> TP "
+     "= extend(v & w, TP);", []),
+]
+
+
+@pytest.mark.parametrize("definition,rendered", AMP_OVER_TYPE_VARS)
+def test_amp_over_type_variables(definition, rendered):
+    assert reject(nat_main("id").replace(
+        "main =", definition + "\nmain =")) == rendered
 
 
 @pytest.mark.parametrize("src,tag,rendered", ILL_TYPED,
