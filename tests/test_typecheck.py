@@ -22,7 +22,7 @@ from stratcalc.terms import (
     UNIT,
     Var,
 )
-from stratcalc.typecheck import apply_type
+from stratcalc.typecheck import _unify, apply_type
 
 from conftest import NAT_TREE_HEADER, raises_static
 from randgen import NAT, TREE
@@ -414,6 +414,36 @@ AMP_OVER_TYPE_VARS = [
 def test_amp_over_type_variables(definition, rendered):
     assert reject(nat_main("id").replace(
         "main =", definition + "\nmain =")) == rendered
+
+
+A, B, C = TypeVar("a"), TypeVar("b"), TypeVar("c")
+
+# Term type pairs and whether some type arguments make them equal; each
+# variable stands for one type wherever it occurs, including through a
+# binding made earlier in the same walk.
+UNIFY = [
+    (A, B, True),
+    (A, NAT, True),
+    (NAT, TREE, False),
+    (PairType(A, NAT), PairType(NAT, B), True),
+    (PairType(A, A), PairType(NAT, TREE), False),
+    (PairType(A, B), PairType(B, NAT), True),
+    (PairType(PairType(A, B), A), PairType(PairType(B, NAT), TREE), False),
+    (PairType(PairType(A, B), B), PairType(PairType(NAT, A), NAT), True),
+    (A, PairType(A, NAT), False),
+    (PairType(A, B), PairType(B, PairType(A, NAT)), False),
+    # a = (b,Nat) and b = c, so c = a = (c,Nat) has no solution.
+    (PairType(C, PairType(C, A)), PairType(A, PairType(B, PairType(B, NAT))),
+     False),
+    (PairType(A, UNIT), PairType(NAT, UNIT), True),
+    (PairType(A, UNIT), A, False),
+]
+
+
+@pytest.mark.parametrize("t1,t2,unifies", UNIFY)
+def test_unify_treats_each_type_variable_as_one_unknown(t1, t2, unifies):
+    assert _unify(t1, t2) is unifies
+    assert _unify(t2, t1) is unifies
 
 
 @pytest.mark.parametrize("src,tag,rendered", ILL_TYPED,
