@@ -4,9 +4,12 @@
 This script calls `stratcalc.cli.main` in this process once for each
 request of one seeded pass of a benchmark workload, as bench/inputs.py
 builds it. It wraps the names that `stratcalc.cli` imports for each phase
-(`parse_program`, `check_and_elaborate`, `parse_term`, `run_program` and
-`render_term`) with timers, in this process only, and prints one line per
-phase and two more:
+(`parse_program`, `check_and_elaborate`, `parse_term` and `render_term`)
+with timers, in this process only, and two methods of
+`stratcalc.evaluate`: `_Scope.compile`, timed as `compile`, and
+`CompiledProgram.run`, the runner that `run_program` and the CLI share,
+timed as `run_program` less the compiling done inside it. It prints one
+line per phase and two more:
 
     <phase> <ms> <share of request time, %>
     other <ms> <share>
@@ -21,7 +24,9 @@ they still sum to its `request`. Each pass starts with the CLI's cache of
 checked programs emptied, so every pass parses and checks each program
 file once, on its first request, and reuses it on the rest. That cache is
 the only one of checking, so each of those checks also walks every body
-of the prelude, once per program file.
+of the prelude, once per program file. Each entry keeps what its runs
+compile, so `compile` counts each node once per program and trace flag
+per pass, on the run that first reaches it.
 
 Usage: python3 scripts/phase_split.py [--workload W] [--seed N] [--limit N]
                                       [--repeat N]
@@ -40,20 +45,32 @@ sys.path[:0] = [os.path.join(HERE, "..", "src"),
                 os.path.join(HERE, "..", "bench")]
 
 import inputs  # noqa: E402  (the benchmark's request builder)
-from stratcalc import cli  # noqa: E402
+from stratcalc import cli, evaluate  # noqa: E402
 
-PHASES = ("parse_program", "check_and_elaborate", "parse_term",
+PHASES = ("parse_program", "check_and_elaborate", "parse_term", "compile",
           "run_program", "render_term")
 
 
-def timed(f, totals, name):
-    """f, adding the seconds each call takes to totals[name]."""
+def timed(f, totals, name, stack):
+    """f, adding the seconds each call takes to totals[name], less the
+    time of the timed calls it makes, which count under their own names.
+    `stack` holds [name, inner seconds] of each timed call in progress; a
+    call made straight from one of the same name, as compile makes, is
+    left in that one's time."""
     def wrapper(*args, **kwargs):
+        if stack and stack[-1][0] == name:
+            return f(*args, **kwargs)
+        frame = [name, 0.0]
+        stack.append(frame)
         start = time.perf_counter()
         try:
             return f(*args, **kwargs)
         finally:
-            totals[name] += time.perf_counter() - start
+            spent = time.perf_counter() - start
+            stack.pop()
+            totals[name] += spent - frame[1]
+            if stack:
+                stack[-1][1] += spent
     return wrapper
 
 
@@ -69,9 +86,14 @@ def main():
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("argument --repeat: expected N >= 1, got %d" % args.repeat)
-    totals = dict.fromkeys(PHASES + ("request",), 0.0)
-    for name in PHASES:
-        setattr(cli, name, timed(getattr(cli, name), totals, name))
+    totals, stack = dict.fromkeys(PHASES + ("request",), 0.0), []
+    for name in ("parse_program", "check_and_elaborate", "parse_term",
+                 "render_term"):
+        setattr(cli, name, timed(getattr(cli, name), totals, name, stack))
+    evaluate._Scope.compile = timed(evaluate._Scope.compile, totals,
+                                    "compile", stack)
+    evaluate.CompiledProgram.run = timed(evaluate.CompiledProgram.run,
+                                         totals, "run_program", stack)
     passes = []
     with tempfile.TemporaryDirectory() as root:
         requests, _ = inputs.build(args.workload, args.seed, root, 1)

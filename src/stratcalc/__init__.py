@@ -16,10 +16,12 @@ from .errors import (
     StratError,
 )
 from .evaluate import (
+    CompiledProgram,
     EngineFailure,
     EvalConfig,
     EvalState,
     apply_strategy,
+    expect_type,
     run_program,
 )
 from .parser import parse_program, parse_term

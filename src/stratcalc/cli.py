@@ -13,13 +13,13 @@ from types import SimpleNamespace
 
 from .errors import ParseError, StaticError
 from .evaluate import (
+    CompiledProgram,
     EngineFailure,
     EvalConfig,
     EvalState,
     _in_frame_room,
     depth_exceeded,
     expect_type,
-    run_program,
 )
 from .parser import parse_program, parse_term
 from .prelude import load_prelude
@@ -77,12 +77,18 @@ CACHE_SIZE = 16
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _checked(text, prelude_text, no_prelude):
-    """(prelude, (diagnostics, main type, core)) for a `_source` key.
-    Typing is static, so a process checks each key once; an error raised
-    while parsing or checking is not kept. Callers share what it returns
-    and must not mutate it."""
+    """(prelude, (diagnostics, main type, core), compiled) for a `_source`
+    key, where compiled is the core's `CompiledProgram` (None when the
+    program is ill-typed). Typing is static, so a process checks each key
+    once; an error raised while parsing or checking is not kept. `check`
+    and `elaborate` compile nothing; each `run` compiles what it reaches
+    first into the entry's CompiledProgram, once per trace flag, and the
+    closures leave with the entry. Callers share what it returns; only a
+    run, one at a time, adds to the CompiledProgram, and nothing else in
+    it is mutated."""
     program, prelude = _parse(text, prelude_text, no_prelude)
-    return prelude, check_and_elaborate(program)
+    diags, _, core = checked = check_and_elaborate(program)
+    return prelude, checked, None if diags else CompiledProgram(core)
 
 
 _ENGINE_EXIT = {"FuelExhausted": 3, "DepthExceeded": 6}
@@ -114,7 +120,7 @@ def main(argv=None):
 
 
 def _main(args):
-    prelude, (diags, main_type, core) = _checked(*_source(args))
+    prelude, (diags, main_type, core), compiled = _checked(*_source(args))
     if diags:
         for d in diags:
             print(d.render(), file=sys.stderr)
@@ -148,8 +154,8 @@ def _main(args):
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print(line, file=sys.stderr)))
-    outcome = expect_type(run_program(
-        core, term, EvalConfig(fuel=args.fuel, trace=args.trace), state), want)
+    outcome = expect_type(compiled.run(
+        term, EvalConfig(fuel=args.fuel, trace=args.trace), state), want)
     if isinstance(outcome, Ok):
         print(render_term(outcome.term))
         return 0

@@ -1,8 +1,12 @@
 """Evaluation of strategy applications, by compiling the core to closures.
 
-`run_program` compiles checked core to closures `f(t, env)` that return the
-reduct, or None for failure. `env` binds the running definition's strategy
-parameters, by position, to (closure, env) pairs.
+A `CompiledProgram` compiles checked core to closures `f(t, env)` that
+return the reduct, or None for failure. `env` binds the running
+definition's strategy parameters, by position, to (closure, env) pairs.
+The closures read the state of the run in progress (fuel, depth, trace
+sink, `&` counters) from their `_Run` when called, so a compiled program
+keeps them and applies them to many terms, one run at a time;
+`run_program` compiles afresh on each call.
 
 A call compiles in one of two ways. A call that sits in main or in a
 shared instance, and whose callee takes strategy parameters and is not
@@ -10,11 +14,11 @@ that instance's own definition, gets its own copy of the callee's body,
 compiled on its first run with the type arguments closed and each strategy
 parameter bound to the site's compiled actual; that copy runs on the
 caller's env. Every other call, a self-call and every call inside a copy
-among them, goes through the run's shared instances: one body per
+among them, goes through the program's shared instances: one body per
 definition and closed type arguments, compiled on its first call and run
 on an env built from the actuals. So a copy never makes a copy, and the
-code a run compiles is bounded by the program's size, never by the work
-done. Both ways cost one unit of fuel and emit one `comb` trace line. With
+code compiled is bounded by the program's size, never by the work done.
+Both ways cost one unit of fuel and emit one `comb` trace line. With
 `EvalConfig.trace`, every node's closure also appends its trace line.
 """
 
@@ -53,7 +57,7 @@ class EvalState(Record):
                            "amp_branch_evals")
 
     def __init__(self, trace_lines=None):
-        # Set by run_program at the start of each run.
+        # Set at the start of each run.
         self.fuel = None  # None = unlimited
         self.depth = 0
         self.trace_lines = [] if trace_lines is None else trace_lines
@@ -61,11 +65,14 @@ class EvalState(Record):
 
 
 class _Run:
-    """What one run's scopes share: the core definitions, the state, the
-    trace flag and the compiled instances by (name, type arguments)."""
+    """What the scopes of one compiled program share: the core
+    definitions, the trace flag, the compiled main and instances by (name,
+    type arguments), and `st`, the state of the run in progress (None
+    between runs), which the closures read when called."""
 
-    def __init__(self, defs, st, trace):
-        self.defs, self.st, self.trace = defs, st, trace
+    def __init__(self, defs, trace):
+        self.defs, self.trace = defs, trace
+        self.st = self.main = None
         self.instances = {}
 
     def instance(self, name, type_args):
@@ -111,7 +118,7 @@ class _Scope:
         tag, head, build = _NODES[type(s)]
         f = build(self, s)
         if self.run.trace and type(s) is not S.Call:  # see _call
-            return _traced(self.run.st, f, "%s %s @ " % (tag, head or s.name))
+            return _traced(self.run, f, "%s %s @ " % (tag, head or s.name))
         return f
 
     def domains(self, annot):
@@ -119,8 +126,9 @@ class _Scope:
                        if self.types else annot.stype)
 
 
-def _traced(st, f, prefix):
+def _traced(run, f, prefix):
     def traced(t, env):
+        st = run.st
         st.depth += 1
         r = f(t, env)
         st.depth -= 1
@@ -306,10 +314,11 @@ def _extend(sc, s):
 
 
 def _amp(sc, s):
-    st, branches = sc.run.st, [(sc.domains(b), sc.compile(b))
-                           for b in (s.left, s.right)]
+    run, branches = sc.run, [(sc.domains(b), sc.compile(b))
+                             for b in (s.left, s.right)]
 
     def amp(t, env):
+        st = run.st
         st.amp_dispatches += 1
         for accepts, branch in branches:
             if t.tag in accepts:
@@ -321,7 +330,7 @@ def _amp(sc, s):
 
 
 def _call(sc, s):
-    st, name, params = sc.run.st, s.name, sc.params
+    run, name, params = sc.run, s.name, sc.params
     key = tuple(_substitute_type_vars(sc.types, ta) for ta in s.type_args)
     # An actual that is the caller's own parameter passes on its binding,
     # so parameter chains never grow with recursion depth.
@@ -334,6 +343,7 @@ def _call(sc, s):
         nonlocal body, pack
         if body is None:
             body, pack = _expansion(sc, name, key, actuals)
+        st = run.st
         if st.fuel is not None:
             if st.fuel <= 0:
                 raise FuelExhausted("fuel exhausted expanding %s" % name)
@@ -426,7 +436,9 @@ def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     through run_program, and the reduct must have the type `apply_type`
     predicts.
     Returns Ok, Failure, or EngineFailure; ill-typed input gives
-    InternalTypeViolation with the first diagnostic."""
+    InternalTypeViolation with the first diagnostic. To apply one program
+    to many terms, check it once and run its core through a
+    `CompiledProgram`, with `expect_type` for the reduct's type."""
     return _in_frame_room(_apply_strategy, ctx, defs, s, t, cfg, state)
 
 
@@ -467,23 +479,50 @@ def run_program(program, t, cfg=None, state=None):
     returns it, to t, a ground term tagged as `parse_term`, `tag_term` or
     `tag_ground_term` returns it; returns Ok, Failure, or EngineFailure.
     Subject reduction is checked on every node of a reduct that is not t
-    itself."""
-    cfg, state = cfg or EvalConfig(), state or EvalState()
-    state.fuel, state.depth = cfg.fuel or None, 0
-    try:
+    itself. The program is compiled afresh on each call; a
+    `CompiledProgram` keeps what it compiles for later runs."""
+    return CompiledProgram(program).run(t, cfg, state)
+
+
+class CompiledProgram:
+    """A core program whose closures are kept to run on many terms. Each
+    trace flag gets its own closures, compiled as a run first reaches
+    them, main included, and kept, so a later run compiles only what no
+    earlier run reached. A compiled program serves one run at a time."""
+
+    def __init__(self, program):
+        self.program, self._runs = program, {}
+
+    def run(self, t, cfg=None, state=None):
+        """`run_program(program, t, cfg, state)` on the kept closures."""
+        cfg, state = cfg or EvalConfig(), state or EvalState()
+        run = self._runs.get(cfg.trace)
+        if run is None:
+            run = self._runs[cfg.trace] = _Run(self.program.definitions,
+                                               cfg.trace)
+        if run.st is not None:
+            raise RuntimeError("a compiled program serves one run at a time")
+        state.fuel, state.depth = cfg.fuel or None, 0
+        run.st = state
         try:
-            result = _Scope(_Run(program.definitions, state, cfg.trace), "",
-                            {}, {}).compile(program.main)(t, ())
-        except (FuelExhausted, UnboundCombinator, InternalTypeViolation) as e:
-            return EngineFailure(e.kind, e.detail)
-        if result is None:
-            return FAILURE
-        try:
-            if result is not t:
-                check_reduct(program.context, result)
-        except StaticError as e:
-            return EngineFailure("InternalTypeViolation",
-                                 "reduct is ill-typed: %s" % e.message)
-        return Ok(result)
-    except RecursionError:
-        return depth_exceeded()
+            try:
+                if run.main is None:
+                    run.main = _Scope(run, "", {}, {}).compile(
+                        self.program.main)
+                result = run.main(t, ())
+            except (FuelExhausted, UnboundCombinator,
+                    InternalTypeViolation) as e:
+                return EngineFailure(e.kind, e.detail)
+            if result is None:
+                return FAILURE
+            try:
+                if result is not t:
+                    check_reduct(self.program.context, result)
+            except StaticError as e:
+                return EngineFailure("InternalTypeViolation",
+                                     "reduct is ill-typed: %s" % e.message)
+            return Ok(result)
+        except RecursionError:
+            return depth_exceeded()
+        finally:
+            run.st = None

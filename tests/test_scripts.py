@@ -143,7 +143,7 @@ def test_phase_split_reports_each_phase():
         rows = [line.split() for line in proc.stdout.splitlines()]
         assert [name for name, _, _ in rows] == [
             "parse_program", "check_and_elaborate", "parse_term",
-            "run_program", "render_term", "other", "request"]
+            "compile", "run_program", "render_term", "other", "request"]
         ms = {name: float(value) for name, value, _ in rows}
         assert all(ms[name] > 0 for name in ms if name != "other")
         assert sum(ms.values()) - ms["request"] == pytest.approx(

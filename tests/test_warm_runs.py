@@ -1,0 +1,208 @@
+"""Compiled programs kept and run again.
+
+The CLI keeps each checked program's `CompiledProgram` in its cache entry,
+so a warm `run` reuses the closures that earlier runs compiled. Each
+reply of a warm run must be the reply of a cold one, whatever outcome
+came before it, and a run that reaches only compiled code compiles
+nothing. The library's `CompiledProgram` is held to the reference
+semantics on the benchmark's requests, every run after the first of a
+program warm.
+"""
+
+import os
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+import stratcalc as sc
+from stratcalc import cli, evaluate
+from stratcalc.printer import render_term
+
+from conftest import NAT_TREE_HEADER, program_path
+from reference_eval import run_reference
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+import inputs  # noqa: E402  (bench/inputs.py: the benchmark's requests)
+
+
+@pytest.fixture
+def reply(capsys):
+    """cli.main's (exit code, stdout, stderr) for argv."""
+    def run(*argv):
+        code = cli.main(list(argv))
+        return (code,) + tuple(capsys.readouterr())
+    return run
+
+
+@pytest.fixture
+def write(tmp_path):
+    def w(name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        return str(p)
+    return w
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The nodes compiled since the fixture was made."""
+    nodes, compile_ = [], evaluate._Scope.compile
+
+    def counting(scope, s):
+        nodes.append(s)
+        return compile_(scope, s)
+
+    monkeypatch.setattr(evaluate._Scope, "compile", counting)
+    return nodes
+
+
+def cold_replies(reply, requests):
+    """Each request's reply with the cache emptied before it."""
+    out = []
+    for argv in requests:
+        cli._checked.cache_clear()
+        out.append(reply(*argv))
+    cli._checked.cache_clear()
+    return out
+
+
+def test_warm_run_compiles_nothing(reply, compiled):
+    problems = program_path("problems.strat")
+    small = ["run", problems, "--term", "fork(leaf(zero),leaf(succ(zero)))"]
+    other = ["run", problems, "--term",
+             "fork(fork(leaf(zero),leaf(zero)),leaf(succ(succ(zero))))"]
+    requests = [small, other, other + ["--trace"], other, small + ["--trace"],
+                small]
+    cold = cold_replies(reply, requests)
+    compiled.clear()
+    counts = []
+    for argv, want in zip(requests, cold):
+        before = len(compiled)
+        assert reply(*argv) == want
+        counts.append(len(compiled) - before)
+    # The cold run compiles, and the traced variant is compiled once, on
+    # the first traced run; every other run reuses what is compiled.
+    assert counts[0] > 0 and counts[2] > 0
+    assert counts[1] == counts[3] == counts[4] == counts[5] == 0
+    assert cold[2][2].count("\n") > 0 and cold[3][2] == ""
+
+
+RECOVERY = NAT_TREE_HEADER.replace(
+    "main = id;", "main = Repeat(extend(succ(N) -> N, TP)) ;"
+    " extend(zero -> zero, TP);")
+
+
+def test_reused_compiled_program_recovers_from_every_outcome(reply, write):
+    f = write("recover.strat", RECOVERY)
+    deep = write("deep.term", "succ(" * 10000 + "zero" + ")" * 10000)
+    five = "succ(succ(succ(succ(succ(zero)))))"
+    requests = [
+        ["run", f, "--term", five, "--fuel", "3"],
+        ["run", f, "--term", five],
+        ["run", f, "--term", deep],
+        ["run", f, "--term", "succ(zero)"],
+        ["run", f, "--term", "leaf(zero)"],
+        ["run", f, "--term", "zero"],
+    ]
+    cold = cold_replies(reply, requests)
+    assert [code for code, _, _ in cold] == [3, 0, 6, 0, 1, 0]
+    # One cache entry, one compiled program, each outcome in turn.
+    assert [reply(*argv) for argv in requests] == cold
+    assert cli._checked.cache_info().currsize == 1
+
+
+def checked_core(name):
+    with open(program_path(name)) as f:
+        program = sc.parse_program(f.read(), prelude=sc.load_prelude())
+    diags, _, core = sc.check_and_elaborate(program)
+    assert diags == []
+    return core
+
+
+def counters(state):
+    return state.amp_dispatches, state.amp_branch_evals
+
+
+def test_reused_run_counts_the_same_amp_dispatches():
+    core = checked_core("overload.strat")
+    t = sc.parse_term("positive(notzero(succ(succ(i))))", core.context)
+    program = sc.CompiledProgram(core)
+    states = [sc.EvalState() for _ in range(3)]
+    outcomes = [program.run(t, state=st) for st in states[:2]]
+    outcomes.append(sc.run_program(core, t, state=states[2]))
+    assert [render_term(o.term) for o in outcomes] == [
+        "positive(notzero(succ(succ(succ(i)))))"] * 3
+    assert counters(states[0]) == counters(states[1]) == counters(states[2])
+    assert counters(states[0])[0] > 0
+
+
+def test_compiled_program_serves_one_run_at_a_time():
+    core = checked_core("problems.strat")
+    t = sc.parse_term("leaf(zero)", core.context)
+    program, cfg = sc.CompiledProgram(core), sc.EvalConfig(trace=True)
+    inner = SimpleNamespace(append=lambda line: program.run(t, cfg))
+    with pytest.raises(RuntimeError, match="one run at a time"):
+        program.run(t, cfg, sc.EvalState(trace_lines=inner))
+    # The failed run leaves the program free for the next one.
+    assert render_term(program.run(t, cfg).term) == "leaf(succ(zero))"
+
+
+# The benchmark's well-typed `run` requests, each program compiled once.
+
+SEED = 101
+FUEL = 100000  # the CLI's default
+
+
+def bench_runs(workload, root):
+    """(class, program text, tagged term) of each well-typed `run` request
+    of one pass of the workload, and the core of each program text."""
+    requests, _ = inputs.build(workload, SEED, str(root), 1)
+    runs, cores = [], {}
+    for req in requests:
+        if req.argv[0] != "run":
+            continue
+        _, program_path_, _, text = req.argv
+        with open(program_path_) as f:
+            source = f.read()
+        if source not in cores:
+            program = sc.parse_program(source, prelude=sc.load_prelude())
+            diags, _, cores[source] = sc.check_and_elaborate(program)
+            assert diags == [], req.cls
+        if os.path.exists(text):
+            with open(text) as f:
+                text = f.read().strip()
+        runs.append((req.cls, source,
+                     sc.parse_term(text, cores[source].context)))
+    return runs, cores
+
+
+def assert_same_tags(t, u):
+    todo = [(t, u)]
+    while todo:
+        a, b = todo.pop()
+        assert a.tag is b.tag
+        todo.extend(zip(a.args, b.args))
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("workload", ["traverse", "normalize"])
+def test_warm_bench_requests_match_reference(workload, trace, tmp_path):
+    runs, cores = bench_runs(workload, tmp_path)
+    assert len(runs) > len(cores)
+    programs = {text: sc.CompiledProgram(core) for text, core in cores.items()}
+    cfg = sc.EvalConfig(fuel=FUEL, trace=trace)
+    for cls, text, term in runs:
+        state = sc.EvalState()
+        got = programs[text].run(term, cfg, state)
+        want, ref = run_reference(cores[text], term, cfg)
+        assert type(got) is type(want), cls
+        if isinstance(got, sc.Ok):
+            assert render_term(got.term) == render_term(want.term), cls
+            assert_same_tags(got.term, want.term)
+        else:
+            assert got == want, cls
+        assert state.fuel == ref.fuel, cls
+        assert state.trace_lines == ref.trace_lines, cls
+        assert counters(state) == (ref.amp_dispatches,
+                                   ref.amp_branch_evals), cls
