@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Print what importing each stratcalc module costs in a fresh interpreter.
+"""Print what each stratcalc module that a request imports costs.
 
-Runs `python -X importtime -c "import stratcalc.cli"` N times, each in a
-new interpreter, and prints one line per stratcalc module, in the order
-the imports finish:
+Runs one request, `run` (the default) or `check` on
+programs/problems.strat, through `stratcalc.cli.main` under
+`python -X importtime`, N times, each in a new interpreter, and prints
+one line per stratcalc module the request imports, in the order the
+imports finish:
 
     <module> <self ms> <cumulative ms>
 
 each the median over the N runs, then one line `total <ms>` for the
-cumulative time of `stratcalc.cli`. The runs import a copy of src/stratcalc
-without `__pycache__`, with PYTHONDONTWRITEBYTECODE=1, so every module is
-compiled from source each time, as in a fresh checkout whose processes
-write no bytecode.
+cumulative time of `import stratcalc.cli`, which loads the package. A
+module that the request imports later has a row of its own and is not in
+the total, as `run` imports `stratcalc.evaluate` when it first runs a
+program. The runs import a copy of src/stratcalc without `__pycache__`,
+with PYTHONDONTWRITEBYTECODE=1, so every module is compiled from source
+each time, as in a fresh checkout whose processes write no bytecode.
 
-Usage: python3 scripts/import_cost.py [-n N]
+Usage: python3 scripts/import_cost.py [-n N] [run|check]
 """
 
 import argparse
@@ -28,14 +32,19 @@ from collections import defaultdict
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "stratcalc")
 TARGET = "stratcalc.cli"
+PROGRAM = os.path.join(ROOT, "programs", "problems.strat")
+REQUESTS = {"run": ["run", PROGRAM, "--term", "leaf(zero)"],
+            "check": ["check", PROGRAM]}
+CODE = "import sys, %s as cli; sys.exit(cli.main(sys.argv[1:]))" % TARGET
 
 
-def one_run(path):
-    """{module: (self us, cumulative us)} of one fresh interpreter, for the
-    stratcalc modules, in the order their imports finished."""
+def one_run(path, request):
+    """{module: (self us, cumulative us)} of one fresh interpreter that
+    serves the request, for the stratcalc modules, in the order their
+    imports finished."""
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import " + TARGET],
+        [sys.executable, "-X", "importtime", "-c", CODE] + REQUESTS[request],
         capture_output=True, text=True, env=env, check=True)
     times = {}
     for line in proc.stderr.splitlines():
@@ -51,6 +60,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("-n", type=int, default=5,
                     help="fresh interpreters to run (default 5)")
+    ap.add_argument("request", nargs="?", default="run", choices=REQUESTS,
+                    help="the request each interpreter serves (default run)")
     args = ap.parse_args()
     if args.n < 1:
         ap.error("-n must be at least 1")
@@ -59,7 +70,7 @@ def main():
         shutil.copytree(PACKAGE, os.path.join(tmp, "stratcalc"),
                         ignore=shutil.ignore_patterns("__pycache__"))
         for _ in range(args.n):
-            for name, pair in one_run(tmp).items():
+            for name, pair in one_run(tmp, args.request).items():
                 samples[name].append(pair)
     for name, pairs in samples.items():
         print("%-20s %7.1f %7.1f" % (

@@ -15,15 +15,6 @@ from .errors import (
     StaticError,
     StratError,
 )
-from .evaluate import (
-    CompiledProgram,
-    EngineFailure,
-    EvalConfig,
-    EvalState,
-    apply_strategy,
-    expect_type,
-    run_program,
-)
 from .parser import parse_program, parse_term
 from .prelude import load_prelude
 from .printer import render_program, render_stype, render_term
@@ -32,6 +23,7 @@ from .terms import (
     Arrow,
     CombinatorType,
     Context,
+    EngineFailure,
     FAILURE,
     Failure,
     FunApp,
@@ -63,3 +55,14 @@ from .typecheck import (
     wf_strategy_type,
     wf_term_type,
 )
+
+# Loaded on first use (PEP 562): a process that only checks runs no evaluator.
+_EVALUATOR = ("CompiledProgram", "EvalConfig", "EvalState", "apply_strategy",
+              "expect_type", "run_program")
+
+
+def __getattr__(name):
+    if name in _EVALUATOR:
+        from . import evaluate
+        return getattr(evaluate, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

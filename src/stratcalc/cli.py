@@ -5,37 +5,57 @@ malformed command line, 3 fuel exhausted, 4 parse error or unreadable
 file, 5 engine error, 6 input nested too deep.
 """
 
-import argparse
 import functools
 import os
 import sys
+import threading
 from types import SimpleNamespace
 
 from .errors import ParseError, StaticError
-from .evaluate import (
-    CompiledProgram,
-    EngineFailure,
-    EvalConfig,
-    EvalState,
-    _in_frame_room,
-    depth_exceeded,
-    expect_type,
-)
 from .parser import parse_program, parse_term
 from .prelude import load_prelude
 from .printer import render_program, render_stype, render_term
-from .terms import Ok
+from .terms import EngineFailure, Ok, _in_frame_room, depth_exceeded
 from .typecheck import apply_type, check_and_elaborate
+
+COMMANDS = ("check", "run", "elaborate")
+FUEL = 100000  # combinator expansions a run may make by default
+
+
+def _read_plain(argv):
+    """The arguments of COMMAND FILE then options spelled in full, each
+    value a word of its own not starting with "-", --fuel's ASCII digits;
+    None for any other command line, which argparse reads."""
+    if len(argv) < 2 or argv[0] not in COMMANDS or argv[1][:1] == "-":
+        return None
+    args = SimpleNamespace(command=argv[0], file=argv[1], term=None, fuel=FUEL,
+                           trace=False, no_prelude=False, prelude=None)
+    words = iter(argv[2:])
+    for word in words:
+        if word in ("--trace", "--no-prelude"):
+            setattr(args, word[2:].replace("-", "_"), True)
+            continue
+        value = next(words, "-")  # a missing value reads as "-"
+        if word not in ("--term", "--fuel", "--prelude") or value[:1] == "-":
+            return None
+        if word == "--fuel":
+            # Fewer digits than any limit of int() on long strings.
+            if not (value.isascii() and value.isdigit() and len(value) < 19):
+                return None
+            value = int(value)
+        setattr(args, word[2:], value)
+    return args
 
 
 @functools.cache
 def _build_argparser():
+    import argparse
     ap = argparse.ArgumentParser(prog="stratcalc",
                                  description="typed strategic term rewriting")
-    ap.add_argument("command", choices=["check", "run", "elaborate"])
+    ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("file")
     ap.add_argument("--term", help="input term (literal or path to a file)")
-    ap.add_argument("--fuel", type=int, default=100000,
+    ap.add_argument("--fuel", type=int, default=FUEL,
                     help="combinator expansions allowed; 0 means unlimited")
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--no-prelude", action="store_true")
@@ -77,18 +97,29 @@ CACHE_SIZE = 16
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _checked(text, prelude_text, no_prelude):
-    """(prelude, (diagnostics, main type, core), compiled) for a `_source`
-    key, where compiled is the core's `CompiledProgram` (None when the
-    program is ill-typed). Typing is static, so a process checks each key
-    once; an error raised while parsing or checking is not kept. `check`
-    and `elaborate` compile nothing; each `run` compiles what it reaches
-    first into the entry's CompiledProgram, once per trace flag, and the
-    closures leave with the entry. Callers share what it returns; only a
-    run, one at a time, adds to the CompiledProgram, and nothing else in
-    it is mutated."""
+    """(prelude, (diagnostics, main type, core), runner) for a `_source`
+    key; runner is None when the program is ill-typed. Typing is static,
+    so a process checks each key once; an error raised while parsing or
+    checking is not kept. Callers share what it returns; only a run adds
+    to the runner's compiled program."""
     program, prelude = _parse(text, prelude_text, no_prelude)
     diags, _, core = checked = check_and_elaborate(program)
-    return prelude, checked, None if diags else CompiledProgram(core)
+    return prelude, checked, None if diags else _Runner(core)
+
+
+class _Runner:
+    """Runs a checked core through its `CompiledProgram`, which the first
+    run makes, importing the evaluator. Runs take turns under the lock."""
+
+    def __init__(self, core):
+        self.core, self.compiled, self.lock = core, None, threading.Lock()
+
+    def run(self, term, cfg, state):
+        with self.lock:
+            if self.compiled is None:
+                from .evaluate import CompiledProgram
+                self.compiled = CompiledProgram(self.core)
+            return self.compiled.run(term, cfg, state)
 
 
 _ENGINE_EXIT = {"FuelExhausted": 3, "DepthExceeded": 6}
@@ -100,10 +131,14 @@ def _report(outcome):
 
 
 def main(argv=None):
-    ap = _build_argparser()
-    args = ap.parse_args(argv)
-    if args.fuel < 0:
-        ap.error("argument --fuel: expected N >= 0, got %d" % args.fuel)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        ap = _build_argparser()
+        args = ap.parse_args(argv)
+        if args.fuel < 0:
+            ap.error("argument --fuel: expected N >= 0, got %d" % args.fuel)
     try:
         # The whole request recurses on nesting depth, front end included.
         return _in_frame_room(_main, args)
@@ -120,7 +155,7 @@ def main(argv=None):
 
 
 def _main(args):
-    prelude, (diags, main_type, core), compiled = _checked(*_source(args))
+    prelude, (diags, main_type, core), runner = _checked(*_source(args))
     if diags:
         for d in diags:
             print(d.render(), file=sys.stderr)
@@ -151,10 +186,11 @@ def _main(args):
     term = parse_term(text, core.context)
     want = apply_type(core.context, main_type, term.tag)
 
+    from .evaluate import EvalConfig, EvalState, expect_type
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print(line, file=sys.stderr)))
-    outcome = expect_type(compiled.run(
+    outcome = expect_type(runner.run(
         term, EvalConfig(fuel=args.fuel, trace=args.trace), state), want)
     if isinstance(outcome, Ok):
         print(render_term(outcome.term))

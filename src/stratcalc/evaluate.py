@@ -22,14 +22,14 @@ Both ways cost one unit of fuel and emit one `comb` trace line. With
 `EvalConfig.trace`, every node's closure also appends its trace line.
 """
 
-import sys
 from itertools import repeat
 
 from . import syntax as S
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
-from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, FunApp, Ok,
-                    PairType, Record, Var, check_reduct, substitute,
+from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, EngineFailure,
+                    FunApp, Ok, PairType, Record, Var, _in_frame_room,
+                    check_reduct, depth_exceeded, substitute,
                     tag_ground_term)
 from .typecheck import (_substitute_type_vars, apply_type, check_and_elaborate,
                         domains, substitute_stype)
@@ -43,13 +43,6 @@ class EvalConfig(Record):
             raise ValueError("fuel must be >= 0, got %d" % fuel)
         self.fuel = fuel  # 0 means unlimited
         self.trace = trace
-
-
-class EngineFailure(Record):
-    __slots__ = _fields = ("kind", "detail")
-
-    def __init__(self, kind, detail):
-        self.kind, self.detail = kind, detail
 
 
 class EvalState(Record):
@@ -410,24 +403,6 @@ _NODES = {
 }
 
 
-def _in_frame_room(f, *args):
-    """f(*args), run above a frame large enough to open a data-stack chunk
-    of its own, so that the frames f pushes never cross a chunk edge."""
-    return f(*args)
-
-
-# CPython 3.11+ keeps frames in 16 KiB data-stack chunks and frees a chunk
-# as soon as the frame at its base returns, so a walk that recurses back
-# and forth across a chunk edge maps and unmaps one on every crossing. A
-# 512 KiB value stack makes the helper's frame open a 1 MiB chunk, and the
-# ~512 KiB above it hold more frames than the default recursion limit lets
-# f push. That stack is never written, so its pages are never touched.
-# Older versions allocate each frame on the heap, so the helper stays plain.
-if sys.implementation.name == "cpython" and sys.version_info >= (3, 11):
-    _in_frame_room.__code__ = _in_frame_room.__code__.replace(
-        co_stacksize=1 << 16)
-
-
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply the raw strategy s to the raw term t under the raw definitions
     defs. t is tagged and must be ground; ctx, defs and s are checked and
@@ -465,13 +440,6 @@ def expect_type(outcome, want):
                              "reduct is ill-typed: reduct has type %r, "
                              "expected %r" % (outcome.term.tag, want))
     return outcome
-
-
-def depth_exceeded():
-    """The outcome for input nested deeper than the Python stack allows."""
-    return EngineFailure("DepthExceeded",
-                         "nesting exceeds the recursion limit of %d frames"
-                         % sys.getrecursionlimit())
 
 
 def run_program(program, t, cfg=None, state=None):

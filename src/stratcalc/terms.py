@@ -7,6 +7,7 @@ term's sort tag is metadata, shown by `repr` but excluded from equality
 and hashing. `Context` is a mutable `Record`; `Context.replace` copies one.
 """
 
+import sys
 from operator import attrgetter
 
 from .errors import StaticError
@@ -265,6 +266,38 @@ class Failure(Node):
 
 
 FAILURE = Failure()
+
+
+class EngineFailure(Record):
+    __slots__ = _fields = ("kind", "detail")
+
+    def __init__(self, kind, detail):
+        self.kind, self.detail = kind, detail
+
+
+def depth_exceeded():
+    """The outcome for input nested deeper than the Python stack allows."""
+    return EngineFailure("DepthExceeded",
+                         "nesting exceeds the recursion limit of %d frames"
+                         % sys.getrecursionlimit())
+
+
+def _in_frame_room(f, *args):
+    """f(*args), run above a frame large enough to open a data-stack chunk
+    of its own, so that the frames f pushes never cross a chunk edge."""
+    return f(*args)
+
+
+# CPython 3.11+ keeps frames in 16 KiB data-stack chunks and frees a chunk
+# as soon as the frame at its base returns, so a walk that recurses back
+# and forth across a chunk edge maps and unmaps one on every crossing. A
+# 512 KiB value stack makes the helper's frame open a 1 MiB chunk, and the
+# ~512 KiB above it hold more frames than the default recursion limit lets
+# f push. That stack is never written, so its pages are never touched.
+# Older versions allocate each frame on the heap, so the helper stays plain.
+if sys.implementation.name == "cpython" and sys.version_info >= (3, 11):
+    _in_frame_room.__code__ = _in_frame_room.__code__.replace(
+        co_stacksize=1 << 16)
 
 
 # ---------------------------------------------------------------------------

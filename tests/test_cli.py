@@ -2,9 +2,12 @@
 
 import contextlib
 import io
+import itertools
 import os
 import subprocess
 import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,9 +124,10 @@ def test_run_fuel_exhaustion_exit_3(capcli, write):
     assert "FuelExhausted" in err
 
 
-@pytest.mark.parametrize("fuel", ["-1", "abc"])
+@pytest.mark.parametrize("fuel", ["-1", "abc", "\u00b2"])
 def test_run_fuel_must_be_a_count(capsys, write, fuel):
-    # Like a malformed number, a negative one is a command-line error.
+    # Like a malformed number, a negative one is a command-line error. A
+    # superscript two is a digit to str.isdigit but not to int.
     f = write("td.strat", "sort Nat; con zero : Nat; fun succ : Nat -> Nat;\n"
               "main = TD(id);")
     with pytest.raises(SystemExit) as e:
@@ -861,3 +865,111 @@ def test_bench_pass_replies_the_same_cold_and_warm(capsys, tmp_path,
     filled = cli._checked.cache_info().misses
     assert [reply(req) for req in requests] == fresh
     assert cli._checked.cache_info().misses == filled
+
+
+def test_threads_share_a_cached_program(monkeypatch):
+    # Four threads serve the same program at once, from one cache entry
+    # whose compiled program the first run makes; each reply goes to the
+    # stdout of its own thread.
+    problems = program_path("problems.strat")
+    argv = ["run", problems, "--term", "leaf(zero)"]
+    local = threading.local()
+    out = SimpleNamespace(write=lambda text: local.parts.append(text),
+                          flush=lambda: None)
+    cli._checked.cache_clear()
+    assert cli_main(["check", problems]) == 0  # checked, not yet compiled
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", out)
+    start = threading.Barrier(4)
+    replies = [[] for _ in range(4)]
+
+    def serve(k):
+        start.wait()
+        for _ in range(200):
+            local.parts = []
+            code = cli_main(list(argv))
+            replies[k].append((code, "".join(local.parts)))
+
+    threads = [threading.Thread(target=serve, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as it can
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert replies == [[(0, "leaf(succ(zero))\n")] * 200] * 4
+    assert cli._checked.cache_info().currsize == 1
+
+
+# The CLI reads a plain command line itself and hands any other to
+# argparse, which must read the plain ones as the CLI does.
+
+OPTIONS = [["--term", "zero"], ["--fuel", "5"], ["--prelude", "q.strat"],
+           ["--trace"], ["--no-prelude"]]
+
+PLAIN = [["check", "p.strat"], ["elaborate", "p.strat", "--no-prelude"],
+         ["run", "p.strat"], ["run", "", "--term", "succ(zero)"],
+         ["run", "p.strat", "--fuel", "0", "--term", ""],
+         ["run", "p.strat", "--fuel", "007", "--term", "a b"],
+         ["run", "p.strat", "--trace", "--term", "a", "--term", "b",
+          "--fuel", "1", "--fuel", "2", "--trace", "--prelude", "check"],
+         ] + [["run", "p.strat"] + sum(order, [])
+              for order in itertools.permutations(OPTIONS)]
+
+FALLBACK = [
+    [], ["run"], ["-h"], ["--help"], ["run", "p.strat", "-h"],
+    ["run", "p.strat", "--help"], ["run", "p.strat", "--te", "zero"],
+    ["run", "p.strat", "--fuel=3"], ["run", "p.strat", "--term=zero"],
+    ["--trace", "run", "p.strat"], ["run", "--term", "zero", "p.strat"],
+    ["run", "p.strat", "--", "zero"], ["run", "--", "p.strat"],
+    ["run", "p.strat", "--term", "-1"], ["run", "-", "--term", "zero"],
+    ["run", "p.strat", "--fuel", "-1"], ["run", "p.strat", "--fuel", "+5"],
+    ["run", "p.strat", "--fuel", "5_000"], ["run", "p.strat", "--fuel", " 5"],
+    ["run", "p.strat", "--fuel", "\u00b2"], ["run", "p.strat", "--fuel", ""],
+    ["run", "p.strat", "--fuel", "9" * 5000],
+    ["run", "p.strat", "--verbose"], ["run", "p.strat", "-t"],
+    ["run", "p.strat", "extra"], ["run", "p.strat", "--trace", "extra"],
+    ["run", "p.strat", "--term"], ["run", "p.strat", "--trace", "--fuel"],
+    ["run", "p.strat", "--term", "--trace"], ["walk", "p.strat"],
+    ["RUN", "p.strat"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN)
+def test_plain_command_line_reads_as_argparse_reads_it(argv):
+    assert vars(cli._read_plain(argv)) == vars(
+        cli._build_argparser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", FALLBACK)
+def test_other_command_lines_go_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+def reply(argv):
+    """cli.main's exit code, stdout and stderr, help and usage errors
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_each_command_line_replies_as_through_argparse(monkeypatch):
+    # The tables' command lines on real files: the reply is the same when
+    # argparse reads every command line.
+    prelude = os.path.join(os.path.dirname(sc.__file__), "prelude.strat")
+    names = {"p.strat": program_path("problems.strat"), "q.strat": prelude}
+    requests = [[names.get(word, word) for word in argv]
+                for argv in PLAIN + FALLBACK]
+    fast = [reply(argv) for argv in requests]
+    monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+    assert [reply(argv) for argv in requests] == fast
+    assert {code for code, _, _ in fast} == {0, 2, 4}

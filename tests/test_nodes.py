@@ -470,12 +470,14 @@ from stratcalc import cli
 out, sys.stdout = sys.stdout, io.StringIO()
 rc = cli.main(["check", sys.argv[1]])
 sys.stdout = out
-print(rc, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+print(rc, sorted({"dataclasses", "inspect", "stratcalc.evaluate", "argparse"}
+                & (set(sys.modules) - before)))
 """
 
 
 def test_a_fresh_check_imports_neither_dataclasses_nor_inspect():
-    # Generating dataclass code was the largest cost of a fresh process.
+    # Generating dataclass code was the largest cost of a fresh process;
+    # a check runs no evaluator and reads a plain command line itself.
     src = os.path.dirname(os.path.dirname(stratcalc.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", FRESH, program_path("problems.strat")],

@@ -110,6 +110,17 @@ def test_import_cost_reports_each_module():
     assert float(total[1]) == max(float(c) for _, _, c in rows)
 
 
+def test_import_cost_reports_a_check_request():
+    proc = subprocess.run([sys.executable, IMPORT_COST, "-n", "1", "check"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    names = {name for name, _, _ in rows}
+    assert {"stratcalc", "stratcalc.cli", "stratcalc.typecheck"} <= names
+    assert "stratcalc.evaluate" not in names
+    assert total == ["total", max((c for _, _, c in rows), key=float)]
+
+
 STACK_OFFSET = os.path.join(os.path.dirname(__file__), "..", "scripts",
                             "stack_offset.py")
 
