@@ -3,13 +3,14 @@
 
 This script calls `stratcalc.cli.main` in this process once for each
 request of one seeded pass of a benchmark workload, as bench/inputs.py
-builds it. It wraps the names that `stratcalc.cli` imports for each phase
-(`parse_program`, `check_and_elaborate`, `parse_term` and `render_term`)
-with timers, in this process only, and two methods of
-`stratcalc.evaluate`: `_Scope.compile`, timed as `compile`, and
-`CompiledProgram.run`, the runner that `run_program` and the CLI share,
-timed as `run_program` less the compiling done inside it. It prints one
-line per phase and two more:
+builds it. It wraps with timers, in this process only, the names that
+`stratcalc.cli` imports for three phases (`parse_program`, `parse_term`
+and `render_term`), `stratcalc.typecheck.check_and_elaborate`, the pass
+that `CheckedProgram` runs, and two methods of `stratcalc.evaluate`:
+`_Scope.compile`, timed as `compile`, and `CompiledProgram.run`, the
+runner that `run_program` and `CheckedProgram.run` share, timed as
+`run_program` less the compiling done inside it. It prints one line per
+phase and two more:
 
     <phase> <ms> <share of request time, %>
     other <ms> <share>
@@ -45,7 +46,7 @@ sys.path[:0] = [os.path.join(HERE, "..", "src"),
                 os.path.join(HERE, "..", "bench")]
 
 import inputs  # noqa: E402  (the benchmark's request builder)
-from stratcalc import cli, evaluate  # noqa: E402
+from stratcalc import cli, evaluate, typecheck  # noqa: E402
 
 PHASES = ("parse_program", "check_and_elaborate", "parse_term", "compile",
           "run_program", "render_term")
@@ -87,9 +88,11 @@ def main():
     if args.repeat < 1:
         ap.error("argument --repeat: expected N >= 1, got %d" % args.repeat)
     totals, stack = dict.fromkeys(PHASES + ("request",), 0.0), []
-    for name in ("parse_program", "check_and_elaborate", "parse_term",
-                 "render_term"):
-        setattr(cli, name, timed(getattr(cli, name), totals, name, stack))
+    for module, name in ((cli, "parse_program"),
+                         (typecheck, "check_and_elaborate"),
+                         (cli, "parse_term"), (cli, "render_term")):
+        setattr(module, name, timed(getattr(module, name), totals, name,
+                                    stack))
     evaluate._Scope.compile = timed(evaluate._Scope.compile, totals,
                                     "compile", stack)
     evaluate.CompiledProgram.run = timed(evaluate.CompiledProgram.run,

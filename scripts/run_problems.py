@@ -36,31 +36,31 @@ OVERLOAD_CASES = [
 
 def load(name):
     with open(os.path.join(PROGRAMS, name)) as f:
-        program = sc.parse_program(f.read(), prelude=sc.load_prelude())
-    diags, _, core = sc.check_and_elaborate(program)
-    if diags:
-        for d in diags:
+        return sc.parse_program(f.read(), prelude=sc.load_prelude())
+
+
+def check(program):
+    checked = sc.CheckedProgram(program)
+    if checked.diagnostics:
+        for d in checked.diagnostics:
             print(d.render(), file=sys.stderr)
         sys.exit(2)
-    return core
+    return checked
 
 
-def run(core, name, term_src, trace):
-    ctx = core.context
-    term = sc.parse_term(term_src, ctx)
-    # A call without arguments is its own core, so it runs as the main
-    # strategy of the checked program; nothing is checked again.
-    call = S.Call(name, (), ())
-    pi = sc.type_and_core(ctx, call)[0]
+def run(program, name, term_src, trace):
+    # The definition runs as the main strategy of its program, so its type
+    # is main's and its reduct's type is checked against that.
+    checked = check(program.replace(main=S.Call(name, (), ())))
+    term = sc.parse_term(term_src, program.context)
     # Trace lines go to stderr as they are emitted, as in the CLI.
     state = sc.EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print("   |", line, file=sys.stderr)))
-    out = sc.run_program(core.replace(main=call), term,
-                         sc.EvalConfig(trace=trace), state)
+    out = checked.run(term, sc.EvalConfig(trace=trace), state)
     shown = (sc.render_term(out.term) if isinstance(out, sc.Ok)
              else repr(out))
     print("%-11s : %-14s  %s  =>  %s"
-          % (name, sc.render_stype(pi), term_src, shown))
+          % (name, sc.render_stype(checked.type), term_src, shown))
 
 
 def main():
@@ -85,7 +85,7 @@ def main():
     addition = load("addition.strat")
     term_src = "add(succ(succ(zero)),succ(succ(succ(zero))))"
     term = sc.parse_term(term_src, addition.context)
-    out = sc.run_program(addition, term, sc.EvalConfig())
+    out = check(addition).run(term, sc.EvalConfig())
     print("%s  =>  %s" % (term_src, sc.render_term(out.term)))
 
 

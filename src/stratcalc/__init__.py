@@ -42,6 +42,7 @@ from .terms import (
     type_of_term,
 )
 from .typecheck import (
+    CheckedProgram,
     apply_type,
     check_and_elaborate,
     check_program,
@@ -58,7 +59,7 @@ from .typecheck import (
 
 # Loaded on first use (PEP 562): a process that only checks runs no evaluator.
 _EVALUATOR = ("CompiledProgram", "EvalConfig", "EvalState", "apply_strategy",
-              "expect_type", "run_program")
+              "run_program")
 
 
 def __getattr__(name):

@@ -8,7 +8,6 @@ file, 5 engine error, 6 input nested too deep.
 import functools
 import os
 import sys
-import threading
 from types import SimpleNamespace
 
 from .errors import ParseError, StaticError
@@ -16,7 +15,7 @@ from .parser import parse_program, parse_term
 from .prelude import load_prelude
 from .printer import render_program, render_stype, render_term
 from .terms import EngineFailure, Ok, _in_frame_room, depth_exceeded
-from .typecheck import apply_type, check_and_elaborate
+from .typecheck import CheckedProgram
 
 COMMANDS = ("check", "run", "elaborate")
 FUEL = 100000  # combinator expansions a run may make by default
@@ -97,29 +96,12 @@ CACHE_SIZE = 16
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _checked(text, prelude_text, no_prelude):
-    """(prelude, (diagnostics, main type, core), runner) for a `_source`
-    key; runner is None when the program is ill-typed. Typing is static,
-    so a process checks each key once; an error raised while parsing or
+    """(prelude, CheckedProgram) for a `_source` key. Typing is static, so
+    a process checks each key once; an error raised while parsing or
     checking is not kept. Callers share what it returns; only a run adds
-    to the runner's compiled program."""
+    to the program's compiled closures."""
     program, prelude = _parse(text, prelude_text, no_prelude)
-    diags, _, core = checked = check_and_elaborate(program)
-    return prelude, checked, None if diags else _Runner(core)
-
-
-class _Runner:
-    """Runs a checked core through its `CompiledProgram`, which the first
-    run makes, importing the evaluator. Runs take turns under the lock."""
-
-    def __init__(self, core):
-        self.core, self.compiled, self.lock = core, None, threading.Lock()
-
-    def run(self, term, cfg, state):
-        with self.lock:
-            if self.compiled is None:
-                from .evaluate import CompiledProgram
-                self.compiled = CompiledProgram(self.core)
-            return self.compiled.run(term, cfg, state)
+    return prelude, CheckedProgram(program)
 
 
 _ENGINE_EXIT = {"FuelExhausted": 3, "DepthExceeded": 6}
@@ -155,18 +137,18 @@ def main(argv=None):
 
 
 def _main(args):
-    prelude, (diags, main_type, core), runner = _checked(*_source(args))
-    if diags:
-        for d in diags:
+    prelude, program = _checked(*_source(args))
+    if program.diagnostics:
+        for d in program.diagnostics:
             print(d.render(), file=sys.stderr)
         return 2
 
     if args.command == "check":
-        print(render_stype(main_type))
+        print(render_stype(program.type))
         return 0
 
     if args.command == "elaborate":
-        skip = ()
+        core, skip = program.core, ()
         if prelude is not None:
             # The reader loads the prelude again, so the records that
             # parse_program replayed first, and its definitions, are left out.
@@ -183,15 +165,14 @@ def _main(args):
     text = args.term
     if os.path.exists(text):
         text = _read(text).strip()
-    term = parse_term(text, core.context)
-    want = apply_type(core.context, main_type, term.tag)
+    term = parse_term(text, program.core.context)
 
-    from .evaluate import EvalConfig, EvalState, expect_type
+    from .evaluate import EvalConfig, EvalState
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print(line, file=sys.stderr)))
-    outcome = expect_type(runner.run(
-        term, EvalConfig(fuel=args.fuel, trace=args.trace), state), want)
+    outcome = program.run(
+        term, EvalConfig(fuel=args.fuel, trace=args.trace), state)
     if isinstance(outcome, Ok):
         print(render_term(outcome.term))
         return 0

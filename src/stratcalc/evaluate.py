@@ -31,8 +31,8 @@ from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, EngineFailure,
                     FunApp, Ok, PairType, Record, Var, _in_frame_room,
                     check_reduct, depth_exceeded, substitute,
                     tag_ground_term)
-from .typecheck import (_substitute_type_vars, apply_type, check_and_elaborate,
-                        domains, substitute_stype)
+from .typecheck import (CheckedProgram, _substitute_type_vars, domains,
+                        substitute_stype)
 
 
 class EvalConfig(Record):
@@ -406,40 +406,24 @@ _NODES = {
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
     """Apply the raw strategy s to the raw term t under the raw definitions
     defs. t is tagged and must be ground; ctx, defs and s are checked and
-    elaborated on every call by the CLI's pass, `check_and_elaborate`,
-    which keeps nothing; and s's type must apply to t's. The core runs
-    through run_program, and the reduct must have the type `apply_type`
-    predicts.
-    Returns Ok, Failure, or EngineFailure; ill-typed input gives
-    InternalTypeViolation with the first diagnostic. To apply one program
-    to many terms, check it once and run its core through a
-    `CompiledProgram`, with `expect_type` for the reduct's type."""
+    elaborated on every call into a fresh `CheckedProgram`, which runs t,
+    so s's type must apply to t's and the reduct must have the type
+    `apply_type` predicts. Returns Ok, Failure, or EngineFailure; ill-typed
+    input gives InternalTypeViolation with the first diagnostic. To apply
+    one program to many terms, make one `CheckedProgram` and run it on
+    each."""
     return _in_frame_room(_apply_strategy, ctx, defs, s, t, cfg, state)
 
 
 def _apply_strategy(ctx, defs, s, t, cfg, state):
     try:
         t = tag_ground_term(ctx, t)
-        diags, main_type, core = check_and_elaborate(S.Program(ctx, defs, s))
-        if diags:
-            raise diags[0]
-        want = apply_type(ctx, main_type, t.tag)
+        return CheckedProgram(S.Program(ctx, defs, s)).run(t, cfg, state)
     except StaticError as e:
         return EngineFailure("InternalTypeViolation",
                              "runtime typing failed: %s" % e.message)
     except RecursionError:
         return depth_exceeded()
-    return expect_type(run_program(core, t, cfg, state), want)
-
-
-def expect_type(outcome, want):
-    """outcome, or InternalTypeViolation if it is a reduct whose type is not
-    `want`, the type that `apply_type` predicts for it."""
-    if isinstance(outcome, Ok) and outcome.term.tag is not want:
-        return EngineFailure("InternalTypeViolation",
-                             "reduct is ill-typed: reduct has type %r, "
-                             "expected %r" % (outcome.term.tag, want))
-    return outcome
 
 
 def run_program(program, t, cfg=None, state=None):
@@ -447,8 +431,9 @@ def run_program(program, t, cfg=None, state=None):
     returns it, to t, a ground term tagged as `parse_term`, `tag_term` or
     `tag_ground_term` returns it; returns Ok, Failure, or EngineFailure.
     Subject reduction is checked on every node of a reduct that is not t
-    itself. The program is compiled afresh on each call; a
-    `CompiledProgram` keeps what it compiles for later runs."""
+    itself; the reduct's root is not compared with the type `apply_type`
+    predicts, as `CheckedProgram.run` compares it. The program is compiled
+    afresh on each call; a `CompiledProgram` keeps what it compiles."""
     return CompiledProgram(program).run(t, cfg, state)
 
 

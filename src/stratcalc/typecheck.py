@@ -11,11 +11,15 @@ resolved at composition/choice/application sites, so checking stays
 deterministic).
 """
 
+import threading
+
 from . import syntax as S
 from .errors import InapplicableType, StaticError
 from .terms import (
     Amp,
     Arrow,
+    EngineFailure,
+    Ok,
     PairType,
     Sort,
     TP,
@@ -575,3 +579,32 @@ def check_program(program):
     """Return (diagnostics, main_type); main_type is None when checking
     failed anywhere. Kept because `bench/layers.py` imports it."""
     return check_and_elaborate(program)[:2]
+
+
+class CheckedProgram:
+    """A program checked once by `check_and_elaborate`, which keeps its
+    `diagnostics`, `type` and `core` and applies main to many terms."""
+
+    def __init__(self, program):
+        self.diagnostics, self.type, self.core = check_and_elaborate(program)
+        self._compiled, self._lock = None, threading.RLock()
+
+    def run(self, term, cfg=None, state=None):
+        """`run_program` on the core, compiled on the first run and kept,
+        after raising the first diagnostic or InapplicableType; a reduct of
+        another type than `apply_type` predicts is InternalTypeViolation.
+        Runs take turns; one started inside another raises RuntimeError.
+        `cli.main` and `apply_strategy` run it in `terms._in_frame_room`."""
+        if self.diagnostics:
+            raise self.diagnostics[0]
+        want = apply_type(self.core.context, self.type, term.tag)
+        with self._lock:
+            if self._compiled is None:
+                from .evaluate import CompiledProgram
+                self._compiled = CompiledProgram(self.core)
+            outcome = self._compiled.run(term, cfg, state)
+        if isinstance(outcome, Ok) and outcome.term.tag is not want:
+            return EngineFailure("InternalTypeViolation",
+                                 "reduct is ill-typed: reduct has type %r, "
+                                 "expected %r" % (outcome.term.tag, want))
+        return outcome

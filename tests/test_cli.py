@@ -598,6 +598,12 @@ def test_library_rejects_duplicate_parameters():
     assert got == sc.EngineFailure(
         "InternalTypeViolation",
         "runtime typing failed: duplicate parameter v in definition of F")
+    # A CheckedProgram raises its first diagnostic when asked to run.
+    checked = sc.CheckedProgram(program)
+    with pytest.raises(sc.StaticError) as exc:
+        checked.run(sc.parse_term("zero", program.context))
+    assert exc.value is checked.diagnostics[0]
+    assert exc.value.message == "duplicate parameter v in definition of F"
 
 
 RULE_HEADER = DIAG_HEADER.replace("var N1 : Nat;",

@@ -1,9 +1,9 @@
 """Subject reduction: applying a strategy of type pi to a term of type tau
 gives a term of type apply(pi, tau). `run_program` checks every node of a
-changed reduct once, input nodes included; the two callers that know the
-predicted type, `stratcalc run` and `apply_strategy`, compare the reduct's
-root with it; and `apply_strategy` rejects a strategy whose type does not
-apply to its term, as `stratcalc run` does.
+changed reduct once, input nodes included; `CheckedProgram.run`, which
+`stratcalc run` and `apply_strategy` share, compares the reduct's root
+with the predicted type and rejects a strategy whose type does not apply
+to its term.
 """
 
 import pytest
@@ -11,9 +11,10 @@ import pytest
 import stratcalc as sc
 from stratcalc import cli, evaluate, terms
 from stratcalc import syntax as S
+from stratcalc.errors import InapplicableType
 from stratcalc.terms import FunApp, fun_sort
 
-from conftest import load_program, program_path
+from conftest import load_program, program_path, raises_static
 from randgen import NAT, TREE
 
 
@@ -120,9 +121,11 @@ def test_reduct_root_of_the_wrong_type(monkeypatch, capsys, tmp_path,
     assert cli.main(["run", str(src), "--term", text]) == 5
     assert capsys.readouterr() == ("", "InternalTypeViolation: %s\n"
                                    % message)
-    s = sc.parse_program(src.read_text(), prelude=sc.load_prelude()).main
-    got = sc.apply_strategy(problems.context, problems.definitions, s,
-                            sc.parse_term(text, problems.context))
+    program = sc.parse_program(src.read_text(), prelude=sc.load_prelude())
+    got = sc.apply_strategy(problems.context, problems.definitions,
+                            program.main, sc.parse_term(text, problems.context))
+    assert got == sc.EngineFailure("InternalTypeViolation", message)
+    got = sc.CheckedProgram(program).run(sc.parse_term(text, program.context))
     assert got == sc.EngineFailure("InternalTypeViolation", message)
 
 
@@ -137,6 +140,11 @@ def test_apply_strategy_rejects_an_inapplicable_term(capsys, tmp_path,
                             call(name), FunApp("leaf", (FunApp("zero", ()),)))
     assert got == sc.EngineFailure("InternalTypeViolation",
                                    "runtime typing failed: " + message)
+    checked = sc.CheckedProgram(
+        S.Program(problems.context, problems.definitions, call(name)))
+    with raises_static("apply", message) as exc:
+        checked.run(sc.parse_term("leaf(zero)", problems.context))
+    assert type(exc.value) is InapplicableType
     src = tmp_path / "apply.strat"
     with open(program_path("problems.strat")) as f:
         src.write_text(f.read().replace("main = ProblemI;",

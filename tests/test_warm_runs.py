@@ -11,6 +11,7 @@ program warm.
 
 import os
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,7 @@ import stratcalc as sc
 from stratcalc import cli, evaluate
 from stratcalc.printer import render_term
 
-from conftest import NAT_TREE_HEADER, program_path
+from conftest import NAT_TREE_HEADER, load_program, program_path
 from reference_eval import run_reference
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
@@ -137,15 +138,39 @@ def test_reused_run_counts_the_same_amp_dispatches():
     assert counters(states[0])[0] > 0
 
 
+def in_thread(f):
+    """f() on a thread of its own, so that a deadlock fails the test
+    instead of hanging it; f's exception is raised here."""
+    errors = []
+
+    def target():
+        try:
+            f()
+        except BaseException as e:
+            errors.append(e)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the run did not finish"
+    if errors:
+        raise errors[0]
+
+
 def test_compiled_program_serves_one_run_at_a_time():
     core = checked_core("problems.strat")
     t = sc.parse_term("leaf(zero)", core.context)
-    program, cfg = sc.CompiledProgram(core), sc.EvalConfig(trace=True)
-    inner = SimpleNamespace(append=lambda line: program.run(t, cfg))
-    with pytest.raises(RuntimeError, match="one run at a time"):
-        program.run(t, cfg, sc.EvalState(trace_lines=inner))
-    # The failed run leaves the program free for the next one.
-    assert render_term(program.run(t, cfg).term) == "leaf(succ(zero))"
+    cfg = sc.EvalConfig(trace=True)
+    # A CheckedProgram's runs take turns under a lock that a nested run on
+    # the same thread enters, so that run raises instead of waiting.
+    for program, call in (
+            (sc.CompiledProgram(core), lambda f: f()),
+            (sc.CheckedProgram(load_program("problems.strat")), in_thread)):
+        inner = SimpleNamespace(append=lambda line: program.run(t, cfg))
+        with pytest.raises(RuntimeError, match="one run at a time"):
+            call(lambda: program.run(t, cfg, sc.EvalState(trace_lines=inner)))
+        # The failed run leaves the program free for the next one.
+        assert render_term(program.run(t, cfg).term) == "leaf(succ(zero))"
 
 
 # The benchmark's well-typed `run` requests, each program compiled once.
