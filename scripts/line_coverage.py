@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Report the lines of stratcalc's functions that a pytest run never runs.
 
-A `sys.settrace` line tracer watches the modules in src/stratcalc/ while
-pytest runs in this process. The tracer is armed before the session and
-again before every test call, since a test or a plugin may replace it.
+A line tracer watches the modules in src/stratcalc/ while pytest runs in
+this process, on its thread (`sys.settrace`) and on every thread started
+after it (`threading.settrace`), so a line that only a worker thread runs
+counts as run. The tracer is armed before the session and again before
+every test call, since a test or a plugin may replace it.
 After the run the script prints, for each module, its executable lines
 inside function bodies (methods, lambdas and comprehensions included)
 that never ran:
@@ -16,6 +18,15 @@ a tracer that raises, as it does at the recursion limit, so the script
 then names the tests during which tracing stopped; lines those tests ran
 after that point count as not run. The exit code is pytest's.
 
+Before each test call the script collects garbage. The collector also
+starts on its own whenever allocations pass its threshold, and in the
+deep-input tests that happens hundreds of frames deep. Without the
+collection first, it could finalize garbage that earlier tests left near
+the recursion limit: a finalizer that fails there, and the formatting of
+its failure, overflow the stack, and pytest fails a test that passes
+without the tracer with "Failed to process unraisable exception". The
+tests and pytest's unraisable-exception check run as they are.
+
 Unless the arguments give `--hypothesis-seed`, the script passes
 `--hypothesis-seed=1`, so that the property tests draw the same examples
 on every run and two runs over the same code report the same lines.
@@ -23,9 +34,11 @@ on every run and two runs over the same code report the same lines.
 Usage: python3 scripts/line_coverage.py [pytest arguments, default: tests]
 """
 
+import gc
 import inspect
 import os
 import sys
+import threading
 
 import pytest
 
@@ -75,6 +88,7 @@ class LineTracer:
 
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_call(self, item):
+        gc.collect()
         sys.settrace(self)
         yield
         if sys.gettrace() is not self:
@@ -89,10 +103,12 @@ def main(argv):
         argv = argv + ["--hypothesis-seed=1"]
     tracer = LineTracer(paths)
     sys.settrace(tracer)
+    threading.settrace(tracer)
     try:
         code = pytest.main(argv, plugins=[tracer])
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     for path in paths:
         lines = function_lines(path)
         missed = sorted(lines - tracer.hits[path])

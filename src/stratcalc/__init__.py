@@ -24,6 +24,8 @@ from .terms import (
     CombinatorType,
     Context,
     EngineFailure,
+    EvalConfig,
+    EvalState,
     FAILURE,
     Failure,
     FunApp,
@@ -58,8 +60,7 @@ from .typecheck import (
 )
 
 # Loaded on first use (PEP 562): a process that only checks runs no evaluator.
-_EVALUATOR = ("CompiledProgram", "EvalConfig", "EvalState", "apply_strategy",
-              "run_program")
+_EVALUATOR = ("CompiledProgram", "apply_strategy", "run_program")
 
 
 def __getattr__(name):

@@ -14,11 +14,11 @@ from .errors import ParseError, StaticError
 from .parser import parse_program, parse_term
 from .prelude import load_prelude
 from .printer import render_program, render_stype, render_term
-from .terms import EngineFailure, Ok, _in_frame_room, depth_exceeded
+from .terms import (FUEL, EngineFailure, EvalConfig, EvalState, Ok,
+                    _in_frame_room, depth_exceeded)
 from .typecheck import CheckedProgram
 
 COMMANDS = ("check", "run", "elaborate")
-FUEL = 100000  # combinator expansions a run may make by default
 
 
 def _read_plain(argv):
@@ -167,7 +167,6 @@ def _main(args):
         text = _read(text).strip()
     term = parse_term(text, program.core.context)
 
-    from .evaluate import EvalConfig, EvalState
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print(line, file=sys.stderr)))

@@ -28,33 +28,11 @@ from . import syntax as S
 from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
                      UnboundCombinator)
 from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, EngineFailure,
-                    FunApp, Ok, PairType, Record, Var, _in_frame_room,
-                    check_reduct, depth_exceeded, substitute,
+                    EvalConfig, EvalState, FunApp, Ok, PairType, Var,
+                    _in_frame_room, check_reduct, depth_exceeded, substitute,
                     tag_ground_term)
 from .typecheck import (CheckedProgram, _substitute_type_vars, domains,
                         substitute_stype)
-
-
-class EvalConfig(Record):
-    __slots__ = _fields = ("fuel", "trace")
-
-    def __init__(self, fuel=100000, trace=False):
-        if fuel < 0:
-            raise ValueError("fuel must be >= 0, got %d" % fuel)
-        self.fuel = fuel  # 0 means unlimited
-        self.trace = trace
-
-
-class EvalState(Record):
-    __slots__ = _fields = ("fuel", "depth", "trace_lines", "amp_dispatches",
-                           "amp_branch_evals")
-
-    def __init__(self, trace_lines=None):
-        # Set at the start of each run.
-        self.fuel = None  # None = unlimited
-        self.depth = 0
-        self.trace_lines = [] if trace_lines is None else trace_lines
-        self.amp_dispatches = self.amp_branch_evals = 0
 
 
 class _Run:

@@ -6,7 +6,7 @@ say, the tables the parser reads.
 """
 
 from . import syntax as S
-from .terms import PAIR_NAME, Amp, Arrow, FunApp, Var
+from .terms import PAIR_NAME, FunApp, Var, is_generic
 
 
 def render_term(t):
@@ -114,7 +114,7 @@ def _render(s):
 
 def render_ctype(ct):
     def arg(pi):
-        if isinstance(pi, (Arrow, Amp)):
+        if not is_generic(pi):
             return "(%r)" % (pi,)
         return repr(pi)
 

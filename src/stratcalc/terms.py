@@ -5,6 +5,8 @@ Types are interned: there is one object per type, so they compare and hash
 by identity. Terms and outcomes compare structurally, identity first; a
 term's sort tag is metadata, shown by `repr` but excluded from equality
 and hashing. `Context` is a mutable `Record`; `Context.replace` copies one.
+So are `EvalConfig` and `EvalState`, a run's settings and state, kept here
+so that the CLI makes them without loading the evaluator.
 """
 
 import sys
@@ -199,9 +201,7 @@ def amp_of(branches):
 
 def types_equal(pi1, pi2):
     """Strategy type equality modulo associativity/commutativity of &."""
-    if isinstance(pi1, Amp) or isinstance(pi2, Amp):
-        return frozenset(amp_branches(pi1)) == frozenset(amp_branches(pi2))
-    return pi1 == pi2
+    return pi1 is pi2 or set(amp_branches(pi1)) == set(amp_branches(pi2))
 
 
 def is_generic(pi):
@@ -273,6 +273,31 @@ class EngineFailure(Record):
 
     def __init__(self, kind, detail):
         self.kind, self.detail = kind, detail
+
+
+FUEL = 100000  # combinator expansions a run may make by default
+
+
+class EvalConfig(Record):
+    __slots__ = _fields = ("fuel", "trace")
+
+    def __init__(self, fuel=FUEL, trace=False):
+        if fuel < 0:
+            raise ValueError("fuel must be >= 0, got %d" % fuel)
+        self.fuel = fuel  # 0 means unlimited
+        self.trace = trace
+
+
+class EvalState(Record):
+    __slots__ = _fields = ("fuel", "depth", "trace_lines", "amp_dispatches",
+                           "amp_branch_evals")
+
+    def __init__(self, trace_lines=None):
+        # Set at the start of each run.
+        self.fuel = None  # None = unlimited
+        self.depth = 0
+        self.trace_lines = [] if trace_lines is None else trace_lines
+        self.amp_dispatches = self.amp_branch_evals = 0
 
 
 def depth_exceeded():

@@ -6,6 +6,9 @@ together with its core, so checking and elaboration share a single pass.
 The same walk resolves the bare names the parser leaves, and checks call
 arities and the variables each rule binds.
 
+A many-sorted type is read as the overloaded sum of one branch, so each
+judgement over a sum's branches (`amp_branches`) covers arrows too.
+
 Every strategy expression has at most one type (implicit restriction is
 resolved at composition/choice/application sites, so checking stays
 deterministic).
@@ -61,33 +64,27 @@ def wf_term_type(ctx, tt):
 
 
 def wf_strategy_type(ctx, pi):
-    if isinstance(pi, Arrow):
-        wf_term_type(ctx, pi.dom)
-        wf_term_type(ctx, pi.cod)
-        return
-    if isinstance(pi, TP):
-        return
     if isinstance(pi, TU):
         wf_term_type(ctx, pi.result)
+    if is_generic(pi):
         return
-    if isinstance(pi, Amp):
-        seen = []
-        for b in amp_branches(pi):
-            if is_generic(b):
-                raise StaticError("overloaded sum contains a generic type %r"
-                                  % (b,), rule="pi.4")
-            wf_strategy_type(ctx, b)
-            for d in domains(b):
-                for e in seen:
-                    if _unify(e, d):
-                        raise StaticError(
-                            "overloaded branches share the domain %r" % (d,)
-                            if e == d else "overloaded branches share the "
-                            "domains %r and %r under some type arguments"
-                            % (e, d), rule="pi.4")
-                seen.append(d)
-        return
-    raise TypeError("not a strategy type: %r" % (pi,))
+    seen = []
+    for b in amp_branches(pi):
+        if is_generic(b):
+            raise StaticError("overloaded sum contains a generic type %r"
+                              % (b,), rule="pi.4")
+        if not isinstance(b, Arrow):
+            raise TypeError("not a strategy type: %r" % (b,))
+        wf_term_type(ctx, b.dom)
+        wf_term_type(ctx, b.cod)
+        for e in seen:
+            if _unify(e, b.dom):
+                raise StaticError(
+                    "overloaded branches share the domain %r" % (e,)
+                    if e == b.dom else "overloaded branches share the "
+                    "domains %r and %r under some type arguments"
+                    % (e, b.dom), rule="pi.4")
+        seen.append(b.dom)
 
 
 def _unify(t1, t2):
@@ -117,12 +114,11 @@ def _unify(t1, t2):
 
 def domains(pi):
     """Domain set of a non-generic strategy type."""
-    if isinstance(pi, Arrow):
-        return frozenset([pi.dom])
-    if isinstance(pi, Amp):
-        return frozenset().union(*(domains(b) for b in amp_branches(pi)))
-    raise StaticError("domain of generic type %r is undefined" % (pi,),
-                      rule="dom")
+    for b in amp_branches(pi):
+        if not isinstance(b, Arrow):
+            raise StaticError("domain of generic type %r is undefined" % (b,),
+                              rule="dom")
+    return frozenset(b.dom for b in amp_branches(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +128,14 @@ def domains(pi):
 def generically_less(p, q):
     """Strict 'is an instance of' ordering between strategy types."""
     if isinstance(q, TP):
-        if isinstance(p, Arrow):
-            return p.dom == p.cod
-        if isinstance(p, Amp):
-            return all(generically_less(b, q) for b in amp_branches(p))
-        return False
+        return all(isinstance(b, Arrow) and b.dom == b.cod
+                   for b in amp_branches(p))
     if isinstance(q, TU):
-        if isinstance(p, Arrow):
-            return p.cod == q.result
-        if isinstance(p, Amp):
-            return all(generically_less(b, q) for b in amp_branches(p))
-        return False
+        return all(isinstance(b, Arrow) and b.cod == q.result
+                   for b in amp_branches(p))
     if isinstance(q, Amp):
-        if isinstance(p, (Arrow, Amp)):
-            return set(amp_branches(p)) < set(amp_branches(q))
-        return False
+        return (not is_generic(p)
+                and set(amp_branches(p)) < set(amp_branches(q)))
     return False
 
 
@@ -210,8 +199,7 @@ def glb(p1, p2):
         return p1
     if generically_less(p2, p1):
         return p2
-    nongen1 = isinstance(p1, (Arrow, Amp))
-    nongen2 = isinstance(p2, (Arrow, Amp))
+    nongen1, nongen2 = not is_generic(p1), not is_generic(p2)
     if nongen1 and nongen2:
         b2 = set(amp_branches(p2))
         common = [b for b in amp_branches(p1) if b in b2]
@@ -234,17 +222,13 @@ def apply_type(ctx, pi, tau):
     """The unique codomain for applying a strategy of type pi to a term of
     type tau. ctx is unused, and kept because `bench/layers.py` calls
     apply_type(ctx, pi, tau)."""
-    if isinstance(pi, Arrow):
-        if pi.dom == tau:
-            return pi.cod
-    elif isinstance(pi, TP):
+    if isinstance(pi, TP):
         return tau
-    elif isinstance(pi, TU):
+    if isinstance(pi, TU):
         return pi.result
-    elif isinstance(pi, Amp):
-        for b in amp_branches(pi):
-            if b.dom == tau:
-                return b.cod
+    for b in amp_branches(pi):
+        if b.dom == tau:
+            return b.cod
     raise InapplicableType("strategy of type %r is not applicable to a term "
                            "of type %r" % (pi, tau), rule="apply")
 
@@ -431,23 +415,18 @@ def _type_of(ctx, s):
             raise StaticError("spawn needs type-unifying operands, has %r "
                               "and %r" % (p1, p2), rule="spawn")
         return TU(PairType(p1.result, p2.result)), S.Spawn(c1, c2, pos)
-    if isinstance(s, S.Extend):
+    if isinstance(s, (S.Extend, S.Restrict, S.Annot)):
         wf_strategy_type(ctx, s.stype)
         inner, c = type_and_core(ctx, s.arg)
-        _require_instance(inner, s.stype)
-        return s.stype, S.Extend(_annotated(c, inner), s.stype, pos)
-    if isinstance(s, S.Restrict):
-        wf_strategy_type(ctx, s.stype)
-        inner, c = type_and_core(ctx, s.arg)
-        _require_instance(s.stype, inner, "restrict")
-        return s.stype, S.Restrict(c, s.stype, pos)
-    if isinstance(s, S.Annot):
-        wf_strategy_type(ctx, s.stype)
-        inner, c = type_and_core(ctx, s.arg)
-        if not types_equal(inner, s.stype):
+        if isinstance(s, S.Extend):
+            _require_instance(inner, s.stype)
+            c = _annotated(c, inner)
+        elif isinstance(s, S.Restrict):
+            _require_instance(s.stype, inner, "restrict")
+        elif not types_equal(inner, s.stype):
             raise StaticError("annotation %r does not match actual type %r"
                               % (s.stype, inner), rule="annot")
-        return s.stype, S.Annot(c, s.stype, pos)
+        return s.stype, type(s)(c, s.stype, pos)
     if isinstance(s, S.AmpS):
         p1, c1 = type_and_core(ctx, s.left)
         p2, c2 = type_and_core(ctx, s.right)
@@ -459,10 +438,8 @@ def _type_of(ctx, s):
         return combined, S.AmpS(_annotated(c1, p1), _annotated(c2, p2), pos)
     if isinstance(s, S.TypeGuard):
         wf_term_type(ctx, s.ttype)
-        wf_strategy_type(ctx, s.stype)
         arrow = Arrow(s.ttype, s.ttype)
-        _require_instance(arrow, s.stype)
-        return s.stype, _type_guard(arrow, s.stype, pos)
+        return _type_of(ctx, _type_guard(arrow, s.stype, pos))
     if isinstance(s, S.TLChoice):
         p1, c1 = type_and_core(ctx, s.left)
         if not isinstance(p1, Arrow):
@@ -591,12 +568,15 @@ class CheckedProgram:
 
     def run(self, term, cfg=None, state=None):
         """`run_program` on the core, compiled on the first run and kept,
-        after raising the first diagnostic or InapplicableType; a reduct of
-        another type than `apply_type` predicts is InternalTypeViolation.
+        after raising the first diagnostic, a StaticError for a program
+        without main, or InapplicableType; a reduct of another type than
+        `apply_type` predicts is InternalTypeViolation.
         Runs take turns; one started inside another raises RuntimeError.
         `cli.main` and `apply_strategy` run it in `terms._in_frame_room`."""
         if self.diagnostics:
             raise self.diagnostics[0]
+        if self.core.main is None:
+            raise StaticError("missing main strategy", rule="def")
         want = apply_type(self.core.context, self.type, term.tag)
         with self._lock:
             if self._compiled is None:

@@ -1,15 +1,18 @@
 import contextlib
 import os
 import re
+import sys
 
 import pytest
 
 import stratcalc as sc
+from stratcalc.printer import render_term
 from stratcalc.terms import PAIR_NAME, UNIT_NAME
 
 HERE = os.path.dirname(__file__)
 PROGRAMS = os.path.join(HERE, "..", "programs")
 GOLDEN = os.path.join(HERE, "golden")
+BENCH = os.path.join(HERE, "..", "bench")
 
 
 def program_path(name):
@@ -141,3 +144,68 @@ def run_call(program_elab, name, term, fuel=100000, trace=False, state=None):
     return sc.apply_strategy(program_elab.context, program_elab.definitions,
                              S.Call(name, (), ()), term,
                              sc.EvalConfig(fuel=fuel, trace=trace), state)
+
+
+def bench_inputs():
+    """bench/inputs.py, the benchmark's request builder."""
+    sys.path.insert(0, BENCH)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(BENCH)
+    return inputs
+
+
+def bench_runs(workload, root, seed=101):
+    """The well-typed `run` requests of one seeded pass of a benchmark
+    workload, read as the CLI reads them: a list of (class, program text,
+    tagged term), and a dict from each program text to its core, or to
+    None for an ill-typed one, whose requests must expect exit code 2.
+    A program is parsed under the bundled prelude and checked once; a
+    `--term` that names a file is read from it, else it is the term."""
+    requests, _ = bench_inputs().build(workload, seed, str(root), 1)
+    runs, cores = [], {}
+    for req in requests:
+        if req.argv[0] != "run":
+            continue
+        _, path, _, text = req.argv
+        with open(path) as f:
+            source = f.read()
+        if source not in cores:
+            program = sc.parse_program(source, prelude=sc.load_prelude())
+            cores[source] = sc.check_and_elaborate(program)[2]
+        if cores[source] is None:
+            assert req.rc == 2, req.cls
+            continue
+        if os.path.exists(text):
+            with open(text) as f:
+                text = f.read().strip()
+        runs.append((req.cls, source,
+                     sc.parse_term(text, cores[source].context)))
+    return runs, cores
+
+
+def assert_same_tags(t, u):
+    """t and u carry the same tag at every node. Walked with a loop."""
+    todo = [(t, u)]
+    while todo:
+        a, b = todo.pop()
+        assert a.tag is b.tag
+        todo.extend(zip(a.args, b.args))
+
+
+def assert_same_run(got, state, want, ref, cls):
+    """The engine's outcome and EvalState match the reference's outcome
+    and RefState: the rendered reduct and every node's tag, the fuel
+    left, every trace line and both `&` counters. Reducts are compared
+    by rendering and walking them, since `repr` and `==` recurse in C."""
+    assert type(got) is type(want), cls
+    if isinstance(got, sc.Ok):
+        assert render_term(got.term) == render_term(want.term), cls
+        assert_same_tags(got.term, want.term)
+    else:
+        assert got == want, cls
+    assert state.fuel == ref.fuel, cls
+    assert state.trace_lines == ref.trace_lines, cls
+    assert (state.amp_dispatches, state.amp_branch_evals) == (
+        ref.amp_dispatches, ref.amp_branch_evals), cls

@@ -17,10 +17,8 @@ from stratcalc import cli, syntax as S
 from stratcalc.cli import main as cli_main
 from stratcalc.parser import RESERVED
 
-from conftest import NAT_TREE_HEADER, golden_path, program_path
+from conftest import NAT_TREE_HEADER, bench_inputs, golden_path, program_path
 from randgen import edited
-
-BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
 @pytest.fixture
@@ -369,16 +367,6 @@ def test_run_512_leaf_tree_prints_its_list(capcli, write):
     assert out == "cons(zero," * 512 + "nil" + ")" * 512 + "\n"
 
 
-def bench_inputs():
-    """bench/inputs.py, the benchmark's request builder."""
-    sys.path.insert(0, BENCH)
-    try:
-        import inputs
-    finally:
-        sys.path.remove(BENCH)
-    return inputs
-
-
 def test_tree9_depth_probe_matches_the_bench_oracle(capcli, tmp_path):
     # The benchmark's own request and reference reply, built by bench/inputs.
     inputs = bench_inputs()
@@ -604,6 +592,13 @@ def test_library_rejects_duplicate_parameters():
         checked.run(sc.parse_term("zero", program.context))
     assert exc.value is checked.diagnostics[0]
     assert exc.value.message == "duplicate parameter v in definition of F"
+    # A program without main checks, and says so when asked to run.
+    program = sc.parse_program("sort Nat; con zero : Nat;", require_main=False)
+    checked = sc.CheckedProgram(program)
+    assert checked.diagnostics == []
+    with pytest.raises(sc.StaticError) as exc:
+        checked.run(sc.parse_term("zero", program.context))
+    assert exc.value.render() == "ERROR def: missing main strategy"
 
 
 RULE_HEADER = DIAG_HEADER.replace("var N1 : Nat;",

@@ -96,6 +96,9 @@ def test_domains_amp_union():
 def test_domains_generic_undefined():
     with raises_static("dom", "domain of generic type TP is undefined"):
         sc.domains(TP_TYPE)
+    # A sum with a generic branch, which rule pi.4 rejects, names it.
+    with raises_static("dom", "domain of generic type TP is undefined"):
+        sc.domains(Amp(NN, TP_TYPE))
 
 
 # -- genericity -------------------------------------------------------------
@@ -113,11 +116,16 @@ def test_less_arrow_below_tu_by_codomain():
 def test_less_branch_subset():
     assert sc.generically_less(NN, Amp(NN, TT))
     assert not sc.generically_less(Amp(NN, TT), NN)
+    # Against a sum the branch sets decide, generic branches included.
+    assert sc.generically_less(Amp(TP_TYPE, NN), Amp(TP_TYPE, Amp(NN, TT)))
 
 
 def test_less_amp_below_generic():
     assert sc.generically_less(Amp(NN, TT), TP_TYPE)
     assert not sc.generically_less(Amp(NN, Arrow(TREE, NAT)), TP_TYPE)
+    # A generic branch, which rule pi.4 rejects, is below neither TP nor TU.
+    assert not sc.generically_less(Amp(TP_TYPE, NN), TP_TYPE)
+    assert not sc.generically_less(Amp(TU(NAT), Arrow(TREE, NAT)), TU(NAT))
 
 
 def test_less_is_irreflexive():
@@ -282,6 +290,11 @@ def test_apply_overloaded_branch(overload):
     t = FunApp("positive", (FunApp("zero", ()),))
     pi = sc.type_and_core(ctx, S.Call("Inc", (), ()))[0]
     assert apply_type(ctx, pi, sc.type_of_term(ctx, t)) == Sort("Int")
+    with pytest.raises(E.InapplicableType) as exc:
+        apply_type(ctx, pi, UNIT)
+    assert exc.value.render() == (
+        "ERROR apply: strategy of type %r is not applicable to a term of "
+        "type ()" % (pi,))
 
 
 def test_apply_tu_returns_result_type(problems):

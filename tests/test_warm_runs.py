@@ -9,8 +9,6 @@ semantics on the benchmark's requests, every run after the first of a
 program warm.
 """
 
-import os
-import sys
 import threading
 from types import SimpleNamespace
 
@@ -19,12 +17,11 @@ import pytest
 import stratcalc as sc
 from stratcalc import cli, evaluate
 from stratcalc.printer import render_term
+from stratcalc.terms import FUEL
 
-from conftest import NAT_TREE_HEADER, load_program, program_path
+from conftest import (NAT_TREE_HEADER, assert_same_run, bench_runs,
+                      load_program, program_path)
 from reference_eval import run_reference
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
-import inputs  # noqa: E402  (bench/inputs.py: the benchmark's requests)
 
 
 @pytest.fixture
@@ -175,45 +172,11 @@ def test_compiled_program_serves_one_run_at_a_time():
 
 # The benchmark's well-typed `run` requests, each program compiled once.
 
-SEED = 101
-FUEL = 100000  # the CLI's default
-
-
-def bench_runs(workload, root):
-    """(class, program text, tagged term) of each well-typed `run` request
-    of one pass of the workload, and the core of each program text."""
-    requests, _ = inputs.build(workload, SEED, str(root), 1)
-    runs, cores = [], {}
-    for req in requests:
-        if req.argv[0] != "run":
-            continue
-        _, program_path_, _, text = req.argv
-        with open(program_path_) as f:
-            source = f.read()
-        if source not in cores:
-            program = sc.parse_program(source, prelude=sc.load_prelude())
-            diags, _, cores[source] = sc.check_and_elaborate(program)
-            assert diags == [], req.cls
-        if os.path.exists(text):
-            with open(text) as f:
-                text = f.read().strip()
-        runs.append((req.cls, source,
-                     sc.parse_term(text, cores[source].context)))
-    return runs, cores
-
-
-def assert_same_tags(t, u):
-    todo = [(t, u)]
-    while todo:
-        a, b = todo.pop()
-        assert a.tag is b.tag
-        todo.extend(zip(a.args, b.args))
-
-
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
 @pytest.mark.parametrize("workload", ["traverse", "normalize"])
 def test_warm_bench_requests_match_reference(workload, trace, tmp_path):
     runs, cores = bench_runs(workload, tmp_path)
+    assert all(core is not None for core in cores.values())
     assert len(runs) > len(cores)
     programs = {text: sc.CompiledProgram(core) for text, core in cores.items()}
     cfg = sc.EvalConfig(fuel=FUEL, trace=trace)
@@ -221,13 +184,4 @@ def test_warm_bench_requests_match_reference(workload, trace, tmp_path):
         state = sc.EvalState()
         got = programs[text].run(term, cfg, state)
         want, ref = run_reference(cores[text], term, cfg)
-        assert type(got) is type(want), cls
-        if isinstance(got, sc.Ok):
-            assert render_term(got.term) == render_term(want.term), cls
-            assert_same_tags(got.term, want.term)
-        else:
-            assert got == want, cls
-        assert state.fuel == ref.fuel, cls
-        assert state.trace_lines == ref.trace_lines, cls
-        assert counters(state) == (ref.amp_dispatches,
-                                   ref.amp_branch_evals), cls
+        assert_same_run(got, state, want, ref, cls)
