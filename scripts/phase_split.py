@@ -7,10 +7,10 @@ builds it. It wraps with timers, in this process only, the names that
 `stratcalc.cli` imports for three phases (`parse_program`, `parse_term`
 and `render_term`), `stratcalc.typecheck.check_and_elaborate`, the pass
 that `CheckedProgram` runs, and two methods of `stratcalc.evaluate`:
-`_Scope.compile`, timed as `compile`, and `CompiledProgram.run`, the
-runner that `run_program` and `CheckedProgram.run` share, timed as
-`run_program` less the compiling done inside it. It prints one line per
-phase and two more:
+`_Scope.compile`, timed as `compile`, and `_Run.run`, the runner that
+`run_program` and `CheckedProgram.run` share, timed as `run_program`
+less the compiling done inside it. It prints one line per phase and two
+more:
 
     <phase> <ms> <share of request time, %>
     other <ms> <share>
@@ -95,8 +95,8 @@ def main():
                                     stack))
     evaluate._Scope.compile = timed(evaluate._Scope.compile, totals,
                                     "compile", stack)
-    evaluate.CompiledProgram.run = timed(evaluate.CompiledProgram.run,
-                                         totals, "run_program", stack)
+    evaluate._Run.run = timed(evaluate._Run.run, totals, "run_program",
+                              stack)
     passes = []
     with tempfile.TemporaryDirectory() as root:
         requests, _ = inputs.build(args.workload, args.seed, root, 1)

@@ -60,7 +60,7 @@ from .typecheck import (
 )
 
 # Loaded on first use (PEP 562): a process that only checks runs no evaluator.
-_EVALUATOR = ("CompiledProgram", "apply_strategy", "run_program")
+_EVALUATOR = ("apply_strategy", "run_program")
 
 
 def __getattr__(name):

@@ -1,12 +1,13 @@
 """Evaluation of strategy applications, by compiling the core to closures.
 
-A `CompiledProgram` compiles checked core to closures `f(t, env)` that
-return the reduct, or None for failure. `env` binds the running
-definition's strategy parameters, by position, to (closure, env) pairs.
-The closures read the state of the run in progress (fuel, depth, trace
-sink, `&` counters) from their `_Run` when called, so a compiled program
-keeps them and applies them to many terms, one run at a time;
-`run_program` compiles afresh on each call.
+A `_Run` compiles checked core to closures `f(t, env)` that return the
+reduct, or None for failure. `env` binds the running definition's
+strategy parameters, by position, to (closure, env) pairs. The closures
+read the state of the run in progress (fuel, depth, trace sink, `&`
+counters) from their `_Run` when called, so a `_Run` keeps them and
+applies them to many terms, one after another. `run_program` runs a
+fresh one; `CheckedProgram` keeps idle ones, so each of its concurrent
+or nested runs takes a `_Run` of its own.
 
 A call compiles in one of two ways. A call that sits in main or in a
 shared instance, and whose callee takes strategy parameters and is not
@@ -25,8 +26,8 @@ Both ways cost one unit of fuel and emit one `comb` trace line. With
 from itertools import repeat
 
 from . import syntax as S
-from .errors import (FuelExhausted, InternalTypeViolation, StaticError,
-                     UnboundCombinator)
+from .errors import (EngineError, FuelExhausted, InternalTypeViolation,
+                     StaticError, UnboundCombinator)
 from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, EngineFailure,
                     EvalConfig, EvalState, FunApp, Ok, PairType, Var,
                     _in_frame_room, check_reduct, depth_exceeded, substitute,
@@ -36,20 +37,21 @@ from .typecheck import (CheckedProgram, _substitute_type_vars, domains,
 
 
 class _Run:
-    """What the scopes of one compiled program share: the core
-    definitions, the trace flag, the compiled main and instances by (name,
-    type arguments), and `st`, the state of the run in progress (None
-    between runs), which the closures read when called."""
+    """One core program's compiled closures for one trace flag: main and
+    the instances by (name, type arguments), compiled as runs first reach
+    them and kept, and `st`, the state of the run in progress (None
+    between runs), which the closures read when called. No two runs may
+    use one `_Run` at once."""
 
-    def __init__(self, defs, trace):
-        self.defs, self.trace = defs, trace
+    def __init__(self, program, trace):
+        self.program, self.trace = program, trace
         self.st = self.main = None
         self.instances = {}
 
     def instance(self, name, type_args):
         body = self.instances.get((name, type_args))
         if body is None:
-            d = self.defs.get(name)
+            d = self.program.definitions.get(name)
             if d is None:
                 raise UnboundCombinator(
                     "no definition for combinator %s" % name)
@@ -57,6 +59,33 @@ class _Run:
                 self, name, dict(zip(d.ctype.type_params, type_args)),
                 {p: i for i, p in enumerate(d.params)}).compile(d.body)
         return body
+
+    def run(self, t, cfg, state):
+        """`run_program(self.program, t, cfg, state)` on the kept
+        closures, for a cfg whose trace flag is this `_Run`'s."""
+        state.fuel, state.depth = cfg.fuel or None, 0
+        self.st = state
+        try:
+            try:
+                if self.main is None:
+                    self.main = _Scope(self, "", {}, {}).compile(
+                        self.program.main)
+                result = self.main(t, ())
+            except EngineError as e:
+                return EngineFailure(e.kind, e.detail)
+            if result is None:
+                return FAILURE
+            try:
+                if result is not t:
+                    check_reduct(self.program.context, result)
+            except StaticError as e:
+                return EngineFailure("InternalTypeViolation",
+                                     "reduct is ill-typed: %s" % e.message)
+            return Ok(result)
+        except RecursionError:
+            return depth_exceeded()
+        finally:
+            self.st = None
 
 
 class _Scope:
@@ -338,7 +367,7 @@ def _expansion(sc, name, key, actuals):
     body it runs, and the actuals to build its env from, or None to run it
     on the caller's env."""
     run = sc.run
-    d = run.defs.get(name)
+    d = run.program.definitions.get(name)
     # A copy of the body, each parameter bound to its actual. A callee
     # without strategy parameters gains nothing from one: its shared
     # instance already runs on the caller's env. A copy's own calls go to
@@ -411,49 +440,6 @@ def run_program(program, t, cfg=None, state=None):
     Subject reduction is checked on every node of a reduct that is not t
     itself; the reduct's root is not compared with the type `apply_type`
     predicts, as `CheckedProgram.run` compares it. The program is compiled
-    afresh on each call; a `CompiledProgram` keeps what it compiles."""
-    return CompiledProgram(program).run(t, cfg, state)
-
-
-class CompiledProgram:
-    """A core program whose closures are kept to run on many terms. Each
-    trace flag gets its own closures, compiled as a run first reaches
-    them, main included, and kept, so a later run compiles only what no
-    earlier run reached. A compiled program serves one run at a time."""
-
-    def __init__(self, program):
-        self.program, self._runs = program, {}
-
-    def run(self, t, cfg=None, state=None):
-        """`run_program(program, t, cfg, state)` on the kept closures."""
-        cfg, state = cfg or EvalConfig(), state or EvalState()
-        run = self._runs.get(cfg.trace)
-        if run is None:
-            run = self._runs[cfg.trace] = _Run(self.program.definitions,
-                                               cfg.trace)
-        if run.st is not None:
-            raise RuntimeError("a compiled program serves one run at a time")
-        state.fuel, state.depth = cfg.fuel or None, 0
-        run.st = state
-        try:
-            try:
-                if run.main is None:
-                    run.main = _Scope(run, "", {}, {}).compile(
-                        self.program.main)
-                result = run.main(t, ())
-            except (FuelExhausted, UnboundCombinator,
-                    InternalTypeViolation) as e:
-                return EngineFailure(e.kind, e.detail)
-            if result is None:
-                return FAILURE
-            try:
-                if result is not t:
-                    check_reduct(self.program.context, result)
-            except StaticError as e:
-                return EngineFailure("InternalTypeViolation",
-                                     "reduct is ill-typed: %s" % e.message)
-            return Ok(result)
-        except RecursionError:
-            return depth_exceeded()
-        finally:
-            run.st = None
+    afresh on each call; a `CheckedProgram` keeps what it compiles."""
+    cfg, state = cfg or EvalConfig(), state or EvalState()
+    return _Run(program, cfg.trace).run(t, cfg, state)

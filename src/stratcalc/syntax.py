@@ -300,8 +300,3 @@ class Program(Record):
         self.context = context  # a Context
         self.definitions = definitions  # name -> Definition
         self.main = main  # a StrategyExpr
-
-    def replace(self, **changes):
-        """A copy of this program with `changes` made."""
-        return Program(**{**{f: getattr(self, f) for f in self._fields},
-                          **changes})

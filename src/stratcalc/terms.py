@@ -45,6 +45,14 @@ class Record:
             ["%s=%r" % (f, getattr(self, f))
              for f in self._fields + self._uncompared]))
 
+    def replace(self, **changes):
+        """A copy of this record with `changes` made, sharing the fields
+        left unchanged, for a class whose constructor takes each of its
+        `_fields` and `_uncompared` by keyword."""
+        return type(self)(**{
+            **{f: getattr(self, f) for f in self._fields + self._uncompared},
+            **changes})
+
 
 _set = object.__setattr__  # how a Node's __init__ sets its slots
 
@@ -365,12 +373,6 @@ class Context(Record):
             self.sorts.add(name)
         else:
             getattr(self, _TABLES[keyword])[name] = value
-
-    def replace(self, **changes):
-        """A copy of this context with `changes` made; the tables left
-        unchanged are shared with it."""
-        return Context(**{**{f: getattr(self, f) for f in self._fields},
-                          **changes})
 
     def with_params(self, type_params, strategy_params):
         """A scope for checking one definition body."""

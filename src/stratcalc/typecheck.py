@@ -14,14 +14,14 @@ resolved at composition/choice/application sites, so checking stays
 deterministic).
 """
 
-import threading
-
 from . import syntax as S
 from .errors import InapplicableType, StaticError
 from .terms import (
     Amp,
     Arrow,
     EngineFailure,
+    EvalConfig,
+    EvalState,
     Ok,
     PairType,
     Sort,
@@ -564,25 +564,33 @@ class CheckedProgram:
 
     def __init__(self, program):
         self.diagnostics, self.type, self.core = check_and_elaborate(program)
-        self._compiled, self._lock = None, threading.RLock()
+        self._idle = ([], [])  # idle `_Run`s, untraced and traced
 
     def run(self, term, cfg=None, state=None):
-        """`run_program` on the core, compiled on the first run and kept,
-        after raising the first diagnostic, a StaticError for a program
-        without main, or InapplicableType; a reduct of another type than
-        `apply_type` predicts is InternalTypeViolation.
-        Runs take turns; one started inside another raises RuntimeError.
+        """`run_program` on the core, after raising the first diagnostic,
+        a StaticError for a program without main, or InapplicableType; a
+        reduct of another type than `apply_type` predicts is
+        InternalTypeViolation. Each run takes an idle `_Run` of its trace
+        flag, or compiles a new one, and leaves it idle when done, so
+        concurrent and nested runs each run their own closures and a warm
+        run compiles only what no earlier run reached.
         `cli.main` and `apply_strategy` run it in `terms._in_frame_room`."""
         if self.diagnostics:
             raise self.diagnostics[0]
         if self.core.main is None:
             raise StaticError("missing main strategy", rule="def")
         want = apply_type(self.core.context, self.type, term.tag)
-        with self._lock:
-            if self._compiled is None:
-                from .evaluate import CompiledProgram
-                self._compiled = CompiledProgram(self.core)
-            outcome = self._compiled.run(term, cfg, state)
+        cfg, state = cfg or EvalConfig(), state or EvalState()
+        idle = self._idle[bool(cfg.trace)]
+        try:
+            run = idle.pop()  # atomic, as is append
+        except IndexError:
+            from .evaluate import _Run
+            run = _Run(self.core, cfg.trace)
+        try:
+            outcome = run.run(term, cfg, state)
+        finally:
+            idle.append(run)
         if isinstance(outcome, Ok) and outcome.term.tag is not want:
             return EngineFailure("InternalTypeViolation",
                                  "reduct is ill-typed: reduct has type %r, "

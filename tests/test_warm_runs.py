@@ -1,12 +1,13 @@
-"""Compiled programs kept and run again.
+"""Checked programs kept and run again.
 
-The CLI keeps each checked program's `CompiledProgram` in its cache entry,
-so a warm `run` reuses the closures that earlier runs compiled. Each
-reply of a warm run must be the reply of a cold one, whatever outcome
-came before it, and a run that reaches only compiled code compiles
-nothing. The library's `CompiledProgram` is held to the reference
-semantics on the benchmark's requests, every run after the first of a
-program warm.
+The CLI keeps each `CheckedProgram` in its cache entry, and each keeps
+the compiled closures of its finished runs, so a warm `run` reuses what
+earlier runs compiled. Each reply of a warm run must be the reply of a
+cold one, whatever outcome came before it, and a run that reaches only
+compiled code compiles nothing. A run started inside another runs on
+closures of its own. The library's `CheckedProgram` is held to the
+reference semantics on the benchmark's requests, every run after the
+first of a program warm.
 """
 
 import threading
@@ -110,22 +111,14 @@ def test_reused_compiled_program_recovers_from_every_outcome(reply, write):
     assert cli._checked.cache_info().currsize == 1
 
 
-def checked_core(name):
-    with open(program_path(name)) as f:
-        program = sc.parse_program(f.read(), prelude=sc.load_prelude())
-    diags, _, core = sc.check_and_elaborate(program)
-    assert diags == []
-    return core
-
-
 def counters(state):
     return state.amp_dispatches, state.amp_branch_evals
 
 
 def test_reused_run_counts_the_same_amp_dispatches():
-    core = checked_core("overload.strat")
+    program = sc.CheckedProgram(load_program("overload.strat"))
+    core = program.core
     t = sc.parse_term("positive(notzero(succ(succ(i))))", core.context)
-    program = sc.CompiledProgram(core)
     states = [sc.EvalState() for _ in range(3)]
     outcomes = [program.run(t, state=st) for st in states[:2]]
     outcomes.append(sc.run_program(core, t, state=states[2]))
@@ -154,20 +147,51 @@ def in_thread(f):
         raise errors[0]
 
 
-def test_compiled_program_serves_one_run_at_a_time():
-    core = checked_core("problems.strat")
-    t = sc.parse_term("leaf(zero)", core.context)
+def test_a_run_started_inside_another_runs_on_its_own():
+    program = sc.CheckedProgram(load_program("problems.strat"))
+    t = sc.parse_term("leaf(zero)", program.core.context)
     cfg = sc.EvalConfig(trace=True)
-    # A CheckedProgram's runs take turns under a lock that a nested run on
-    # the same thread enters, so that run raises instead of waiting.
-    for program, call in (
-            (sc.CompiledProgram(core), lambda f: f()),
-            (sc.CheckedProgram(load_program("problems.strat")), in_thread)):
-        inner = SimpleNamespace(append=lambda line: program.run(t, cfg))
-        with pytest.raises(RuntimeError, match="one run at a time"):
-            call(lambda: program.run(t, cfg, sc.EvalState(trace_lines=inner)))
-        # The failed run leaves the program free for the next one.
-        assert render_term(program.run(t, cfg).term) == "leaf(succ(zero))"
+    plain = sc.EvalState()
+    want = program.run(t, cfg, plain)
+    # The outer run's trace sink starts a second run of the same program
+    # on its first line; that run waits for nothing and disturbs nothing.
+    lines, nested, got = [], [], []
+
+    def append(line):
+        if not nested:
+            nested.append(program.run(t, cfg))
+        lines.append(line)
+
+    outer = sc.EvalState(trace_lines=SimpleNamespace(append=append))
+    in_thread(lambda: got.append(program.run(t, cfg, outer)))
+    assert render_term(nested[0].term) == "leaf(succ(zero))"
+    assert got == [want] and lines == plain.trace_lines
+    assert outer.fuel == plain.fuel
+    assert render_term(program.run(t, cfg).term) == "leaf(succ(zero))"
+
+
+def test_a_run_that_raises_leaves_its_closures_fit_to_run_again():
+    program = sc.CheckedProgram(load_program("problems.strat"))
+    t = sc.parse_term("fork(leaf(zero),leaf(succ(zero)))",
+                      program.core.context)
+    cfg = sc.EvalConfig(trace=True)
+
+    class Stop(Exception):
+        pass
+
+    def stop(line):
+        raise Stop
+
+    with pytest.raises(Stop):
+        program.run(t, cfg, sc.EvalState(trace_lines=SimpleNamespace(
+            append=stop)))
+    # The next run takes the closures the interrupted run left, partly
+    # compiled, and runs as a fresh program does.
+    state, fresh = sc.EvalState(), sc.EvalState()
+    want = sc.run_program(program.core, t, cfg, fresh)
+    assert program.run(t, cfg, state) == want
+    assert state.trace_lines == fresh.trace_lines
+    assert state.fuel == fresh.fuel
 
 
 # The benchmark's well-typed `run` requests, each program compiled once.
@@ -178,7 +202,10 @@ def test_warm_bench_requests_match_reference(workload, trace, tmp_path):
     runs, cores = bench_runs(workload, tmp_path)
     assert all(core is not None for core in cores.values())
     assert len(runs) > len(cores)
-    programs = {text: sc.CompiledProgram(core) for text, core in cores.items()}
+    prelude = sc.load_prelude()
+    programs = {text: sc.CheckedProgram(sc.parse_program(text,
+                                                         prelude=prelude))
+                for text in cores}
     cfg = sc.EvalConfig(fuel=FUEL, trace=trace)
     for cls, text, term in runs:
         state = sc.EvalState()
