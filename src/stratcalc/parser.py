@@ -230,10 +230,55 @@ class Parser:
     # -- strategies ---------------------------------------------------------
 
     def parse_strat(self, level=1):
-        """Precedence climbing over S.OPERATORS: a strategy whose binary
-        operators all bind at `level` or tighter."""
-        pos = self.peek()[2:]
-        left = self._parse_primary()
+        """A strategy whose binary operators all bind at `level` or
+        tighter: one primary, then precedence climbing over S.OPERATORS.
+        Level 4 is above every binary operator, so there it reads one
+        primary, a rule included: the operand of `!`."""
+        tok = self.next()
+        pos, word = tok[2:], tok[1]
+        if word == "!":
+            left = S.Neg(self.parse_strat(4), pos)
+        elif word in S.KEYWORDS:
+            cls, kinds = S.KEYWORDS[word]
+            args = []
+            for k, kind in enumerate(kinds):
+                self.expect("," if k else "(")
+                args.append(_PARSE_ARG[kind](self))
+            if kinds:
+                self.expect(")")
+            left = cls(*args, pos)
+        elif word == "(":
+            if self.at(")"):
+                self.next()
+                left = S.CongUnit(pos)
+            else:
+                left = self.parse_strat()
+                if self.at(","):
+                    self.next()
+                    left = S.CongPair(left, self.parse_strat(), pos)
+                elif self.at(":"):
+                    # "(" strat ":" stype ")" — annotation, as printed by
+                    # the elaborator.
+                    self.next()
+                    left = S.Annot(left, self.parse_stype(), pos)
+                self.expect(")")
+        elif tok[0] == "name" and word not in RESERVED:
+            type_args = ()
+            if self.at("["):
+                self.next()
+                type_args = self.sep_list(self.parse_ttype, close="]")
+            args = ()
+            if self.at("("):
+                self.next()
+                args = self.sep_list(self.parse_strat, close=")")
+            # Congruence vs call vs parameter is settled by the checker.
+            left = S.Call(word, type_args, args, pos)
+        else:
+            raise _unexpected("a strategy", tok)
+        if word != "!" and self.at("->"):
+            # A rewrite rule, whose left-hand side was read as a congruence.
+            self.next()
+            left = S.Rule(_as_term(left), *self._parse_rulebody(), pos)
         while True:
             tok = self.peek()
             cls, op_level = S.OPERATORS.get(tok[1], (None, 0))
@@ -251,59 +296,6 @@ class Parser:
             return tok[1] in ("(", "!")
         return tok[0] == "name" and (tok[1] in S.KEYWORDS
                                      or tok[1] not in RESERVED)
-
-    def _parse_primary(self):
-        tok = self.peek()
-        pos = (tok[2], tok[3])
-        word = tok[1]
-        if word == "!":
-            self.next()
-            return S.Neg(self._parse_primary(), pos)
-        if word in S.KEYWORDS:
-            cls, kinds = S.KEYWORDS[word]
-            self.next()
-            args = []
-            for k, kind in enumerate(kinds):
-                self.expect("," if k else "(")
-                args.append(_PARSE_ARG[kind](self))
-            if kinds:
-                self.expect(")")
-            node = cls(*args, pos)
-        elif word == "(":
-            self.next()
-            if self.at(")"):
-                self.next()
-                node = S.CongUnit(pos)
-            else:
-                node = self.parse_strat()
-                if self.at(","):
-                    self.next()
-                    node = S.CongPair(node, self.parse_strat(), pos)
-                elif self.at(":"):
-                    # "(" strat ":" stype ")" — annotation, as printed by
-                    # the elaborator.
-                    self.next()
-                    node = S.Annot(node, self.parse_stype(), pos)
-                self.expect(")")
-        elif tok[0] == "name" and word not in RESERVED:
-            self.next()
-            type_args = ()
-            if self.at("["):
-                self.next()
-                type_args = self.sep_list(self.parse_ttype, close="]")
-            args = ()
-            if self.at("("):
-                self.next()
-                args = self.sep_list(self.parse_strat, close=")")
-            # Congruence vs call vs parameter is settled by the checker.
-            node = S.Call(word, type_args, args, pos)
-        else:
-            raise _unexpected("a strategy", tok)
-        if self.at("->"):
-            # A rewrite rule, whose left-hand side was read as a congruence.
-            self.next()
-            return S.Rule(_as_term(node), *self._parse_rulebody(), pos)
-        return node
 
     def _parse_rulebody(self):
         """A rule's right-hand side and its where-clauses."""

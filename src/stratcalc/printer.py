@@ -54,23 +54,16 @@ _FORMS = {cls: (word, tuple(zip(cls._fields, kinds)))
 
 
 def render_strat(s, level=0):
-    text, own = _render(s)
-    if own < level:
-        return "(%s)" % text
-    return text
-
-
-def _render(s):
-    cls = type(s)
+    """The source text of s, in parentheses if its own level is below
+    `level`, the level its context requires. Each branch sets the text
+    and the own level, so a level of nesting costs one frame."""
+    cls, own = type(s), 5
     if cls in _BINOPS:
-        op, lvl = _BINOPS[cls]
-        left = render_strat(s.left, lvl + 1)
-        right = render_strat(s.right, lvl)
-        return "%s %s %s" % (left, op, right), lvl
-    if cls in _FORMS:
+        op, own = _BINOPS[cls]
+        left = render_strat(s.left, own + 1)
+        text = "%s %s %s" % (left, op, render_strat(s.right, own))
+    elif cls in _FORMS:
         word, args = _FORMS[cls]
-        if not args:
-            return word, 5
         text = ""
         for name, kind in args:
             # "," before a strategy, ", " before a type.
@@ -78,26 +71,26 @@ def _render(s):
                 text += "," + render_strat(getattr(s, name), 1)
             else:
                 text += ", %r" % (getattr(s, name),)
-        return "%s(%s)" % (word, text.lstrip(", ")), 5
-    if isinstance(s, S.Rule):
+        text = "%s(%s)" % (word, text.lstrip(", ")) if args else word
+    elif isinstance(s, S.Rule):
         text = "%s -> %s" % (render_term(s.lhs), render_term(s.rhs))
         for w in s.where:
             text += " where %s := %s @ %s" % (
                 w.var, render_strat(w.strat, 1), render_term(w.arg))
         # A where-clause strategy would swallow a following operator, so
         # such rules always get parentheses in operator context.
-        return text, 0 if s.where else 5
-    if isinstance(s, S.Neg):
-        return "!%s" % render_strat(s.arg, 5), 4
-    if isinstance(s, S.CongUnit):
-        return "()", 5
-    if isinstance(s, S.CongPair):
-        return "(%s,%s)" % (render_strat(s.left, 1), render_strat(s.right, 1)), 5
-    if isinstance(s, S.Annot):
-        return "(%s : %r)" % (render_strat(s.arg, 1), s.stype), 5
-    if isinstance(s, S.ParamRef):
-        return s.name, 5
-    if isinstance(s, (S.CongFun, S.Call)):
+        own = 0 if s.where else 5
+    elif isinstance(s, S.Neg):
+        text, own = "!%s" % render_strat(s.arg, 5), 4
+    elif isinstance(s, S.CongUnit):
+        text = "()"
+    elif isinstance(s, S.CongPair):
+        text = "(%s,%s)" % (render_strat(s.left, 1), render_strat(s.right, 1))
+    elif isinstance(s, S.Annot):
+        text = "(%s : %r)" % (render_strat(s.arg, 1), s.stype)
+    elif isinstance(s, S.ParamRef):
+        text = s.name
+    elif isinstance(s, (S.CongFun, S.Call)):
         text = s.name
         if isinstance(s, S.Call) and s.type_args:
             text += "[%s]" % ",".join(map(repr, s.type_args))
@@ -108,8 +101,9 @@ def _render(s):
             for a in s.args:
                 args.append(render_strat(a, 1))
             text += "(%s)" % ",".join(args)
-        return text, 5
-    raise TypeError("not a strategy: %r" % (s,))
+    else:
+        raise TypeError("not a strategy: %r" % (s,))
+    return "(%s)" % text if own < level else text
 
 
 def render_ctype(ct):

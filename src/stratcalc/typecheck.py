@@ -3,8 +3,10 @@ types, greatest lower bounds, strategy and program typing.
 
 Strategy typing also elaborates: one walk returns each strategy's type
 together with its core, so checking and elaboration share a single pass.
-The same walk resolves the bare names the parser leaves, and checks call
-arities and the variables each rule binds.
+The walk types each node in one call of `type_and_core`: sugar (`+>`,
+`&>`, `guard`) and the bare names the parser leaves are replaced in place
+by the node they stand for, which that call then types. The same walk
+checks call arities and the variables each rule binds.
 
 A many-sorted type is read as the overloaded sum of one branch, so each
 judgement over a sum's branches (`amp_branches`) covers arrows too.
@@ -237,21 +239,6 @@ def apply_type(ctx, pi, tau):
 # Strategy typing and elaboration
 
 
-def type_and_core(ctx, s):
-    """Check s and return (its type, its elaborated core). The core has no
-    sugar, tagged rule terms, and every extend argument and & branch wrapped
-    in an Annot of its type. Idempotent: a core walks to an equal core.
-    This is where a diagnostic gets its position: the type algebra above
-    and _type_of raise without one, and the innermost node with a position
-    that the error passes through supplies it."""
-    try:
-        return _type_of(ctx, s)
-    except StaticError as e:
-        if e.pos is None and s.pos is not None:
-            e.pos = s.pos
-        raise
-
-
 def _substitute_type_vars(subst, tt):
     if isinstance(tt, TypeVar):
         return subst.get(tt.name, tt)
@@ -305,198 +292,213 @@ def expand_tlchoice(ctx, s1, s2, pi1, pi2, pos=None):
     return composable(TP_TYPE, pi2), core
 
 
-def _type_of(ctx, s):
+def type_and_core(ctx, s):
+    """Check s and return (its type, its elaborated core). The core has no
+    sugar, tagged rule terms, and every extend argument and & branch wrapped
+    in an Annot of its type. Idempotent: a core walks to an equal core.
+    Each node is typed in one call: a bare name that names a strategy
+    parameter or a function, `+>`, `&>` and `guard` are first replaced in
+    place by the node they stand for, which the same call then types.
+    This is where a diagnostic gets its position: the type algebra above
+    raises without one, and the innermost node with a position that the
+    error passes through supplies it."""
     pos = s.pos
-    if isinstance(s, (S.Id, S.Fail)):
-        return TP_TYPE, s
-    if isinstance(s, S.Rule):
-        lhs = tag_term(ctx, s.lhs)
-        bound = term_vars(lhs, set())
-        where = []
-        for w in s.where:
-            pi_s, strat = type_and_core(ctx, w.strat)
-            arg = tag_term(ctx, w.arg, bound)
-            if w.var in bound:
-                raise StaticError("where-clause rebinds variable %s" % w.var,
+    try:
+        if isinstance(s, S.Call):
+            # A bare name: a strategy parameter, a congruence or a
+            # combinator call, in that order.
+            if s.name in ctx.strategy_params:
+                if s.type_args or s.args:
+                    raise StaticError("strategy parameter %s takes no "
+                                      "arguments" % s.name, rule="name")
+                s = S.ParamRef(s.name, pos)
+            elif s.name in ctx.functions:
+                if s.type_args:
+                    raise StaticError("function congruence %s takes no type "
+                                      "arguments" % s.name, rule="name")
+                s = S.CongFun(s.name, s.args, pos)
+        elif isinstance(s, S.RChoice):
+            s = S.LChoice(s.right, s.left, pos)
+        elif isinstance(s, S.TRChoice):
+            s = S.TLChoice(s.right, s.left, pos)
+        elif isinstance(s, S.TypeGuard):
+            wf_term_type(ctx, s.ttype)
+            s = _type_guard(Arrow(s.ttype, s.ttype), s.stype, pos)
+        if isinstance(s, (S.Id, S.Fail)):
+            return TP_TYPE, s
+        if isinstance(s, S.Rule):
+            lhs = tag_term(ctx, s.lhs)
+            bound = term_vars(lhs, set())
+            where = []
+            for w in s.where:
+                pi_s, strat = type_and_core(ctx, w.strat)
+                arg = tag_term(ctx, w.arg, bound)
+                if w.var in bound:
+                    raise StaticError("where-clause rebinds variable %s"
+                                      % w.var, rule="name")
+                declared = ctx.term_vars.get(w.var)
+                if declared is None:
+                    raise StaticError(
+                        "where-bound variable %s is not declared" % w.var,
+                        rule="name")
+                tau_x = apply_type(ctx, pi_s, arg.tag)
+                if declared != tau_x:
+                    raise StaticError(
+                        "where-clause binds %s : %r but the variable is "
+                        "declared %r" % (w.var, tau_x, declared), rule="apply")
+                bound.add(w.var)
+                where.append(S.Where(w.var, strat, arg))
+            rhs = tag_term(ctx, s.rhs, bound)
+            return Arrow(lhs.tag, rhs.tag), S.Rule(lhs, rhs, tuple(where), pos)
+        if isinstance(s, S.Seq):
+            p1, c1 = type_and_core(ctx, s.left)
+            p2, c2 = type_and_core(ctx, s.right)
+            return composable(p1, p2), S.Seq(c1, c2, pos)
+        if isinstance(s, S.Choice):
+            p1, c1 = type_and_core(ctx, s.left)
+            p2, c2 = type_and_core(ctx, s.right)
+            return glb(p1, p2), S.Choice(c1, c2, pos)
+        if isinstance(s, S.LChoice):
+            p1, c1 = type_and_core(ctx, s.left)
+            p2, c2 = type_and_core(ctx, s.right)
+            pi = glb(p1, composable(negatable(p1), p2))
+            return pi, S.LChoice(c1, c2, pos)
+        if isinstance(s, S.Neg):
+            p, c = type_and_core(ctx, s.arg)
+            return negatable(p), S.Neg(c, pos)
+        if isinstance(s, S.CongFun):
+            if s.name not in ctx.functions:
+                raise StaticError("unknown function %s in congruence" % s.name,
                                   rule="name")
-            declared = ctx.term_vars.get(w.var)
-            if declared is None:
+            arg_sorts, result = ctx.functions[s.name]
+            if len(s.args) != len(arg_sorts):
                 raise StaticError(
-                    "where-bound variable %s is not declared" % w.var,
-                    rule="name")
-            tau_x = apply_type(ctx, pi_s, arg.tag)
-            if declared != tau_x:
+                    "congruence %s expects %d argument strategies, got %d"
+                    % (s.name, len(arg_sorts), len(s.args)), rule="cong")
+            core_args = []
+            for i, (a, sigma) in enumerate(zip(s.args, arg_sorts)):
+                pa, ca = type_and_core(ctx, a)
+                if not generically_leq(Arrow(sigma, sigma), pa):
+                    raise StaticError(
+                        "argument %d of congruence %s must admit %r -> %r, "
+                        "has %r" % (i + 1, s.name, sigma, sigma, pa),
+                        rule="cong.2")
+                core_args.append(ca)
+            return (Arrow(result, result),
+                    S.CongFun(s.name, tuple(core_args), pos))
+        if isinstance(s, S.CongUnit):
+            u = Unit()
+            return Arrow(u, u), s
+        if isinstance(s, S.CongPair):
+            p1, c1 = type_and_core(ctx, s.left)
+            p2, c2 = type_and_core(ctx, s.right)
+            if not isinstance(p1, Arrow) or not isinstance(p2, Arrow):
                 raise StaticError(
-                    "where-clause binds %s : %r but the variable is declared %r"
-                    % (w.var, tau_x, declared), rule="apply")
-            bound.add(w.var)
-            where.append(S.Where(w.var, strat, arg))
-        rhs = tag_term(ctx, s.rhs, bound)
-        return Arrow(lhs.tag, rhs.tag), S.Rule(lhs, rhs, tuple(where), pos)
-    if isinstance(s, S.Seq):
-        p1, c1 = type_and_core(ctx, s.left)
-        p2, c2 = type_and_core(ctx, s.right)
-        return composable(p1, p2), S.Seq(c1, c2, pos)
-    if isinstance(s, S.Choice):
-        p1, c1 = type_and_core(ctx, s.left)
-        p2, c2 = type_and_core(ctx, s.right)
-        return glb(p1, p2), S.Choice(c1, c2, pos)
-    if isinstance(s, S.LChoice):
-        p1, c1 = type_and_core(ctx, s.left)
-        p2, c2 = type_and_core(ctx, s.right)
-        pi = glb(p1, composable(negatable(p1), p2))
-        return pi, S.LChoice(c1, c2, pos)
-    if isinstance(s, S.RChoice):
-        return _type_of(ctx, S.LChoice(s.right, s.left, pos))
-    if isinstance(s, S.Neg):
-        p, c = type_and_core(ctx, s.arg)
-        return negatable(p), S.Neg(c, pos)
-    if isinstance(s, S.CongFun):
-        if s.name not in ctx.functions:
-            raise StaticError("unknown function %s in congruence" % s.name,
-                              rule="name")
-        arg_sorts, result = ctx.functions[s.name]
-        if len(s.args) != len(arg_sorts):
-            raise StaticError(
-                "congruence %s expects %d argument strategies, got %d"
-                % (s.name, len(arg_sorts), len(s.args)), rule="cong")
-        core_args = []
-        for i, (a, sigma) in enumerate(zip(s.args, arg_sorts)):
-            pa, ca = type_and_core(ctx, a)
-            if not generically_leq(Arrow(sigma, sigma), pa):
+                    "pair congruence needs many-sorted components, has %r "
+                    "and %r" % (p1, p2), rule="cong.4")
+            return (Arrow(PairType(p1.dom, p2.dom), PairType(p1.cod, p2.cod)),
+                    S.CongPair(c1, c2, pos))
+        if isinstance(s, (S.All, S.One)):
+            pa, ca = type_and_core(ctx, s.arg)
+            if not isinstance(pa, TP):
+                word = "all" if isinstance(s, S.All) else "one"
+                raise StaticError("%s needs a type-preserving argument, has %r"
+                                  % (word, pa), rule=word)
+            return TP_TYPE, type(s)(ca, pos)
+        if isinstance(s, S.Reduce):
+            pc, cc = type_and_core(ctx, s.child)
+            if not isinstance(pc, TU):
+                raise StaticError("reduce needs a type-unifying child "
+                                  "strategy, has %r" % (pc,), rule="red")
+            tau = pc.result
+            want = Arrow(PairType(tau, tau), tau)
+            pp, cp = type_and_core(ctx, s.splus)
+            if not generically_leq(want, pp):
+                raise StaticError("reduce composer must admit %r, has %r"
+                                  % (want, pp), rule="red")
+            return pc, S.Reduce(cp, cc, pos)
+        if isinstance(s, S.Select):
+            pa, ca = type_and_core(ctx, s.arg)
+            if not isinstance(pa, TU):
+                raise StaticError("select needs a type-unifying argument, "
+                                  "has %r" % (pa,), rule="sel")
+            return pa, S.Select(ca, pos)
+        if isinstance(s, S.Void):
+            return TU(Unit()), s
+        if isinstance(s, S.Spawn):
+            p1, c1 = type_and_core(ctx, s.left)
+            p2, c2 = type_and_core(ctx, s.right)
+            if not isinstance(p1, TU) or not isinstance(p2, TU):
+                raise StaticError("spawn needs type-unifying operands, has %r "
+                                  "and %r" % (p1, p2), rule="spawn")
+            return TU(PairType(p1.result, p2.result)), S.Spawn(c1, c2, pos)
+        if isinstance(s, (S.Extend, S.Restrict, S.Annot)):
+            wf_strategy_type(ctx, s.stype)
+            inner, c = type_and_core(ctx, s.arg)
+            if isinstance(s, S.Extend):
+                _require_instance(inner, s.stype)
+                c = _annotated(c, inner)
+            elif isinstance(s, S.Restrict):
+                _require_instance(s.stype, inner, "restrict")
+            elif not types_equal(inner, s.stype):
+                raise StaticError("annotation %r does not match actual type %r"
+                                  % (s.stype, inner), rule="annot")
+            return s.stype, type(s)(c, s.stype, pos)
+        if isinstance(s, S.AmpS):
+            p1, c1 = type_and_core(ctx, s.left)
+            p2, c2 = type_and_core(ctx, s.right)
+            combined = amp_of(amp_branches(p1) + amp_branches(p2))
+            try:
+                wf_strategy_type(ctx, combined)
+            except StaticError as e:
+                raise StaticError(e.message, rule="pi.4")
+            return combined, S.AmpS(_annotated(c1, p1), _annotated(c2, p2), pos)
+        if isinstance(s, S.TLChoice):
+            p1, c1 = type_and_core(ctx, s.left)
+            if not isinstance(p1, Arrow):
+                raise StaticError("left operand of <& must be many-sorted, "
+                                  "has %r" % (p1,), rule="extend")
+            p2, c2 = type_and_core(ctx, s.right)
+            return expand_tlchoice(ctx, c1, c2, p1, p2, pos)
+        if isinstance(s, S.ParamRef):
+            if s.name not in ctx.strategy_params:
+                raise StaticError("unknown strategy parameter %s" % s.name,
+                                  rule="arg")
+            return ctx.strategy_params[s.name], s
+        if isinstance(s, S.Call):
+            ct = ctx.combinators.get(s.name)
+            if ct is None:
+                raise StaticError("unknown name %s" % s.name, rule="name")
+            if len(s.args) != len(ct.arg_types):
                 raise StaticError(
-                    "argument %d of congruence %s must admit %r -> %r, has %r"
-                    % (i + 1, s.name, sigma, sigma, pa), rule="cong.2")
-            core_args.append(ca)
-        return Arrow(result, result), S.CongFun(s.name, tuple(core_args), pos)
-    if isinstance(s, S.CongUnit):
-        u = Unit()
-        return Arrow(u, u), s
-    if isinstance(s, S.CongPair):
-        p1, c1 = type_and_core(ctx, s.left)
-        p2, c2 = type_and_core(ctx, s.right)
-        if not isinstance(p1, Arrow) or not isinstance(p2, Arrow):
-            raise StaticError(
-                "pair congruence needs many-sorted components, has %r and %r"
-                % (p1, p2), rule="cong.4")
-        return (Arrow(PairType(p1.dom, p2.dom), PairType(p1.cod, p2.cod)),
-                S.CongPair(c1, c2, pos))
-    if isinstance(s, (S.All, S.One)):
-        pa, ca = type_and_core(ctx, s.arg)
-        if not isinstance(pa, TP):
-            word = "all" if isinstance(s, S.All) else "one"
-            raise StaticError("%s needs a type-preserving argument, has %r"
-                              % (word, pa), rule=word)
-        return TP_TYPE, type(s)(ca, pos)
-    if isinstance(s, S.Reduce):
-        pc, cc = type_and_core(ctx, s.child)
-        if not isinstance(pc, TU):
-            raise StaticError("reduce needs a type-unifying child strategy, "
-                              "has %r" % (pc,), rule="red")
-        tau = pc.result
-        want = Arrow(PairType(tau, tau), tau)
-        pp, cp = type_and_core(ctx, s.splus)
-        if not generically_leq(want, pp):
-            raise StaticError("reduce composer must admit %r, has %r"
-                              % (want, pp), rule="red")
-        return pc, S.Reduce(cp, cc, pos)
-    if isinstance(s, S.Select):
-        pa, ca = type_and_core(ctx, s.arg)
-        if not isinstance(pa, TU):
-            raise StaticError("select needs a type-unifying argument, has %r"
-                              % (pa,), rule="sel")
-        return pa, S.Select(ca, pos)
-    if isinstance(s, S.Void):
-        return TU(Unit()), s
-    if isinstance(s, S.Spawn):
-        p1, c1 = type_and_core(ctx, s.left)
-        p2, c2 = type_and_core(ctx, s.right)
-        if not isinstance(p1, TU) or not isinstance(p2, TU):
-            raise StaticError("spawn needs type-unifying operands, has %r "
-                              "and %r" % (p1, p2), rule="spawn")
-        return TU(PairType(p1.result, p2.result)), S.Spawn(c1, c2, pos)
-    if isinstance(s, (S.Extend, S.Restrict, S.Annot)):
-        wf_strategy_type(ctx, s.stype)
-        inner, c = type_and_core(ctx, s.arg)
-        if isinstance(s, S.Extend):
-            _require_instance(inner, s.stype)
-            c = _annotated(c, inner)
-        elif isinstance(s, S.Restrict):
-            _require_instance(s.stype, inner, "restrict")
-        elif not types_equal(inner, s.stype):
-            raise StaticError("annotation %r does not match actual type %r"
-                              % (s.stype, inner), rule="annot")
-        return s.stype, type(s)(c, s.stype, pos)
-    if isinstance(s, S.AmpS):
-        p1, c1 = type_and_core(ctx, s.left)
-        p2, c2 = type_and_core(ctx, s.right)
-        combined = amp_of(amp_branches(p1) + amp_branches(p2))
-        try:
-            wf_strategy_type(ctx, combined)
-        except StaticError as e:
-            raise StaticError(e.message, rule="pi.4")
-        return combined, S.AmpS(_annotated(c1, p1), _annotated(c2, p2), pos)
-    if isinstance(s, S.TypeGuard):
-        wf_term_type(ctx, s.ttype)
-        arrow = Arrow(s.ttype, s.ttype)
-        return _type_of(ctx, _type_guard(arrow, s.stype, pos))
-    if isinstance(s, S.TLChoice):
-        p1, c1 = type_and_core(ctx, s.left)
-        if not isinstance(p1, Arrow):
-            raise StaticError("left operand of <& must be many-sorted, has %r"
-                              % (p1,), rule="extend")
-        p2, c2 = type_and_core(ctx, s.right)
-        return expand_tlchoice(ctx, c1, c2, p1, p2, pos)
-    if isinstance(s, S.TRChoice):
-        return _type_of(ctx, S.TLChoice(s.right, s.left, pos))
-    if isinstance(s, S.ParamRef):
-        if s.name not in ctx.strategy_params:
-            raise StaticError("unknown strategy parameter %s" % s.name,
-                              rule="arg")
-        return ctx.strategy_params[s.name], s
-    if isinstance(s, S.Call):
-        # A bare name: a strategy parameter, a congruence or a combinator
-        # call, in that order.
-        if s.name in ctx.strategy_params:
-            if s.type_args or s.args:
-                raise StaticError("strategy parameter %s takes no arguments"
-                                  % s.name, rule="name")
-            return _type_of(ctx, S.ParamRef(s.name, pos))
-        if s.name in ctx.functions:
-            if s.type_args:
+                    "%s expects %d arguments, got %d"
+                    % (s.name, len(ct.arg_types), len(s.args)), rule="comb")
+            if len(s.type_args) != len(ct.type_params):
                 raise StaticError(
-                    "function congruence %s takes no type arguments" % s.name,
-                    rule="name")
-            return _type_of(ctx, S.CongFun(s.name, s.args, pos))
-        ct = ctx.combinators.get(s.name)
-        if ct is None:
-            raise StaticError("unknown name %s" % s.name, rule="name")
-        if len(s.args) != len(ct.arg_types):
-            raise StaticError(
-                "%s expects %d arguments, got %d"
-                % (s.name, len(ct.arg_types), len(s.args)), rule="comb")
-        if len(s.type_args) != len(ct.type_params):
-            raise StaticError(
-                "%s expects %d type arguments, got %d"
-                % (s.name, len(ct.type_params), len(s.type_args)),
-                rule="comb-forall")
-        for ta in s.type_args:
-            wf_term_type(ctx, ta)
-        subst = dict(zip(ct.type_params, s.type_args))
-        core_args = []
-        for i, (a, want) in enumerate(zip(s.args, ct.arg_types)):
-            want = substitute_stype(subst, want)
-            wf_strategy_type(ctx, want)
-            pa, ca = type_and_core(ctx, a)
-            if not types_equal(pa, want):
-                raise StaticError(
-                    "argument %d of %s must have type %r, has %r"
-                    % (i + 1, s.name, want, pa), rule="comb")
-            core_args.append(ca)
-        result = substitute_stype(subst, ct.result_type)
-        wf_strategy_type(ctx, result)
-        return result, S.Call(s.name, s.type_args, tuple(core_args), pos)
-    raise TypeError("not a strategy: %r" % (s,))
+                    "%s expects %d type arguments, got %d"
+                    % (s.name, len(ct.type_params), len(s.type_args)),
+                    rule="comb-forall")
+            for ta in s.type_args:
+                wf_term_type(ctx, ta)
+            subst = dict(zip(ct.type_params, s.type_args))
+            core_args = []
+            for i, (a, want) in enumerate(zip(s.args, ct.arg_types)):
+                want = substitute_stype(subst, want)
+                wf_strategy_type(ctx, want)
+                pa, ca = type_and_core(ctx, a)
+                if not types_equal(pa, want):
+                    raise StaticError(
+                        "argument %d of %s must have type %r, has %r"
+                        % (i + 1, s.name, want, pa), rule="comb")
+                core_args.append(ca)
+            result = substitute_stype(subst, ct.result_type)
+            wf_strategy_type(ctx, result)
+            return result, S.Call(s.name, s.type_args, tuple(core_args), pos)
+        raise TypeError("not a strategy: %r" % (s,))
+    except StaticError as e:
+        if e.pos is None and pos is not None:
+            e.pos = pos
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,31 @@ def test_980_deep_ill_typed_term_gets_its_diagnostic():
     assert proc.stderr == "ERROR name: unknown symbol nowhere in term\n"
 
 
+@pytest.mark.parametrize("word,depth,stype", [("all", 900, "TP"),
+                                              ("Try", 450, "TP"),
+                                              ("succ", 450, "Nat -> Nat")])
+def test_deep_strategy_checks_and_elaborates(tmp_path, word, depth, stype):
+    # The parser, the checker and the printer take one frame per keyword
+    # form and two per call or congruence, so these fit below the default
+    # recursion limit. A fresh process, so that no test runner's frames sit
+    # below the command's.
+    main = "%s(" % word * depth + "id" + ")" * depth
+    f = tmp_path / "deep.strat"
+    f.write_text("sort Nat; con zero : Nat; fun succ : Nat -> Nat;\n"
+                 "main = %s;\n" % main)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    for command in ("check", "elaborate"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratcalc.cli", command, str(f)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        if command == "check":
+            assert proc.stdout == stype + "\n"
+        else:
+            assert proc.stdout.endswith("main = %s;\n" % main)
+
+
 def test_elaborate_prints_a_300_deep_congruence(capcli, write):
     # The printer renders a congruence's arguments in a loop, one frame a
     # level, so elaborate prints as deep as check reaches.

@@ -3,7 +3,8 @@ stay linear in nesting depth, and a CLI request walks each definition, the
 prelude's included, once per program text the process has not checked
 lately, and no definition otherwise.
 
-Costs are counted as visits of `typecheck._type_of`, never as wall time.
+Costs are counted as visits of `typecheck.type_and_core`, the function
+that types each node, never as wall time.
 """
 
 
@@ -15,7 +16,7 @@ from stratcalc import syntax as S
 from stratcalc.terms import FunApp, TP_TYPE, Var
 
 from conftest import program_path
-from randgen import NN
+from randgen import NAT, NN
 
 INC = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
 BUDGET = 100000
@@ -23,10 +24,11 @@ BUDGET = 100000
 
 @pytest.fixture
 def visits(monkeypatch):
-    """The nodes `_type_of` is called on, in order. A walk that exceeds
-    BUDGET fails the test at once, so an exponential one cannot hang."""
+    """The nodes `type_and_core` is called on, in order: one call per
+    node, sugar and bare names included. A walk that exceeds BUDGET fails
+    the test at once, so an exponential one cannot hang."""
     seen = []
-    type_of = typecheck._type_of
+    type_of = typecheck.type_and_core
 
     def counting(ctx, s):
         seen.append(s)
@@ -34,7 +36,7 @@ def visits(monkeypatch):
             pytest.fail("more than %d checker visits" % BUDGET)
         return type_of(ctx, s)
 
-    monkeypatch.setattr(typecheck, "_type_of", counting)
+    monkeypatch.setattr(typecheck, "type_and_core", counting)
     return seen
 
 
@@ -54,6 +56,14 @@ def nested_extend(depth):
     return s
 
 
+def nested_guard(depth):
+    """guard(Nat, TP) +> (guard(Nat, TP) +> ... id)"""
+    s = S.Id()
+    for _ in range(depth):
+        s = S.RChoice(S.TypeGuard(NAT, TP_TYPE), s)
+    return s
+
+
 def check_and_elaborate_visits(ctx, s, visits):
     program = S.Program(ctx, {}, s)
     visits.clear()
@@ -64,7 +74,8 @@ def check_and_elaborate_visits(ctx, s, visits):
 
 
 @pytest.mark.parametrize("build,depth", [(nested_tlchoice, 12),
-                                         (nested_extend, 50)])
+                                         (nested_extend, 50),
+                                         (nested_guard, 12)])
 def test_nested_forms_are_linear_in_depth(build, depth, nat_tree_ctx,
                                           visits):
     small = check_and_elaborate_visits(nat_tree_ctx, build(depth), visits)

@@ -65,6 +65,11 @@ def test_binary_operators_right_associative():
 def test_negation_binds_tighter_than_seq():
     p = sc.parse_program("main = !id ; fail;")
     assert p.main == S.Seq(S.Neg(S.Id()), S.Fail())
+    # The operand of ! is one primary, a rule included.
+    p = sc.parse_program("main = !!id ; fail;")
+    assert p.main == S.Seq(S.Neg(S.Neg(S.Id())), S.Fail())
+    p = sc.parse_program("main = !x -> y ; fail;")
+    assert p.main == S.Seq(S.Neg(S.Rule(Var("x"), Var("y"))), S.Fail())
 
 
 def test_congruence_forms(nat_tree):
