@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 strategy failure (FAIL), 2 type error or a
 malformed command line, 3 fuel exhausted, 4 parse error or unreadable
-file, 5 engine error, 6 input nested too deep.
+file, 5 engine error, 6 input nested too deep, 141 (128 + SIGPIPE) a
+reader of stdout or stderr closed its pipe.
 """
 
 import functools
@@ -115,25 +116,41 @@ def _report(outcome):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_plain(argv)
-    if args is None:
-        ap = _build_argparser()
-        args = ap.parse_args(argv)
-        if args.fuel < 0:
-            ap.error("argument --fuel: expected N >= 0, got %d" % args.fuel)
     try:
-        # The whole request recurses on nesting depth, front end included.
-        return _in_frame_room(_main, args)
-    except ParseError as e:
-        print(e, file=sys.stderr)
-        return 4
-    except StaticError as e:
-        print(e, file=sys.stderr)
-        return 2
-    except RecursionError:
-        # Parsing, checking and printing recurse on nesting depth as
-        # evaluation does; run_program reports its own depth failures.
-        return _report(depth_exceeded())
+        try:
+            args = _read_plain(argv)
+            if args is None:
+                ap = _build_argparser()
+                args = ap.parse_args(argv)
+                if args.fuel < 0:
+                    ap.error("argument --fuel: expected N >= 0, got %d"
+                             % args.fuel)
+            # The whole request recurses on nesting depth, front end
+            # included.
+            return _in_frame_room(_main, args)
+        except ParseError as e:
+            print(e, file=sys.stderr)
+            return 4
+        except StaticError as e:
+            print(e, file=sys.stderr)
+            return 2
+        except RecursionError:
+            # Parsing, checking and printing recurse on nesting depth as
+            # evaluation does; run_program reports its own depth failures.
+            return _report(depth_exceeded())
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader of stdout or stderr has left. Each stream that still
+        # holds output is pointed at os.devnull, so that the flush at exit
+        # stays quiet (the Python docs' "Note on SIGPIPE"), and the status
+        # is the one a shell reports for a filter whose reader left.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return 141
 
 
 def _main(args):

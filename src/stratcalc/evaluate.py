@@ -161,9 +161,11 @@ def _rule(sc, s):
 
 
 def _matcher(pattern):
-    """`terms.match(pattern, ·)` as a closure: it takes a ground term and
-    returns a new substitution, or None. A pattern whose arguments are
-    distinct variables reads them off at once."""
+    """First-order matching against pattern, as a closure: it takes a
+    ground term and returns a new substitution of its subterms for the
+    pattern's variables that makes the two equal, or None. A repeated
+    variable needs structurally equal subterms (tags excluded). A pattern
+    whose arguments are distinct variables reads them off at once."""
     if isinstance(pattern, Var):
         name = pattern.name
         return lambda t: {name: t}
@@ -183,10 +185,10 @@ def _matcher(pattern):
 def _match_into(pattern, seen):
     """A closure that matches a term against the function pattern into
     theta and says whether it matched. `seen` holds the variables bound
-    before it, in `terms.match`'s left-to-right order; a repeated variable
-    must meet a term equal to its first (tags excluded). The variables
-    first bound here are bound before the other arguments are tested,
-    which no test there can tell apart."""
+    before it, left to right; a repeated variable must meet a term
+    structurally equal to its first (tags excluded). The variables first
+    bound here are bound before the other arguments are tested, which no
+    test can tell from binding them left to right."""
     name, n = pattern.name, len(pattern.args)
     fresh, tests = [], []
     for i, a in enumerate(pattern.args):

@@ -1,4 +1,4 @@
-"""Core model: terms, term/strategy types, contexts, matching, substitution.
+"""Core model: terms, term/strategy types, contexts, substitution.
 
 Terms, types and outcomes are `Node`s: immutable records with `__slots__`.
 Types are interned: there is one object per type, so they compare and hash
@@ -564,38 +564,7 @@ def term_vars(t, acc):
 
 
 # ---------------------------------------------------------------------------
-# Matching and substitution
-
-
-def match(pattern, subject):
-    """First-order matching; returns a substitution dict or None.
-
-    Repeated pattern variables require structurally equal subterms
-    (tags excluded).
-    """
-    theta = {}
-    if _match_into(pattern, subject, theta):
-        return theta
-    return None
-
-
-def _match_into(pattern, subject, theta):
-    if isinstance(pattern, Var):
-        bound = theta.get(pattern.name)
-        if bound is None:
-            theta[pattern.name] = subject
-            return True
-        return bound == subject
-    if isinstance(pattern, FunApp):
-        if (not isinstance(subject, FunApp) or pattern.name != subject.name
-                or len(pattern.args) != len(subject.args)):
-            return False
-        # A loop, not all(<generator>): a generator per pattern node costs.
-        for p, s in zip(pattern.args, subject.args):
-            if not _match_into(p, s, theta):
-                return False
-        return True
-    raise TypeError("not a pattern: %r" % (pattern,))
+# Substitution
 
 
 def substitute(theta, t):

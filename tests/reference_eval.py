@@ -1,12 +1,21 @@
 """The reference semantics of the core: a direct big-step interpreter.
 
 This is the tree-walking evaluator the engine used before it compiled the
-core to closures, kept unchanged as the oracle that the differential tests
-compare `stratcalc.evaluate.run_program` with. It re-decides every node's
-kind, every `extend`/`&` domain and every call's type arguments on each
-visit, so it is slow but plainly follows the rules.
+core to closures, the oracle that the differential tests compare
+`stratcalc.evaluate.run_program` with. It re-decides every node's kind,
+every `extend`/`&` domain and every call's type arguments on each visit,
+so it is slow but plainly follows the rules.
+
+It imports from `stratcalc` only classes and constants: the syntax nodes,
+the term, type and outcome classes, the errors and `EvalConfig`. Every
+judgement it makes (matching, substitution, the domains of an annotation,
+type-variable substitution, typing the reduct, the depth outcome) is its
+own short function below, with no caching and no fast paths, so that a
+fault in the engine's version of one cannot show on both sides of a
+comparison. `tests/test_reference.py` keeps it so.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 from stratcalc import syntax as S
@@ -16,20 +25,21 @@ from stratcalc.errors import (
     StaticError,
     UnboundCombinator,
 )
-from stratcalc.evaluate import EngineFailure, EvalConfig, depth_exceeded
 from stratcalc.terms import (
+    Amp,
+    Arrow,
+    EngineFailure,
+    EvalConfig,
     FAILURE,
     FunApp,
     Ok,
     PAIR_NAME,
     PairType,
+    TypeVar,
     UNIT,
     UNIT_NAME,
-    match,
-    substitute,
-    tag_term,
+    Var,
 )
-from stratcalc.typecheck import _substitute_type_vars, domains, substitute_stype
 
 
 @dataclass
@@ -100,6 +110,100 @@ def children(t):
     return list(t.args)
 
 
+# The judgements evaluation makes, each from its definition.
+
+
+def match(pattern, subject):
+    """First-order matching: the substitution of subterms of subject for
+    the variables of pattern that makes the two equal, or None. A repeated
+    variable needs structurally equal subterms (tags excluded)."""
+    theta = {}
+    if _match_into(pattern, subject, theta):
+        return theta
+    return None
+
+
+def _match_into(pattern, subject, theta):
+    if isinstance(pattern, Var):
+        bound = theta.get(pattern.name)
+        if bound is None:
+            theta[pattern.name] = subject
+            return True
+        return bound == subject
+    if pattern.name != subject.name or len(pattern.args) != len(subject.args):
+        return False
+    for p, s in zip(pattern.args, subject.args):
+        if not _match_into(p, s, theta):
+            return False
+    return True
+
+
+def substitute(theta, t):
+    """t with each variable replaced by its binding in theta."""
+    if isinstance(t, Var):
+        return theta[t.name]
+    return FunApp(t.name, tuple([substitute(theta, a) for a in t.args]),
+                  t.tag)
+
+
+def domains(pi):
+    """dom(pi): an arrow's domain, or the union of a sum's branches'."""
+    if isinstance(pi, Amp):
+        return domains(pi.left) | domains(pi.right)
+    return {pi.dom}
+
+
+def substitute_type(types, ty):
+    """The term or strategy type ty with each type variable that types
+    binds replaced by its binding."""
+    if isinstance(ty, TypeVar):
+        return types.get(ty.name, ty)
+    if isinstance(ty, PairType):
+        return PairType(substitute_type(types, ty.left),
+                        substitute_type(types, ty.right))
+    if isinstance(ty, Arrow):
+        return Arrow(substitute_type(types, ty.dom),
+                     substitute_type(types, ty.cod))
+    if isinstance(ty, Amp):
+        return Amp(substitute_type(types, ty.left),
+                   substitute_type(types, ty.right))
+    return ty
+
+
+def type_reduct(ctx, t):
+    """t rebuilt with each node tagged by its type under ctx: () has type
+    (), a pair the pair of its sides' types, and f(t1,...,tn) the result
+    sort of f when each ti has f's i-th argument sort. Raises a
+    StaticError at the first node, children first, that has no type. A
+    loop, not a comprehension, so that a level of nesting costs one
+    frame."""
+    if not isinstance(t, FunApp):
+        raise StaticError("not a ground term: %r" % (t,), rule="var")
+    args = []
+    for a in t.args:
+        args.append(type_reduct(ctx, a))
+    args = tuple(args)
+    arg_types = tuple([a.tag for a in args])
+    if t.name == UNIT_NAME and not args:
+        tag = UNIT
+    elif t.name == PAIR_NAME and len(args) == 2:
+        tag = PairType(*arg_types)
+    else:
+        sig = ctx.functions.get(t.name)
+        if sig is None or tuple(sig[0]) != arg_types:
+            raise StaticError("%s has no type on arguments of types %r"
+                              % (t.name, arg_types), rule="fun")
+        tag = sig[1]
+    return FunApp(t.name, args, tag)
+
+
+def depth_exceeded():
+    """The outcome for input nested deeper than the Python stack allows."""
+    return EngineFailure("DepthExceeded",
+                         "nesting exceeds the recursion limit of %d frames"
+                         % sys.getrecursionlimit())
+
+
 def _eval(st, s, t, env):
     while isinstance(s, S.ParamRef):
         bound = env.strats.get(s.name)
@@ -122,9 +226,7 @@ def _eval(st, s, t, env):
 
 def _domains(annot, env):
     """Domains of an elaborated annotation under the env's type bindings."""
-    if env.types:
-        return domains(substitute_stype(env.types, annot.stype))
-    return domains(annot.stype)
+    return domains(substitute_type(env.types, annot.stype))
 
 
 def _eval_node(st, s, t, env):
@@ -259,7 +361,7 @@ def _eval_node(st, s, t, env):
         strats = {p: env.strats.get(a.name, (a, env))
                   if isinstance(a, S.ParamRef) else (a, env)
                   for p, a in zip(d.params, s.args)}
-        types = {p: _substitute_type_vars(env.types, ta)
+        types = {p: substitute_type(env.types, ta)
                  for p, ta in zip(d.ctype.type_params, s.type_args)}
         return _eval(st, d.body, t, Env(strats, types))
     raise TypeError("not a strategy: %r" % (s,))
@@ -286,7 +388,7 @@ def run_reference(program, t, cfg=None):
         if result is None:
             return FAILURE, state
         try:
-            return Ok(tag_term(program.context, result)), state
+            return Ok(type_reduct(program.context, result)), state
         except StaticError as e:
             return EngineFailure("InternalTypeViolation",
                                  "reduct is ill-typed: %s" % e.message), state

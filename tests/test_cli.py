@@ -999,3 +999,29 @@ def test_each_command_line_replies_as_through_argparse(monkeypatch):
     monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
     assert [reply(argv) for argv in requests] == fast
     assert {code for code, _, _ in fast} == {0, 2, 4}
+
+
+@pytest.mark.parametrize("command,closed", [
+    (["run", "--term", "add(succ(zero),zero)"], "stdout"),
+    (["check"], "stdout"),
+    (["elaborate"], "stdout"),
+    (["run", "--term", "add(succ(zero),zero)", "--trace"], "stderr")],
+    ids=["run", "check", "elaborate", "trace"])
+def test_closed_pipe_exits_141_without_traceback(command, closed):
+    # As in `stratcalc run ... | head -0`: the stream is a pipe whose
+    # reader has already gone. A fresh process, since the interpreter's
+    # own flush at exit is part of what is checked.
+    read, write = os.pipe()
+    os.close(read)
+    other = "stderr" if closed == "stdout" else "stdout"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    argv = command[:1] + [program_path("addition.strat")] + command[1:]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratcalc.cli"] + argv,
+            **{closed: write, other: subprocess.PIPE}, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert b"Traceback" not in getattr(proc, other)

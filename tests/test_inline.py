@@ -18,10 +18,10 @@ import stratcalc as sc
 from stratcalc import evaluate
 from stratcalc import syntax as S
 from stratcalc.evaluate import EvalState, _matcher
-from stratcalc.terms import FunApp, Var, match
+from stratcalc.terms import FunApp, Var
 
 from conftest import core_with_main, load_program
-from reference_eval import run_reference
+from reference_eval import match, run_reference
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from stratcalc.terms import (
     Ok,
     TP,
     TU,
+    UNIT_NAME,
     amp_branches,
     is_generic,
     tag_term,
@@ -140,6 +141,63 @@ def test_all_id_and_one_fail(seed, nat_tree_ctx):
                              sc.EvalConfig()) == Ok(t)
     assert sc.apply_strategy(nat_tree_ctx, {}, S.One(S.Fail()), t,
                              sc.EvalConfig()) == FAILURE
+
+
+# -- prelude laws -------------------------------------------------------------
+# Laws of the prelude's combinators that strategy optimisers rewrite by
+# (Visser, Benaissa and Tolmach, ICFP 1998). Runs have unlimited fuel, so a
+# draw that does not terminate ends in DepthExceeded, and is skipped.
+
+
+def prelude_run(nat_tree, s, t):
+    """s applied to t under the prelude with unlimited fuel; None for an
+    EngineFailure."""
+    out = sc.apply_strategy(nat_tree.context, nat_tree.definitions, s, t,
+                            sc.EvalConfig(fuel=0))
+    return None if isinstance(out, sc.EngineFailure) else out
+
+
+def tp_sample(seed, ctx):
+    """A TP strategy and a term of a type it applies to."""
+    g = Gen(seed)
+    v = g.tp(3)
+    return v, tag_term(ctx, g.term(g.applicable_type(sc.TP_TYPE)))
+
+
+@given(seed=seeds)
+def test_try_is_left_choice_with_id(seed, nat_tree):
+    v, t = tp_sample(seed, nat_tree.context)
+    got = prelude_run(nat_tree, S.Call("Try", (), (v,)), t)
+    want = prelude_run(nat_tree, S.LChoice(v, S.Id()), t)
+    if got is not None and want is not None:
+        assert got == want
+
+
+@given(seed=seeds, name=st.sampled_from(["zero", UNIT_NAME]))
+def test_td_on_a_constant_is_its_argument(seed, name, nat_tree):
+    # TD(v) = v ; all(TD(v)), and all leaves a constant as it is. So on a
+    # constant c, TD(v) is v when v fails on c or returns a constant, and
+    # only then: if v rewrites c to f(d) and fails on the constant d,
+    # then TD(v) fails on c.
+    v, _ = tp_sample(seed, nat_tree.context)
+    c = tag_term(nat_tree.context, sc.FunApp(name, ()))
+    want = prelude_run(nat_tree, v, c)
+    if want is None or isinstance(want, Ok) and want.term.args:
+        return
+    got = prelude_run(nat_tree, S.Call("TD", (), (v,)), c)
+    if got is not None:
+        assert got == want
+
+
+@given(seed=seeds, name=st.sampled_from(["Repeat", "Innermost"]))
+def test_repeat_and_innermost_stop_at_a_normal_form(seed, name, nat_tree):
+    # Repeat(v) stops where v fails, and Innermost(v), which is
+    # Repeat(OnceBU(v)), where OnceBU(v) fails.
+    v, t = tp_sample(seed, nat_tree.context)
+    out = prelude_run(nat_tree, S.Call(name, (), (v,)), t)
+    if out is not None:
+        step = v if name == "Repeat" else S.Call("OnceBU", (), (v,))
+        assert prelude_run(nat_tree, step, out.term) == FAILURE
 
 
 # Boom : Nat -> Nat loops forever, so it runs out of fuel if invoked.

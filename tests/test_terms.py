@@ -1,9 +1,11 @@
-"""Core term model: typing, matching, substitution, context checks."""
+"""Core term model: typing, the engine's matcher, substitution, context
+checks."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 import stratcalc as sc
+from stratcalc import evaluate
 from stratcalc.terms import (
     Context,
     FunApp,
@@ -63,24 +65,26 @@ def test_match_binds_both_children():
     zero = FunApp("zero", ())
     subj = FunApp("fork", (FunApp("leaf", (zero,)),
                            FunApp("leaf", (FunApp("succ", (zero,)),))))
-    theta = sc.match(pat, subj)
+    theta = evaluate._matcher(pat)(subj)
     assert theta == {"T1": subj.args[0], "T2": subj.args[1]}
 
 
 def test_match_constant_identity():
-    assert sc.match(FunApp("zero", ()), FunApp("zero", ())) == {}
+    assert evaluate._matcher(FunApp("zero", ()))(FunApp("zero", ())) == {}
 
 
 def test_match_constructor_clash():
-    assert sc.match(FunApp("succ", (Var("N"),)), FunApp("zero", ())) is None
+    succ = evaluate._matcher(FunApp("succ", (Var("N"),)))
+    assert succ(FunApp("zero", ())) is None
 
 
 def test_match_nonlinear_requires_equal_subterms():
     pat = FunApp("fork", (Var("T1"), Var("T1")))
     same = FunApp("leaf", (FunApp("zero", ()),))
     other = FunApp("leaf", (FunApp("succ", (FunApp("zero", ()),)),))
-    assert sc.match(pat, FunApp("fork", (same, same))) == {"T1": same}
-    assert sc.match(pat, FunApp("fork", (same, other))) is None
+    fork = evaluate._matcher(pat)
+    assert fork(FunApp("fork", (same, same))) == {"T1": same}
+    assert fork(FunApp("fork", (same, other))) is None
 
 
 def test_substitute_replaces_variable():
@@ -153,7 +157,7 @@ def test_match_substitute_round_trip(seed, tau):
     for pat in [subj, Var("N") if tau == NAT else None]:
         if pat is None:
             continue
-        theta = sc.match(pat, subj)
+        theta = evaluate._matcher(pat)(subj)
         assert theta is not None
         assert sc.substitute(theta, pat) == subj
 
