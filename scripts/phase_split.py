@@ -4,9 +4,11 @@
 This script calls `stratcalc.cli.main` in this process once for each
 request of one seeded pass of a benchmark workload, as bench/inputs.py
 builds it. It wraps with timers, in this process only, the names that
-`stratcalc.cli` imports for three phases (`parse_program`, `parse_term`
-and `render_term`), `stratcalc.typecheck.check_and_elaborate`, the pass
-that `CheckedProgram` runs, and two methods of `stratcalc.evaluate`:
+`stratcalc.cli` imports for two phases (`parse_program` and
+`render_term`), two names in `stratcalc.typecheck` (`check_and_elaborate`,
+the pass that `CheckedProgram` runs, and `parse_term`, with which
+`CheckedProgram.run` reads a `--term`), and two methods of
+`stratcalc.evaluate`:
 `_Scope.compile`, timed as `compile`, and `_Run.run`, the runner that
 `run_program` and `CheckedProgram.run` share, timed as `run_program`
 less the compiling done inside it. It prints one line per phase and two
@@ -90,7 +92,7 @@ def main():
     totals, stack = dict.fromkeys(PHASES + ("request",), 0.0), []
     for module, name in ((cli, "parse_program"),
                          (typecheck, "check_and_elaborate"),
-                         (cli, "parse_term"), (cli, "render_term")):
+                         (typecheck, "parse_term"), (cli, "render_term")):
         setattr(module, name, timed(getattr(module, name), totals, name,
                                     stack))
     evaluate._Scope.compile = timed(evaluate._Scope.compile, totals,

@@ -1,4 +1,5 @@
-"""Batch driver: check, elaborate, and run strategic programs.
+"""Batch driver: check, elaborate, and run strategic programs. It reads the
+command line and prints; what it calls enters `terms._in_frame_room`.
 
 Exit codes: 0 success, 1 strategy failure (FAIL), 2 type error or a
 malformed command line, 3 fuel exhausted, 4 parse error or unreadable
@@ -12,11 +13,11 @@ import sys
 from types import SimpleNamespace
 
 from .errors import ParseError, StaticError
-from .parser import parse_program, parse_term
+from .parser import parse_program
 from .prelude import load_prelude
 from .printer import render_program, render_stype, render_term
 from .terms import (FUEL, EngineFailure, EvalConfig, EvalState, Ok,
-                    _in_frame_room, depth_exceeded)
+                    depth_exceeded)
 from .typecheck import CheckedProgram
 
 COMMANDS = ("check", "run", "elaborate")
@@ -50,8 +51,15 @@ def _read_plain(argv):
 @functools.cache
 def _build_argparser():
     import argparse
-    ap = argparse.ArgumentParser(prog="stratcalc",
-                                 description="typed strategic term rewriting")
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse drops a failed write; a closed pipe must reach main.
+            if message:
+                (file or sys.stderr).write(message)
+
+    ap = ArgumentParser(prog="stratcalc",
+                        description="typed strategic term rewriting")
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("file")
     ap.add_argument("--term", help="input term (literal or path to a file)")
@@ -125,9 +133,7 @@ def main(argv=None):
                 if args.fuel < 0:
                     ap.error("argument --fuel: expected N >= 0, got %d"
                              % args.fuel)
-            # The whole request recurses on nesting depth, front end
-            # included.
-            return _in_frame_room(_main, args)
+            return _main(args)
         except ParseError as e:
             print(e, file=sys.stderr)
             return 4
@@ -182,13 +188,12 @@ def _main(args):
     text = args.term
     if os.path.exists(text):
         text = _read(text).strip()
-    term = parse_term(text, program.core.context)
 
     # Trace lines go to stderr as they are emitted, not kept in memory.
     state = EvalState(trace_lines=SimpleNamespace(
         append=lambda line: print(line, file=sys.stderr)))
     outcome = program.run(
-        term, EvalConfig(fuel=args.fuel, trace=args.trace), state)
+        text, EvalConfig(fuel=args.fuel, trace=args.trace), state)
     if isinstance(outcome, Ok):
         print(render_term(outcome.term))
         return 0

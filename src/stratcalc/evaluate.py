@@ -30,8 +30,7 @@ from .errors import (EngineError, FuelExhausted, InternalTypeViolation,
                      StaticError, UnboundCombinator)
 from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, EngineFailure,
                     EvalConfig, EvalState, FunApp, Ok, PairType, Var,
-                    _in_frame_room, check_reduct, depth_exceeded, substitute,
-                    tag_ground_term)
+                    check_reduct, depth_exceeded, substitute, tag_ground_term)
 from .typecheck import (CheckedProgram, _substitute_type_vars, domains,
                         substitute_stype)
 
@@ -413,18 +412,13 @@ _NODES = {
 
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):
-    """Apply the raw strategy s to the raw term t under the raw definitions
-    defs. t is tagged and must be ground; ctx, defs and s are checked and
-    elaborated on every call into a fresh `CheckedProgram`, which runs t,
-    so s's type must apply to t's and the reduct must have the type
-    `apply_type` predicts. Returns Ok, Failure, or EngineFailure; ill-typed
-    input gives InternalTypeViolation with the first diagnostic. To apply
-    one program to many terms, make one `CheckedProgram` and run it on
-    each."""
-    return _in_frame_room(_apply_strategy, ctx, defs, s, t, cfg, state)
-
-
-def _apply_strategy(ctx, defs, s, t, cfg, state):
+    """Apply the raw strategy s to the raw ground term t under the raw
+    definitions defs: a fresh `CheckedProgram` checks ctx, defs and s on
+    each call and runs t, so s's type must apply to t's and the reduct must
+    have the type `apply_type` predicts. Returns Ok, Failure, or
+    EngineFailure; ill-typed input gives InternalTypeViolation with the
+    first diagnostic. To apply one program to many terms, make one
+    `CheckedProgram`; it enters the frame room, so no caller does."""
     try:
         t = tag_ground_term(ctx, t)
         return CheckedProgram(S.Program(ctx, defs, s)).run(t, cfg, state)

@@ -30,6 +30,7 @@ from .terms import (
     UNIT,
     UNIT_NAME,
     Var,
+    _in_frame_room,
     tag_ground_term,
 )
 
@@ -312,10 +313,15 @@ class Parser:
 
     # -- items --------------------------------------------------------------
 
-    def parse_items(self, ctx, definitions):
+    def parse_items(self, prelude):
         """Parse declarations, definitions and the one main strategy, in
-        any order, into ctx and definitions; return main."""
-        main = None
+        any order, after those of the Program `prelude`, if given; return
+        (context, definitions, main)."""
+        ctx, definitions, main = Context(), {}, None
+        if prelude is not None:
+            for d in prelude.context.decls:
+                ctx.declare(*d)
+            definitions.update(prelude.definitions)
         while self.peek()[0] != "eof":
             tok = self.next()
             word, pos = tok[1], (tok[2], tok[3])
@@ -366,7 +372,7 @@ class Parser:
                 definitions[name] = S.Definition(name, params, value, body,
                                                  pos)
             ctx.declare(word, name, value, pos)
-        return main
+        return ctx, definitions, main
 
 
 def _as_term(s):
@@ -480,16 +486,10 @@ def _read_flat(text, functions):
 
 
 def parse_program(text, prelude=None, require_main=True):
-    """Parse a program file; `prelude` is a Program whose declarations and
-    definitions are visible to the parsed text."""
-    ctx = Context()
-    definitions = {}
-    if prelude is not None:
-        for d in prelude.context.decls:
-            ctx.declare(*d)
-        definitions.update(prelude.definitions)
+    """Parse a program file, in the frame room; `prelude` is a Program
+    whose declarations and definitions are visible to the parsed text."""
     parser = Parser(text)
-    main = parser.parse_items(ctx, definitions)
+    ctx, definitions, main = _in_frame_room(parser.parse_items, prelude)
     if require_main and main is None:
         tok = parser.peek()
         raise ParseError("missing main strategy", tok[2:])

@@ -226,7 +226,38 @@ class CombinatorType(Type):
 
 
 class Term(Node):
+    """== and hash walk with a stack, so a term of any depth compares and
+    hashes without a frame, or a C call, per level."""
+
     __slots__ = _uncompared = ("tag",)  # a TermType, or None if untyped
+
+    def __eq__(self, other):
+        if not isinstance(other, Term):
+            return NotImplemented
+        todo = [(self, other)]  # the pairs of subterms left to compare
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a.name != b.name:
+                return False
+            if type(a) is FunApp:
+                if len(a.args) != len(b.args):
+                    return False
+                todo += zip(a.args, b.args)
+        return True
+
+    def __hash__(self):
+        """A hash of the names and arities of the first nodes in preorder,
+        which equal terms share."""
+        key, todo = [], [self]
+        while todo and len(key) < 64:
+            u = todo.pop()
+            key.append(u.name)
+            if type(u) is FunApp:
+                key.append(len(u.args))
+                todo += reversed(u.args)
+        return hash(tuple(key))
 
 
 class FunApp(Term):
@@ -317,7 +348,8 @@ def depth_exceeded():
 
 def _in_frame_room(f, *args):
     """f(*args), run above a frame large enough to open a data-stack chunk
-    of its own, so that the frames f pushes never cross a chunk edge."""
+    of its own, so that the frames f pushes never cross a chunk edge. Only
+    `parse_program` and `CheckedProgram`'s `__init__` and `run` call it."""
     return f(*args)
 
 

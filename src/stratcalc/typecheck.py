@@ -18,6 +18,7 @@ deterministic).
 
 from . import syntax as S
 from .errors import InapplicableType, StaticError
+from .parser import parse_term
 from .terms import (
     Amp,
     Arrow,
@@ -32,6 +33,7 @@ from .terms import (
     TU,
     TypeVar,
     Unit,
+    _in_frame_room,
     amp_branches,
     amp_of,
     check_context,
@@ -561,26 +563,31 @@ def check_program(program):
 
 
 class CheckedProgram:
-    """A program checked once by `check_and_elaborate`, which keeps its
-    `diagnostics`, `type` and `core` and applies main to many terms."""
+    """A program checked once, in the frame room, by `check_and_elaborate`;
+    it keeps its `diagnostics`, `type` and `core`, and runs main on terms."""
 
     def __init__(self, program):
-        self.diagnostics, self.type, self.core = check_and_elaborate(program)
+        self.diagnostics, self.type, self.core = _in_frame_room(
+            check_and_elaborate, program)
         self._idle = ([], [])  # idle `_Run`s, untraced and traced
 
     def run(self, term, cfg=None, state=None):
-        """`run_program` on the core, after raising the first diagnostic,
-        a StaticError for a program without main, or InapplicableType; a
-        reduct of another type than `apply_type` predicts is
-        InternalTypeViolation. Each run takes an idle `_Run` of its trace
-        flag, or compiles a new one, and leaves it idle when done, so
-        concurrent and nested runs each run their own closures and a warm
-        run compiles only what no earlier run reached.
-        `cli.main` and `apply_strategy` run it in `terms._in_frame_room`."""
+        """`run_program` on `term`, tagged and ground or text for `parse_term`,
+        after raising the first diagnostic, a StaticError for a program without
+        main, or InapplicableType; a reduct of another type than `apply_type`
+        predicts is InternalTypeViolation. One room entry covers the read and
+        the run. A run takes an idle `_Run` of its trace flag, or compiles one,
+        and leaves it idle, so concurrent and nested runs use their own
+        closures and a warm run compiles only what no earlier run reached."""
+        return _in_frame_room(self._run, term, cfg, state)
+
+    def _run(self, term, cfg, state):
         if self.diagnostics:
             raise self.diagnostics[0]
         if self.core.main is None:
             raise StaticError("missing main strategy", rule="def")
+        if isinstance(term, str):
+            term = parse_term(term, self.core.context)
         want = apply_type(self.core.context, self.type, term.tag)
         cfg, state = cfg or EvalConfig(), state or EvalState()
         idle = self._idle[bool(cfg.trace)]

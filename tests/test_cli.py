@@ -1005,8 +1005,10 @@ def test_each_command_line_replies_as_through_argparse(monkeypatch):
     (["run", "--term", "add(succ(zero),zero)"], "stdout"),
     (["check"], "stdout"),
     (["elaborate"], "stdout"),
-    (["run", "--term", "add(succ(zero),zero)", "--trace"], "stderr")],
-    ids=["run", "check", "elaborate", "trace"])
+    (["run", "--term", "add(succ(zero),zero)", "--trace"], "stderr"),
+    (["--help"], "stdout"),
+    (["bogus"], "stderr")],
+    ids=["run", "check", "elaborate", "trace", "help", "bogus"])
 def test_closed_pipe_exits_141_without_traceback(command, closed):
     # As in `stratcalc run ... | head -0`: the stream is a pipe whose
     # reader has already gone. A fresh process, since the interpreter's

@@ -2,8 +2,9 @@
 it with a stack and `render_term` writes it with one, so neither spends a
 frame per level. Any other term text gets its diagnostic at any depth, as
 `Parser.parse_term` reads it with a stack too and `tag_ground_term` walks
-it with one; so do rule terms. Terms here are compared by loops, not by
-`==`, which recurses in C on nested records.
+it with one; so do rule terms. `==` and `hash` walk a term with a stack
+too, so a non-linear rule compares deep subterms. Terms here are compared
+by loops where their tags matter, since `==` ignores tags.
 """
 
 import pytest
@@ -78,6 +79,29 @@ def test_cli_runs_id_on_a_deep_term(shape, capsys, tmp_path):
     assert cli.main(["run", str(src), "--term", text]) == 0
     out, err = capsys.readouterr()
     assert out == text + "\n" and err == ""
+
+
+def test_cli_runs_a_non_linear_rule_on_deep_equal_terms(capsys, tmp_path):
+    # The rule's second N compares two separately read 10^4-deep subterms.
+    text, _ = succ_chain(DEPTH)
+    src = tmp_path / "dup.strat"
+    src.write_text(NAT_TREE_HEADER.replace("main = id;",
+                                           "main = (N, N) -> N;"))
+    term = tmp_path / "pair.term"
+    term.write_text("(%s,%s)" % (text, text))
+    assert cli.main(["run", str(src), "--term", str(term)]) == 0
+    assert capsys.readouterr() == (text + "\n", "")
+
+
+def test_deep_equal_terms_compare_and_hash(nat_tree_ctx):
+    text, _ = left_spine(DEPTH)
+    t, u = parse_term(text, nat_tree_ctx), parse_term(text, nat_tree_ctx)
+    assert t is not u and t == u and hash(t) == hash(u) and t != text
+    assert {t: "found"}[u] == "found"
+    # Unequal only at the bottom, past what the hash reads.
+    w = parse_term(text.replace("leaf(zero)", "leaf(succ(zero))", 1),
+                   nat_tree_ctx)
+    assert t != w and not t == w
 
 
 def test_cli_reports_a_deep_ill_typed_term(capsys, tmp_path):

@@ -3,8 +3,10 @@
 CPython 3.11+ takes frames from 16 KiB data-stack chunks and frees a chunk
 as soon as the frame at its base returns, so a traversal that recurses back
 and forth across a chunk edge maps, faults in and unmaps a chunk on every
-crossing. `cli.main` and `apply_strategy` run the request above one frame
-that opens a large chunk of its own, so no edge falls inside it. Moving the
+crossing. `parse_program`, `CheckedProgram`'s check and each of its runs
+walk above one frame that opens a large chunk of its own, so no edge falls
+inside them, and no caller needs to wrap them: neither `cli.main`, nor
+`apply_strategy`, nor a library caller of `CheckedProgram.run`. Moving the
 caller's stack end across a chunk, eight frames at a time, must never cost
 a request more than a few page faults."""
 
@@ -104,5 +106,39 @@ def test_apply_strategy_faults_at_no_stack_offset(problems):
         got = sc.apply_strategy(problems.context, problems.definitions,
                                 call, t)
         assert got == sc.Ok(sc.FunApp("true", ()))
+    worst = worst_offset(request)
+    assert worst[0] <= MAX_FAULTS, worst
+
+
+@pytest.mark.parametrize("form", ["tagged", "text"])
+def test_library_run_faults_at_no_stack_offset(problems_main, form):
+    # README's Library example, calling `run` with no wrapper: on a tagged
+    # term, and on its text, which `run` reads in the same room entry.
+    with open(problems_main("ProblemIV")) as f:
+        program = sc.parse_program(f.read(), prelude=sc.load_prelude())
+    checked = sc.CheckedProgram(program)
+    text = tree(8)
+    term = sc.parse_term(text, program.context) if form == "tagged" else text
+
+    def request():
+        outcome = checked.run(term, sc.EvalConfig(fuel=100000))
+        assert isinstance(outcome, sc.Ok)
+        assert sc.render_term(outcome.term).count("succ(succ(succ(zero)))") \
+            == 256
+    worst = worst_offset(request)
+    assert worst[0] <= MAX_FAULTS, worst
+
+
+def test_cold_cli_check_faults_at_no_stack_offset():
+    # Each request parses and checks afresh, entering the room twice.
+    argv = ["check", program_path("problems.strat")]
+
+    def request():
+        cli._checked.cache_clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue() == "TP\n"
     worst = worst_offset(request)
     assert worst[0] <= MAX_FAULTS, worst

@@ -7,7 +7,7 @@ path gives it.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratcalc import cli, parser
+from stratcalc import cli, parser, typecheck
 from stratcalc.errors import ParseError, StratError
 from stratcalc.parser import Parser, parse_term
 from stratcalc.printer import render_term
@@ -146,7 +146,7 @@ def test_10000_deep_term_makes_one_parse_attempt(monkeypatch, capsys,
     src = tmp_path / "td.strat"
     src.write_text(NAT_TREE_HEADER.replace("main = id;", "main = TD(id);"))
     reads, tokenized = [], []
-    read, tokenize = cli.parse_term, parser.tokenize
+    read, tokenize = typecheck.parse_term, parser.tokenize
 
     def counting_read(text, ctx):
         reads.append(text)
@@ -156,7 +156,7 @@ def test_10000_deep_term_makes_one_parse_attempt(monkeypatch, capsys,
         tokenized.append(text)
         return tokenize(text)
 
-    monkeypatch.setattr(cli, "parse_term", counting_read)
+    monkeypatch.setattr(typecheck, "parse_term", counting_read)
     monkeypatch.setattr(parser, "tokenize", recording_tokenize)
     assert cli.main(["run", str(src), "--term", term]) == 6
     out, err = capsys.readouterr()
