@@ -1027,3 +1027,15 @@ def test_closed_pipe_exits_141_without_traceback(command, closed):
         os.close(write)
     assert proc.returncode == 141
     assert b"Traceback" not in getattr(proc, other)
+
+
+def test_closed_pipe_in_process_exits_141(monkeypatch):
+    # A caller that runs main in its own process: the stream that lost its
+    # reader is pointed at os.devnull, so later writes and its close are
+    # quiet, and the status is 141.
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["check", program_path("addition.strat")]) == 141
+        stream.write("after\n")
