@@ -7,9 +7,9 @@ builds it. It wraps with timers, in this process only, the names that
 `stratcalc.cli` imports for two phases (`parse_program` and
 `render_term`), two names in `stratcalc.typecheck` (`check_and_elaborate`,
 the pass that `CheckedProgram` runs, and `parse_term`, with which
-`CheckedProgram.run` reads a `--term`), and two methods of
-`stratcalc.evaluate`:
-`_Scope.compile`, timed as `compile`, and `_Run.run`, the runner that
+`CheckedProgram.run` reads a `--term`), and three methods of
+`stratcalc.evaluate`: `_Scope.compile` and `_Scope.entry`, which compiles
+a callee's body, both timed as `compile`, and `_Run.run`, the runner that
 `run_program` and `CheckedProgram.run` share, timed as `run_program`
 less the compiling done inside it. It prints one line per phase and two
 more:
@@ -95,8 +95,9 @@ def main():
                          (typecheck, "parse_term"), (cli, "render_term")):
         setattr(module, name, timed(getattr(module, name), totals, name,
                                     stack))
-    evaluate._Scope.compile = timed(evaluate._Scope.compile, totals,
-                                    "compile", stack)
+    for method in ("compile", "entry"):
+        setattr(evaluate._Scope, method, timed(
+            getattr(evaluate._Scope, method), totals, "compile", stack))
     evaluate._Run.run = timed(evaluate._Run.run, totals, "run_program",
                               stack)
     passes = []

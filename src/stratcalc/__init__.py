@@ -38,7 +38,6 @@ from .terms import (
     UNIT,
     Var,
     check_context,
-    substitute,
     tag_term,
     type_of_term,
 )

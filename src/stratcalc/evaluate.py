@@ -19,18 +19,29 @@ among them, goes through the program's shared instances: one body per
 definition and closed type arguments, compiled on its first call and run
 on an env built from the actuals. So a copy never makes a copy, and the
 code compiled is bounded by the program's size, never by the work done.
-Both ways cost one unit of fuel and emit one `comb` trace line. With
-`EvalConfig.trace`, every node's closure also appends its trace line.
+
+Each call costs one unit of fuel. Untraced, a body that is a sequence or
+a choice charges it on entry; any other call's site charges it and,
+traced, counts the call's depth and emits its `comb` line. A site whose
+callee charges and which builds no env (a copy, or a self-call like
+TD's) hands the closures that hold it the callee's body on its first
+run (see `_adopt`). Untraced, these shapes run as one closure each (see
+`_binary`): `s ; all(x)` (TD), `all(x) ; s` (BU), `s <+ all(x)`
+(StopTD), `one(x) <+ s` (OnceBU), `s <+ id` (Try), and the like with
+`one`, `select` and congruences. So TD's instance takes one frame per
+level of the term. Traced, every node's closure appends its trace line.
 """
 
 from itertools import repeat
+from operator import itemgetter
 
 from . import syntax as S
 from .errors import (EngineError, FuelExhausted, InternalTypeViolation,
                      StaticError, UnboundCombinator)
 from .terms import (FAILURE, PAIR_NAME, UNIT, UNIT_NAME, EngineFailure,
                     EvalConfig, EvalState, FunApp, Ok, PairType, Var,
-                    check_reduct, depth_exceeded, substitute, tag_ground_term)
+                    check_reduct, depth_exceeded, tag_ground_term,
+                    term_vars)
 from .typecheck import (CheckedProgram, _substitute_type_vars, domains,
                         substitute_stype)
 
@@ -56,7 +67,7 @@ class _Run:
                     "no definition for combinator %s" % name)
             body = self.instances[name, type_args] = _Scope(
                 self, name, dict(zip(d.ctype.type_params, type_args)),
-                {p: i for i, p in enumerate(d.params)}).compile(d.body)
+                {p: i for i, p in enumerate(d.params)}).entry(d.body, name)
         return body
 
     def run(self, t, cfg, state):
@@ -115,14 +126,32 @@ class _Scope:
                 return f(t, bound)
             return param
         tag, head, build = _NODES[type(s)]
-        f = build(self, s)
+        f = _adopt(build(self, s))
         if self.run.trace and type(s) is not S.Call:  # see _call
             return _traced(self.run, f, "%s %s @ " % (tag, head or s.name))
         return f
 
+    def entry(self, s, name):
+        """(f, charges): the body s of the definition `name` compiled, and
+        whether f charges the fuel of the calls that enter it."""
+        if self.run.trace or type(s) not in (S.Seq, S.Choice, S.LChoice):
+            return self.compile(s), False
+        return _adopt(_binary(self, s, name)), True
+
     def domains(self, annot):
         return domains(substitute_stype(self.types, annot.stype)
                        if self.types else annot.stype)
+
+
+def _adopt(f):
+    """f, once each of its cells that holds a call site is handed to that
+    site: its first run overwrites them with the callee's body if that body
+    charges its own fuel and the site builds no env (see _call)."""
+    for cell in f.__closure__ or ():
+        cells = getattr(cell.cell_contents, "cells", None)
+        if cells is not None:
+            cells.append(cell)
+    return f
 
 
 def _traced(run, f, prefix):
@@ -143,20 +172,41 @@ def _emit(st, prefix, t, r):
 
 
 def _rule(sc, s):
-    lhs, rhs = _matcher(s.lhs), s.rhs
-    steps = [(w.var, w.arg, sc.compile(w.strat)) for w in s.where]
+    lhs, rhs = _matcher(s.lhs), _builder(s.rhs)
+    steps = [(w.var, _builder(w.arg), sc.compile(w.strat)) for w in s.where]
+    head = None if isinstance(s.lhs, Var) else s.lhs.name
 
     def rule(t, env):
+        if head is not None and t.name != head:
+            return None
         theta = lhs(t)
         if theta is None:
             return None
         for var, arg, strat in steps:
-            r = strat(substitute(theta, arg), env)
+            r = strat(arg(theta), env)
             if r is None:
                 return None
             theta[var] = r  # theta is this application's own match
-        return substitute(theta, rhs)
+        return rhs(theta)
     return rule
+
+
+def _builder(term):
+    """The instances of a rule's term, as a closure: it takes a match that
+    binds each variable of the term and returns the term with each replaced
+    by its binding. A subterm with no variable is the term's own."""
+    if isinstance(term, Var):
+        return itemgetter(term.name)
+    if not term_vars(term, set()):
+        return lambda theta: term
+    name, tag, args = term.name, term.tag, [_builder(a) for a in term.args]
+    if len(args) == 1:
+        a, = args
+        return lambda theta: FunApp(name, (a(theta),), tag)
+    if len(args) == 2:
+        a, b = args
+        return lambda theta: FunApp(name, (a(theta), b(theta)), tag)
+    return lambda theta: FunApp(name, tuple([b(theta) for b in args]), tag)
 
 
 def _matcher(pattern):
@@ -173,56 +223,77 @@ def _matcher(pattern):
     if len(set(names)) == n:
         return lambda t: (dict(zip(names, t.args)) if t.name == name
                           and len(t.args) == n else None)
-    test = _match_into(pattern, set())
-
-    def match(t):
-        theta = {}
-        return theta if test(t, theta) else None
-    return match
+    return _match_into(pattern, set())
 
 
 def _match_into(pattern, seen):
     """A closure that matches a term against the function pattern into
-    theta and says whether it matched. `seen` holds the variables bound
-    before it, left to right; a repeated variable must meet a term
-    structurally equal to its first (tags excluded). The variables first
-    bound here are bound before the other arguments are tested, which no
-    test can tell from binding them left to right."""
+    theta, a new one if it is not given, and returns theta, or None if the
+    term does not match. `seen` holds the variables bound before it, left
+    to right; a repeated variable must meet a term structurally equal to
+    its first (tags excluded). The variables first bound here are bound
+    before the other arguments are tested, which no test can tell from
+    binding them left to right."""
     name, n = pattern.name, len(pattern.args)
     fresh, tests = [], []
     for i, a in enumerate(pattern.args):
         if not isinstance(a, Var):
             tests.append((i, _match_into(a, seen)))
         elif a.name in seen:
-            tests.append((i, lambda t, theta, var=a.name: theta[var] == t))
+            tests.append((i, lambda t, theta, var=a.name:
+                          theta if theta[var] == t else None))
         else:
             seen.add(a.name)
             fresh.append((i, a.name))
 
-    def node(t, theta):
+    def node(t, theta=None):
         args = t.args
         if t.name != name or len(args) != n:
-            return False
+            return None
+        if theta is None:
+            theta = {}
         for i, var in fresh:
             theta[var] = args[i]
         for i, test in tests:
-            if not test(args[i], theta):
-                return False
-        return True
+            if test(args[i], theta) is None:
+                return None
+        return theta
     return node
 
 
-def _seq(sc, s):
-    first, then = sc.compile(s.left), sc.compile(s.right)
-    return lambda t, env: (None if (mid := first(t, env)) is None
-                           else then(mid, env))
-
-
-def _choice(sc, s):
-    # s1 <+ s2 is s1 + (!s1 ; s2), where !s1 holds whenever it is reached.
+def _binary(sc, s, fuel=None):
+    # s1 ; s2 runs s2 on what s1 returns; s1 <+ s2 runs s2 on t when s1
+    # fails, and so does s1 + s2, which is s1 + (!s1 ; s2), where !s1 holds
+    # whenever it is reached. Untraced, s runs in one closure with a
+    # one-layer traversal on either side (see _loop). As the body of the
+    # definition `fuel`, it charges the calls that enter it, and s1 <+ id
+    # returns t without a closure for id.
+    run, orelse = sc.run, type(s) is not S.Seq
+    if not run.trace:
+        for loop, pre, post in ((s.right, s.left, None),
+                                (s.left, None, s.right)):
+            if type(loop) in _LOOPS:
+                return _loop(sc, loop, fuel, pre, post, orelse)
     first, other = sc.compile(s.left), sc.compile(s.right)
-    return lambda t, env: (other(t, env) if (out := first(t, env)) is None
-                           else out)
+    if fuel is None and orelse:
+        return lambda t, env: (other(t, env) if (out := first(t, env)) is None
+                               else out)
+    if fuel is None:
+        return lambda t, env: (None if (mid := first(t, env)) is None
+                               else other(mid, env))
+    if orelse and type(s.right) is S.Id:
+        other = None
+
+    def binary(t, env):
+        if (st := run.st).fuel is not None:
+            if st.fuel <= 0:
+                raise FuelExhausted("fuel exhausted expanding %s" % fuel)
+            st.fuel -= 1
+        r = first(t, env)
+        if (r is None) is not orelse:
+            return r
+        return t if other is None else other(r or t, env)
+    return binary
 
 
 def _neg(sc, s):
@@ -230,25 +301,55 @@ def _neg(sc, s):
     return lambda t, env: t if arg(t, env) is None else None
 
 
-def _each(sc, s):
+def _loop(sc, s, fuel=None, pre=None, post=None, orelse=False):
     # all(s) runs s on every child of t, and a congruence f(s1,...,sn) runs
     # each si on the i-th child of an f-term; both fail once a child fails,
-    # and return t itself when no child changed.
-    name = s.name if isinstance(s, S.CongFun) else None
-    fs = [sc.compile(a) for a in s.args] if name else repeat(sc.compile(s.arg))
+    # and return t itself when no child changed. At the first child s
+    # succeeds on, one(s) rewrites it (t itself if s returned that child),
+    # and select(s) returns it. Fused (see _binary), it runs as `pre ; loop`
+    # or `loop ; post`, or as `pre <+ loop` or `loop <+ post` if orelse,
+    # after charging a call of the definition `fuel` if it is its body.
+    run, kind, every = sc.run, type(s), type(s) in (S.All, S.CongFun)
+    name = s.name if kind is S.CongFun else None
+    pre = pre and sc.compile(pre)
+    fs = [sc.compile(a) for a in s.args] if name else None
+    arg = None if name else sc.compile(s.arg)  # a cell a call site can own
+    post, one = post and sc.compile(post), kind is S.One
 
-    def each(t, env):
-        if name is not None and t.name != name:
-            return None
-        out, changed = [], False
-        for f, c in zip(fs, t.args):
-            r = f(c, env)
-            if r is None:
-                return None
-            changed = changed or r is not c
-            out.append(r)
-        return FunApp(t.name, tuple(out), t.tag) if changed else t
-    return each
+    def loop(t, env):
+        if fuel is not None and (st := run.st).fuel is not None:
+            if st.fuel <= 0:
+                raise FuelExhausted("fuel exhausted expanding %s" % fuel)
+            st.fuel -= 1
+        if pre is not None:
+            r = pre(t, env)
+            if (r is None) is not orelse:
+                return r
+            t = r or t
+        out, cs = None, t.args
+        if not every:
+            for i, c in enumerate(cs):
+                out = arg(c, env)
+                if out is not None:
+                    if one:
+                        out = t if out is c else FunApp(
+                            t.name, cs[:i] + (out,) + cs[i + 1:], t.tag)
+                    break
+        elif name is None or t.name == name:
+            out, changed = [], False
+            for f, c in zip(fs or repeat(arg), cs):
+                r = f(c, env)
+                if r is None:
+                    out = None
+                    break
+                changed = changed or r is not c
+                out.append(r)
+            else:
+                out = FunApp(t.name, tuple(out), t.tag) if changed else t
+        if post is not None and (out is None) is orelse:
+            return post(out or t, env)
+        return out
+    return loop
 
 
 def _pair(sc, s):
@@ -269,24 +370,6 @@ def _pair(sc, s):
             return t
         return FunApp(PAIR_NAME, (a, b), PairType(a.tag, b.tag))
     return pair
-
-
-def _first(sc, s):
-    # At the first child s succeeds on, one rewrites it (t itself if s
-    # returned that child), select returns it.
-    arg, one = sc.compile(s.arg), isinstance(s, S.One)
-
-    def first(t, env):
-        cs = t.args
-        for i, c in enumerate(cs):
-            r = arg(c, env)
-            if r is not None:
-                if not one:
-                    return r
-                return t if r is c else FunApp(
-                    t.name, cs[:i] + (r,) + cs[i + 1:], t.tag)
-        return None
-    return first
 
 
 def _reduce(sc, s):
@@ -338,14 +421,18 @@ def _call(sc, s):
     actuals = [params[a.name]
                if type(a) is S.ParamRef and isinstance(params.get(a.name), int)
                else sc.compile(a) for a in s.args]
-    prefix, body, pack = sc.run.trace and "comb %s @ " % name, None, None
+    prefix, body, pack = run.trace and "comb %s @ " % name, None, None
+    charges, cells = False, []  # cells: its parents' that hold it (_adopt)
 
     def call(t, env):
-        nonlocal body, pack
+        nonlocal body, pack, charges
         if body is None:
-            body, pack = _expansion(sc, name, key, actuals)
+            (body, charges), pack = _expansion(sc, name, key, actuals)
+            if charges and pack is None:  # its parents run the body itself
+                for cell in cells:
+                    cell.cell_contents = body
         st = run.st
-        if st.fuel is not None:
+        if not charges and st.fuel is not None:
             if st.fuel <= 0:
                 raise FuelExhausted("fuel exhausted expanding %s" % name)
             st.fuel -= 1
@@ -360,13 +447,14 @@ def _call(sc, s):
         st.depth -= 1
         _emit(st, prefix, t, r)
         return r
+    call.cells = cells
     return call
 
 
 def _expansion(sc, name, key, actuals):
-    """(body, pack) for a call in scope sc, decided on its first run: the
-    body it runs, and the actuals to build its env from, or None to run it
-    on the caller's env."""
+    """(entry, pack) for a call in scope sc, decided on its first run: the
+    callee's `_Scope.entry`, and the actuals to build its env from, or None
+    to run it on the caller's env."""
     run = sc.run
     d = run.program.definitions.get(name)
     # A copy of the body, each parameter bound to its actual. A callee
@@ -377,7 +465,7 @@ def _expansion(sc, name, key, actuals):
     if (d is not None and d.params and sc.owner is not None
             and name != sc.owner):
         return _Scope(run, None, dict(zip(d.ctype.type_params, key)),
-                      dict(zip(d.params, actuals))).compile(d.body), None
+                      dict(zip(d.params, actuals))).entry(d.body, name), None
     # A shared instance, on the caller's env if the actuals are its first
     # entries in order, as in TD(v).
     return run.instance(name, key), (
@@ -394,13 +482,13 @@ _NODES = {
     S.Rule: ("rule", "rule", _rule),
     S.Id: ("id", "id", _leaf(lambda t, env: t)),
     S.Fail: ("fail", "fail", _leaf(lambda t, env: None)),
-    S.Seq: ("seq", ";", _seq), S.Choice: ("choice", "+", _choice),
-    S.LChoice: ("choice", "<+", _choice), S.Neg: ("neg", "!", _neg),
-    S.CongFun: ("cong", None, _each), S.CongUnit: ("cong", "()", _leaf(
+    S.Seq: ("seq", ";", _binary), S.Choice: ("choice", "+", _binary),
+    S.LChoice: ("choice", "<+", _binary), S.Neg: ("neg", "!", _neg),
+    S.CongFun: ("cong", None, _loop), S.CongUnit: ("cong", "()", _leaf(
         lambda t, env: t if t.name == UNIT_NAME else None)),
     S.CongPair: ("cong", "(,)", _pair),
-    S.All: ("all", "all", _each), S.One: ("one", "one", _first),
-    S.Reduce: ("red", "reduce", _reduce), S.Select: ("sel", "select", _first),
+    S.All: ("all", "all", _loop), S.One: ("one", "one", _loop),
+    S.Reduce: ("red", "reduce", _reduce), S.Select: ("sel", "select", _loop),
     S.Void: ("void", "void", _leaf(
         lambda t, env: FunApp(UNIT_NAME, (), UNIT))),
     S.Spawn: ("spawn", "spawn", _pair),
@@ -409,6 +497,8 @@ _NODES = {
     S.Annot: ("annot", ":", lambda sc, s: sc.compile(s.arg)),
     S.AmpS: ("amp", "&", _amp), S.Call: ("comb", None, _call),
 }
+# The one-layer traversals _binary fuses with a neighbour.
+_LOOPS = (S.All, S.CongFun, S.One, S.Select)
 
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):

@@ -6,7 +6,7 @@ say, the tables the parser reads.
 """
 
 from . import syntax as S
-from .terms import PAIR_NAME, FunApp, Var, is_generic
+from .terms import PAIR_NAME, FunApp, Var, _in_frame_room, is_generic
 
 
 def render_term(t):
@@ -119,8 +119,13 @@ def render_ctype(ct):
 
 
 def render_program(program, skip_defs=()):
-    """Render a whole program in source syntax; `skip_defs` suppresses
-    definitions supplied by a prelude that the reader will load anyway."""
+    """Render a whole program in source syntax, in the frame room;
+    `skip_defs` suppresses definitions supplied by a prelude that the reader
+    will load anyway."""
+    return _in_frame_room(_render_program, program, skip_defs)
+
+
+def _render_program(program, skip_defs):
     ctx = program.context
     lines = []
     skip_decl = set(skip_defs)

@@ -226,10 +226,25 @@ class CombinatorType(Type):
 
 
 class Term(Node):
-    """== and hash walk with a stack, so a term of any depth compares and
-    hashes without a frame, or a C call, per level."""
+    """==, hash and repr walk with a stack, so a term of any depth compares,
+    hashes and prints without a frame, or a C call, per level."""
 
     __slots__ = _uncompared = ("tag",)  # a TermType, or None if untyped
+
+    def __repr__(self):
+        """Record's repr, written from a stack of the subterms and the text
+        still to write."""
+        out, todo = [], [self]
+        while todo:
+            u = todo.pop()
+            if type(u) is not FunApp:
+                out.append(u if type(u) is str else Record.__repr__(u))
+                continue
+            out.append("FunApp(name=%r, args=(" % (u.name,))
+            todo.append("%s), tag=%r)" % ("," * (len(u.args) == 1), u.tag))
+            todo += [x for a in u.args[:0:-1] for x in (a, ", ")]
+            todo += u.args[:1]
+        return "".join(out)
 
     def __eq__(self, other):
         if not isinstance(other, Term):
@@ -349,7 +364,8 @@ def depth_exceeded():
 def _in_frame_room(f, *args):
     """f(*args), run above a frame large enough to open a data-stack chunk
     of its own, so that the frames f pushes never cross a chunk edge. Only
-    `parse_program` and `CheckedProgram`'s `__init__` and `run` call it."""
+    `parse_program`, `CheckedProgram`'s `__init__` and `run`, and
+    `render_program` call it."""
     return f(*args)
 
 
@@ -593,25 +609,3 @@ def term_vars(t, acc):
         elif isinstance(u, FunApp):
             todo.extend(u.args)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-
-def substitute(theta, t):
-    """Apply theta to t; every Var in t must be bound. A subterm with no
-    variable under it, such as a constant, is returned as it is. A loop,
-    not a generator, so that a level of nesting costs one frame."""
-    if isinstance(t, Var):
-        if t.name not in theta:
-            raise StaticError("unbound variable %s" % t.name, rule="var")
-        return theta[t.name]
-    if isinstance(t, FunApp):
-        args, changed = [], False
-        for a in t.args:
-            b = substitute(theta, a)
-            changed = changed or b is not a
-            args.append(b)
-        return FunApp(t.name, tuple(args), t.tag) if changed else t
-    return t

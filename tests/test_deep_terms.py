@@ -2,17 +2,23 @@
 it with a stack and `render_term` writes it with one, so neither spends a
 frame per level. Any other term text gets its diagnostic at any depth, as
 `Parser.parse_term` reads it with a stack too and `tag_ground_term` walks
-it with one; so do rule terms. `==` and `hash` walk a term with a stack
-too, so a non-linear rule compares deep subterms. Terms here are compared
-by loops where their tags matter, since `==` ignores tags.
+it with one; so do rule terms. `==`, `hash` and `repr` walk a term with a
+stack too, so a non-linear rule compares deep subterms. Terms here are
+compared by loops where their tags matter, since `==` ignores tags.
+Evaluation still takes frames per level of the term: the prelude's
+traversal schemes take about one untraced.
 """
+
+import contextlib
+import io
+import threading
 
 import pytest
 
 from stratcalc import check_program, cli
 from stratcalc.parser import Parser, parse_program, parse_term
 from stratcalc.printer import render_stype, render_term
-from stratcalc.terms import FunApp, tag_ground_term
+from stratcalc.terms import PAIR_NAME, FunApp, Record, Var, tag_ground_term
 
 from conftest import NAT_TREE_HEADER
 
@@ -149,3 +155,54 @@ def test_each_constant_is_built_once_per_read(nat_tree_ctx):
     assert left.args[0] is right.args[0]
     assert parse_term("zero", nat_tree_ctx) is not parse_term(
         "zero", nat_tree_ctx)
+
+
+def test_repr_of_a_deep_term(nat_tree_ctx):
+    text, _ = succ_chain(DEPTH)
+    got = repr(parse_term(text, nat_tree_ctx))
+    assert got == ("FunApp(name='succ', args=(" * DEPTH
+                   + "FunApp(name='zero', args=(), tag=Nat)"
+                   + ",), tag=Nat)" * DEPTH)
+
+
+def test_repr_of_small_terms_is_records():
+    # Record's repr writes one level and asks each child for its own.
+    zero = FunApp("zero", ())
+    pair = FunApp(PAIR_NAME, (zero, Var("N")))
+    for t in [zero, FunApp("succ", (zero,)), pair, FunApp("f", (pair, pair,
+              FunApp("succ", (Var("N"),))))]:
+        assert repr(t) == Record.__repr__(t)
+    assert repr(pair) == ("FunApp(name='(,)', args=(FunApp(name='zero', "
+                          "args=(), tag=None), Var(name='N', tag=None)), "
+                          "tag=None)")
+
+
+def cli_in_thread(argv):
+    """(exit code, stdout) of `cli.main(argv)`, run in a thread of its own,
+    whose stack holds no caller's frames, writing to in-memory streams."""
+    out, sink = [], io.StringIO()
+
+    def request():
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(io.StringIO()):
+            out.append(cli.main(argv))
+    thread = threading.Thread(target=request)
+    thread.start()
+    thread.join()
+    return out[0], sink.getvalue()
+
+
+@pytest.mark.parametrize("trace, n", [(False, 900), (True, 195)])
+@pytest.mark.parametrize("main", ["TD(id)", "BU(id)", "StopTD(fail)",
+                                  "Try(OnceBU(fail))"])
+def test_cli_runs_traversal_schemes_this_deep(main, trace, n, tmp_path):
+    # At the default recursion limit, untraced, the fused body of each
+    # scheme's instance takes one frame per level of the term: 984 levels
+    # or more in this thread, where separate frames per node and per call
+    # reached 328. Traced, each node still takes its own frames, and each
+    # scheme reaches 195 levels or more, as it did then.
+    text, _ = succ_chain(n)
+    src = tmp_path / "scheme.strat"
+    src.write_text(NAT_TREE_HEADER.replace("main = id;", "main = %s;" % main))
+    argv = ["run", str(src), "--term", text] + ["--trace"] * trace
+    assert cli_in_thread(argv) == (0, text + "\n")

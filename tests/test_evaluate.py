@@ -40,6 +40,19 @@ def test_rule_match_and_substitute(nat_tree_ctx):
     assert ev(nat_tree_ctx, INC, ZERO) == Ok(num(1))
 
 
+def test_rule_builds_its_right_hand_side_at_every_arity():
+    # Right-hand sides and where-clause terms of arity 1, 2 and 3, with a
+    # ground subterm that every instance shares.
+    src = ("sort B; con t : B; con f : B; fun h : B -> B;\n"
+           "fun p : B * B -> B; fun g : B * B * B -> B;\n"
+           "var X : B; var Y : B; var Z : B;\n"
+           "main = g(X,Y,f) -> g(Z,p(Y,X),h(t)) where Z := id @ h(X);")
+    checked = sc.CheckedProgram(sc.parse_program(src))
+    got = checked.run("g(t,f,f)")
+    assert sc.render_term(got.term) == "g(h(t),p(f,t),h(t))"
+    assert got.term.args[2] is checked.core.main.rhs.args[2]
+
+
 def test_rule_no_match_fails(nat_tree_ctx):
     dec = S.Rule(FunApp("succ", (Var("N"),)), Var("N"))
     assert ev(nat_tree_ctx, dec, ZERO) == FAILURE

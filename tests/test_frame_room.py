@@ -3,10 +3,11 @@
 CPython 3.11+ takes frames from 16 KiB data-stack chunks and frees a chunk
 as soon as the frame at its base returns, so a traversal that recurses back
 and forth across a chunk edge maps, faults in and unmaps a chunk on every
-crossing. `parse_program`, `CheckedProgram`'s check and each of its runs
-walk above one frame that opens a large chunk of its own, so no edge falls
-inside them, and no caller needs to wrap them: neither `cli.main`, nor
-`apply_strategy`, nor a library caller of `CheckedProgram.run`. Moving the
+crossing. `parse_program`, `CheckedProgram`'s check and each of its runs,
+and `render_program`, walk above one frame that opens a large chunk of its
+own, so no edge falls inside them, and no caller needs to wrap them:
+neither `cli.main`, nor `apply_strategy`, nor a library caller of
+`CheckedProgram.run`. Moving the
 caller's stack end across a chunk, eight frames at a time, must never cost
 a request more than a few page faults."""
 
@@ -140,5 +141,26 @@ def test_cold_cli_check_faults_at_no_stack_offset():
                 contextlib.redirect_stderr(out):
             assert cli.main(argv) == 0
         assert out.getvalue() == "TP\n"
+    worst = worst_offset(request)
+    assert worst[0] <= MAX_FAULTS, worst
+
+
+def test_warm_cli_elaborate_faults_at_no_stack_offset(tmp_path):
+    # Printing the core enters the room too, so a warm `elaborate`, which
+    # parses and checks nothing, prints nested bodies at any offset.
+    lines = ["sort B; con t : B;"]
+    for k in range(120):
+        lines.append("def D%d : TP = %sid%s;" % (k, "!(" * 30, ")" * 30))
+    lines.append("main = D0;")
+    src = tmp_path / "nested.strat"
+    src.write_text("\n".join(lines) + "\n")
+    argv = ["elaborate", str(src)]
+
+    def request():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().endswith("main = D0;\n")
     worst = worst_offset(request)
     assert worst[0] <= MAX_FAULTS, worst

@@ -21,7 +21,7 @@ from stratcalc.evaluate import EvalState, _matcher
 from stratcalc.terms import FunApp, Var
 
 from conftest import core_with_main, load_program
-from reference_eval import match, run_reference
+from reference_eval import match, run_reference, substitute
 
 
 @pytest.fixture
@@ -296,7 +296,7 @@ def test_compiled_matcher_is_match(pattern, subject, how, data):
     # occurrence filled in on its own.
     if how == "instance":
         theta = {v: data.draw(GROUND) for v in "XYZ"}
-        subject = sc.substitute(theta, pattern)
+        subject = substitute(theta, pattern)
     elif how == "filled":
         subject = fill(pattern, data.draw)
     got, want = _matcher(pattern)(subject), match(pattern, subject)

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 import stratcalc as sc
 from stratcalc import cli, evaluate
 from stratcalc import syntax as S
-from stratcalc.terms import (PAIR_NAME, FunApp, PairType, Sort, Var,
-                             substitute, tag_term)
+from stratcalc.terms import PAIR_NAME, FunApp, PairType, Sort, Var, tag_term
 
 from conftest import load_program, program_path
 from randgen import NAT, TREE, Gen
@@ -67,6 +66,11 @@ def test_changed_node_shares_its_unchanged_children(problems_core):
                       "fork(leaf(zero),fork(leaf(zero),leaf(zero)))")
     assert got.term.args[1] is t.args[1]
     assert got.term.args[0] is not t.args[0]
+
+
+def substitute(theta, t):
+    """t under theta, as a rule's compiled right-hand side builds it."""
+    return evaluate._builder(t)(theta)
 
 
 def test_substitute_returns_ground_subterms_as_they_are():

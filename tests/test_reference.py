@@ -70,12 +70,12 @@ def test_reference_imports_only_classes_and_constants():
 
 def test_borrowed_judgements_are_named():
     source = ("from stratcalc import syntax as S, evaluate\n"
-              "from stratcalc.terms import FunApp, UNIT, substitute\n"
+              "from stratcalc.terms import FunApp, UNIT, tag_term\n"
               "from stratcalc.typecheck import domains\n"
               "import stratcalc.typecheck as T\n"
               "S.Rule, S.Program\n")
     assert violations(source) == [
         "stratcalc.evaluate is the evaluator's or the checker's",
-        "stratcalc.terms.substitute is a function",
+        "stratcalc.terms.tag_term is a function",
         "stratcalc.typecheck.domains is the evaluator's or the checker's",
         "stratcalc.typecheck is the evaluator's or the checker's"]
