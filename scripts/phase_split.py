@@ -9,7 +9,7 @@ builds it. It wraps with timers, in this process only, the names that
 the pass that `CheckedProgram` runs, and `parse_term`, with which
 `CheckedProgram.run` reads a `--term`), and three methods of
 `stratcalc.evaluate`: `_Scope.compile` and `_Scope.entry`, which compiles
-a callee's body, both timed as `compile`, and `_Run.run`, the runner that
+a callee's entry, both timed as `compile`, and `_Run.run`, the runner that
 `run_program` and `CheckedProgram.run` share, timed as `run_program`
 less the compiling done inside it. It prints one line per phase and two
 more:

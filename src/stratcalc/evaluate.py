@@ -20,16 +20,16 @@ definition and closed type arguments, compiled on its first call and run
 on an env built from the actuals. So a copy never makes a copy, and the
 code compiled is bounded by the program's size, never by the work done.
 
-Each call costs one unit of fuel. Untraced, a body that is a sequence or
-a choice charges it on entry; any other call's site charges it and,
-traced, counts the call's depth and emits its `comb` line. A site whose
-callee charges and which builds no env (a copy, or a self-call like
-TD's) hands the closures that hold it the callee's body on its first
-run (see `_adopt`). Untraced, these shapes run as one closure each (see
-`_binary`): `s ; all(x)` (TD), `all(x) ; s` (BU), `s <+ all(x)`
-(StopTD), `one(x) <+ s` (OnceBU), `s <+ id` (Try), and the like with
-`one`, `select` and congruences. So TD's instance takes one frame per
-level of the term. Traced, every node's closure appends its trace line.
+Each call costs one unit of fuel and, traced, writes one `comb` line,
+both at its callee's entry (see `_Scope.entry`). A call site only finds
+that entry and builds the env it runs on; one that builds none (a copy,
+or a self-call like TD's) hands the closures that hold it the entry on
+its first run (see `_adopt`). Untraced, a body that is a sequence, a
+choice or a one-layer traversal is its own entry, and these shapes run
+as one closure each (see `_binary`): `s ; all(x)` (TD), `all(x) ; s`
+(BU), `s <+ all(x)` (StopTD), `one(x) <+ s` (OnceBU), `s <+ id` (Try),
+and the like with `one`, `select` and congruences. So TD's instance
+takes one frame per level of the term. Traced, `_entry` writes each line.
 """
 
 from itertools import repeat
@@ -59,16 +59,16 @@ class _Run:
         self.instances = {}
 
     def instance(self, name, type_args):
-        body = self.instances.get((name, type_args))
-        if body is None:
+        entry = self.instances.get((name, type_args))
+        if entry is None:
             d = self.program.definitions.get(name)
             if d is None:
                 raise UnboundCombinator(
                     "no definition for combinator %s" % name)
-            body = self.instances[name, type_args] = _Scope(
+            entry = self.instances[name, type_args] = _Scope(
                 self, name, dict(zip(d.ctype.type_params, type_args)),
                 {p: i for i, p in enumerate(d.params)}).entry(d.body, name)
-        return body
+        return entry
 
     def run(self, t, cfg, state):
         """`run_program(self.program, t, cfg, state)` on the kept
@@ -111,32 +111,17 @@ class _Scope:
         self.types, self.params = types, params
 
     def compile(self, s):
-        if type(s) is S.ParamRef:
-            b = self.params.get(s.name)
-            if b is None:
-                def unbound(t, env):
-                    raise InternalTypeViolation(
-                        "unbound strategy parameter %s" % s.name)
-                return unbound
-            if not isinstance(b, int):
-                return b  # a closure that runs on this env
-
-            def param(t, env):
-                f, bound = env[b]
-                return f(t, bound)
-            return param
-        tag, head, build = _NODES[type(s)]
+        tag, _, build = _NODES[type(s)]
         f = _adopt(build(self, s))
-        if self.run.trace and type(s) is not S.Call:  # see _call
-            return _traced(self.run, f, "%s %s @ " % (tag, head or s.name))
-        return f
+        return _adopt(_entry(self.run, f, s)) if tag and self.run.trace else f
 
     def entry(self, s, name):
-        """(f, charges): the body s of the definition `name` compiled, and
-        whether f charges the fuel of the calls that enter it."""
-        if self.run.trace or type(s) not in (S.Seq, S.Choice, S.LChoice):
-            return self.compile(s), False
-        return _adopt(_binary(self, s, name)), True
+        """The body s of the definition `name` compiled as the entry of its
+        calls: it charges each call's fuel and, traced, writes its line."""
+        build = _NODES[type(s)][2]
+        if not self.run.trace and build in (_binary, _loop):
+            return _adopt(build(self, s, name))
+        return _adopt(_entry(self.run, _adopt(build(self, s)), s, name))
 
     def domains(self, annot):
         return domains(substitute_stype(self.types, annot.stype)
@@ -145,8 +130,8 @@ class _Scope:
 
 def _adopt(f):
     """f, once each of its cells that holds a call site is handed to that
-    site: its first run overwrites them with the callee's body if that body
-    charges its own fuel and the site builds no env (see _call)."""
+    site: if the site builds no env, its first run overwrites them with
+    the callee's entry (see _call)."""
     for cell in f.__closure__ or ():
         cells = getattr(cell.cell_contents, "cells", None)
         if cells is not None:
@@ -154,21 +139,33 @@ def _adopt(f):
     return f
 
 
-def _traced(run, f, prefix):
-    def traced(t, env):
+def _entry(run, f, s, name=None):
+    """f, the compiled node s, in one frame. As the entry of the definition
+    `name`, that frame charges a call's fuel. Traced, once f has run, it
+    writes the line of s if s has one of its own, then the call's `comb`
+    line, each a level shallower than the one before."""
+    tag, head, _ = _NODES[type(s)]
+    prefixes = run.trace and [p for p in (
+        tag and "%s %s @ " % (tag, head or s.name),
+        name and "comb %s @ " % name) if p]
+
+    def entry(t, env):
         st = run.st
-        st.depth += 1
+        if name is not None and st.fuel is not None:
+            if st.fuel <= 0:
+                raise FuelExhausted("fuel exhausted expanding %s" % name)
+            st.fuel -= 1
+        if not prefixes:
+            return f(t, env)
+        st.depth += len(prefixes)
         r = f(t, env)
-        st.depth -= 1
-        _emit(st, prefix, t, r)
+        out = "fail" if r is None else "ok"
+        for prefix in prefixes:
+            st.depth -= 1
+            st.trace_lines.append("%s%s%s => %s" % (
+                "  " * st.depth, prefix, t.name, out))
         return r
-    return traced
-
-
-def _emit(st, prefix, t, r):
-    st.trace_lines.append("%s%s%s => %s" % (
-        "  " * st.depth, prefix, t.name,
-        "fail" if r is None else "ok"))
+    return entry
 
 
 def _rule(sc, s):
@@ -265,14 +262,14 @@ def _binary(sc, s, fuel=None):
     # s1 ; s2 runs s2 on what s1 returns; s1 <+ s2 runs s2 on t when s1
     # fails, and so does s1 + s2, which is s1 + (!s1 ; s2), where !s1 holds
     # whenever it is reached. Untraced, s runs in one closure with a
-    # one-layer traversal on either side (see _loop). As the body of the
+    # one-layer traversal on either side (see _loop). As the entry of the
     # definition `fuel`, it charges the calls that enter it, and s1 <+ id
     # returns t without a closure for id.
     run, orelse = sc.run, type(s) is not S.Seq
     if not run.trace:
         for loop, pre, post in ((s.right, s.left, None),
                                 (s.left, None, s.right)):
-            if type(loop) in _LOOPS:
+            if _NODES[type(loop)][2] is _loop:
                 return _loop(sc, loop, fuel, pre, post, orelse)
     first, other = sc.compile(s.left), sc.compile(s.right)
     if fuel is None and orelse:
@@ -308,7 +305,7 @@ def _loop(sc, s, fuel=None, pre=None, post=None, orelse=False):
     # succeeds on, one(s) rewrites it (t itself if s returned that child),
     # and select(s) returns it. Fused (see _binary), it runs as `pre ; loop`
     # or `loop ; post`, or as `pre <+ loop` or `loop <+ post` if orelse,
-    # after charging a call of the definition `fuel` if it is its body.
+    # after charging a call of the definition `fuel` if it is its entry.
     run, kind, every = sc.run, type(s), type(s) in (S.All, S.CongFun)
     name = s.name if kind is S.CongFun else None
     pre = pre and sc.compile(pre)
@@ -414,39 +411,26 @@ def _amp(sc, s):
 
 
 def _call(sc, s):
-    run, name, params = sc.run, s.name, sc.params
+    name, params = s.name, sc.params
     key = tuple(_substitute_type_vars(sc.types, ta) for ta in s.type_args)
     # An actual that is the caller's own parameter passes on its binding,
     # so parameter chains never grow with recursion depth.
     actuals = [params[a.name]
                if type(a) is S.ParamRef and isinstance(params.get(a.name), int)
                else sc.compile(a) for a in s.args]
-    prefix, body, pack = run.trace and "comb %s @ " % name, None, None
-    charges, cells = False, []  # cells: its parents' that hold it (_adopt)
+    entry, pack, cells = None, None, []  # cells: its parents' that hold it
 
     def call(t, env):
-        nonlocal body, pack, charges
-        if body is None:
-            (body, charges), pack = _expansion(sc, name, key, actuals)
-            if charges and pack is None:  # its parents run the body itself
+        nonlocal entry, pack
+        if entry is None:
+            entry, pack = _expansion(sc, name, key, actuals)
+            if pack is None:  # its parents run the entry itself
                 for cell in cells:
-                    cell.cell_contents = body
-        st = run.st
-        if not charges and st.fuel is not None:
-            if st.fuel <= 0:
-                raise FuelExhausted("fuel exhausted expanding %s" % name)
-            st.fuel -= 1
+                    cell.cell_contents = entry
         if pack is not None:
             env = tuple([env[a] if isinstance(a, int) else (a, env)
                          for a in pack])
-        if not prefix:
-            return body(t, env)
-        # Traced in place, not wrapped: one frame per call in both modes.
-        st.depth += 1
-        r = body(t, env)
-        st.depth -= 1
-        _emit(st, prefix, t, r)
-        return r
+        return entry(t, env)
     call.cells = cells
     return call
 
@@ -472,13 +456,31 @@ def _expansion(sc, name, key, actuals):
         None if actuals == list(range(len(actuals))) else actuals)
 
 
+def _param(sc, s):
+    b = sc.params.get(s.name)
+    if b is None:
+        def unbound(t, env):
+            raise InternalTypeViolation(
+                "unbound strategy parameter %s" % s.name)
+        return unbound
+    if not isinstance(b, int):
+        return b  # a closure of the caller's that runs on this env
+
+    def param(t, env):
+        f, bound = env[b]
+        return f(t, bound)
+    return param
+
+
 def _leaf(f):
     return lambda sc, s: f
 
 
 # Per core class: the tag and head of its trace lines (a head of None is
-# the node's name) and its compile function.
+# the node's name; a tag of None, no line of its own, as a call's is its
+# callee entry's and a parameter's its binding's) and its compile function.
 _NODES = {
+    S.ParamRef: (None, None, _param), S.Call: (None, None, _call),
     S.Rule: ("rule", "rule", _rule),
     S.Id: ("id", "id", _leaf(lambda t, env: t)),
     S.Fail: ("fail", "fail", _leaf(lambda t, env: None)),
@@ -495,10 +497,8 @@ _NODES = {
     S.Extend: ("extend", "extend", _extend),
     S.Restrict: ("restrict", "restrict", lambda sc, s: sc.compile(s.arg)),
     S.Annot: ("annot", ":", lambda sc, s: sc.compile(s.arg)),
-    S.AmpS: ("amp", "&", _amp), S.Call: ("comb", None, _call),
+    S.AmpS: ("amp", "&", _amp),
 }
-# The one-layer traversals _binary fuses with a neighbour.
-_LOOPS = (S.All, S.CongFun, S.One, S.Select)
 
 
 def apply_strategy(ctx, defs, s, t, cfg=None, state=None):

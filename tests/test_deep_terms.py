@@ -192,17 +192,48 @@ def cli_in_thread(argv):
     return out[0], sink.getvalue()
 
 
-@pytest.mark.parametrize("trace, n", [(False, 900), (True, 195)])
+@pytest.mark.parametrize("trace, n", [(False, 900), (True, 240)])
 @pytest.mark.parametrize("main", ["TD(id)", "BU(id)", "StopTD(fail)",
                                   "Try(OnceBU(fail))"])
 def test_cli_runs_traversal_schemes_this_deep(main, trace, n, tmp_path):
     # At the default recursion limit, untraced, the fused body of each
     # scheme's instance takes one frame per level of the term: 984 levels
-    # or more in this thread, where separate frames per node and per call
-    # reached 328. Traced, each node still takes its own frames, and each
-    # scheme reaches 195 levels or more, as it did then.
+    # or more in this thread. Traced, each node takes frames of its own,
+    # and a call's entry writes its body's line and the call's in one
+    # frame, so each scheme reaches 245 levels.
     text, _ = succ_chain(n)
     src = tmp_path / "scheme.strat"
     src.write_text(NAT_TREE_HEADER.replace("main = id;", "main = %s;" % main))
     argv = ["run", str(src), "--term", text] + ["--trace"] * trace
     assert cli_in_thread(argv) == (0, text + "\n")
+
+
+@pytest.mark.parametrize("trace, n", [(False, 320), (True, 190)])
+@pytest.mark.parametrize("main", ["Repeat(extend(succ(N) -> N, TP))",
+                                  "Innermost(extend(succ(N) -> N, TP))"])
+def test_cli_repeats_a_step_this_often(main, trace, n, tmp_path):
+    # Each step of Repeat, Innermost's loop, keeps three frames until the
+    # loop ends (five traced): Repeat's entry, the entry of its copy of
+    # Try, and the `;` of `v ; Repeat(v)`. Both reach 326 steps, 194 traced.
+    text, _ = succ_chain(n)
+    src = tmp_path / "repeat.strat"
+    src.write_text(NAT_TREE_HEADER.replace("main = id;", "main = %s;" % main))
+    argv = ["run", str(src), "--term", text] + ["--trace"] * trace
+    assert cli_in_thread(argv) == (0, "zero\n")
+
+
+COUNTER = """
+sort Bits; con e : Bits; fun o : Bits -> Bits; fun i : Bits -> Bits;
+var X : Bits; var Y : Bits;
+def Dec : Bits -> Bits = (i(X) -> o(X)) + (o(X) -> i(Y) where Y := Dec @ X);
+main = Repeat(extend(Dec, TP));
+"""
+
+
+def test_cli_counts_a_binary_counter_down(tmp_path):
+    # i^8(e), least significant bit outermost, takes 255 steps of Repeat
+    # to reach o^8(e); at three frames a step they fit the default limit.
+    src = tmp_path / "counter.strat"
+    src.write_text(COUNTER)
+    argv = ["run", str(src), "--term", "i(" * 8 + "e" + ")" * 8]
+    assert cli_in_thread(argv) == (0, "o(" * 8 + "e" + ")" * 8 + "\n")
