@@ -60,7 +60,7 @@ def run(program, name, term_src, trace):
     shown = (sc.render_term(out.term) if isinstance(out, sc.Ok)
              else repr(out))
     print("%-11s : %-14s  %s  =>  %s"
-          % (name, sc.render_stype(checked.type), term_src, shown))
+          % (name, repr(checked.type), term_src, shown))
 
 
 def main():

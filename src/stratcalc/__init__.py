@@ -8,61 +8,46 @@ below, generic TP / TU(t) types above) checks programs before a
 big-step evaluator runs them.
 """
 
-from .elaborate import elaborate_program
-from .errors import (
-    EngineError,
-    ParseError,
-    StaticError,
-    StratError,
-)
-from .parser import parse_program, parse_term
-from .prelude import load_prelude
-from .printer import render_program, render_stype, render_term
-from .terms import (
-    Amp,
-    Arrow,
-    CombinatorType,
-    Context,
-    EngineFailure,
-    EvalConfig,
-    EvalState,
-    FAILURE,
-    Failure,
-    FunApp,
-    Ok,
-    PairType,
-    Sort,
-    TP_TYPE,
-    TU,
-    TypeVar,
-    UNIT,
-    Var,
-    check_context,
-    tag_term,
-    type_of_term,
-)
-from .typecheck import (
-    CheckedProgram,
-    apply_type,
-    check_and_elaborate,
-    check_program,
-    composable,
-    domains,
-    generically_leq,
-    generically_less,
-    glb,
-    negatable,
-    type_and_core,
-    wf_strategy_type,
-    wf_term_type,
-)
+import sys
 
-# Loaded on first use (PEP 562): a process that only checks runs no evaluator.
-_EVALUATOR = ("apply_strategy", "run_program")
+# Each submodule and the public names it provides. A name, or a submodule,
+# is imported on first use (PEP 562), so `import stratcalc` loads no layer
+# and a caller loads only the layers it touches.
+_MODULES = {
+    "cli": (),
+    "elaborate": (),
+    "errors": ("EngineError", "ParseError", "StaticError", "StratError"),
+    "evaluate": ("apply_strategy", "run_program"),
+    "parser": ("parse_program", "parse_term"),
+    "prelude": ("load_prelude",),
+    "printer": ("render_program", "render_term"),
+    "syntax": (),
+    "terms": ("Amp", "Arrow", "CombinatorType", "Context", "EngineFailure",
+              "EvalConfig", "EvalState", "FAILURE", "Failure", "FunApp",
+              "Ok", "PairType", "Sort", "TP_TYPE", "TU", "TypeVar", "UNIT",
+              "Var", "check_context", "tag_term"),
+    "typecheck": ("CheckedProgram", "apply_type", "check_and_elaborate",
+                  "composable", "domains", "generically_leq",
+                  "generically_less", "glb", "negatable", "type_and_core",
+                  "wf_strategy_type", "wf_term_type"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _EVALUATOR:
-        from . import evaluate
-        return getattr(evaluate, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    home = _HOME.get(name, name)
+    if home not in _MODULES:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    module = __name__ + "." + home
+    __import__(module)  # the import path that `python -X importtime` reports
+    value = sys.modules[module]
+    if home != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_MODULES))

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from .errors import ParseError, StaticError
 from .parser import parse_program
 from .prelude import load_prelude
-from .printer import render_program, render_stype, render_term
+from .printer import render_program, render_term
 from .terms import (FUEL, EngineFailure, EvalConfig, EvalState, Ok,
                     depth_exceeded)
 from .typecheck import CheckedProgram
@@ -155,7 +155,9 @@ def main(argv=None):
             try:
                 stream.flush()
             except BrokenPipeError:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
         return 141
 
 
@@ -167,7 +169,7 @@ def _main(args):
         return 2
 
     if args.command == "check":
-        print(render_stype(program.type))
+        print(repr(program.type))
         return 0
 
     if args.command == "elaborate":

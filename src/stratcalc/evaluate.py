@@ -194,7 +194,7 @@ def _builder(term):
     by its binding. A subterm with no variable is the term's own."""
     if isinstance(term, Var):
         return itemgetter(term.name)
-    if not term_vars(term, set()):
+    if not term_vars(term):
         return lambda theta: term
     name, tag, args = term.name, term.tag, [_builder(a) for a in term.args]
     if len(args) == 1:

@@ -515,13 +515,13 @@ def type_of_term(ctx, t):
 
 def tag_term(ctx, t, bound=None):
     """Rebuild t with every node carrying its type, derived from its tagged
-    children, so each node is typed once; raises as type_of_term does, at
-    the error `fun_sort` would meet first: a node's name and arity before
-    its arguments, and each argument's sort once it is tagged, left to
-    right. A Var that names a constant becomes that constant, a FunApp with
-    no arguments. With `bound`, every variable must be in it (a rule term
-    may use only what the rule binds). Walks with a stack, so it costs no
-    frame per level."""
+    children, so each node is typed once; raises on an undeclared or
+    ill-sorted term, at the error `fun_sort` would meet first: a node's
+    name and arity before its arguments, and each argument's sort once it
+    is tagged, left to right. A Var that names a constant becomes that
+    constant, a FunApp with no arguments. With `bound`, every variable must
+    be in it (a rule term may use only what the rule binds). Walks with a
+    stack, so it costs no frame per level."""
     functions = ctx.functions
     # Per open node: the node, its signature and its arguments tagged so far.
     stack = []
@@ -570,7 +570,7 @@ def tag_ground_term(ctx, t):
     """tag_term for a term to rewrite, which must have no variables; every
     later layer trusts the tags this gives."""
     t = tag_term(ctx, t)
-    free = term_vars(t, set())
+    free = term_vars(t)
     if free:
         raise StaticError("input term is not ground: %s is a variable"
                           % min(free), rule="var")
@@ -599,9 +599,9 @@ def check_reduct(ctx, r):
         todo.extend(u.args)
 
 
-def term_vars(t, acc):
-    """Add the names of t's variables to the set acc, and return it."""
-    todo = [t]
+def term_vars(t):
+    """The set of the names of t's variables."""
+    acc, todo = set(), [t]
     while todo:
         u = todo.pop()
         if isinstance(u, Var):

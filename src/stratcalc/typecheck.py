@@ -330,7 +330,7 @@ def type_and_core(ctx, s):
             return TP_TYPE, s
         if isinstance(s, S.Rule):
             lhs = tag_term(ctx, s.lhs)
-            bound = term_vars(lhs, set())
+            bound = term_vars(lhs)
             where = []
             for w in s.where:
                 pi_s, strat = type_and_core(ctx, w.strat)

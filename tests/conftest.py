@@ -80,20 +80,20 @@ def nat_tree_ctx(nat_tree):
 @pytest.fixture(scope="session")
 def problems():
     p = load_program("problems.strat")
-    diags, _ = sc.check_program(p)
+    diags = sc.check_and_elaborate(p)[0]
     assert not diags, [d.render() for d in diags]
     return p
 
 
 @pytest.fixture(scope="session")
 def problems_elaborated(problems):
-    return sc.elaborate_program(problems)
+    return sc.check_and_elaborate(problems)[2]
 
 
 @pytest.fixture(scope="session")
 def overload():
     p = load_program("overload.strat")
-    diags, _ = sc.check_program(p)
+    diags = sc.check_and_elaborate(p)[0]
     assert not diags, [d.render() for d in diags]
     return p
 
@@ -101,7 +101,7 @@ def overload():
 @pytest.fixture(scope="session")
 def addition():
     p = load_program("addition.strat")
-    diags, _ = sc.check_program(p)
+    diags = sc.check_and_elaborate(p)[0]
     assert not diags, [d.render() for d in diags]
     return p
 

@@ -16,7 +16,6 @@ from stratcalc.terms import (
     Sort,
     TP_TYPE,
     tag_term,
-    type_of_term,
     types_equal,
 )
 from stratcalc.typecheck import apply_type
@@ -95,7 +94,7 @@ def test_criterion_2_subject_reduction(nat_tree_ctx, corpus):
             violations += 1
         elif isinstance(out, Ok):
             predicted = apply_type(nat_tree_ctx, pi, tau)
-            if type_of_term(nat_tree_ctx, out.term) != predicted:
+            if tag_term(nat_tree_ctx, out.term).tag != predicted:
                 violations += 1
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed < 10.0
@@ -140,7 +139,7 @@ def _brute_force_normalize(t):
 
 
 def test_criterion_4_innermost_vs_oracle(addition):
-    elaborated = sc.elaborate_program(addition)
+    elaborated = sc.check_and_elaborate(addition)[2]
     ctx = elaborated.context
     mismatches = 0
     for a in range(6):
@@ -174,7 +173,7 @@ def test_criterion_6_elaboration_coherence(problems, overload, addition):
               (overload, "Dec", "negative(i)"),
               (addition, None, "add(succ(zero),succ(succ(zero)))")]
     for program, name, term_src in cases:
-        elaborated = sc.elaborate_program(program)
+        elaborated = sc.check_and_elaborate(program)[2]
         term = sc.parse_term(term_src, program.context)
         if name is None:
             # run_program takes a core program; raw input goes through
@@ -186,7 +185,7 @@ def test_criterion_6_elaboration_coherence(problems, overload, addition):
             raw = run_call(program, name, term)
             cooked = run_call(elaborated, name, term)
         ok &= raw == cooked
-        twice = sc.elaborate_program(elaborated)
+        twice = sc.check_and_elaborate(elaborated)[2]
         ok &= twice.main == elaborated.main
         ok &= all(twice.definitions[n].body == elaborated.definitions[n].body
                   for n in elaborated.definitions)
@@ -236,7 +235,7 @@ def _encode_int(k):
 
 
 def test_criterion_8_overloading_dispatch(overload):
-    elaborated = sc.elaborate_program(overload)
+    elaborated = sc.check_and_elaborate(overload)[2]
     ctx = elaborated.context
     state = sc.EvalState()
     mismatches = 0

@@ -89,7 +89,8 @@ def test_unreadable_input_exit_4(capcli, tmp_path, case):
 
 
 def test_run_contains_check_prints_true(capcli, write):
-    src = open(program_path("problems.strat")).read()
+    with open(program_path("problems.strat")) as g:
+        src = g.read()
     f = write("p3.strat", src.replace("main = ProblemI;",
                                       "main = ProblemIII;"))
     code, out, err = capcli("run", f, "--term", "leaf(zero)")
@@ -306,7 +307,8 @@ def test_call_heavy_trace_and_fuel_are_golden(capcli, write):
     # ProblemV instantiates Crush[Nat], CF[Nat] and Chi[Nat] with strategy
     # and type arguments at every node; its trace and fuel pin how calls
     # bind their parameters.
-    src = open(program_path("problems.strat")).read()
+    with open(program_path("problems.strat")) as g:
+        src = g.read()
     f = write("p5.strat", src.replace("main = ProblemI;", "main = ProblemV;"))
     code, out, err = capcli("run", f, "--term", QUICK_START_TREE, "--trace")
     assert code == 0
@@ -1029,13 +1031,22 @@ def test_closed_pipe_exits_141_without_traceback(command, closed):
     assert b"Traceback" not in getattr(proc, other)
 
 
+def test_main_reads_its_arguments_from_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["stratcalc", "check", program_path("problems.strat")])
+    assert cli.main() == 0
+    assert capsys.readouterr() == ("TP\n", "")
+
+
 def test_closed_pipe_in_process_exits_141(monkeypatch):
     # A caller that runs main in its own process: the stream that lost its
     # reader is pointed at os.devnull, so later writes and its close are
-    # quiet, and the status is 141.
+    # quiet, and the status is 141. No descriptor outlives the stream.
+    opened = len(os.listdir("/dev/fd"))
     read, write = os.pipe()
     os.close(read)
     with open(write, "w") as stream:
         monkeypatch.setattr(sys, "stdout", stream)
         assert cli.main(["check", program_path("addition.strat")]) == 141
         stream.write("after\n")
+    assert len(os.listdir("/dev/fd")) == opened

@@ -15,10 +15,11 @@ import threading
 
 import pytest
 
-from stratcalc import check_program, cli
+from stratcalc import cli
 from stratcalc.parser import Parser, parse_program, parse_term
-from stratcalc.printer import render_stype, render_term
+from stratcalc.printer import render_term
 from stratcalc.terms import PAIR_NAME, FunApp, Record, Var, tag_ground_term
+from stratcalc.typecheck import check_and_elaborate
 
 from conftest import NAT_TREE_HEADER
 
@@ -145,8 +146,8 @@ def test_deep_rule_terms_parse_and_check():
     text, _ = succ_chain(DEPTH)
     program = parse_program(NAT_TREE_HEADER.replace(
         "main = id;", "main = zero -> N where N := id @ %s;" % text))
-    diags, main_type = check_program(program)
-    assert diags == [] and render_stype(main_type) == "Nat -> Nat"
+    diags, main_type, _ = check_and_elaborate(program)
+    assert diags == [] and repr(main_type) == "Nat -> Nat"
 
 
 def test_each_constant_is_built_once_per_read(nat_tree_ctx):

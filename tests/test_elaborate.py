@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import stratcalc as sc
 from stratcalc import syntax as S
+from stratcalc.elaborate import elaborate_program
 from stratcalc.terms import Arrow, FunApp, TP_TYPE, Var, types_equal
 
 from randgen import Gen, NAT, NN
@@ -64,15 +65,15 @@ def test_elaborate_homomorphic_elsewhere(nat_tree_ctx):
 
 def test_elaborate_idempotent_on_programs(problems, overload, addition):
     for p in (problems, overload, addition):
-        once = sc.elaborate_program(p)
-        twice = sc.elaborate_program(once)
+        once = sc.check_and_elaborate(p)[2]
+        twice = sc.check_and_elaborate(once)[2]
         assert twice.main == once.main
         for name in once.definitions:
             assert twice.definitions[name].body == once.definitions[name].body
 
 
 def test_elaborated_program_still_checks(problems_elaborated):
-    diags, main_type = sc.check_program(problems_elaborated)
+    diags, main_type, _ = sc.check_and_elaborate(problems_elaborated)
     assert diags == [] and main_type == TP_TYPE
 
 
@@ -104,6 +105,6 @@ def test_elaborate_program_raises_the_first_diagnostic(nat_tree_ctx):
     program = S.Program(nat_tree_ctx, {}, S.Seq(S.Void(), INC))
     diags = sc.check_and_elaborate(program)[0]
     with pytest.raises(sc.StaticError) as e:
-        sc.elaborate_program(program)
+        elaborate_program(program)
     assert (type(e.value), e.value.render()) == (type(diags[0]),
                                                  diags[0].render())

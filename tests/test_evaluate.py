@@ -278,8 +278,8 @@ def test_left_choice_runs_failing_operand_once(addition):
     ctx = addition.context
     step = S.Extend(S.Call("AddStep", (), ()), TP_TYPE)
     main = S.Call("Try", (), (S.Call("OnceBU", (), (step,)),))
-    elaborated = sc.elaborate_program(S.Program(ctx, addition.definitions,
-                                                main))
+    elaborated = sc.check_and_elaborate(S.Program(ctx, addition.definitions,
+                                                  main))[2]
     for depth in (16, 14):
         t = sc.tag_term(ctx, num(depth))
         state = EvalState()
@@ -293,9 +293,9 @@ def test_call_expansion_substitutes_params():
            "def Twice(v) : (Nat -> Nat) -> (Nat -> Nat) = v ; v;\n"
            "main = Twice(N -> succ(N));")
     p = sc.parse_program(src)
-    diags, _ = sc.check_program(p)
+    diags, _, core = sc.check_and_elaborate(p)
     assert diags == []
-    got = sc.run_program(sc.elaborate_program(p),
+    got = sc.run_program(core,
                          sc.tag_term(p.context, num(0)), sc.EvalConfig())
     assert got == Ok(num(2))
 
@@ -308,9 +308,9 @@ def test_type_arguments_instantiate_bodies(nat_tree):
            "def One : () -> Nat = () -> succ(zero);\n"
            "main = Chi[Nat](void, One, Zero);")
     p = sc.parse_program(src, prelude=sc.load_prelude())
-    diags, main_type = sc.check_program(p)
+    diags, main_type, core = sc.check_and_elaborate(p)
     assert diags == [] and main_type == TU(NAT)
-    got = sc.run_program(sc.elaborate_program(p),
+    got = sc.run_program(core,
                          sc.tag_term(p.context, num(3)), sc.EvalConfig())
     assert got == Ok(num(1))
 
@@ -340,10 +340,16 @@ def test_eval_body_where_fail(nat_tree_ctx):
 
 def test_fuel_exhaustion(nat_tree):
     p = sc.parse_program("def Loop : TP = Loop;\nmain = Loop;")
-    got = sc.run_program(sc.elaborate_program(p), unit(UNIT),
+    got = sc.run_program(sc.check_and_elaborate(p)[2], unit(UNIT),
                          sc.EvalConfig(fuel=100))
     assert isinstance(got, sc.EngineFailure)
     assert got.kind == "FuelExhausted"
+
+
+def test_a_pair_congruence_fails_on_a_term_that_is_not_a_pair(nat_tree_ctx):
+    main = S.CongPair(S.Id(), S.Id())
+    assert sc.run_program(S.Program(nat_tree_ctx, {}, main),
+                          sc.tag_term(nat_tree_ctx, ZERO)) == FAILURE
 
 
 @pytest.mark.parametrize("main,term,detail", [
@@ -363,8 +369,8 @@ def test_core_the_checker_rejects_is_engine_failure(nat_tree_ctx, main,
 def test_trace_depth_resets_after_an_engine_failure():
     # A traced run abandoned by FuelExhausted leaves no indentation behind
     # for the next run on the same state.
-    p = sc.elaborate_program(sc.parse_program("def Loop : TP = Loop;\n"
-                                              "main = Loop;"))
+    p = sc.check_and_elaborate(sc.parse_program("def Loop : TP = Loop;\n"
+                                                "main = Loop;"))[2]
     state = EvalState()
     cfg = sc.EvalConfig(fuel=5, trace=True)
     got = sc.run_program(p, unit(UNIT), cfg, state)
@@ -453,10 +459,10 @@ def test_type_parameters_reach_extend_and_amp_dispatch(main):
     # Both must pass its own on to Lift.
     p = sc.parse_program(SWAP_SIGNATURE + "main = %s;" % main,
                          prelude=sc.load_prelude())
-    diags, _ = sc.check_program(p)
+    diags, _, core = sc.check_and_elaborate(p)
     assert diags == [], [d.render() for d in diags]
     t = sc.parse_term("fork(leaf(zero),leaf(succ(zero)))", p.context)
-    got = sc.run_program(sc.elaborate_program(p), t, sc.EvalConfig())
+    got = sc.run_program(core, t, sc.EvalConfig())
     assert got == Ok(sc.parse_term(
         "fork(leaf(succ(succ(zero))),leaf(succ(zero)))", p.context))
 
@@ -471,9 +477,9 @@ def test_actuals_bind_in_the_callers_scope():
            " = Then(v ; v, w);\n"
            "main = Swap(N -> succ(N), succ(N) -> N);")
     p = sc.parse_program(src)
-    diags, _ = sc.check_program(p)
+    diags, _, core = sc.check_and_elaborate(p)
     assert diags == []
-    ctx, core = p.context, sc.elaborate_program(p)
+    ctx = p.context
     # Swap(inc, dec) = Then(inc ; inc, dec) = dec ; inc ; inc
     assert sc.run_program(core, sc.tag_term(ctx, num(0)),
                           sc.EvalConfig()) == FAILURE

@@ -245,7 +245,7 @@ def test_reduce_and_spawn_tag_pairs_with_the_one_type(monkeypatch, problems):
         return made[-1]
 
     monkeypatch.setattr(evaluate, "PairType", recording)
-    core = stratcalc.elaborate_program(problems).replace(
+    core = stratcalc.check_and_elaborate(problems)[2].replace(
         main=S.Call("ProblemV", (), ()))
     tree = stratcalc.parse_term("fork(leaf(zero),fork(leaf(zero),leaf(zero)))",
                                 core.context)
@@ -265,6 +265,24 @@ def test_reduce_and_spawn_tag_pairs_with_the_one_type(monkeypatch, problems):
 def test_a_wrong_field_count_is_a_type_error(make):
     with pytest.raises(TypeError):
         make()
+
+
+@pytest.mark.parametrize("walk,wrong", [
+    (lambda ctx: stratcalc.render_term(S.Id()), "term"),
+    (lambda ctx: stratcalc.printer.render_strat(FunApp("zero", ())),
+     "strategy"),
+    (lambda ctx: stratcalc.wf_term_type(ctx, TP_TYPE), "term type"),
+    (lambda ctx: stratcalc.wf_strategy_type(ctx, NAT), "strategy type"),
+    (lambda ctx: substitute_stype({}, NAT), "strategy type"),
+    (lambda ctx: stratcalc.type_and_core(
+        ctx, S.Definition("D", (), None, S.Id())), "strategy"),
+    (lambda ctx: stratcalc.tag_term(ctx, S.Id()), "term"),
+], ids=["render_term", "render_strat", "wf_term_type", "wf_strategy_type",
+        "substitute_stype", "type_and_core", "tag_term"])
+def test_a_walk_given_the_wrong_kind_of_node_is_a_type_error(
+        walk, wrong, nat_tree_ctx):
+    with pytest.raises(TypeError, match="^not a %s: " % wrong):
+        walk(nat_tree_ctx)
 
 
 def test_threads_making_the_same_new_types_get_one_object_each():

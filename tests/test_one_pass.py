@@ -67,9 +67,8 @@ def nested_guard(depth):
 def check_and_elaborate_visits(ctx, s, visits):
     program = S.Program(ctx, {}, s)
     visits.clear()
-    diags, main_type = sc.check_program(program)
+    diags, main_type, _ = sc.check_and_elaborate(program)
     assert diags == [] and main_type == TP_TYPE
-    sc.elaborate_program(program)
     return len(visits)
 
 
@@ -113,5 +112,5 @@ def test_cli_run_walks_each_definition_once(visits, monkeypatch, capsys):
         for d in program.definitions.values():
             assert sum(s is d.body for s in seen) == 1, d.name
         visits.clear()
-        sc.check_program(program)
+        sc.check_and_elaborate(program)
         assert len(seen) == len(visits)

@@ -121,7 +121,7 @@ def test_duplicate_definition_rejected():
 
 
 def test_unknown_name_rejected():
-    diags, _ = sc.check_program(sc.parse_program("main = Mystery;"))
+    diags = sc.check_and_elaborate(sc.parse_program("main = Mystery;"))[0]
     assert [d.render() for d in diags] == [
         "ERROR name at 1:8: unknown name Mystery"]
 

@@ -27,7 +27,7 @@ AA = Arrow(A, A)
 
 def test_prelude_parses_and_checks():
     prelude = sc.load_prelude()
-    diags, _ = sc.check_program(prelude)
+    diags = sc.check_and_elaborate(prelude)[0]
     assert diags == []
 
 
@@ -147,7 +147,7 @@ def test_any_propagates_child_result(nat_tree):
 
 def test_crush_counts_with_add(problems):
     a = FunApp("a", ())
-    got = run_call(sc.elaborate_program(problems), "ProblemV",
+    got = run_call(sc.check_and_elaborate(problems)[2], "ProblemV",
                    sc.tag_term(problems.context,
                                FunApp("g", (FunApp("g", (a,)),))))
     assert got == Ok(num(2))

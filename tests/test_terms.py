@@ -24,42 +24,42 @@ from reference_eval import substitute
 def test_type_of_fork_of_leaves(nat_tree_ctx):
     t = FunApp("fork", (FunApp("leaf", (FunApp("zero", ()),)),
                         FunApp("leaf", (FunApp("zero", ()),))))
-    assert sc.type_of_term(nat_tree_ctx, t) == TREE
+    assert sc.tag_term(nat_tree_ctx, t).tag == TREE
 
 
 def test_type_of_empty_tuple(nat_tree_ctx):
-    assert sc.type_of_term(nat_tree_ctx, unit()) == UNIT
+    assert sc.tag_term(nat_tree_ctx, unit()).tag == UNIT
 
 
 def test_type_of_pair(nat_tree_ctx):
     t = pair(FunApp("zero", ()), FunApp("leaf", (FunApp("zero", ()),)))
-    assert sc.type_of_term(nat_tree_ctx, t) == PairType(NAT, TREE)
+    assert sc.tag_term(nat_tree_ctx, t).tag == PairType(NAT, TREE)
 
 
 def test_wrong_child_sort_rejected(nat_tree_ctx):
     t = FunApp("succ", (FunApp("leaf", (FunApp("zero", ()),)),))
     with raises_static("fun",
                        "argument 1 of succ has type Tree, expected Nat"):
-        sc.type_of_term(nat_tree_ctx, t)
+        sc.tag_term(nat_tree_ctx, t).tag
 
 
 def test_undeclared_symbol_rejected(nat_tree_ctx):
     with raises_static("con", "undeclared function nope"):
-        sc.type_of_term(nat_tree_ctx, FunApp("nope", ()))
+        sc.tag_term(nat_tree_ctx, FunApp("nope", ())).tag
 
 
 def test_arity_mismatch_rejected(nat_tree_ctx):
     with raises_static("fun", "succ expects 1 arguments, got 0"):
-        sc.type_of_term(nat_tree_ctx, FunApp("succ", ()))
+        sc.tag_term(nat_tree_ctx, FunApp("succ", ())).tag
 
 
 def test_unbound_variable_rejected(nat_tree_ctx):
     with raises_static("name", "unknown symbol Q in term"):
-        sc.type_of_term(nat_tree_ctx, Var("Q"))
+        sc.tag_term(nat_tree_ctx, Var("Q")).tag
 
 
 def test_var_types_to_declared_sort(nat_tree_ctx):
-    assert sc.type_of_term(nat_tree_ctx, Var("T1")) == TREE
+    assert sc.tag_term(nat_tree_ctx, Var("T1")).tag == TREE
 
 
 def test_match_binds_both_children():
@@ -141,6 +141,14 @@ def test_check_context_reports_each_undeclared_sort_once():
         "ERROR ctx at 3:1: var P mentions undeclared sort Nat"]
 
 
+def test_check_context_finds_no_sort_in_the_unit_type():
+    ctx = Context()
+    ctx.declare("var", "U", UNIT, (1, 1))
+    ctx.declare("var", "P", PairType(Sort("Nat"), UNIT), (2, 1))
+    assert [d.render() for d in sc.check_context(ctx)] == [
+        "ERROR ctx at 2:1: var P mentions undeclared sort Nat"]
+
+
 # -- properties over random ground terms ------------------------------------
 
 _taus = st.sampled_from([NAT, TREE, UNIT, PairType(NAT, TREE)])
@@ -163,9 +171,9 @@ def test_match_substitute_round_trip(seed, tau):
 def test_term_typing_deterministic(seed, tau, nat_tree_ctx):
     g = Gen(seed)
     t = g.term(tau)
-    first = sc.type_of_term(nat_tree_ctx, t)
+    first = sc.tag_term(nat_tree_ctx, t).tag
     assert first == tau
-    assert sc.type_of_term(nat_tree_ctx, t) == first
+    assert sc.tag_term(nat_tree_ctx, t).tag == first
 
 
 @given(seed=st.integers(0, 10**6))
@@ -174,7 +182,7 @@ def test_substitute_preserves_typing(seed, nat_tree_ctx):
     pat = FunApp("fork", (Var("T1"), Var("T2")))
     theta = {"T1": g.term(TREE, 3), "T2": g.term(TREE, 3)}
     out = substitute(theta, pat)
-    assert sc.type_of_term(nat_tree_ctx, out) == TREE
+    assert sc.tag_term(nat_tree_ctx, out).tag == TREE
 
 
 @given(seed=st.integers(0, 10**6), tau=_taus)

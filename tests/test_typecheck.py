@@ -265,15 +265,15 @@ def test_congruence_arity_rejected(nat_tree_ctx, args):
 
 def test_apply_id_to_constant(nat_tree_ctx):
     assert apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, S.Id())[0],
-                      sc.type_of_term(nat_tree_ctx, FunApp("zero", ()))) == NAT
+                      sc.tag_term(nat_tree_ctx, FunApp("zero", ())).tag) == NAT
 
 
 def test_apply_arrow_to_wrong_sort_rejected(nat_tree_ctx):
     inc = S.Rule(Var("N"), FunApp("succ", (Var("N"),)))
     with pytest.raises(E.InapplicableType) as exc:
         apply_type(nat_tree_ctx, sc.type_and_core(nat_tree_ctx, inc)[0],
-                   sc.type_of_term(nat_tree_ctx,
-                                   FunApp("leaf", (FunApp("zero", ()),))))
+                   sc.tag_term(nat_tree_ctx,
+                               FunApp("leaf", (FunApp("zero", ()),))).tag)
     assert exc.value.render() == ("ERROR apply: strategy of type Nat -> Nat "
                                   "is not applicable to a term of type Tree")
     # Copies and pickles keep the class, the rule and the position.
@@ -289,7 +289,7 @@ def test_apply_overloaded_branch(overload):
     ctx = overload.context
     t = FunApp("positive", (FunApp("zero", ()),))
     pi = sc.type_and_core(ctx, S.Call("Inc", (), ()))[0]
-    assert apply_type(ctx, pi, sc.type_of_term(ctx, t)) == Sort("Int")
+    assert apply_type(ctx, pi, sc.tag_term(ctx, t).tag) == Sort("Int")
     with pytest.raises(E.InapplicableType) as exc:
         apply_type(ctx, pi, UNIT)
     assert exc.value.render() == (
@@ -307,17 +307,18 @@ def test_apply_tu_returns_result_type(problems):
 
 def test_prelude_alone_checks_with_main_id():
     p = sc.parse_program("main = id;", prelude=sc.load_prelude())
-    diags, main_type = sc.check_program(p)
+    diags, main_type, _ = sc.check_and_elaborate(p)
     assert diags == [] and main_type == TP_TYPE
 
 
 def test_body_with_undeclared_param_rejected():
-    diags, _ = sc.check_program(sc.parse_program("def A : TP = v; main = A;"))
+    diags = sc.check_and_elaborate(
+        sc.parse_program("def A : TP = v; main = A;"))[0]
     assert [d.render() for d in diags] == ["ERROR name at 1:14: unknown name v"]
 
 
 def test_problems_check_to_declared_types(problems):
-    diags, main_type = sc.check_program(problems)
+    diags, main_type, _ = sc.check_and_elaborate(problems)
     assert diags == [] and main_type == TP_TYPE
 
 
@@ -393,7 +394,7 @@ def reject(src):
         program = sc.parse_program(src, prelude=sc.load_prelude())
     except E.StaticError as e:
         return [e.render()]
-    diags, _ = sc.check_program(program)
+    diags = sc.check_and_elaborate(program)[0]
     return [d.render() for d in diags]
 
 
